@@ -1,0 +1,118 @@
+"""Golden bytes: sha256 of small CSVs written through the CLI.
+
+Each case runs one subcommand on a fixed config and seed and pins the exact
+bytes of the CSV it writes. A refactor that keeps behaviour keeps these
+hashes; a deliberate behaviour change must update them and say why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from coopsim.cli import EXIT_OK, main
+
+DET_BA = {
+    "network": {"model": "BA", "n": 150},
+    "payoff": {"b": 1.3},
+    "update": {"rule": "deterministic"},
+    "generations": 30,
+    "stats_window": 10,
+    "graphs": 2,
+    "realisations": 2,
+    "master_seed": 20230116,
+}
+
+STOCH_DMS = {
+    "network": {"model": "DMS", "n": 150},
+    "payoff": {"b": 1.6},
+    "update": {"rule": "stochastic", "K": 0.1},
+    "generations": 40,
+    "stats_window": 10,
+    "graphs": 2,
+    "realisations": 2,
+    "master_seed": 3,
+}
+
+GRID = [
+    {"schemes": []},
+    {"schemes": ["POP"], "theta": [1, 5], "p_c": [0.5, 1.0]},
+    {"schemes": ["NEB", "NI"], "theta": 2, "n_c": [0.25, 0.5], "c_I": 0.05},
+]
+
+# Deterministic POP run that absorbs into all-C at generation 3, so the
+# trace ends in a frozen fill.
+RUN_ABSORBS = {
+    "network": {"model": "BA", "n": 300, "seed": 3},
+    "payoff": {"b": 1.8},
+    "update": {"rule": "deterministic"},
+    "interference": {"schemes": ["POP"], "theta": 40, "p_c": 1.0},
+    "generations": 20,
+    "stats_window": 5,
+    "run_seed": 3,
+}
+
+RUN_STOCH = {
+    "network": {"model": "DMS", "n": 200, "seed": 5},
+    "payoff": {"b": 1.6},
+    "update": {"rule": "stochastic", "K": 0.1},
+    "interference": {"schemes": ["NEB", "NI"], "theta": 1.5, "n_c": 0.5, "c_I": 0.2},
+    "generations": 40,
+    "stats_window": 10,
+    "run_seed": 9,
+}
+
+TARGETS = "0.25,0.5,0.75,0.9"
+
+PINNED = {
+    "run-absorbs": "4288e11d6260ed86d767b6d5c8a6868481b85c39c93f1e5fde2af6cdbbb34460",
+    "run-stoch": "0265ee0caeb4f9d8418c439499806c7cdb6923c4e7e5772386d258b9d99539f0",
+    "baseline": "59d71217927a6eec2cd43bc32b59ac9de702ad806b516d9eb5574ba28bece13b",
+    "sweep-ba": "506b7dff069e9bf9d158a9e3c23386907f1ff1c3fa06b07b5bb9008e673aabda",
+    "frontier-ba": "bfa96e28d759ad7a863b637fdd3c5bf6565d6355bf67e8d5e9cb650a4e944955",
+    "sweep-dms": "3f655a16ffd44a1df7fe4019c70c8c06dd4c1ff32eaac131da9af0d5bb57328b",
+    "frontier-dms": "3f2694e14d82cda2239428fb4d250168d27975dc1b6b0469e273f9b5a875c96a",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def cli(tmp_path, command, payload, out_name, *extra):
+    config = tmp_path / f"{out_name}.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / f"{out_name}.csv"
+    assert main([command, "--config", str(config), "--out", str(out), *extra]) == EXIT_OK
+    return out
+
+
+def frontier(tmp_path, sweep_csv, out_name):
+    out = tmp_path / f"{out_name}.csv"
+    assert main(["frontier", "--in", str(sweep_csv), "--targets", TARGETS,
+                 "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def test_run_trace_that_absorbs_early(tmp_path):
+    out = cli(tmp_path, "run", RUN_ABSORBS, "run-absorbs")
+    meta = json.loads((tmp_path / "run-absorbs.csv.meta.json").read_text())
+    assert meta["absorbed_at"] == 3
+    assert sha256(out) == PINNED["run-absorbs"]
+
+
+def test_stochastic_neb_ni_trace(tmp_path):
+    out = cli(tmp_path, "run", RUN_STOCH, "run-stoch")
+    assert sha256(out) == PINNED["run-stoch"]
+
+
+def test_baseline_csv(tmp_path):
+    out = cli(tmp_path, "baseline", DET_BA, "baseline")
+    assert sha256(out) == PINNED["baseline"]
+
+
+@pytest.mark.parametrize("name,base", [("ba", DET_BA), ("dms", STOCH_DMS)])
+def test_sweep_and_frontier_csvs(tmp_path, name, base):
+    out = cli(tmp_path, "sweep", {**base, "grid": GRID}, f"sweep-{name}")
+    assert sha256(out) == PINNED[f"sweep-{name}"]
+    assert sha256(frontier(tmp_path, out, f"frontier-{name}")) == PINNED[f"frontier-{name}"]
