@@ -1,79 +1,3 @@
 """Cost-efficient reward interference in networked Prisoner's Dilemma populations."""
 
 __version__ = "0.1.0"
-
-from .dynamics import (
-    DETERMINISTIC,
-    STOCHASTIC,
-    UpdateRuleConfig,
-    fermi_probability,
-    is_homogeneous,
-    step_deterministic,
-    step_stochastic,
-)
-from .engine import (
-    FrontierRow,
-    GenerationStats,
-    RunConfig,
-    RunResult,
-    SweepSummary,
-    derive_seed,
-    efficiency_frontier,
-    run_parameter_point,
-    run_simulation,
-    sweep,
-)
-from .game import (
-    COOPERATE,
-    DEFECT,
-    PayoffParams,
-    accumulate_scores,
-    coop_fraction,
-    pairwise_payoff,
-    random_strategies,
-)
-from .interference import (
-    NEB,
-    NI,
-    POP,
-    InterferenceConfig,
-    InvestmentRecord,
-    apply_interference,
-    eligible_set,
-    neb_eligible,
-    ni_eligible,
-    pop_eligible,
-)
-from .network import (
-    BA,
-    DMS,
-    Graph,
-    InvalidConfigError,
-    NetworkConfig,
-    NodeMetrics,
-    degree_percentiles,
-    fit_degree_exponent,
-    generate,
-    generate_ba,
-    generate_dms,
-    global_transitivity,
-    load_graph,
-    save_graph,
-)
-
-__all__ = [
-    "BA", "DMS", "COOPERATE", "DEFECT", "POP", "NEB", "NI",
-    "DETERMINISTIC", "STOCHASTIC",
-    "NetworkConfig", "Graph", "NodeMetrics", "InvalidConfigError",
-    "PayoffParams", "InterferenceConfig", "InvestmentRecord",
-    "UpdateRuleConfig", "RunConfig", "RunResult", "GenerationStats",
-    "SweepSummary", "FrontierRow",
-    "generate", "generate_ba", "generate_dms", "global_transitivity",
-    "degree_percentiles", "fit_degree_exponent", "save_graph", "load_graph",
-    "pairwise_payoff", "accumulate_scores", "random_strategies", "coop_fraction",
-    "pop_eligible", "neb_eligible", "ni_eligible", "eligible_set",
-    "apply_interference", "fermi_probability", "is_homogeneous",
-    "step_deterministic", "step_stochastic",
-    "run_simulation", "run_parameter_point", "sweep", "efficiency_frontier",
-    "derive_seed",
-]

@@ -1,8 +1,9 @@
 """Command-line surface: JSON configs in, CSV tables out.
 
 Subcommands: gen-net (write a graph file), run (one replicate, per-generation
-trace), sweep (grid of parameter points), baseline (single no-interference
-point), frontier (minimum-cost configurations per cooperation target).
+trace), sweep (grid of parameter points), baseline (a sweep whose grid is
+the single no-interference point), frontier (minimum-cost configurations per
+cooperation target).
 Every output CSV gets a sibling <out>.meta.json echoing the resolved
 configuration and seeds needed to reproduce it bit-exactly.
 """
@@ -276,9 +277,9 @@ def write_trace_csv(result, path) -> None:
     try:
         with open(path, "w") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for st in result.trace:
-                fh.write(f"{st.generation},{_fmt(st.coop_fraction)},"
-                         f"{st.invested},{_fmt(st.cost)}\n")
+            for gen, (coop, invested, cost) in enumerate(
+                    zip(result.coop, result.invested, result.cost)):
+                fh.write(f"{gen},{_fmt(coop)},{invested},{_fmt(cost)}\n")
     except OSError as exc:
         raise RuntimeError(f"cannot write trace CSV {path}: {exc}") from exc
 
@@ -349,34 +350,27 @@ def _base_payload(payload: dict) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    """sweep, or baseline: the same job over the bare grid [{"schemes": []}]."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     payload = apply_overrides(_load_json(args.config), args.set)
-    _check_keys(payload, _POINT_KEYS + ("grid",), "sweep")
+    if args.command == "baseline":
+        _check_keys(payload, _POINT_KEYS, "baseline")
+        grid = [{"schemes": []}]
+    else:
+        _check_keys(payload, _POINT_KEYS + ("grid",), "sweep")
+        grid = payload.get("grid")
+        if not isinstance(grid, list):
+            raise ConfigError("sweep config needs a 'grid' list")
     master_seed = resolve_master_seed(payload)
     graphs, realisations = _replication(payload)
-    grid = payload.get("grid")
-    if not isinstance(grid, list):
-        raise ConfigError("sweep config needs a 'grid' list")
     cfgs = expand_grid(_base_payload(payload), grid)
     summaries = engine.sweep(cfgs, master_seed, graphs=graphs,
                              realisations=realisations, jobs=args.jobs)
     write_sweep_csv(summaries, args.out)
-    write_meta(args.out, "sweep", config=payload, master_seed=master_seed,
+    write_meta(args.out, args.command, config=payload, master_seed=master_seed,
                graph_seeds=list(summaries[0].graph_seeds), points=len(summaries),
                replicates_per_point=graphs * realisations, jobs=args.jobs)
-    return EXIT_OK
-
-
-def _cmd_baseline(args) -> int:
-    payload = apply_overrides(_load_json(args.config), args.set)
-    _check_keys(payload, _POINT_KEYS, "baseline")
-    master_seed = resolve_master_seed(payload)
-    graphs, realisations = _replication(payload)
-    cfg = parse_run_config({**_base_payload(payload), "interference": {}})
-    summary = engine.run_parameter_point(cfg, master_seed, graphs=graphs,
-                                         realisations=realisations, jobs=args.jobs)
-    write_sweep_csv([summary], args.out)
-    write_meta(args.out, "baseline", config=payload, master_seed=master_seed,
-               graph_seeds=list(summary.graph_seeds), jobs=args.jobs)
     return EXIT_OK
 
 
@@ -417,19 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep", help="replicated grid of parameter points")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("baseline", help="no-interference reference point")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p.set_defaults(func=_cmd_baseline)
+    for name, help_text in (("sweep", "replicated grid of parameter points"),
+                            ("baseline", "no-interference reference point")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+        p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("frontier", help="minimum-cost rows per cooperation target")
     p.add_argument("--in", dest="infile", required=True)

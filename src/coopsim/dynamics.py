@@ -25,15 +25,11 @@ _MAX_EXPONENT = 700.0
 class UpdateRuleConfig:
     """Update rule selection.
 
-    K is the Fermi noise amplitude (stochastic rule only). self_comparison
-    controls the imitate-best convention: when True (default) an agent
-    switches only if its best neighbor strictly outscores it; when False it
-    always adopts its best neighbor's strategy.
+    K is the Fermi noise amplitude (stochastic rule only).
     """
 
     rule: str = DETERMINISTIC
     K: float = 0.1
-    self_comparison: bool = True
 
     def __post_init__(self):
         if self.rule not in (DETERMINISTIC, STOCHASTIC):
@@ -61,13 +57,12 @@ def is_homogeneous(s: np.ndarray) -> bool:
 
 
 def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
-                       rng: np.random.Generator,
-                       self_comparison: bool = True) -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     """Every agent imitates its highest-scoring neighbor, simultaneously.
 
     Ties among equally best neighbors are broken uniformly with one draw
-    per node. With self_comparison (default) an agent keeps its strategy
-    unless the best neighbor strictly outscores it.
+    per node. An agent keeps its strategy unless the best neighbor strictly
+    outscores it.
     """
     nbr_scores = scores[g.indices]
     best = np.maximum.reduceat(nbr_scores, g.indptr[:-1])
@@ -84,11 +79,7 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
     picked = np.flatnonzero(tie & (rank == np.repeat(want, g.degrees)))
     best_neighbor = g.indices[picked]
 
-    if self_comparison:
-        switch = best > scores
-    else:
-        switch = np.ones(g.n, dtype=bool)
-    return np.where(switch, s[best_neighbor], s).astype(np.int8)
+    return np.where(best > scores, s[best_neighbor], s).astype(np.int8)
 
 
 def step_stochastic(g: Graph, s: np.ndarray, scores: np.ndarray, K: float,
@@ -109,5 +100,5 @@ def step(g: Graph, s: np.ndarray, scores: np.ndarray, cfg: UpdateRuleConfig,
          rng: np.random.Generator) -> np.ndarray:
     """Advance one generation under the configured rule."""
     if cfg.rule == DETERMINISTIC:
-        return step_deterministic(g, s, scores, rng, cfg.self_comparison)
+        return step_deterministic(g, s, scores, rng)
     return step_stochastic(g, s, scores, cfg.K, rng)

@@ -1,5 +1,5 @@
-"""Replicate orchestration: single runs, replicated parameter points, sweeps,
-and cost-efficiency frontier extraction.
+"""Replicate orchestration: single runs, sweeps of replicated parameter
+points, and cost-efficiency frontier extraction.
 
 A parameter point is evaluated on several independently seeded graphs with
 several realisations each (defaults follow the 10 x 30 protocol). All seeds
@@ -64,6 +64,10 @@ class RunConfig:
     run_seed: int = 0
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError(f"generations must be >= 1, got {self.horizon}")
+        if self.stats_window < 1:
+            raise ValueError(f"stats_window must be >= 1, got {self.stats_window}")
         if self.stats_window > self.horizon:
             raise ValueError(
                 f"stats_window {self.stats_window} exceeds horizon {self.horizon}")
@@ -76,27 +80,18 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class GenerationStats:
-    """State of one generation, measured before the strategy update."""
-
-    generation: int
-    coop_fraction: float
-    invested: int
-    cost: float
-
-
-@dataclass(frozen=True)
 class RunResult:
-    trace: list[GenerationStats]
+    """One replicate. coop, invested and cost span the full horizon and are
+    measured each generation before the strategy update."""
+
+    coop: np.ndarray
+    invested: np.ndarray
+    cost: np.ndarray
     total_cost: float
     mean_coop: float
     absorbed_at: int | None
     final_state: str
     run_seed: int
-
-    @property
-    def coop_series(self) -> np.ndarray:
-        return np.array([s.coop_fraction for s in self.trace])
 
 
 def _classify(s: np.ndarray) -> str:
@@ -126,7 +121,8 @@ def run_simulation(cfg: RunConfig, g: Graph,
         rng = np.random.default_rng(cfg.run_seed)
 
     icfg = cfg.interference
-    metrics = interference.node_centrality(g, icfg.centrality) if interference.NI in icfg.schemes else None
+    percentile = network.degree_percentiles(g) if interference.NI in icfg.schemes else None
+    theta = icfg.theta if icfg.active else 0.0
     deterministic = cfg.update.rule == DETERMINISTIC
     horizon = cfg.horizon
 
@@ -137,33 +133,31 @@ def run_simulation(cfg: RunConfig, g: Graph,
         s = np.array(initial_strategies, dtype=np.int8)
     else:
         s = game.random_strategies(g.n, rng)
-    trace: list[GenerationStats] = []
+    coop = np.empty(horizon)
+    invested = np.zeros(horizon, dtype=np.int64)
     absorbed_at = None
 
     for gen in range(horizon):
         if deterministic and dynamics.is_homogeneous(s):
             absorbed_at = gen
+            coop[gen:] = game.coop_fraction(s)
             break
         scores = game.accumulate_scores(g, s, cfg.payoff)
-        invested, cost = 0, 0.0
+        coop[gen] = game.coop_fraction(s)
         if icfg.active:
-            eligible = interference.eligible_set(g, metrics, s, icfg)
-            scores, record = interference.apply_interference(
-                scores, eligible, icfg.theta, generation=gen)
-            invested, cost = record.invested, record.cost
-        trace.append(GenerationStats(gen, game.coop_fraction(s), invested, cost))
+            eligible = interference.eligible_set(g, percentile, s, icfg)
+            invested[gen] = np.count_nonzero(eligible)
+            scores = scores + np.where(eligible, theta, 0.0)
         s = dynamics.step(g, s, scores, cfg.update, rng)
 
-    if absorbed_at is not None:
-        frozen = game.coop_fraction(s)
-        for gen in range(absorbed_at, horizon):
-            trace.append(GenerationStats(gen, frozen, 0, 0.0))
-
-    window = np.array([st.coop_fraction for st in trace[-cfg.stats_window:]])
+    cost = theta * invested
     return RunResult(
-        trace=trace,
-        total_cost=float(sum(st.cost for st in trace)),
-        mean_coop=float(window.mean()),
+        coop=coop,
+        invested=invested,
+        cost=cost,
+        # Left-to-right, generation by generation: the CSV bytes depend on it.
+        total_cost=float(sum(cost.tolist())),
+        mean_coop=float(coop[-cfg.stats_window:].mean()),
         absorbed_at=absorbed_at,
         final_state=_classify(s),
         run_seed=cfg.run_seed,
@@ -262,15 +256,6 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
             run_seeds=tuple(run_seeds),
         ))
     return summaries
-
-
-def run_parameter_point(cfg: RunConfig, master_seed: int,
-                        graphs: int = DEFAULT_GRAPHS,
-                        realisations: int = DEFAULT_REALISATIONS,
-                        jobs: int = 1) -> SweepSummary:
-    """Replicate one configuration over pre-seeded graphs and fresh initial states."""
-    return sweep([cfg], master_seed, graphs=graphs, realisations=realisations,
-                 jobs=jobs)[0]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Reward-based external interference: who gets the endowment, and what it costs.
+"""Reward-based external interference: which cooperators get the endowment.
 
 Three eligibility schemes, all restricted to cooperators:
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import COOPERATE
-from .network import Graph, NodeMetrics, degree_percentiles
+from .network import Graph
 
 POP = "POP"
 NEB = "NEB"
@@ -27,18 +27,12 @@ NI = "NI"
 
 _SCHEMES = (POP, NEB, NI)
 
-PERCENTILE = "percentile"
-DEGREE_FRACTION = "degree_fraction"
-
 
 @dataclass(frozen=True)
 class InterferenceConfig:
     """Active schemes plus their thresholds; empty scheme set means baseline.
 
-    composition controls how multiple active schemes combine: "all" pays a
-    node only if every active scheme's condition holds, "any" if at least
-    one does. centrality selects the NI normalization: percentile rank of
-    degree (default) or degree divided by the maximum degree.
+    A node is paid only if every active scheme's condition holds.
     """
 
     schemes: tuple = ()
@@ -46,8 +40,6 @@ class InterferenceConfig:
     p_c: float | None = None
     n_c: float | None = None
     c_I: float | None = None
-    composition: str = "all"
-    centrality: str = PERCENTILE
 
     def __post_init__(self):
         schemes = tuple(dict.fromkeys(self.schemes))
@@ -55,10 +47,6 @@ class InterferenceConfig:
         for scheme in schemes:
             if scheme not in _SCHEMES:
                 raise ValueError(f"unknown interference scheme: {scheme!r}")
-        if self.composition not in ("all", "any"):
-            raise ValueError(f"composition must be 'all' or 'any', got {self.composition!r}")
-        if self.centrality not in (PERCENTILE, DEGREE_FRACTION):
-            raise ValueError(f"unknown centrality mode: {self.centrality!r}")
         if schemes:
             if self.theta is None or self.theta <= 0:
                 raise ValueError("theta must be > 0 when any scheme is active")
@@ -80,15 +68,6 @@ class InterferenceConfig:
         return bool(self.schemes)
 
 
-@dataclass(frozen=True)
-class InvestmentRecord:
-    """Accounting for one generation of interference."""
-
-    generation: int
-    invested: int
-    cost: float
-
-
 def pop_eligible(s: np.ndarray, p_c: float) -> np.ndarray:
     """All cooperators if the cooperator fraction is at most p_c, else nobody."""
     coop = s == COOPERATE
@@ -104,53 +83,26 @@ def neb_eligible(g: Graph, s: np.ndarray, n_c: float) -> np.ndarray:
     return (s == COOPERATE) & (nbr_coop / g.degrees <= n_c)
 
 
-def ni_eligible(metrics: NodeMetrics, s: np.ndarray, c_I: float) -> np.ndarray:
-    """Cooperators whose centrality is at least c_I."""
-    return (s == COOPERATE) & (metrics.percentile >= c_I)
+def ni_eligible(percentile: np.ndarray, s: np.ndarray, c_I: float) -> np.ndarray:
+    """Cooperators whose degree percentile is at least c_I."""
+    return (s == COOPERATE) & (percentile >= c_I)
 
 
-def node_centrality(g: Graph, mode: str = PERCENTILE) -> NodeMetrics:
-    """Centrality used by NI under the selected normalization."""
-    if mode == PERCENTILE:
-        return degree_percentiles(g)
-    values = g.degrees / g.degrees.max()
-    values.setflags(write=False)
-    return NodeMetrics(percentile=values)
-
-
-def eligible_set(g: Graph, metrics: NodeMetrics | None, s: np.ndarray,
+def eligible_set(g: Graph, percentile: np.ndarray | None, s: np.ndarray,
                  cfg: InterferenceConfig) -> np.ndarray:
-    """Boolean mask of nodes to pay this generation.
+    """Boolean mask of nodes to pay this generation: cooperators meeting every
+    active scheme's condition. An empty scheme set yields an empty mask.
 
-    Active schemes compose per cfg.composition; an empty scheme set yields
-    an empty mask. Each eligible node appears once, so the endowment is
-    paid at most once however many schemes it satisfies.
+    percentile is the graph's degree_percentiles, needed only when NI is
+    active. Each node appears once, so the endowment is paid at most once
+    however many schemes it satisfies.
     """
-    if not cfg.schemes:
-        return np.zeros(g.n, dtype=bool)
-    masks = []
+    out = np.ones(g.n, dtype=bool) if cfg.schemes else np.zeros(g.n, dtype=bool)
     for scheme in cfg.schemes:
         if scheme == POP:
-            masks.append(pop_eligible(s, cfg.p_c))
+            out &= pop_eligible(s, cfg.p_c)
         elif scheme == NEB:
-            masks.append(neb_eligible(g, s, cfg.n_c))
+            out &= neb_eligible(g, s, cfg.n_c)
         else:
-            if metrics is None:
-                metrics = node_centrality(g, cfg.centrality)
-            masks.append(ni_eligible(metrics, s, cfg.c_I))
-    combine = np.logical_and if cfg.composition == "all" else np.logical_or
-    out = masks[0]
-    for mask in masks[1:]:
-        out = combine(out, mask)
+            out &= ni_eligible(percentile, s, cfg.c_I)
     return out
-
-
-def apply_interference(scores: np.ndarray, eligible: np.ndarray, theta: float,
-                       generation: int = 0) -> tuple[np.ndarray, InvestmentRecord]:
-    """Add theta to each eligible node's score; returns new scores and the record."""
-    if theta <= 0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    invested = int(np.count_nonzero(eligible))
-    new_scores = scores + np.where(eligible, theta, 0.0)
-    return new_scores, InvestmentRecord(generation=generation, invested=invested,
-                                        cost=theta * invested)

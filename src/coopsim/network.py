@@ -128,32 +128,6 @@ class Graph:
                     stack.append(int(v))
         return bool(seen.all())
 
-    def diameter(self) -> int:
-        """Longest shortest path, by BFS from every node."""
-        best = 0
-        dist = np.empty(self.n, dtype=np.int64)
-        for src in range(self.n):
-            dist.fill(-1)
-            dist[src] = 0
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in self.indices[self.indptr[u]:self.indptr[u + 1]]:
-                        if dist[v] < 0:
-                            dist[v] = dist[u] + 1
-                            nxt.append(int(v))
-                frontier = nxt
-            best = max(best, int(dist.max()))
-        return best
-
-
-@dataclass(frozen=True)
-class NodeMetrics:
-    """Per-node degree percentile rank: fraction of other nodes with strictly lower degree."""
-
-    percentile: np.ndarray
-
 
 def generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
     """Grow a BA graph: m0-node core joined by a single edge, then one node per
@@ -212,13 +186,14 @@ def global_transitivity(g: Graph) -> float:
     return closed / triples
 
 
-def degree_percentiles(g: Graph) -> NodeMetrics:
-    """Percentile rank of each node's degree among all other nodes."""
+def degree_percentiles(g: Graph) -> np.ndarray:
+    """Read-only percentile rank of each node's degree: the fraction of other
+    nodes with strictly lower degree."""
     sorted_degs = np.sort(g.degrees)
     lower = np.searchsorted(sorted_degs, g.degrees, side="left")
     q = lower / (g.n - 1)
     q.setflags(write=False)
-    return NodeMetrics(percentile=q)
+    return q
 
 
 def fit_degree_exponent(degrees, k_min: int = 2) -> float:

@@ -19,3 +19,23 @@ def random_connected_graph(n: int, rng: np.random.Generator,
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph.from_edges(n, sorted(edges))
+
+
+def diameter(g: Graph) -> int:
+    """Longest shortest path, by BFS from every node."""
+    best = 0
+    dist = np.empty(g.n, dtype=np.int64)
+    for src in range(g.n):
+        dist.fill(-1)
+        dist[src] = 0
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in g.neighbors(u):
+                    if dist[v] < 0:
+                        dist[v] = dist[u] + 1
+                        nxt.append(int(v))
+            frontier = nxt
+        best = max(best, int(dist.max()))
+    return best

@@ -26,8 +26,8 @@ from coopsim.engine import (
     derive_seed,
     efficiency_frontier,
     graph_seeds_for,
-    run_parameter_point,
     run_simulation,
+    sweep,
 )
 from coopsim.game import (
     COOPERATE,
@@ -55,7 +55,7 @@ from coopsim.network import (
     generate,
 )
 
-from conftest import random_connected_graph
+from conftest import diameter, random_connected_graph
 
 C, D = COOPERATE, DEFECT
 
@@ -167,8 +167,8 @@ class TestCriterion4:
             result = run_simulation(cfg, generate(net),
                                     initial_strategies=np.full(100, strat, np.int8))
             runs += 1
-            unchanged = all(st.coop_fraction == float(strat) for st in result.trace)
-            if not unchanged or result.total_cost != 0.0 or len(result.trace) != 75:
+            unchanged = all(c == float(strat) for c in result.coop)
+            if not unchanged or result.total_cost != 0.0 or len(result.coop) != 75:
                 failures += 1
         elapsed = time.perf_counter() - start
         ok = failures == 0 and elapsed < 10.0
@@ -186,7 +186,7 @@ class TestCriterion5:
             net = NetworkConfig(model=BA, n=500, seed=gseed)
             g = generate(net)
             theta = 2 * 1.8 * float(g.degrees.max())
-            bound = g.diameter() + 2
+            bound = diameter(g) + 2
             cfg = RunConfig(network=net, payoff=PayoffParams(b=1.8),
                             update=UpdateRuleConfig(rule=DETERMINISTIC),
                             interference=InterferenceConfig(schemes=(POP,),
@@ -195,7 +195,7 @@ class TestCriterion5:
             for r_idx in range(3):
                 rseed = derive_seed(master, 1, 0, g_idx, r_idx)
                 result = run_simulation(replace(cfg, run_seed=rseed), g)
-                if result.trace[0].coop_fraction == 0.0:
+                if result.coop[0] == 0.0:
                     continue  # no initial cooperator: nothing to spread
                 if result.final_state != "homogeneous-C" or \
                         result.absorbed_at is None or result.absorbed_at > bound:
@@ -298,8 +298,8 @@ class TestCriterion9:
                         interference=InterferenceConfig(schemes=(NI,), theta=2.0,
                                                         c_I=0.5),
                         generations=60, stats_window=25)
-        a = run_parameter_point(cfg, master_seed=77, graphs=2, realisations=3)
-        b = run_parameter_point(cfg, master_seed=77, graphs=2, realisations=3)
+        a = sweep([cfg], master_seed=77, graphs=2, realisations=3)[0]
+        b = sweep([cfg], master_seed=77, graphs=2, realisations=3)[0]
         assert a == b
 
 
@@ -346,14 +346,14 @@ class TestCriterion6:
                 rseed = derive_seed(master, 1, 0, g_idx, r_idx)
                 result = run_simulation(replace(pop_cfg, run_seed=rseed), g)
                 coop_values.append(result.mean_coop)
-                tail = result.coop_series[-25:]
+                tail = result.coop[-25:]
                 if result.final_state == "mixed" and tail.max() - tail.min() > 0.02:
                     oscillating += 1
 
-        baseline = run_parameter_point(
-            RunConfig(network=base_net, payoff=PayoffParams(b=1.8), update=update,
-                      generations=75, stats_window=25),
-            master_seed=master, graphs=10, realisations=6)
+        baseline = sweep(
+            [RunConfig(network=base_net, payoff=PayoffParams(b=1.8), update=update,
+                       generations=75, stats_window=25)],
+            master_seed=master, graphs=10, realisations=6)[0]
 
         scheme_defection = 1.0 - float(np.mean(coop_values))
         baseline_defection = 1.0 - baseline.coop_mean
@@ -385,8 +385,8 @@ class TestCriterion7:
             cfg = RunConfig(network=NetworkConfig(model=model, n=1000),
                             payoff=PayoffParams(b=1.8), update=update,
                             generations=500, stats_window=25)
-            coop[model] = run_parameter_point(cfg, master_seed=master,
-                                              graphs=10, realisations=6).coop_mean
+            coop[model] = sweep([cfg], master_seed=master,
+                                graphs=10, realisations=6)[0].coop_mean
         gap = coop[DMS] - coop[BA]
         elapsed = time.perf_counter() - start
         ok = gap >= 0.05 and elapsed < 600.0

@@ -188,6 +188,82 @@ class TestBaseline:
         assert row["schemes"] == ""
         assert row["cost_mean"] == "0"
 
+    def test_same_bytes_as_sweep_over_bare_grid(self, tmp_path):
+        payload = sweep_config()
+        del payload["grid"]
+        base_out, sweep_out = tmp_path / "base.csv", tmp_path / "sweep.csv"
+        assert main(["baseline", "--config", write_config(tmp_path, payload),
+                     "--out", str(base_out)]) == EXIT_OK
+        bare = write_config(tmp_path, {**payload, "grid": [{"schemes": []}]}, "bare.json")
+        assert main(["sweep", "--config", bare, "--out", str(sweep_out)]) == EXIT_OK
+        assert base_out.read_bytes() == sweep_out.read_bytes()
+        meta = json.loads((tmp_path / "base.csv.meta.json").read_text())
+        assert meta["command"] == "baseline"
+        assert meta["points"] == 1
+        assert meta["replicates_per_point"] == 4
+
+    def test_rejects_grid_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep_config())
+        rc = main(["baseline", "--config", cfg, "--out", str(tmp_path / "b.csv")])
+        assert rc == EXIT_USAGE
+        assert "grid" in capsys.readouterr().err
+
+
+def run_config(**overrides):
+    payload = {
+        "network": {"model": "BA", "n": 60, "seed": 3},
+        "interference": {"schemes": ["NEB", "NI"], "theta": 1.0, "n_c": 0.5, "c_I": 0.05},
+        "generations": 10,
+        "stats_window": 5,
+        "run_seed": 1,
+    }
+    payload.update(overrides)
+    return payload
+
+
+class TestBadInputFailsFast:
+    """Bad counts and removed knobs exit 2 and name the offending key."""
+
+    def assert_usage_error(self, capsys, argv, key):
+        assert main(argv) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["generations", "stats_window"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
+    def test_counts_below_one(self, tmp_path, capsys, command, key):
+        payload = run_config() if command == "run" else sweep_config()
+        if command == "baseline":
+            del payload["grid"]
+        payload[key] = 0
+        out = tmp_path / "out.csv"
+        self.assert_usage_error(capsys, [command, "--config", write_config(tmp_path, payload),
+                                         "--out", str(out)], key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "baseline"])
+    def test_jobs_below_one(self, tmp_path, capsys, command):
+        payload = sweep_config()
+        if command == "baseline":
+            del payload["grid"]
+        for jobs in ("0", "-4"):
+            self.assert_usage_error(capsys, [
+                command, "--config", write_config(tmp_path, payload),
+                "--out", str(tmp_path / "out.csv"), "--jobs", jobs], "--jobs")
+
+    def test_self_comparison_is_not_a_knob(self, tmp_path, capsys):
+        payload = sweep_config(update={"rule": "deterministic", "self_comparison": False})
+        self.assert_usage_error(capsys, ["sweep", "--config", write_config(tmp_path, payload),
+                                         "--out", str(tmp_path / "s.csv")],
+                                "self_comparison")
+
+    @pytest.mark.parametrize("key,value", [("composition", "any"),
+                                           ("centrality", "degree_fraction")])
+    def test_interference_mode_is_not_a_knob(self, tmp_path, capsys, key, value):
+        payload = run_config()
+        payload["interference"][key] = value
+        self.assert_usage_error(capsys, ["run", "--config", write_config(tmp_path, payload),
+                                         "--out", str(tmp_path / "t.csv")], key)
+
 
 class TestFrontier:
     def test_round_trips_own_sweep_csv(self, tmp_path):

@@ -25,7 +25,7 @@ def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def reference_step_deterministic(g, s, scores, u, order, self_comparison=True):
+def reference_step_deterministic(g, s, scores, u, order):
     """Oracle: per-node loop in an arbitrary node order, same per-node draws."""
     new_s = np.array(s, copy=True)
     for i in order:
@@ -34,7 +34,7 @@ def reference_step_deterministic(g, s, scores, u, order, self_comparison=True):
         best = nbr_scores.max()
         ties = nbrs[nbr_scores == best]
         pick = ties[min(int(u[i] * len(ties)), len(ties) - 1)]
-        if not self_comparison or best > scores[i]:
+        if best > scores[i]:
             new_s[i] = s[pick]
     return new_s
 
@@ -110,14 +110,6 @@ class TestStepDeterministic:
         for seed in range(5):
             new_s = step_deterministic(g, s, scores, np.random.default_rng(seed))
             assert new_s.tolist() == [C, D]
-
-    def test_self_comparison_off_always_adopts_best_neighbor(self):
-        g = path_graph(2)
-        s = np.array([C, D], dtype=np.int8)
-        scores = np.array([2.5, 2.5])
-        new_s = step_deterministic(g, s, scores, np.random.default_rng(0),
-                                   self_comparison=False)
-        assert new_s.tolist() == [D, C]
 
     def test_matches_reference_under_any_node_order(self):
         rng = np.random.default_rng(2)

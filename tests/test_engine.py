@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coopsim import dynamics, game, interference
 from coopsim.dynamics import DETERMINISTIC, STOCHASTIC, UpdateRuleConfig
 from coopsim.engine import (
     ConfigMismatchError,
@@ -9,13 +10,14 @@ from coopsim.engine import (
     SweepSummary,
     derive_seed,
     efficiency_frontier,
-    run_parameter_point,
     run_simulation,
     sweep,
 )
 from coopsim.game import COOPERATE, DEFECT, PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
 from coopsim.network import BA, NetworkConfig, generate
+
+from conftest import diameter
 
 C, D = COOPERATE, DEFECT
 
@@ -68,14 +70,14 @@ class TestRunSimulation:
         assert result.final_state == "homogeneous-C"
         assert result.total_cost == 0.0
         assert result.mean_coop == 1.0
-        assert [st.coop_fraction for st in result.trace] == [1.0] * 30
+        assert result.coop.tolist() == [1.0] * 30
 
     def test_trace_is_horizon_length_even_when_absorbed(self):
         cfg = ba_config()
         g = generate(NetworkConfig(model=BA, n=100, seed=4))
         result = run_simulation(cfg, g)
-        assert len(result.trace) == 30
-        assert [st.generation for st in result.trace] == list(range(30))
+        for series in (result.coop, result.invested, result.cost):
+            assert len(series) == 30
 
     def test_guaranteed_takeover_with_large_endowment(self):
         # funded cooperators outscore every defector, so cooperation spreads
@@ -91,7 +93,7 @@ class TestRunSimulation:
             result = run_simulation(cfg, g)
             assert result.final_state == "homogeneous-C"
             assert result.absorbed_at is not None
-            assert result.absorbed_at <= g.diameter() + 2
+            assert result.absorbed_at <= diameter(g) + 2
 
     def test_stochastic_runs_never_stop_early(self):
         cfg = ba_config(update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
@@ -100,7 +102,7 @@ class TestRunSimulation:
         g = generate(NetworkConfig(model=BA, n=100, seed=5))
         result = run_simulation(cfg, g, initial_strategies=np.full(100, C, dtype=np.int8))
         assert result.absorbed_at is None
-        assert len(result.trace) == 40
+        assert len(result.coop) == 40
         # interference keeps accruing in the homogeneous stochastic state
         assert result.total_cost == pytest.approx(0.5 * 100 * 40)
 
@@ -108,17 +110,15 @@ class TestRunSimulation:
         cfg = ba_config(interference=pop_cfg(theta=1.5, p_c=0.9), run_seed=8)
         g = generate(NetworkConfig(model=BA, n=100, seed=6))
         result = run_simulation(cfg, g)
-        invested = sum(st.invested for st in result.trace)
-        assert result.total_cost == pytest.approx(1.5 * invested, abs=1e-9)
-        for st in result.trace:
-            assert st.cost == 1.5 * st.invested
+        assert result.total_cost == pytest.approx(1.5 * result.invested.sum(), abs=1e-9)
+        assert np.array_equal(result.cost, 1.5 * result.invested)
 
     def test_baseline_costs_nothing(self):
         cfg = ba_config()
         g = generate(NetworkConfig(model=BA, n=100, seed=7))
         result = run_simulation(cfg, g)
         assert result.total_cost == 0.0
-        assert all(st.invested == 0 for st in result.trace)
+        assert not result.invested.any()
 
     def test_same_seed_bit_identical(self):
         cfg = ba_config(update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
@@ -127,25 +127,101 @@ class TestRunSimulation:
         g = generate(NetworkConfig(model=BA, n=100, seed=8))
         a = run_simulation(cfg, g)
         b = run_simulation(cfg, g)
-        assert a.trace == b.trace
+        for x, y in ((a.coop, b.coop), (a.invested, b.invested), (a.cost, b.cost)):
+            assert np.array_equal(x, y)
         assert a.mean_coop == b.mean_coop
 
     def test_mean_coop_windows_trailing_generations(self):
         cfg = ba_config(generations=30, stats_window=10, run_seed=2)
         g = generate(NetworkConfig(model=BA, n=100, seed=9))
         result = run_simulation(cfg, g)
-        tail = [st.coop_fraction for st in result.trace[-10:]]
-        assert result.mean_coop == pytest.approx(np.mean(tail))
+        assert result.mean_coop == pytest.approx(np.mean(result.coop[-10:]))
 
     def test_window_cannot_exceed_horizon(self):
         with pytest.raises(ValueError):
             ba_config(generations=10, stats_window=25)
 
+    @pytest.mark.parametrize("key", ["generations", "stats_window"])
+    def test_counts_must_be_positive(self, key):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=key):
+                ba_config(**{key: bad})
+
+
+class TestInterferenceAccounting:
+    """Per-generation investment bookkeeping, observed through the module
+    functions run_simulation calls."""
+
+    def record_run(self, monkeypatch, cfg, g):
+        calls = {"eligible": [], "scores": [], "stepped": []}
+        eligible_set, accumulate, step = (interference.eligible_set,
+                                          game.accumulate_scores, dynamics.step)
+
+        def spy_eligible(*args):
+            mask = eligible_set(*args)
+            calls["eligible"].append(mask.copy())
+            return mask
+
+        def spy_accumulate(*args):
+            scores = accumulate(*args)
+            calls["scores"].append((scores, scores.copy()))
+            return scores
+
+        def spy_step(g, s, scores, *rest):
+            calls["stepped"].append(scores.copy())
+            return step(g, s, scores, *rest)
+
+        monkeypatch.setattr(interference, "eligible_set", spy_eligible)
+        monkeypatch.setattr(game, "accumulate_scores", spy_accumulate)
+        monkeypatch.setattr(dynamics, "step", spy_step)
+        return run_simulation(cfg, g), calls
+
+    def test_invested_is_eligible_count_per_generation(self, monkeypatch):
+        cfg = ba_config(interference=InterferenceConfig(
+            schemes=(NEB, NI), theta=2.5, n_c=0.5, c_I=0.2), run_seed=3)
+        g = generate(NetworkConfig(model=BA, n=100, seed=10))
+        result, calls = self.record_run(monkeypatch, cfg, g)
+        played = len(calls["eligible"])
+        assert played > 0
+        assert result.invested[:played].tolist() == \
+            [int(np.count_nonzero(m)) for m in calls["eligible"]]
+        assert not result.invested[played:].any()
+
+    def test_empty_eligible_set_costs_nothing(self, monkeypatch):
+        # POP at p_c = 0 pays only when there is no cooperator to pay
+        cfg = ba_config(interference=pop_cfg(theta=9.0, p_c=0.0), run_seed=6)
+        g = generate(NetworkConfig(model=BA, n=100, seed=12))
+        result, calls = self.record_run(monkeypatch, cfg, g)
+        assert calls["eligible"] and not any(m.any() for m in calls["eligible"])
+        assert not result.cost.any()
+        assert result.total_cost == 0.0
+        for (_, before), stepped in zip(calls["scores"], calls["stepped"]):
+            assert np.array_equal(stepped, before)
+
+    def test_cost_is_theta_times_invested_exactly(self):
+        rng = np.random.default_rng(4)
+        for trial in range(5):
+            theta = float(rng.random() * 10 + 0.1)
+            cfg = ba_config(interference=pop_cfg(theta=theta, p_c=0.9), run_seed=trial)
+            result = run_simulation(cfg, generate(NetworkConfig(model=BA, n=100, seed=trial)))
+            assert np.array_equal(result.cost, theta * result.invested)
+
+    def test_endowment_added_without_touching_the_scores(self, monkeypatch):
+        theta = 2.0
+        cfg = ba_config(interference=pop_cfg(theta=theta, p_c=1.0), run_seed=5)
+        g = generate(NetworkConfig(model=BA, n=100, seed=11))
+        _, calls = self.record_run(monkeypatch, cfg, g)
+        assert calls["stepped"]
+        for (scores, before), mask, stepped in zip(calls["scores"], calls["eligible"],
+                                                   calls["stepped"]):
+            assert np.array_equal(scores, before)  # input scores left unchanged
+            assert np.array_equal(stepped, before + np.where(mask, theta, 0.0))
+
 
 class TestReplication:
     def test_replicates_and_mean(self):
         cfg = ba_config(n=60)
-        summary = run_parameter_point(cfg, master_seed=5, graphs=2, realisations=3)
+        summary = sweep([cfg], master_seed=5, graphs=2, realisations=3)[0]
         assert summary.replicates == 6
         assert len(summary.graph_seeds) == 2
         assert len(summary.run_seeds) == 6
@@ -162,14 +238,14 @@ class TestReplication:
 
     def test_repeat_invocation_identical(self):
         cfg = ba_config(n=60, interference=pop_cfg(theta=1.0, p_c=0.8))
-        a = run_parameter_point(cfg, master_seed=7, graphs=2, realisations=2)
-        b = run_parameter_point(cfg, master_seed=7, graphs=2, realisations=2)
+        a = sweep([cfg], master_seed=7, graphs=2, realisations=2)[0]
+        b = sweep([cfg], master_seed=7, graphs=2, realisations=2)[0]
         assert a == b
 
     def test_initial_states_differ_across_realisations(self):
         cfg = ba_config(n=60, update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
                         generations=5, stats_window=5)
-        summary = run_parameter_point(cfg, master_seed=9, graphs=1, realisations=8)
+        summary = sweep([cfg], master_seed=9, graphs=1, realisations=8)[0]
         assert len(set(summary.run_seeds)) == 8
 
     def test_parallel_jobs_do_not_change_results(self):
@@ -178,15 +254,16 @@ class TestReplication:
         parallel = sweep([cfg], master_seed=13, graphs=2, realisations=2, jobs=4)
         assert serial == parallel
 
-    def test_sweep_one_point_equals_parameter_point(self):
+    def test_first_point_ignores_later_points(self):
         cfg = ba_config(n=60)
-        assert sweep([cfg], master_seed=3, graphs=2, realisations=2)[0] == \
-            run_parameter_point(cfg, master_seed=3, graphs=2, realisations=2)
+        other = ba_config(n=60, interference=pop_cfg(theta=1.0, p_c=0.5))
+        one = sweep([cfg], master_seed=3, graphs=2, realisations=2)[0]
+        assert sweep([cfg, other], master_seed=3, graphs=2, realisations=2)[0] == one
 
     def test_std_is_sample_std(self):
         cfg = ba_config(n=60, update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
                         generations=10, stats_window=5)
-        summary = run_parameter_point(cfg, master_seed=21, graphs=2, realisations=3)
+        summary = sweep([cfg], master_seed=21, graphs=2, realisations=3)[0]
         # reconstruct per-replicate values through the engine itself
         coops = []
         for g_idx, gseed in enumerate(summary.graph_seeds):
