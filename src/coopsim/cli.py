@@ -35,6 +35,9 @@ TRACE_HEADER = "generation,coop_fraction,invested_count,generation_cost"
 
 SEED_ENV_VAR = "COOPSIM_SEED"
 
+# The model column of rows whose network is a graph file; their n is empty.
+GRAPH_FILE_MODEL = "file"
+
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
@@ -194,7 +197,7 @@ def _interference_fields(icfg: InterferenceConfig) -> list[str]:
 
 def _config_fields(cfg: RunConfig) -> list[str]:
     net = cfg.network
-    model = net.model if isinstance(net, NetworkConfig) else "file"
+    model = net.model if isinstance(net, NetworkConfig) else GRAPH_FILE_MODEL
     n = str(net.n) if isinstance(net, NetworkConfig) else ""
     K = _fmt(cfg.update.K) if cfg.update.rule == STOCHASTIC else ""
     return [model, n, _fmt(cfg.payoff.b), cfg.update.rule, K,
@@ -226,33 +229,51 @@ def _float_or_none(field: str):
     return float(field) if field else None
 
 
+def _summary_from_row(fields: list[str]) -> SweepSummary:
+    (model, n, b, rule, K, schemes, theta, p_c, n_c, c_I,
+     replicates, coop_mean, coop_std, cost_mean, cost_std, master_seed) = fields
+    if model == GRAPH_FILE_MODEL:
+        if n:
+            raise ValueError(f"graph-file row has n={n!r}, expected it empty")
+        # The CSV does not record the file's path, only that there was one.
+        net = GRAPH_FILE_MODEL
+    else:
+        net = NetworkConfig(model=model, n=int(n))
+    cfg = RunConfig(
+        network=net,
+        payoff=PayoffParams(b=float(b)),
+        update=UpdateRuleConfig(rule=rule, K=float(K) if K else 0.1),
+        interference=InterferenceConfig(
+            schemes=tuple(schemes.split("+")) if schemes else (),
+            theta=_float_or_none(theta), p_c=_float_or_none(p_c),
+            n_c=_float_or_none(n_c), c_I=_float_or_none(c_I)),
+    )
+    return SweepSummary(
+        config=cfg, replicates=int(replicates),
+        coop_mean=float(coop_mean), coop_std=float(coop_std),
+        cost_mean=float(cost_mean), cost_std=float(cost_std),
+        master_seed=int(master_seed), graph_seeds=(), run_seeds=())
+
+
 def read_sweep_csv(path) -> list[SweepSummary]:
-    """Parse a sweep CSV back into summaries (seeds beyond the master are not kept)."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    """Parse a sweep CSV back into summaries (seeds beyond the master are not
+    kept). A missing file or a bad row is a ConfigError naming both."""
+    try:
+        with open(path) as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read sweep CSV {path}: {exc}") from exc
     if not lines or lines[0] != SWEEP_HEADER:
         raise ConfigError(f"{path} is not a sweep CSV (bad header)")
     summaries = []
-    for line in lines[1:]:
+    for row_no, line in enumerate(lines[1:], start=1):
         fields = line.split(",")
         if len(fields) != len(SWEEP_HEADER.split(",")):
-            raise ConfigError(f"malformed sweep CSV row: {line!r}")
-        (model, n, b, rule, K, schemes, theta, p_c, n_c, c_I,
-         replicates, coop_mean, coop_std, cost_mean, cost_std, master_seed) = fields
-        cfg = RunConfig(
-            network=NetworkConfig(model=model, n=int(n)),
-            payoff=PayoffParams(b=float(b)),
-            update=UpdateRuleConfig(rule=rule, K=float(K) if K else 0.1),
-            interference=InterferenceConfig(
-                schemes=tuple(schemes.split("+")) if schemes else (),
-                theta=_float_or_none(theta), p_c=_float_or_none(p_c),
-                n_c=_float_or_none(n_c), c_I=_float_or_none(c_I)),
-        )
-        summaries.append(SweepSummary(
-            config=cfg, replicates=int(replicates),
-            coop_mean=float(coop_mean), coop_std=float(coop_std),
-            cost_mean=float(cost_mean), cost_std=float(cost_std),
-            master_seed=int(master_seed), graph_seeds=(), run_seeds=()))
+            raise ConfigError(f"{path} row {row_no}: malformed sweep CSV row {line!r}")
+        try:
+            summaries.append(_summary_from_row(fields))
+        except ValueError as exc:
+            raise ConfigError(f"{path} row {row_no}: {exc}") from exc
     return summaries
 
 
@@ -365,11 +386,17 @@ def _cmd_sweep(args) -> int:
     master_seed = resolve_master_seed(payload)
     graphs, realisations = _replication(payload)
     cfgs = expand_grid(_base_payload(payload), grid)
+    generated = isinstance(cfgs[0].network, NetworkConfig)
+    if graphs > 1 and not generated:
+        raise ConfigError(f"graphs must be 1 for a graph-file network, got {graphs}: "
+                          "every replicate would run on the same graph")
     summaries = engine.sweep(cfgs, master_seed, graphs=graphs,
                              realisations=realisations, jobs=args.jobs)
     write_sweep_csv(summaries, args.out)
+    # A graph file is used as it is: no graph seed went into it.
+    graph_seeds = list(summaries[0].graph_seeds) if generated else []
     write_meta(args.out, args.command, config=payload, master_seed=master_seed,
-               graph_seeds=list(summaries[0].graph_seeds), points=len(summaries),
+               graph_seeds=graph_seeds, points=len(summaries),
                replicates_per_point=graphs * realisations, jobs=args.jobs)
     return EXIT_OK
 

@@ -65,19 +65,18 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
     outscores it.
     """
     nbr_scores = scores[g.indices]
-    best = np.maximum.reduceat(nbr_scores, g.indptr[:-1])
+    best = np.full(g.n, -np.inf)
+    np.maximum.at(best, g.rows, nbr_scores)
 
-    # Pick uniformly among the tied best neighbors of each node: rank the
-    # ties within each CSR segment and select rank floor(u * count) + 1.
-    tie = nbr_scores == np.repeat(best, g.degrees)
-    tie_counts = np.add.reduceat(tie.astype(np.int64), g.indptr[:-1])
+    # Pick uniformly among the tied best neighbors of each node: tiepos
+    # lists the CSR positions of all ties, grouped by node, so a node's
+    # k-th tie (k = floor(u * count)) sits at its group start plus k.
+    tiepos = np.flatnonzero(nbr_scores == best[g.rows])
+    tie_counts = np.bincount(g.rows[tiepos], minlength=g.n)
     u = rng.random(g.n)
-    want = np.minimum((u * tie_counts).astype(np.int64), tie_counts - 1) + 1
-    cumties = np.cumsum(tie)
-    before_segment = cumties[g.indptr[:-1]] - tie[g.indptr[:-1]]
-    rank = cumties - np.repeat(before_segment, g.degrees)
-    picked = np.flatnonzero(tie & (rank == np.repeat(want, g.degrees)))
-    best_neighbor = g.indices[picked]
+    want = np.minimum((u * tie_counts).astype(np.int64), tie_counts - 1)
+    before = np.cumsum(tie_counts) - tie_counts
+    best_neighbor = g.indices[tiepos[before + want]]
 
     return np.where(best > scores, s[best_neighbor], s).astype(np.int8)
 

@@ -10,6 +10,7 @@ parallelism produce identical output.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -189,14 +190,25 @@ def graph_seeds_for(master_seed: int, graphs: int) -> list[int]:
     return [derive_seed(master_seed, _GRAPH_STREAM, i) for i in range(graphs)]
 
 
+@functools.lru_cache(maxsize=1)
+def _generated(net: NetworkConfig) -> Graph:
+    """The last generated graph of this process, keyed by its full config.
+
+    Tasks run graph-major, so consecutive tasks mostly share a graph. The
+    key includes the seed and graphs are immutable, so a hit is always the
+    graph network.generate would build again.
+    """
+    return network.generate(net)
+
+
 def _graph_for(cfg: RunConfig, graph_seed: int) -> Graph:
     if isinstance(cfg.network, NetworkConfig):
-        return network.generate(replace(cfg.network, seed=graph_seed))
+        return _generated(replace(cfg.network, seed=graph_seed))
     return network.load_graph(cfg.network)
 
 
 def _point_graph_task(args):
-    """One (grid point, graph) cell: all realisations on one generated graph."""
+    """One (grid point, graph) cell: all realisations on one graph."""
     cfg, graph_seed, run_seeds = args
     g = _graph_for(cfg, graph_seed)
     out = []
@@ -207,10 +219,12 @@ def _point_graph_task(args):
 
 
 def _task_list(cfgs, master_seed, graphs, realisations):
+    """(point, graph) tasks in graph-major order, so each worker builds each
+    graph at most once."""
     gseeds = graph_seeds_for(master_seed, graphs)
     tasks = []
-    for point_idx, cfg in enumerate(cfgs):
-        for graph_idx, gseed in enumerate(gseeds):
+    for graph_idx, gseed in enumerate(gseeds):
+        for point_idx, cfg in enumerate(cfgs):
             run_seeds = [derive_seed(master_seed, _RUN_STREAM, point_idx, graph_idx, r)
                          for r in range(realisations)]
             tasks.append((cfg, gseed, run_seeds))
@@ -222,8 +236,9 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
           jobs: int = 1) -> list[SweepSummary]:
     """Evaluate every configuration over graphs x realisations replicates.
 
-    Workers only parallelise independent replicates; results are reduced in
-    (point, graph, realisation) order, so output is identical for any jobs.
+    Tasks run graph-major and workers only parallelise independent
+    replicates; results are reduced in (point, graph, realisation) order,
+    so output is identical for any jobs.
     """
     gseeds, tasks = _task_list(cfgs, master_seed, graphs, realisations)
     if jobs > 1 and len(tasks) > 1:
@@ -233,17 +248,12 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
         per_task = [_point_graph_task(t) for t in tasks]
 
     summaries = []
-    task_iter = iter(zip(tasks, per_task))
-    for cfg in cfgs:
-        coop, cost, run_seeds = [], [], []
-        for _ in range(graphs):
-            (_, _, seeds), results = next(task_iter)
-            run_seeds.extend(seeds)
-            for mean_coop, total_cost in results:
-                coop.append(mean_coop)
-                cost.append(total_cost)
-        coop = np.array(coop)
-        cost = np.array(cost)
+    for point_idx, cfg in enumerate(cfgs):
+        # Task graph_idx * len(cfgs) + point_idx holds this point on that graph.
+        cells = range(point_idx, len(tasks), len(cfgs))
+        run_seeds = [seed for k in cells for seed in tasks[k][2]]
+        coop = np.array([mean_coop for k in cells for mean_coop, _ in per_task[k]])
+        cost = np.array([total_cost for k in cells for _, total_cost in per_task[k]])
         summaries.append(SweepSummary(
             config=cfg,
             replicates=len(coop),

@@ -55,8 +55,5 @@ def accumulate_scores(g: Graph, s: np.ndarray, p: PayoffParams) -> np.ndarray:
     """
     if len(s) != g.n:
         raise ValueError(f"strategy vector length {len(s)} != graph size {g.n}")
-    # Per-node count of cooperating neighbors; segments are never empty
-    # because every node has degree >= 1.
-    nbr_is_coop = (s[g.indices] == COOPERATE).astype(np.float64)
-    coop_neighbors = np.add.reduceat(nbr_is_coop, g.indptr[:-1])
-    return np.where(s == COOPERATE, 1.0, p.b) * coop_neighbors
+    coop = s == COOPERATE
+    return np.where(coop, 1.0, p.b) * g.count_neighbors(coop)

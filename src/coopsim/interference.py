@@ -78,9 +78,8 @@ def pop_eligible(s: np.ndarray, p_c: float) -> np.ndarray:
 
 def neb_eligible(g: Graph, s: np.ndarray, n_c: float) -> np.ndarray:
     """Cooperators whose fraction of cooperating neighbors is at most n_c."""
-    nbr_coop = np.add.reduceat((s[g.indices] == COOPERATE).astype(np.float64),
-                               g.indptr[:-1])
-    return (s == COOPERATE) & (nbr_coop / g.degrees <= n_c)
+    coop = s == COOPERATE
+    return coop & (g.count_neighbors(coop) / g.degrees <= n_c)
 
 
 def ni_eligible(percentile: np.ndarray, s: np.ndarray, c_I: float) -> np.ndarray:

@@ -57,14 +57,16 @@ class Graph:
     """Immutable undirected simple connected graph.
 
     Neighbor ids are stored in CSR form (indptr/indices) with each node's
-    neighbor list sorted ascending; edges holds the canonical (u < v) edge
-    list. model/seed record provenance when the graph was generated here.
+    neighbor list sorted ascending; rows holds the node each CSR entry
+    belongs to. edges holds the canonical (u < v) edge list. model/seed
+    record provenance when the graph was generated here.
     """
 
     n: int
     edges: np.ndarray    # shape (E, 2), u < v, lexicographically sorted
     indptr: np.ndarray   # shape (n + 1,)
     indices: np.ndarray  # shape (2E,)
+    rows: np.ndarray     # shape (2E,), nondecreasing: rows[k] owns indices[k]
     degrees: np.ndarray  # shape (n,)
     model: str | None = None
     seed: int | None = None
@@ -97,16 +99,22 @@ class Graph:
         indices = both[order, 1]
 
         g = cls(n=n, edges=canon, indptr=indptr, indices=indices,
-                degrees=degrees, model=model, seed=seed)
+                rows=np.repeat(np.arange(n), degrees), degrees=degrees,
+                model=model, seed=seed)
         if not g._is_connected():
             raise InvalidConfigError("graph is not connected")
-        for arr in (g.edges, g.indptr, g.indices, g.degrees):
+        for arr in (g.edges, g.indptr, g.indices, g.rows, g.degrees):
             arr.setflags(write=False)
         return g
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor ids of node i."""
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def count_neighbors(self, mask: np.ndarray) -> np.ndarray:
+        """Per node, how many of its neighbors have mask set (float64; the
+        counts are small integers, so they are exact)."""
+        return np.bincount(self.rows, weights=mask[self.indices], minlength=self.n)
 
     @property
     def n_edges(self) -> int:
@@ -117,15 +125,26 @@ class Graph:
         return 2.0 * self.n_edges / self.n
 
     def _is_connected(self) -> bool:
+        """Level-synchronous BFS from node 0 that gathers only the CSR
+        segments of the current frontier."""
         seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
         seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in self.indices[self.indptr[u]:self.indptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
+        slot = np.empty(self.n, dtype=np.int64)
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            counts = self.degrees[frontier]
+            # The k-th gathered entry sits at its node's segment start plus k,
+            # less the entries gathered from earlier frontier nodes.
+            shift = np.repeat(self.indptr[frontier] - (np.cumsum(counts) - counts), counts)
+            nbrs = self.indices[shift + np.arange(shift.size)]
+            new = nbrs[~seen[nbrs]]
+            # Keep one copy of each new node: of its repeated slot writes,
+            # exactly one survives. (np.unique would sort, and its import
+            # alone costs about 1 MB of resident memory.)
+            pos = np.arange(new.size)
+            slot[new] = pos
+            frontier = new[slot[new] == pos]
+            seen[frontier] = True
         return bool(seen.all())
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import strategies as st
 
 from coopsim.network import Graph
 
@@ -39,3 +40,21 @@ def diameter(g: Graph) -> int:
             frontier = nxt
         best = max(best, int(dist.max()))
     return best
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 30) -> Graph:
+    """Hypothesis strategy: random connected graphs, and hubs (a star plus a
+    few leaf-leaf edges) whose centre has many equally placed neighbors."""
+    n = draw(st.integers(2, max_n))
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        return random_connected_graph(n, np.random.default_rng(seed))
+    hub = draw(st.integers(0, n - 1))
+    leaves = [i for i in range(n) if i != hub]
+    edges = {(min(hub, i), max(hub, i)) for i in leaves}
+    if n > 2:
+        pairs = st.lists(st.tuples(st.sampled_from(leaves), st.sampled_from(leaves)),
+                         max_size=n)
+        edges |= {(min(u, v), max(u, v)) for u, v in draw(pairs) if u != v}
+    return Graph.from_edges(n, sorted(edges))

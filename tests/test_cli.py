@@ -175,6 +175,38 @@ class TestSweep:
         assert meta["points"] == 5
 
 
+class TestGraphFileSweep:
+    def graph_file_sweep(self, tmp_path, graphs):
+        gpath = tmp_path / "g.json"
+        assert main(["gen-net", "--model", "ba", "--n", "60", "--seed", "2",
+                     "--out", str(gpath)]) == EXIT_OK
+        payload = sweep_config(network={"graph_file": str(gpath)}, graphs=graphs)
+        return write_config(tmp_path, payload)
+
+    def test_several_graphs_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--config", self.graph_file_sweep(tmp_path, 2),
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "graphs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_frontier_reads_graph_file_rows(self, tmp_path):
+        sweep_out, frontier_out = tmp_path / "sweep.csv", tmp_path / "frontier.csv"
+        assert main(["sweep", "--config", self.graph_file_sweep(tmp_path, 1),
+                     "--out", str(sweep_out)]) == EXIT_OK
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["graph_seeds"] == []
+        assert main(["frontier", "--in", str(sweep_out), "--targets", "0.0,1.1",
+                     "--out", str(frontier_out)]) == EXIT_OK
+        ok_row = dict(zip(FRONTIER_HEADER.split(","),
+                          frontier_out.read_text().splitlines()[1].split(",")))
+        assert (ok_row["status"], ok_row["model"], ok_row["n"]) == ("ok", "file", "")
+        again = tmp_path / "sweep2.csv"
+        write_sweep_csv(read_sweep_csv(sweep_out), again)
+        assert again.read_bytes() == sweep_out.read_bytes()
+
+
 class TestBaseline:
     def test_single_zero_cost_row(self, tmp_path):
         payload = sweep_config()
@@ -295,6 +327,26 @@ class TestFrontier:
         second = tmp_path / "sweep2.csv"
         write_sweep_csv(reparsed, second)
         assert sweep_out.read_text() == second.read_text()
+
+    def test_bad_field_names_file_and_row(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep_config())
+        sweep_out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(sweep_out)]) == EXIT_OK
+        lines = sweep_out.read_text().splitlines()
+        lines[2] = lines[2].replace(",60,", ",abc,", 1)
+        sweep_out.write_text("\n".join(lines) + "\n")
+        rc = main(["frontier", "--in", str(sweep_out), "--targets", "0.5",
+                   "--out", str(tmp_path / "f.csv")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(sweep_out) in err and "row 2" in err
+
+    def test_missing_input_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        rc = main(["frontier", "--in", str(missing), "--targets", "0.5",
+                   "--out", str(tmp_path / "f.csv")])
+        assert rc == EXIT_USAGE
+        assert str(missing) in capsys.readouterr().err
 
     def test_rejects_non_sweep_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim.dynamics import (
     STOCHASTIC,
@@ -12,7 +14,7 @@ from coopsim.dynamics import (
 from coopsim.game import COOPERATE, DEFECT, PayoffParams, accumulate_scores
 from coopsim.network import Graph
 
-from conftest import random_connected_graph
+from conftest import connected_graphs, random_connected_graph
 
 C, D = COOPERATE, DEFECT
 
@@ -124,19 +126,35 @@ class TestStepDeterministic:
                 assert np.array_equal(
                     fast, reference_step_deterministic(g, s, scores, u, order))
 
+    @settings(max_examples=300, deadline=None)
+    @given(g=connected_graphs(), data=st.data())
+    def test_matches_reference_when_ties_are_common(self, g, data):
+        # b=2 and an integer endowment on random nodes keep every score an
+        # integer, so best neighbors tie often, as in POP runs.
+        s = np.array(data.draw(st.lists(st.sampled_from([C, D]), min_size=g.n,
+                                        max_size=g.n)), dtype=np.int8)
+        paid = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+        theta = data.draw(st.integers(1, 3))
+        scores = accumulate_scores(g, s, PayoffParams(b=2.0)) + np.where(paid, theta, 0.0)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        u = np.random.default_rng(seed).random(g.n)
+        fast = step_deterministic(g, s, scores, np.random.default_rng(seed))
+        assert fast.dtype == np.int8
+        assert np.array_equal(fast, reference_step_deterministic(g, s, scores, u, range(g.n)))
+
     def test_tie_break_is_uniform(self):
-        # center of a 3-star, all leaves tied strictly better: each picked ~1/3
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        s = np.array([D, C, C, C], dtype=np.int8)
-        scores = np.array([0.0, 5.0, 5.0, 5.0])
+        # center of a 4-star, all leaves tied strictly better and only one of
+        # them a cooperator: whichever leaf it is, the center copies it (and
+        # turns C) in ~1/4 of the draws
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        scores = np.array([0.0, 5.0, 5.0, 5.0, 5.0])
         rng = np.random.default_rng(3)
-        # leaves adopt center's strategy only if strictly better; here center
-        # switches to C every time, so count which tied draw was used instead
-        counts = np.zeros(3)
-        for _ in range(3000):
-            u = rng.random(g.n)
-            counts[min(int(u[0] * 3), 2)] += 1
-        assert np.all(np.abs(counts / 3000 - 1 / 3) < 0.05)
+        trials = 2000
+        for leaf in range(1, 5):
+            s = np.full(5, D, dtype=np.int8)
+            s[leaf] = C
+            turned = sum(step_deterministic(g, s, scores, rng)[0] == C for _ in range(trials))
+            assert abs(turned / trials - 1 / 4) < 0.04
 
     def test_seed_reproducible(self):
         rng = np.random.default_rng(4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopsim import dynamics, game, interference
+from coopsim import dynamics, engine, game, interference, network
 from coopsim.dynamics import DETERMINISTIC, STOCHASTIC, UpdateRuleConfig
 from coopsim.engine import (
     ConfigMismatchError,
@@ -10,6 +10,7 @@ from coopsim.engine import (
     SweepSummary,
     derive_seed,
     efficiency_frontier,
+    graph_seeds_for,
     run_simulation,
     sweep,
 )
@@ -303,6 +304,35 @@ def brute_force_frontier(summaries, targets):
                 best = (key, s)
         rows.append(FrontierRow(target=t, summary=None if best is None else best[1]))
     return rows
+
+
+class TestGraphOnce:
+    def test_each_graph_generated_once_per_sweep(self, monkeypatch):
+        built = []
+        real_generate = network.generate
+
+        def counting_generate(cfg, *args, **kwargs):
+            built.append(cfg.seed)
+            return real_generate(cfg, *args, **kwargs)
+
+        engine._generated.cache_clear()
+        monkeypatch.setattr(network, "generate", counting_generate)
+        cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(1.0, 0.5)),
+                ba_config(n=60, interference=pop_cfg(5.0, 0.8))]
+        sweep(cfgs, master_seed=21, graphs=2, realisations=2, jobs=1)
+        assert built == graph_seeds_for(21, 2)
+
+    def test_memo_never_serves_another_sweeps_graph(self):
+        cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(2.0, 0.7))]
+        engine._generated.cache_clear()
+        fresh_a = sweep(cfgs, master_seed=31, graphs=2, realisations=2)
+        engine._generated.cache_clear()
+        b = sweep(cfgs, master_seed=32, graphs=2, realisations=2)
+        a_after_b = sweep(cfgs, master_seed=31, graphs=2, realisations=2)
+        a_again = sweep(cfgs, master_seed=31, graphs=2, realisations=2)
+        assert a_after_b == fresh_a
+        assert a_again == fresh_a
+        assert [s.coop_mean for s in b] != [s.coop_mean for s in fresh_a]
 
 
 class TestEfficiencyFrontier:

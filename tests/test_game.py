@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim.game import (
     COOPERATE,
@@ -14,7 +16,7 @@ from coopsim.game import (
 )
 from coopsim.network import Graph
 
-from conftest import random_connected_graph
+from conftest import connected_graphs, random_connected_graph
 
 C, D = COOPERATE, DEFECT
 
@@ -68,6 +70,14 @@ class TestAccumulateScores:
             g = random_connected_graph(30, rng)
             s = random_strategies(g.n, rng)
             assert np.array_equal(accumulate_scores(g, s, p), brute_force_scores(g, s, p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=connected_graphs(), b=st.floats(1.0, 2.0, exclude_min=True), data=st.data())
+    def test_matches_brute_force_property(self, g, b, data):
+        s = np.array(data.draw(st.lists(st.sampled_from([C, D]), min_size=g.n,
+                                        max_size=g.n)), dtype=np.int8)
+        p = PayoffParams(b=b)
+        assert np.array_equal(accumulate_scores(g, s, p), brute_force_scores(g, s, p))
 
     def test_exact_per_role_form(self):
         # a cooperator scores exactly its C-neighbor count; a defector b times that

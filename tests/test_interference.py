@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim.game import COOPERATE, DEFECT
 from coopsim.interference import (
@@ -14,7 +16,7 @@ from coopsim.interference import (
 )
 from coopsim.network import BA, Graph, NetworkConfig, degree_percentiles, generate
 
-from conftest import random_connected_graph
+from conftest import connected_graphs, random_connected_graph
 
 C, D = COOPERATE, DEFECT
 
@@ -99,6 +101,21 @@ class TestNebEligible:
         g = star_graph(4)
         s = strategies(C, C, C, C, D)  # center has 3/4 cooperating neighbors
         assert not neb_eligible(g, s, 0.5)[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=connected_graphs(),
+           n_c=st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]),
+                         st.floats(0.0, 1.0)),
+           data=st.data())
+    def test_matches_per_node_loop(self, g, n_c, data):
+        s = np.array(data.draw(st.lists(st.sampled_from([C, D]), min_size=g.n,
+                                        max_size=g.n)), dtype=np.int8)
+        expected = [
+            bool(s[i] == C)
+            and sum(int(s[j] == C) for j in g.neighbors(i)) / g.degrees[i] <= n_c
+            for i in range(g.n)
+        ]
+        assert neb_eligible(g, s, n_c).tolist() == expected
 
 
 class TestNiEligible:

@@ -125,6 +125,27 @@ class TestGraphValidation:
         with pytest.raises(InvalidConfigError):
             Graph.from_edges(4, [(0, 1), (2, 3)])
 
+    @pytest.mark.parametrize("small_first", [True, False])
+    def test_rejects_component_far_from_node_zero(self, small_first):
+        # a 1,990-node path and a 10-node path, either one holding node 0
+        split = 10 if small_first else 1990
+        edges = [(i, i + 1) for i in range(2000 - 1) if i != split - 1]
+        with pytest.raises(InvalidConfigError, match="not connected"):
+            Graph.from_edges(2000, edges)
+
+    def test_accepts_long_path(self):
+        order = np.random.default_rng(0).permutation(2000)
+        edges = [(int(order[i]), int(order[i + 1])) for i in range(2000 - 1)]
+        g = Graph.from_edges(2000, edges)
+        assert g.n_edges == 1999
+
+    def test_rows_label_each_csr_entry(self):
+        g = generate(NetworkConfig(model=BA, n=50, seed=4))
+        for i in range(g.n):
+            assert np.all(g.rows[g.indptr[i]:g.indptr[i + 1]] == i)
+        with pytest.raises(ValueError):
+            g.rows[0] = 1
+
     def test_rejects_isolated_node(self):
         with pytest.raises(InvalidConfigError):
             Graph.from_edges(3, [(0, 1)])
