@@ -16,7 +16,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -60,11 +60,14 @@ def _fmt(x) -> str:
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return payload
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
@@ -88,7 +91,27 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
     return config
 
 
+# The JSON values a scalar config field accepts, by its annotation; a
+# bool is never a number.
+_SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                 "str": ((str,), "a string")}
+
+
 def _build(cls, payload: dict, where: str):
+    """cls(**payload), with every JSON value of the wrong type and every
+    value the config rejects reported as a ConfigError naming the key."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} config must be an object, got {payload!r}")
+    for f in fields(cls):
+        kind, _, optional = f.type.partition(" | ")
+        if f.name not in payload or kind not in _SCALAR_TYPES:
+            continue
+        value = payload[f.name]
+        types, noun = _SCALAR_TYPES[kind]
+        if value is None and optional == "None":
+            continue
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"bad {where} config: {f.name} must be {noun}, got {value!r}")
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:
@@ -96,9 +119,16 @@ def _build(cls, payload: dict, where: str):
 
 
 def parse_interference(payload: dict | None) -> InterferenceConfig:
-    payload = dict(payload or {})
+    if payload is None:
+        payload = {}
+    if not isinstance(payload, dict):
+        raise ConfigError(f"interference config must be an object, got {payload!r}")
+    payload = dict(payload)
     if "schemes" in payload:
-        payload["schemes"] = tuple(payload["schemes"])
+        schemes = payload["schemes"]
+        if not (isinstance(schemes, list) and all(isinstance(x, str) for x in schemes)):
+            raise ConfigError(f"schemes must be a list of scheme names, got {schemes!r}")
+        payload["schemes"] = tuple(schemes)
     return _build(InterferenceConfig, payload, "interference")
 
 
@@ -119,13 +149,16 @@ def parse_run_config(payload: dict) -> RunConfig:
     _check_keys(payload, _RUN_KEYS, "run")
     payload = dict(payload)
     net = payload.get("network")
-    if isinstance(net, dict):
-        if "graph_file" in net:
+    if isinstance(net, dict) and "graph_file" not in net:
+        net = _build(NetworkConfig, net, "network")
+    else:
+        if isinstance(net, dict):
             net = net["graph_file"]
-        else:
-            net = _build(NetworkConfig, net, "network")
-    elif not isinstance(net, str):
-        raise ConfigError("network must be an object or a graph file path")
+        if not isinstance(net, str):
+            raise ConfigError("network must be an object or a graph_file path, "
+                              f"got {net!r}")
+        if not os.path.isfile(net):
+            raise ConfigError(f"network graph_file not found: {net!r}")
     kwargs = {
         "network": net,
         "payoff": _build(PayoffParams, payload.get("payoff", {}), "payoff"),
@@ -151,20 +184,22 @@ def expand_grid(base: dict, grid: list[dict]) -> list[RunConfig]:
     """
     configs = []
     for group in grid:
+        if not isinstance(group, dict):
+            raise ConfigError(f"grid groups must be objects, got {group!r}")
         group = dict(group)
-        schemes = tuple(group.pop("schemes", ()))
+        schemes = group.pop("schemes", [])
         axes = {key: _as_list(group.pop(key)) for key in ("theta", "p_c", "n_c", "c_I")
                 if key in group}
         if group:
             raise ConfigError(f"unknown grid keys: {sorted(group)}")
-        if not schemes:
+        if schemes == []:
             if axes:
                 raise ConfigError("baseline grid group cannot carry thresholds")
             configs.append(parse_run_config({**base, "interference": {}}))
             continue
         names = sorted(axes)
         for values in itertools.product(*(axes[k] for k in names)):
-            icfg = {"schemes": list(schemes), **dict(zip(names, values))}
+            icfg = {"schemes": schemes, **dict(zip(names, values))}
             configs.append(parse_run_config({**base, "interference": icfg}))
     if not configs:
         raise ConfigError("grid expanded to zero configurations")
@@ -356,12 +391,14 @@ def _cmd_run(args) -> int:
 
 
 def _replication(payload: dict) -> tuple[int, int]:
-    graphs = payload.get("graphs", engine.DEFAULT_GRAPHS)
-    realisations = payload.get("realisations", engine.DEFAULT_REALISATIONS)
-    if not (isinstance(graphs, int) and graphs >= 1
-            and isinstance(realisations, int) and realisations >= 1):
-        raise ConfigError("graphs and realisations must be positive integers")
-    return graphs, realisations
+    counts = []
+    for key, default in (("graphs", engine.DEFAULT_GRAPHS),
+                         ("realisations", engine.DEFAULT_REALISATIONS)):
+        value = payload.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+        counts.append(value)
+    return tuple(counts)
 
 
 def _base_payload(payload: dict) -> dict:

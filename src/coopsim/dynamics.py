@@ -86,13 +86,21 @@ def step_stochastic(g: Graph, s: np.ndarray, scores: np.ndarray, K: float,
     """Every agent draws one random neighbor and copies it with Fermi probability.
 
     Consumes two per-node uniform arrays: neighbor picks, then copy decisions.
+    Copying a neighbor that holds the agent's own strategy changes nothing,
+    so the Fermi probability is evaluated only for agents whose pick
+    disagrees; their copy decisions are the ones a full evaluation would
+    make, since the probability is elementwise.
     """
     u_pick = rng.random(g.n)
     u_copy = rng.random(g.n)
     offset = np.minimum((u_pick * g.degrees).astype(np.int64), g.degrees - 1)
     neighbor = g.indices[g.indptr[:-1] + offset]
-    p_copy = fermi_probability(scores, scores[neighbor], K)
-    return np.where(u_copy < p_copy, s[neighbor], s).astype(np.int8)
+    differ = np.flatnonzero(s[neighbor] != s)
+    p_copy = fermi_probability(scores[differ], scores[neighbor[differ]], K)
+    copies = differ[u_copy[differ] < p_copy]
+    new_s = s.astype(np.int8)
+    new_s[copies] = s[neighbor[copies]]
+    return new_s
 
 
 def step(g: Graph, s: np.ndarray, scores: np.ndarray, cfg: UpdateRuleConfig,

@@ -11,6 +11,7 @@ parallelism produce identical output.
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -72,6 +73,8 @@ class RunConfig:
         if self.stats_window > self.horizon:
             raise ValueError(
                 f"stats_window {self.stats_window} exceeds horizon {self.horizon}")
+        if self.run_seed < 0:
+            raise ValueError(f"run_seed must be >= 0, got {self.run_seed}")
 
     @property
     def horizon(self) -> int:
@@ -114,6 +117,14 @@ def run_simulation(cfg: RunConfig, g: Graph,
     the frozen state fills the rest of the trace so it always spans the
     full horizon. Stochastic runs never stop early. mean_coop averages the
     trailing stats_window generations.
+
+    The run counts each node's cooperating neighbors once, then carries
+    those counts (nc) and the number of cooperators across generations:
+    after each update only the neighbors of agents that switched change,
+    by one per switch. Scores, NEB eligibility, POP, the recorded coop
+    fraction and the absorption test all read the carried values. The
+    counts are small integers, exact in float64, so every number equals
+    a fresh recount.
     """
     expected_n = cfg.network.n if isinstance(cfg.network, NetworkConfig) else None
     if expected_n is not None and g.n != expected_n:
@@ -134,22 +145,34 @@ def run_simulation(cfg: RunConfig, g: Graph,
         s = np.array(initial_strategies, dtype=np.int8)
     else:
         s = game.random_strategies(g.n, rng)
+    is_coop = s == COOPERATE
+    n_coop = int(np.count_nonzero(is_coop))
+    nc = g.count_neighbors(is_coop)
     coop = np.empty(horizon)
     invested = np.zeros(horizon, dtype=np.int64)
     absorbed_at = None
 
     for gen in range(horizon):
-        if deterministic and dynamics.is_homogeneous(s):
+        if deterministic and n_coop in (0, g.n):
             absorbed_at = gen
-            coop[gen:] = game.coop_fraction(s)
+            coop[gen:] = n_coop / g.n
             break
-        scores = game.accumulate_scores(g, s, cfg.payoff)
-        coop[gen] = game.coop_fraction(s)
+        scores = game.scores_from_counts(is_coop, nc, cfg.payoff)
+        coop[gen] = n_coop / g.n
         if icfg.active:
-            eligible = interference.eligible_set(g, percentile, s, icfg)
+            eligible = interference.eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
             invested[gen] = np.count_nonzero(eligible)
             scores = scores + np.where(eligible, theta, 0.0)
-        s = dynamics.step(g, s, scores, cfg.update, rng)
+        new_s = dynamics.step(g, s, scores, cfg.update, rng)
+        switched = np.flatnonzero(new_s != s)
+        s = new_s
+        is_coop = s == COOPERATE
+        gained = is_coop[switched]
+        n_coop += 2 * int(np.count_nonzero(gained)) - len(switched)
+        # Each switch moves every neighbor's count by one, up for a new
+        # cooperator and down for a new defector.
+        np.add.at(nc, g.neighbors_of(switched),
+                  np.repeat(np.where(gained, 1.0, -1.0), g.degrees[switched]))
 
     cost = theta * invested
     return RunResult(
@@ -201,10 +224,19 @@ def _generated(net: NetworkConfig) -> Graph:
     return network.generate(net)
 
 
+@functools.lru_cache(maxsize=1)
+def _loaded(path: str, mtime_ns: int, size: int) -> Graph:
+    """The last graph file this process loaded. The key holds the file's
+    modification time and size, so a rewritten file is read again."""
+    return network.load_graph(path)
+
+
 def _graph_for(cfg: RunConfig, graph_seed: int) -> Graph:
     if isinstance(cfg.network, NetworkConfig):
         return _generated(replace(cfg.network, seed=graph_seed))
-    return network.load_graph(cfg.network)
+    path = os.path.abspath(cfg.network)
+    stat = os.stat(path)
+    return _loaded(path, stat.st_mtime_ns, stat.st_size)
 
 
 def _point_graph_task(args):

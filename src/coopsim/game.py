@@ -47,13 +47,19 @@ def pairwise_payoff(s_row: int, s_col: int, p: PayoffParams) -> float:
     return 1.0 if s_row == COOPERATE else p.b
 
 
-def accumulate_scores(g: Graph, s: np.ndarray, p: PayoffParams) -> np.ndarray:
-    """Sum of one-shot payoffs of each node against all its neighbors.
+def scores_from_counts(coop: np.ndarray, nc: np.ndarray, p: PayoffParams) -> np.ndarray:
+    """Each node's summed payoff from its cooperator mask coop and its count
+    of cooperating neighbors nc.
 
     A cooperator earns 1 per cooperating neighbor, a defector earns b per
     cooperating neighbor; defecting neighbors contribute nothing.
     """
+    return np.where(coop, 1.0, p.b) * nc
+
+
+def accumulate_scores(g: Graph, s: np.ndarray, p: PayoffParams) -> np.ndarray:
+    """Sum of one-shot payoffs of each node against all its neighbors."""
     if len(s) != g.n:
         raise ValueError(f"strategy vector length {len(s)} != graph size {g.n}")
     coop = s == COOPERATE
-    return np.where(coop, 1.0, p.b) * g.count_neighbors(coop)
+    return scores_from_counts(coop, g.count_neighbors(coop), p)

@@ -14,6 +14,7 @@ at most once per generation regardless of how many schemes it satisfies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,11 @@ class InterferenceConfig:
         object.__setattr__(self, "schemes", schemes)
         for scheme in schemes:
             if scheme not in _SCHEMES:
-                raise ValueError(f"unknown interference scheme: {scheme!r}")
+                raise ValueError(f"unknown interference scheme in schemes: {scheme!r}")
         if schemes:
-            if self.theta is None or self.theta <= 0:
-                raise ValueError("theta must be > 0 when any scheme is active")
+            if self.theta is None or not 0 < self.theta < math.inf:
+                raise ValueError("theta must be finite and > 0 when any scheme is "
+                                 f"active, got {self.theta}")
         elif self.theta is not None:
             raise ValueError("theta given without any active scheme")
         for scheme, name, value in ((POP, "p_c", self.p_c),
@@ -71,37 +73,51 @@ class InterferenceConfig:
 def pop_eligible(s: np.ndarray, p_c: float) -> np.ndarray:
     """All cooperators if the cooperator fraction is at most p_c, else nobody."""
     coop = s == COOPERATE
-    if np.count_nonzero(coop) / len(s) <= p_c:
-        return coop
-    return np.zeros(len(s), dtype=bool)
+    return _pop(coop, np.count_nonzero(coop), p_c)
 
 
 def neb_eligible(g: Graph, s: np.ndarray, n_c: float) -> np.ndarray:
     """Cooperators whose fraction of cooperating neighbors is at most n_c."""
     coop = s == COOPERATE
-    return coop & (g.count_neighbors(coop) / g.degrees <= n_c)
+    return _neb(g, coop, g.count_neighbors(coop), n_c)
 
 
 def ni_eligible(percentile: np.ndarray, s: np.ndarray, c_I: float) -> np.ndarray:
     """Cooperators whose degree percentile is at least c_I."""
-    return (s == COOPERATE) & (percentile >= c_I)
+    return _ni(percentile, s == COOPERATE, c_I)
 
 
-def eligible_set(g: Graph, percentile: np.ndarray | None, s: np.ndarray,
-                 cfg: InterferenceConfig) -> np.ndarray:
+def _pop(coop, n_coop, p_c):
+    return coop if n_coop / len(coop) <= p_c else np.zeros(len(coop), dtype=bool)
+
+
+def _neb(g, coop, nc, n_c):
+    return coop & (nc / g.degrees <= n_c)
+
+
+def _ni(percentile, coop, c_I):
+    return coop & (percentile >= c_I)
+
+
+def eligible_set(g: Graph, percentile: np.ndarray | None, coop: np.ndarray,
+                 nc: np.ndarray, n_coop: int, cfg: InterferenceConfig) -> np.ndarray:
     """Boolean mask of nodes to pay this generation: cooperators meeting every
     active scheme's condition. An empty scheme set yields an empty mask.
 
-    percentile is the graph's degree_percentiles, needed only when NI is
-    active. Each node appears once, so the endowment is paid at most once
-    however many schemes it satisfies.
+    The population enters as its cooperator mask coop, the number of
+    cooperators n_coop and each node's count of cooperating neighbors nc
+    (g.count_neighbors(coop)), so a caller that carries them across
+    generations never recounts. percentile is the graph's
+    degree_percentiles, needed only when NI is active. Each node appears
+    once, so the endowment is paid at most once however many schemes it
+    satisfies.
     """
     out = np.ones(g.n, dtype=bool) if cfg.schemes else np.zeros(g.n, dtype=bool)
     for scheme in cfg.schemes:
         if scheme == POP:
-            out &= pop_eligible(s, cfg.p_c)
+            out &= _pop(coop, n_coop, cfg.p_c)
         elif scheme == NEB:
-            out &= neb_eligible(g, s, cfg.n_c)
+            out &= _neb(g, coop, nc, cfg.n_c)
         else:
-            out &= ni_eligible(percentile, s, cfg.c_I)
+            out &= _ni(percentile, coop, cfg.c_I)
     return out

@@ -43,6 +43,8 @@ class NetworkConfig:
             raise InvalidConfigError(f"unknown network model: {self.model!r}")
         if self.n < 3:
             raise InvalidConfigError(f"need at least 3 nodes, got n={self.n}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if self.model == BA:
             if self.m0 < 2:
                 raise InvalidConfigError(f"BA initial core needs m0 >= 2, got {self.m0}")
@@ -111,6 +113,14 @@ class Graph:
         """Sorted neighbor ids of node i."""
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
+    def neighbors_of(self, nodes: np.ndarray) -> np.ndarray:
+        """The neighbor lists of nodes, concatenated in the order given."""
+        counts = self.degrees[nodes]
+        # The k-th gathered entry sits at its node's segment start plus k,
+        # less the entries gathered from earlier nodes.
+        shift = np.repeat(self.indptr[nodes] - (np.cumsum(counts) - counts), counts)
+        return self.indices[shift + np.arange(shift.size)]
+
     def count_neighbors(self, mask: np.ndarray) -> np.ndarray:
         """Per node, how many of its neighbors have mask set (float64; the
         counts are small integers, so they are exact)."""
@@ -132,11 +142,7 @@ class Graph:
         slot = np.empty(self.n, dtype=np.int64)
         frontier = np.zeros(1, dtype=np.int64)
         while frontier.size:
-            counts = self.degrees[frontier]
-            # The k-th gathered entry sits at its node's segment start plus k,
-            # less the entries gathered from earlier frontier nodes.
-            shift = np.repeat(self.indptr[frontier] - (np.cumsum(counts) - counts), counts)
-            nbrs = self.indices[shift + np.arange(shift.size)]
+            nbrs = self.neighbors_of(frontier)
             new = nbrs[~seen[nbrs]]
             # Keep one copy of each new node: of its repeated slot writes,
             # exactly one survives. (np.unique would sort, and its import

@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim.cli import (
     EXIT_OK,
@@ -295,6 +301,156 @@ class TestBadInputFailsFast:
         payload["interference"][key] = value
         self.assert_usage_error(capsys, ["run", "--config", write_config(tmp_path, payload),
                                          "--out", str(tmp_path / "t.csv")], key)
+
+
+# Small, valid run and sweep configs touching every key; each property test
+# example breaks exactly one value.
+PROPERTY_RUN = {
+    "network": {"model": "BA", "n": 20, "m0": 2, "m": 2, "seed": 3},
+    "payoff": {"b": 1.8},
+    "update": {"rule": "stochastic", "K": 0.1},
+    "interference": {"schemes": ["POP", "NEB", "NI"], "theta": 1.0,
+                     "p_c": 0.5, "n_c": 0.5, "c_I": 0.5},
+    "generations": 3,
+    "stats_window": 2,
+    "run_seed": 1,
+}
+PROPERTY_SWEEP = {
+    **{k: v for k, v in PROPERTY_RUN.items() if k not in ("interference", "run_seed")},
+    "graphs": 1,
+    "realisations": 1,
+    "master_seed": 1,
+    "grid": [{"schemes": ["POP", "NEB", "NI"], "theta": [1.0], "p_c": [0.5],
+              "n_c": 0.5, "c_I": 0.5}],
+}
+
+_NAN = st.just(math.nan)
+# Wrong types for a number.
+_NOT_NUMBER = (st.text(max_size=4) | st.booleans()
+               | st.lists(st.integers(), min_size=1, max_size=2)
+               | st.dictionaries(st.text(max_size=2), st.integers(), min_size=1, max_size=1))
+_NOT_OBJECT = st.integers() | st.booleans() | st.lists(st.integers(), max_size=2)
+_NOT_STRING = st.integers() | st.floats() | st.booleans() | st.none() | st.lists(st.text(), max_size=2)
+
+
+def bad_int(below, above=None, none_ok=False):
+    """Not an integer, or an integer outside [below, above]."""
+    bad = _NOT_NUMBER | st.floats() | st.integers(max_value=below - 1)
+    if above is not None:
+        bad |= st.integers(min_value=above + 1)
+    return bad if none_ok else bad | st.none()
+
+
+def bad_unit():
+    return (_NOT_NUMBER | st.none() | _NAN | st.floats(max_value=0.0, exclude_max=True)
+            | st.floats(min_value=1.0, exclude_min=True))
+
+
+def bad_name(valid):
+    return _NOT_STRING | st.text(max_size=6).filter(lambda x: x not in valid)
+
+
+def bad_schemes():
+    unknown = st.text(max_size=4).filter(lambda x: x not in ("POP", "NEB", "NI"))
+    return (st.text(max_size=4) | st.integers() | st.none()
+            | st.lists(unknown | st.integers() | st.none(), min_size=1, max_size=3))
+
+
+def axis(bad):
+    """A bad grid axis: one bad scalar, bare or as a one-value list."""
+    scalar = bad.filter(lambda v: not isinstance(v, list))
+    return scalar | scalar.map(lambda v: [v])
+
+
+# (path to the key, strategy of bad values). The key, the path's last str,
+# must appear in the error message.
+_SHARED_KEYS = [
+    (("network",), _NOT_OBJECT | st.none() | st.just("missing-graph.json")),
+    (("network", "model"), bad_name(("BA", "DMS"))),
+    (("network", "n"), bad_int(3)),
+    (("network", "m0"), bad_int(2, 19)),
+    (("network", "m"), bad_int(1, 2)),
+    (("network", "seed"), bad_int(0)),
+    (("network", "graph_file"), _NOT_STRING.filter(lambda v: not isinstance(v, str))
+     | st.just("missing-graph.json")),
+    (("payoff",), _NOT_OBJECT | st.text(max_size=3)),
+    (("payoff", "b"), _NOT_NUMBER | st.none() | _NAN | st.floats(max_value=1.0)
+     | st.floats(min_value=2.0, exclude_min=True)),
+    (("update",), _NOT_OBJECT | st.text(max_size=3)),
+    (("update", "rule"), bad_name(("deterministic", "stochastic"))),
+    (("update", "K"), _NOT_NUMBER | st.none() | _NAN | st.floats(max_value=0.0)),
+    (("generations",), bad_int(1, none_ok=True)),
+    (("stats_window",), bad_int(1, 3)),
+]
+_THETA = _NOT_NUMBER | _NAN | st.floats(max_value=0.0) | st.just(math.inf)
+RUN_KEYS = _SHARED_KEYS + [
+    (("interference",), _NOT_OBJECT | st.text(max_size=3)),
+    (("interference", "schemes"), bad_schemes()),
+    (("interference", "theta"), _THETA | st.none()),
+    *[(("interference", key), bad_unit()) for key in ("p_c", "n_c", "c_I")],
+    (("run_seed",), bad_int(0)),
+]
+SWEEP_KEYS = _SHARED_KEYS + [
+    (("graphs",), bad_int(1)),
+    (("realisations",), bad_int(1)),
+    (("master_seed",), bad_int(0, none_ok=True)),
+    (("grid",), _NOT_OBJECT.filter(lambda v: not isinstance(v, list)) | st.none()
+     | st.lists(_NOT_OBJECT | st.text(max_size=3), min_size=1, max_size=2)),
+    (("grid", 0, "schemes"), bad_schemes().filter(lambda v: v != [])),
+    (("grid", 0, "theta"), axis(_THETA)),
+    *[(("grid", 0, key), axis(bad_unit().filter(lambda v: v is not None)))
+      for key in ("p_c", "n_c", "c_I")],
+]
+
+
+@st.composite
+def broken_configs(draw, base, keys):
+    """base with the value under one known key replaced by a bad one."""
+    path, bad = draw(st.sampled_from(keys))
+    payload = copy.deepcopy(base)
+    node = payload
+    for part in path[:-1]:
+        node = node[part]
+    if path[-1] == "graph_file":
+        node.clear()
+    node[path[-1]] = draw(bad)
+    return [part for part in path if isinstance(part, str)][-1], payload
+
+
+class TestConfigParsingProperty:
+    """One out-of-range or wrongly typed value under a known key: exit 2 and
+    a message that names the key; never exit 1, never a traceback."""
+
+    def assert_rejected(self, tmp_dir, command, key, payload):
+        path = tmp_dir / "config.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_dir / "out.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(path), "--out", str(out)])
+        message = err.getvalue()
+        assert rc == EXIT_USAGE, (rc, message)
+        assert key in message
+        assert "Traceback" not in message
+        assert not out.exists()
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=broken_configs(PROPERTY_RUN, RUN_KEYS))
+    def test_run_config(self, tmp_path_factory, case):
+        key, payload = case
+        self.assert_rejected(tmp_path_factory.mktemp("run"), "run", key, payload)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=broken_configs(PROPERTY_SWEEP, SWEEP_KEYS))
+    def test_sweep_config(self, tmp_path_factory, case):
+        key, payload = case
+        self.assert_rejected(tmp_path_factory.mktemp("sweep"), "sweep", key, payload)
+
+    @pytest.mark.parametrize("command,base", [("run", PROPERTY_RUN),
+                                              ("sweep", PROPERTY_SWEEP)])
+    def test_base_configs_are_valid(self, tmp_path, command, base):
+        path = write_config(tmp_path, base)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o.csv")]) == EXIT_OK
 
 
 class TestFrontier:

@@ -210,6 +210,37 @@ class TestStepStochastic:
                     fast,
                     reference_step_stochastic(g, s, scores, 0.1, u_pick, u_copy, order))
 
+    @settings(max_examples=300, deadline=None)
+    @given(g=connected_graphs(), data=st.data())
+    def test_matches_reference_property(self, g, data):
+        # Populations: all-C, all-D, random, or random with one node's whole
+        # neighborhood agreeing with it. Scores: all tied (p = 0.5 for every
+        # pick), small integers that tie often, or arbitrary.
+        kind = data.draw(st.sampled_from(["all-C", "all-D", "random", "agreeing"]))
+        if kind in ("all-C", "all-D"):
+            s = np.full(g.n, C if kind == "all-C" else D, dtype=np.int8)
+        else:
+            s = np.array(data.draw(st.lists(st.sampled_from([C, D]), min_size=g.n,
+                                            max_size=g.n)), dtype=np.int8)
+            if kind == "agreeing":
+                i = data.draw(st.integers(0, g.n - 1))
+                s[g.neighbors(i)] = s[i]
+        scores = np.array(data.draw(st.one_of(
+            st.floats(0.0, 50.0).map(lambda x: [x] * g.n),
+            st.lists(st.integers(0, 4).map(float), min_size=g.n, max_size=g.n),
+            st.lists(st.floats(0.0, 50.0), min_size=g.n, max_size=g.n))))
+        K = data.draw(st.sampled_from([0.1, 1.0]) | st.floats(0.01, 10.0))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        draws = np.random.default_rng(seed)
+        u_pick, u_copy = draws.random(g.n), draws.random(g.n)
+        rng = np.random.default_rng(seed)
+        fast = step_stochastic(g, s, scores, K, rng)
+        assert fast.dtype == np.int8
+        assert np.array_equal(
+            fast, reference_step_stochastic(g, s, scores, K, u_pick, u_copy, range(g.n)))
+        # both per-node arrays are drawn in full, whoever disagrees
+        assert rng.random() == draws.random()
+
     def test_seed_reproducible(self):
         rng = np.random.default_rng(6)
         g = random_connected_graph(40, rng)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim import dynamics, engine, game, interference, network
 from coopsim.dynamics import DETERMINISTIC, STOCHASTIC, UpdateRuleConfig
@@ -18,7 +20,7 @@ from coopsim.game import COOPERATE, DEFECT, PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
 from coopsim.network import BA, NetworkConfig, generate
 
-from conftest import diameter
+from conftest import connected_graphs, diameter
 
 C, D = COOPERATE, DEFECT
 
@@ -155,16 +157,16 @@ class TestInterferenceAccounting:
 
     def record_run(self, monkeypatch, cfg, g):
         calls = {"eligible": [], "scores": [], "stepped": []}
-        eligible_set, accumulate, step = (interference.eligible_set,
-                                          game.accumulate_scores, dynamics.step)
+        eligible_set, scores_from_counts, step = (interference.eligible_set,
+                                                  game.scores_from_counts, dynamics.step)
 
         def spy_eligible(*args):
             mask = eligible_set(*args)
             calls["eligible"].append(mask.copy())
             return mask
 
-        def spy_accumulate(*args):
-            scores = accumulate(*args)
+        def spy_scores(*args):
+            scores = scores_from_counts(*args)
             calls["scores"].append((scores, scores.copy()))
             return scores
 
@@ -173,7 +175,7 @@ class TestInterferenceAccounting:
             return step(g, s, scores, *rest)
 
         monkeypatch.setattr(interference, "eligible_set", spy_eligible)
-        monkeypatch.setattr(game, "accumulate_scores", spy_accumulate)
+        monkeypatch.setattr(game, "scores_from_counts", spy_scores)
         monkeypatch.setattr(dynamics, "step", spy_step)
         return run_simulation(cfg, g), calls
 
@@ -217,6 +219,135 @@ class TestInterferenceAccounting:
                                                    calls["stepped"]):
             assert np.array_equal(scores, before)  # input scores left unchanged
             assert np.array_equal(stepped, before + np.where(mask, theta, 0.0))
+
+
+def full_recount_run(cfg, g, initial_strategies=None):
+    """Oracle: the generation loop that recounts everything from the strategy
+    vector each generation, with the Fermi probability evaluated for every
+    agent."""
+    rng = np.random.default_rng(cfg.run_seed)
+    icfg = cfg.interference
+    percentile = network.degree_percentiles(g)
+    theta = icfg.theta if icfg.active else 0.0
+    deterministic = cfg.update.rule == DETERMINISTIC
+    horizon = cfg.horizon
+    if initial_strategies is not None:
+        s = np.array(initial_strategies, dtype=np.int8)
+    else:
+        s = game.random_strategies(g.n, rng)
+    coop = np.empty(horizon)
+    invested = np.zeros(horizon, dtype=np.int64)
+    absorbed_at = None
+    for gen in range(horizon):
+        if deterministic and dynamics.is_homogeneous(s):
+            absorbed_at = gen
+            coop[gen:] = game.coop_fraction(s)
+            break
+        scores = game.accumulate_scores(g, s, cfg.payoff)
+        coop[gen] = game.coop_fraction(s)
+        if icfg.active:
+            eligible = np.ones(g.n, dtype=bool)
+            for scheme in icfg.schemes:
+                if scheme == POP:
+                    eligible &= interference.pop_eligible(s, icfg.p_c)
+                elif scheme == NEB:
+                    eligible &= interference.neb_eligible(g, s, icfg.n_c)
+                else:
+                    eligible &= interference.ni_eligible(percentile, s, icfg.c_I)
+            invested[gen] = np.count_nonzero(eligible)
+            scores = scores + np.where(eligible, theta, 0.0)
+        if deterministic:
+            s = dynamics.step_deterministic(g, s, scores, rng)
+        else:
+            u_pick = rng.random(g.n)
+            u_copy = rng.random(g.n)
+            offset = np.minimum((u_pick * g.degrees).astype(np.int64), g.degrees - 1)
+            neighbor = g.indices[g.indptr[:-1] + offset]
+            p_copy = dynamics.fermi_probability(scores, scores[neighbor], cfg.update.K)
+            s = np.where(u_copy < p_copy, s[neighbor], s).astype(np.int8)
+    cost = theta * invested
+    return engine.RunResult(
+        coop=coop, invested=invested, cost=cost,
+        total_cost=float(sum(cost.tolist())),
+        mean_coop=float(coop[-cfg.stats_window:].mean()),
+        absorbed_at=absorbed_at, final_state=engine._classify(s),
+        run_seed=cfg.run_seed)
+
+
+@st.composite
+def run_cases(draw):
+    """A graph, a run config over it (either rule, any scheme combination)
+    and optionally the initial strategies, all-C and all-D included."""
+    g = draw(connected_graphs())
+    schemes = tuple(x for x in draw(st.permutations([POP, NEB, NI]))
+                    if draw(st.booleans()))
+    threshold = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+    icfg = InterferenceConfig(
+        schemes=schemes,
+        theta=draw(st.sampled_from([1.0, 2.0]) | st.floats(0.1, 10.0)) if schemes else None,
+        p_c=draw(threshold) if POP in schemes else None,
+        n_c=draw(threshold) if NEB in schemes else None,
+        c_I=draw(threshold) if NI in schemes else None)
+    rule = draw(st.sampled_from([DETERMINISTIC, STOCHASTIC]))
+    generations = draw(st.integers(1, 30))
+    cfg = RunConfig(
+        network="oracle-graph.json",
+        payoff=PayoffParams(b=draw(st.sampled_from([1.5, 2.0]) | st.floats(1.01, 2.0))),
+        update=UpdateRuleConfig(rule=rule, K=draw(st.sampled_from([0.1, 1.0]))),
+        interference=icfg,
+        generations=generations,
+        stats_window=draw(st.integers(1, generations)),
+        run_seed=draw(st.integers(0, 2**32 - 1)))
+    initial = draw(st.none()
+                   | st.sampled_from([C, D]).map(lambda x: np.full(g.n, x, dtype=np.int8))
+                   | st.lists(st.sampled_from([C, D]), min_size=g.n, max_size=g.n)
+                   .map(lambda xs: np.array(xs, dtype=np.int8)))
+    return g, cfg, initial
+
+
+class TestCarriedCounts:
+    """run_simulation carries neighbor counts across generations; every
+    number it reports must equal the full recount's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=run_cases())
+    def test_matches_full_recount_loop(self, case):
+        g, cfg, initial = case
+        got = run_simulation(cfg, g, initial_strategies=initial)
+        want = full_recount_run(cfg, g, initial_strategies=initial)
+        for name in ("coop", "invested", "cost"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.total_cost == want.total_cost
+        assert got.mean_coop == want.mean_coop
+        assert got.absorbed_at == want.absorbed_at
+        assert got.final_state == want.final_state
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=run_cases())
+    def test_carried_counts_equal_a_fresh_count(self, case):
+        g, cfg, initial = case
+        seen = []
+        scores_from_counts, step = game.scores_from_counts, dynamics.step
+
+        def spy_scores(is_coop, nc, p):
+            seen.append((is_coop.copy(), nc.copy()))
+            return scores_from_counts(is_coop, nc, p)
+
+        def spy_step(g, s, *rest):
+            is_coop, nc = seen[-1]
+            assert np.array_equal(is_coop, s == C)
+            assert np.array_equal(nc, g.count_neighbors(s == C))
+            return step(g, s, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(game, "scores_from_counts", spy_scores)
+            mp.setattr(dynamics, "step", spy_step)
+            result = run_simulation(cfg, g, initial_strategies=initial)
+        played = len(seen)
+        assert played == (result.absorbed_at if result.absorbed_at is not None
+                          else cfg.horizon)
+        for gen, (is_coop, _) in enumerate(seen):
+            assert result.coop[gen] == np.count_nonzero(is_coop) / g.n
 
 
 class TestReplication:
@@ -333,6 +464,46 @@ class TestGraphOnce:
         assert a_after_b == fresh_a
         assert a_again == fresh_a
         assert [s.coop_mean for s in b] != [s.coop_mean for s in fresh_a]
+
+
+class TestGraphFileOnce:
+    def graph_file_cfgs(self, path, points):
+        return [RunConfig(network=str(path), update=UpdateRuleConfig(rule=DETERMINISTIC),
+                          interference=pop_cfg(theta=1.0 + k, p_c=0.8) if k else
+                          InterferenceConfig(),
+                          generations=10, stats_window=5)
+                for k in range(points)]
+
+    def test_file_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.json"
+        network.save_graph(generate(NetworkConfig(model=BA, n=60, seed=1)), path)
+        loads = []
+        real_load = network.load_graph
+
+        def counting_load(p):
+            loads.append(p)
+            return real_load(p)
+
+        engine._loaded.cache_clear()
+        monkeypatch.setattr(network, "load_graph", counting_load)
+        summaries = sweep(self.graph_file_cfgs(path, 7), master_seed=3, graphs=1,
+                          realisations=2)
+        assert len(summaries) == 7
+        assert len(loads) == 1
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        path, other = tmp_path / "g.json", tmp_path / "other.json"
+        network.save_graph(generate(NetworkConfig(model=BA, n=60, seed=1)), path)
+        network.save_graph(generate(NetworkConfig(model=BA, n=80, seed=2)), other)
+        cfgs = self.graph_file_cfgs(path, 3)
+        first = sweep(cfgs, master_seed=3, graphs=1, realisations=2)
+        path.write_bytes(other.read_bytes())
+        second = sweep(cfgs, master_seed=3, graphs=1, realisations=2)
+        expected = sweep(self.graph_file_cfgs(other, 3), master_seed=3, graphs=1,
+                         realisations=2)
+        assert [(s.coop_mean, s.cost_mean) for s in second] == \
+            [(s.coop_mean, s.cost_mean) for s in expected]
+        assert [s.coop_mean for s in second] != [s.coop_mean for s in first]
 
 
 class TestEfficiencyFrontier:

@@ -29,6 +29,13 @@ def strategies(*vals):
     return np.array(vals, dtype=np.int8)
 
 
+def eligible(g, percentile, s, cfg):
+    """eligible_set on a population given by its strategy vector alone."""
+    coop = s == C
+    return eligible_set(g, percentile, coop, g.count_neighbors(coop),
+                        int(np.count_nonzero(coop)), cfg)
+
+
 def random_state(rng, n=25):
     g = random_connected_graph(n, rng)
     s = rng.integers(0, 2, size=n).astype(np.int8)
@@ -146,14 +153,14 @@ class TestEligibleSet:
     def test_empty_scheme_set_pays_nobody(self):
         g = star_graph(3)
         s = strategies(C, C, C, C)
-        assert not eligible_set(g, None, s, InterferenceConfig()).any()
+        assert not eligible(g, None, s, InterferenceConfig()).any()
 
     def test_single_scheme_reduces_to_pop(self):
         rng = np.random.default_rng(2)
         cfg = InterferenceConfig(schemes=(POP,), theta=1.0, p_c=0.6)
         for _ in range(20):
             g, s = random_state(rng)
-            assert np.array_equal(eligible_set(g, None, s, cfg), pop_eligible(s, 0.6))
+            assert np.array_equal(eligible(g, None, s, cfg), pop_eligible(s, 0.6))
 
     def test_neb_ni_conjunction(self):
         # cooperator in the bottom tail with an all-defector neighborhood:
@@ -165,13 +172,13 @@ class TestEligibleSet:
         cfg = InterferenceConfig(schemes=(NEB, NI), theta=1.0, n_c=1.0, c_I=0.05)
         metrics = degree_percentiles(g)
         assert neb_eligible(g, s, 1.0)[0]
-        assert not eligible_set(g, metrics, s, cfg)[0]
+        assert not eligible(g, metrics, s, cfg)[0]
 
     def test_node_in_two_schemes_counted_once(self):
         g = star_graph(4)
         s = strategies(C, D, D, D, D)
         cfg = InterferenceConfig(schemes=(POP, NEB), theta=5.0, p_c=1.0, n_c=1.0)
-        mask = eligible_set(g, None, s, cfg)
+        mask = eligible(g, None, s, cfg)
         assert mask.tolist() == [True, False, False, False, False]
 
     def test_only_cooperators_ever_paid(self):
@@ -182,7 +189,7 @@ class TestEligibleSet:
                 schemes=(POP, NEB, NI), theta=1.0,
                 p_c=float(rng.random()), n_c=float(rng.random()),
                 c_I=float(rng.random()))
-            mask = eligible_set(g, degree_percentiles(g), s, cfg)
+            mask = eligible(g, degree_percentiles(g), s, cfg)
             assert not np.any(mask & (s == D))
 
 
