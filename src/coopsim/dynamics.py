@@ -1,13 +1,14 @@
 """Synchronous social-learning updates: deterministic imitate-best and the
 stochastic Fermi rule.
 
-Both rules update every agent simultaneously from the same score vector.
-Random draws are consumed as whole per-node arrays in node-index order, so
+Both rules update every agent simultaneously from the same scores. Random
+draws are consumed as whole per-node arrays in node-index order, so
 trajectories are fully determined by the RNG seed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +46,10 @@ def fermi_probability(f_a, f_b, K: float):
     result saturates to 0/1 instead of overflowing. Works elementwise on
     arrays and on scalars alike.
     """
-    z = np.clip((np.asarray(f_a, dtype=np.float64) - f_b) / K,
-                -_MAX_EXPONENT, _MAX_EXPONENT)
+    z = np.minimum(np.maximum((np.asarray(f_a, dtype=np.float64) - f_b) / K,
+                              -_MAX_EXPONENT), _MAX_EXPONENT)
     out = 1.0 / (1.0 + np.exp(z))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def is_homogeneous(s: np.ndarray) -> bool:
-    """True iff every agent holds the same strategy."""
-    return bool(np.all(s == s[0]))
 
 
 def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
@@ -81,31 +77,28 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
     return np.where(best > scores, s[best_neighbor], s).astype(np.int8)
 
 
-def step_stochastic(g: Graph, s: np.ndarray, scores: np.ndarray, K: float,
+def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray,
+                    score: Callable[[np.ndarray], np.ndarray], K: float,
                     rng: np.random.Generator) -> np.ndarray:
-    """Every agent draws one random neighbor and copies it with Fermi probability.
+    """Every agent draws one random neighbor and copies it with Fermi
+    probability; returns the agents that switch, ascending when front is.
 
-    Consumes two per-node uniform arrays: neighbor picks, then copy decisions.
-    Copying a neighbor that holds the agent's own strategy changes nothing,
-    so the Fermi probability is evaluated only for agents whose pick
-    disagrees; their copy decisions are the ones a full evaluation would
-    make, since the probability is elementwise.
+    Each call draws 2n uniforms whatever front holds: n neighbor picks, then
+    n copy decisions, one per agent in node order. Copying a neighbor of
+    one's own strategy changes nothing, so only the agents in front pick,
+    and only those whose pick disagrees are scored and decide. front must
+    hold every agent with a neighbor of the other strategy (it may hold
+    more), and score(nodes) returns the scores of the given agents. Picks,
+    scores and the Fermi probability are elementwise, so every decision is
+    the one an evaluation over all agents would make.
     """
-    u_pick = rng.random(g.n)
-    u_copy = rng.random(g.n)
-    offset = np.minimum((u_pick * g.degrees).astype(np.int64), g.degrees - 1)
-    neighbor = g.indices[g.indptr[:-1] + offset]
-    differ = np.flatnonzero(s[neighbor] != s)
-    p_copy = fermi_probability(scores[differ], scores[neighbor[differ]], K)
-    copies = differ[u_copy[differ] < p_copy]
-    new_s = s.astype(np.int8)
-    new_s[copies] = s[neighbor[copies]]
-    return new_s
-
-
-def step(g: Graph, s: np.ndarray, scores: np.ndarray, cfg: UpdateRuleConfig,
-         rng: np.random.Generator) -> np.ndarray:
-    """Advance one generation under the configured rule."""
-    if cfg.rule == DETERMINISTIC:
-        return step_deterministic(g, s, scores, rng)
-    return step_stochastic(g, s, scores, cfg.K, rng)
+    u = rng.random(2 * g.n)
+    u_pick, u_copy = u[:g.n], u[g.n:]
+    degrees = g.degrees[front]
+    offset = np.minimum((u_pick[front] * degrees).astype(np.int64), degrees - 1)
+    neighbor = g.indices[g.indptr[front] + offset]
+    differ = (s[neighbor] != s[front]).nonzero()[0]
+    agents = front[differ]
+    f = score(np.concatenate([agents, neighbor[differ]]))
+    p_copy = fermi_probability(f[:agents.size], f[agents.size:], K)
+    return agents[(u_copy[agents] < p_copy).nonzero()[0]]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics, game, interference, network
 from .dynamics import DETERMINISTIC, UpdateRuleConfig
-from .game import COOPERATE, PayoffParams
+from .game import COOPERATE, DEFECT, PayoffParams
 from .interference import InterferenceConfig
 from .network import Graph, NetworkConfig
 
@@ -33,6 +33,11 @@ DEFAULT_STATS_WINDOW = 25
 HOMOGENEOUS_C = "homogeneous-C"
 HOMOGENEOUS_D = "homogeneous-D"
 MIXED = "mixed"
+
+# Indexed by the cooperator flag (False, True): the strategy, and the
+# change a switch to it makes to each neighbor's cooperating-neighbor count.
+_STRATEGY = np.array([DEFECT, COOPERATE], dtype=np.int8)
+_SIGN = np.array([-1.0, 1.0])
 
 # Stream tags for the counter-based seed split.
 _GRAPH_STREAM = 0
@@ -98,10 +103,10 @@ class RunResult:
     run_seed: int
 
 
-def _classify(s: np.ndarray) -> str:
-    if dynamics.is_homogeneous(s):
-        return HOMOGENEOUS_C if s[0] == COOPERATE else HOMOGENEOUS_D
-    return MIXED
+def _classify(n_coop: int, n: int) -> str:
+    if n_coop == n:
+        return HOMOGENEOUS_C
+    return HOMOGENEOUS_D if n_coop == 0 else MIXED
 
 
 def run_simulation(cfg: RunConfig, g: Graph,
@@ -119,12 +124,20 @@ def run_simulation(cfg: RunConfig, g: Graph,
     trailing stats_window generations.
 
     The run counts each node's cooperating neighbors once, then carries
-    those counts (nc) and the number of cooperators across generations:
-    after each update only the neighbors of agents that switched change,
-    by one per switch. Scores, NEB eligibility, POP, the recorded coop
-    fraction and the absorption test all read the carried values. The
-    counts are small integers, exact in float64, so every number equals
-    a fresh recount.
+    those counts (nc), the cooperator mask and the number of cooperators
+    across generations, updating them in place: after each update only
+    the agents that switched and their neighbors change, the neighbors by
+    one per switch. Scores, NEB eligibility, POP, the recorded coop
+    fraction, the absorption test and the final state all read the carried
+    values. The counts are small integers, exact in float64, so every
+    number equals a fresh recount.
+
+    Under the Fermi rule a generation works only on the front: the agents
+    with a neighbor of the other strategy, the only ones that can switch.
+    Only they pick a neighbor, and only agents whose pick disagrees are
+    scored; the step still draws its 2n uniforms in full, so a run's
+    random stream does not depend on the front. Imitate-best scores every
+    agent.
     """
     expected_n = cfg.network.n if isinstance(cfg.network, NetworkConfig) else None
     if expected_n is not None and g.n != expected_n:
@@ -148,31 +161,46 @@ def run_simulation(cfg: RunConfig, g: Graph,
     is_coop = s == COOPERATE
     n_coop = int(np.count_nonzero(is_coop))
     nc = g.count_neighbors(is_coop)
+    # nc as it would be if every neighbor agreed: the degree for a
+    # cooperator, 0 for a defector. Agents with nc != alike_nc, and no
+    # others, have a neighbor of the other strategy.
+    alike_nc = np.where(is_coop, g.degrees, 0).astype(np.float64)
+    bonus = np.array([0.0, theta])  # the endowment, looked up by eligibility
     coop = np.empty(horizon)
     invested = np.zeros(horizon, dtype=np.int64)
     absorbed_at = None
+
+    def score(nodes):
+        """This generation's scores of nodes, endowment included."""
+        f = game.scores_from_counts(is_coop[nodes], nc[nodes], cfg.payoff)
+        if icfg.active:
+            f = f + bonus.take(eligible[nodes])
+        return f
 
     for gen in range(horizon):
         if deterministic and n_coop in (0, g.n):
             absorbed_at = gen
             coop[gen:] = n_coop / g.n
             break
-        scores = game.scores_from_counts(is_coop, nc, cfg.payoff)
         coop[gen] = n_coop / g.n
         if icfg.active:
             eligible = interference.eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
             invested[gen] = np.count_nonzero(eligible)
-            scores = scores + np.where(eligible, theta, 0.0)
-        new_s = dynamics.step(g, s, scores, cfg.update, rng)
-        switched = np.flatnonzero(new_s != s)
-        s = new_s
-        is_coop = s == COOPERATE
-        gained = is_coop[switched]
-        n_coop += 2 * int(np.count_nonzero(gained)) - len(switched)
+        if deterministic:
+            new_s = dynamics.step_deterministic(g, s, score(slice(None)), rng)
+            switched = (new_s != s).nonzero()[0]
+        else:
+            front = (nc != alike_nc).nonzero()[0]
+            switched = dynamics.step_stochastic(g, s, front, score, cfg.update.K, rng)
+        gained = ~is_coop[switched]
+        is_coop[switched] = gained
+        s[switched] = _STRATEGY.take(gained)
+        degrees = g.degrees[switched]
+        alike_nc[switched] = degrees * gained
+        n_coop += 2 * int(np.count_nonzero(gained)) - switched.size
         # Each switch moves every neighbor's count by one, up for a new
         # cooperator and down for a new defector.
-        np.add.at(nc, g.neighbors_of(switched),
-                  np.repeat(np.where(gained, 1.0, -1.0), g.degrees[switched]))
+        np.add.at(nc, g.neighbors_of(switched), _SIGN.take(gained).repeat(degrees))
 
     cost = theta * invested
     return RunResult(
@@ -183,7 +211,7 @@ def run_simulation(cfg: RunConfig, g: Graph,
         total_cost=float(sum(cost.tolist())),
         mean_coop=float(coop[-cfg.stats_window:].mean()),
         absorbed_at=absorbed_at,
-        final_state=_classify(s),
+        final_state=_classify(n_coop, g.n),
         run_seed=cfg.run_seed,
     )
 

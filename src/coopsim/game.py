@@ -54,7 +54,8 @@ def scores_from_counts(coop: np.ndarray, nc: np.ndarray, p: PayoffParams) -> np.
     A cooperator earns 1 per cooperating neighbor, a defector earns b per
     cooperating neighbor; defecting neighbors contribute nothing.
     """
-    return np.where(coop, 1.0, p.b) * nc
+    # Indexed by the coop flag: b for a defector (False), 1 for a cooperator.
+    return np.array([p.b, 1.0]).take(coop) * nc
 
 
 def accumulate_scores(g: Graph, s: np.ndarray, p: PayoffParams) -> np.ndarray:

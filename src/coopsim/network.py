@@ -24,6 +24,11 @@ class InvalidConfigError(ValueError):
     """Raised when a network configuration cannot produce a valid graph."""
 
 
+class GraphFileError(InvalidConfigError):
+    """Raised when a graph file cannot be read or holds no valid graph; the
+    message names the file."""
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Parameters for one generated network.
@@ -248,8 +253,19 @@ def save_graph(g: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
-    """Read and validate a graph JSON file."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    return Graph.from_edges(payload["n"], payload["edges"],
-                            model=payload.get("model"), seed=payload.get("seed"))
+    """Read and validate a graph JSON file. Any reason it holds no valid
+    graph is raised as a GraphFileError naming path."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise GraphFileError(f"cannot read graph file {path}: {exc}") from exc
+    if not (isinstance(payload, dict) and isinstance(payload.get("n"), int)
+            and isinstance(payload.get("edges"), list)):
+        raise GraphFileError(f"graph file {path} must hold an object with an "
+                             "integer n and an edges list")
+    try:
+        return Graph.from_edges(payload["n"], payload["edges"],
+                                model=payload.get("model"), seed=payload.get("seed"))
+    except (TypeError, ValueError) as exc:
+        raise GraphFileError(f"bad graph file {path}: {exc}") from exc

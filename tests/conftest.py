@@ -22,6 +22,18 @@ def random_connected_graph(n: int, rng: np.random.Generator,
     return Graph.from_edges(n, sorted(edges))
 
 
+def is_homogeneous(s: np.ndarray) -> bool:
+    """True iff every agent holds the same strategy."""
+    return bool(np.all(s == s[0]))
+
+
+def boundary(g: Graph, s: np.ndarray) -> np.ndarray:
+    """Agents with at least one neighbor of the other strategy, by a
+    per-node loop."""
+    return np.array([i for i in range(g.n) if np.any(s[g.neighbors(i)] != s[i])],
+                    dtype=np.int64)
+
+
 def diameter(g: Graph) -> int:
     """Longest shortest path, by BFS from every node."""
     best = 0

@@ -368,10 +368,11 @@ class TestCriterion6:
         assert elapsed < 300.0
         assert osc_ok
         # Known red at this population size: the deterministic baseline is
-        # heavily defecting here (coop ~0.26 at n=2000, rising to ~0.42 at
-        # n=5000), so this POP point improves mean cooperation by ~0.2
-        # instead of matching the baseline. The cyclic-exploitation signature
-        # asserted above does reproduce; the no-gain bound does not.
+        # heavily defecting here (coop ~0.32 at n=2000, baseline defection
+        # 0.683 in this test's own report; ~0.35 at n=5000 in a 4 x 4 probe
+        # at master seed 1006), so this POP point improves mean cooperation
+        # by ~0.2 instead of matching the baseline. The cyclic-exploitation
+        # signature asserted above does reproduce; the no-gain bound does not.
         assert no_help_ok
 
 

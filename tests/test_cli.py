@@ -213,6 +213,36 @@ class TestGraphFileSweep:
         assert again.read_bytes() == sweep_out.read_bytes()
 
 
+class TestBadGraphFile:
+    """A graph file that holds no valid graph is bad input: exit 2 with a
+    message naming the file, also when a pool worker loads it."""
+
+    CONTENT = {
+        "isolated-node": json.dumps({"n": 3, "edges": [[0, 1]]}),
+        "not-json": "not json\n",
+        "no-edges": json.dumps({"n": 3}),
+        "not-an-object": json.dumps([[0, 1], [1, 2]]),
+    }
+
+    @pytest.mark.parametrize("content", sorted(CONTENT))
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"],
+                                         ["sweep", "--jobs", "2"]],
+                             ids=["run", "sweep-jobs1", "sweep-jobs2"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, content, command):
+        gpath = tmp_path / "bad-graph.json"
+        gpath.write_text(self.CONTENT[content])
+        payload = sweep_config(network={"graph_file": str(gpath)}, graphs=1)
+        if command[0] == "run":
+            payload = {key: payload[key] for key in
+                       ("network", "payoff", "update", "generations", "stats_window")}
+        out = tmp_path / "out.csv"
+        rc = main([*command, "--config", write_config(tmp_path, payload),
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert str(gpath) in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBaseline:
     def test_single_zero_cost_row(self, tmp_path):
         payload = sweep_config()

@@ -7,14 +7,13 @@ from coopsim.dynamics import (
     STOCHASTIC,
     UpdateRuleConfig,
     fermi_probability,
-    is_homogeneous,
     step_deterministic,
     step_stochastic,
 )
 from coopsim.game import COOPERATE, DEFECT, PayoffParams, accumulate_scores
 from coopsim.network import Graph
 
-from conftest import connected_graphs, random_connected_graph
+from conftest import boundary, connected_graphs, is_homogeneous, random_connected_graph
 
 C, D = COOPERATE, DEFECT
 
@@ -38,6 +37,15 @@ def reference_step_deterministic(g, s, scores, u, order):
         pick = ties[min(int(u[i] * len(ties)), len(ties) - 1)]
         if best > scores[i]:
             new_s[i] = s[pick]
+    return new_s
+
+
+def fermi_step(g, s, scores, K, rng):
+    """step_stochastic with every agent in the front, applied to s: the new
+    strategies."""
+    switched = step_stochastic(g, s, np.arange(g.n), scores.take, K, rng)
+    new_s = s.copy()
+    new_s[switched] = np.where(s[switched] == C, D, C)
     return new_s
 
 
@@ -172,7 +180,7 @@ class TestStepStochastic:
         s = np.array([C, C], dtype=np.int8)
         scores = np.array([0.0, 100.0])
         for seed in range(10):
-            new_s = step_stochastic(g, s, scores, 0.1, np.random.default_rng(seed))
+            new_s = fermi_step(g, s, scores, 0.1, np.random.default_rng(seed))
             assert np.array_equal(new_s, s)
 
     def test_copy_frequency_matches_fermi_probability(self):
@@ -186,7 +194,7 @@ class TestStepStochastic:
                                            (2.0, 1.0), (0.95, 1.0))):
             p = fermi_probability(f_a, f_b, 0.1)
             scores = np.concatenate([[f_b], np.full(trials, f_a)])
-            new_s = step_stochastic(g, s, scores, 0.1, np.random.default_rng(case))
+            new_s = fermi_step(g, s, scores, 0.1, np.random.default_rng(case))
             freq = np.count_nonzero(new_s[1:] == D) / trials
             se = np.sqrt(p * (1 - p) / trials)
             assert abs(freq - p) <= 3 * se + 1e-9
@@ -203,7 +211,7 @@ class TestStepStochastic:
             draw_rng = np.random.default_rng(trial)
             u_pick = draw_rng.random(g.n)
             u_copy = draw_rng.random(g.n)
-            fast = step_stochastic(g, s, scores, 0.1, np.random.default_rng(trial))
+            fast = fermi_step(g, s, scores, 0.1, np.random.default_rng(trial))
             for perm_seed in range(3):
                 order = np.random.default_rng(perm_seed).permutation(g.n)
                 assert np.array_equal(
@@ -234,20 +242,49 @@ class TestStepStochastic:
         draws = np.random.default_rng(seed)
         u_pick, u_copy = draws.random(g.n), draws.random(g.n)
         rng = np.random.default_rng(seed)
-        fast = step_stochastic(g, s, scores, K, rng)
-        assert fast.dtype == np.int8
+        fast = fermi_step(g, s, scores, K, rng)
         assert np.array_equal(
             fast, reference_step_stochastic(g, s, scores, K, u_pick, u_copy, range(g.n)))
         # both per-node arrays are drawn in full, whoever disagrees
         assert rng.random() == draws.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=connected_graphs(), data=st.data())
+    def test_boundary_front_switches_as_every_agent_does(self, g, data):
+        # Only agents with a neighbor of the other strategy can switch, so
+        # a front of exactly those agents returns the switches a front of
+        # every agent does, from the same draws, and scores nobody else.
+        s = np.array(data.draw(st.lists(st.sampled_from([C, D]), min_size=g.n,
+                                        max_size=g.n)), dtype=np.int8)
+        scores = np.array(data.draw(st.one_of(
+            st.lists(st.integers(0, 4).map(float), min_size=g.n, max_size=g.n),
+            st.lists(st.floats(0.0, 50.0), min_size=g.n, max_size=g.n))))
+        K = data.draw(st.sampled_from([0.1, 1.0]) | st.floats(0.01, 10.0))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        front = boundary(g, s)
+        scored = []
+
+        def score(nodes):
+            scored.extend(nodes.tolist())
+            return scores.take(nodes)
+
+        everyone_rng, front_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        everyone = step_stochastic(g, s, np.arange(g.n), scores.take, K, everyone_rng)
+        switched = step_stochastic(g, s, front, score, K, front_rng)
+        assert np.array_equal(switched, everyone)
+        # scored: the deciding agents, then the neighbors they picked
+        agents, picked = np.array(scored, dtype=np.int64).reshape(2, -1)
+        assert set(agents.tolist()) <= set(front.tolist())
+        assert np.all(s[agents] != s[picked])
+        assert front_rng.random() == everyone_rng.random()
 
     def test_seed_reproducible(self):
         rng = np.random.default_rng(6)
         g = random_connected_graph(40, rng)
         s = rng.integers(0, 2, g.n).astype(np.int8)
         scores = accumulate_scores(g, s, PayoffParams(b=1.8))
-        a = step_stochastic(g, s, scores, 0.1, np.random.default_rng(7))
-        b = step_stochastic(g, s, scores, 0.1, np.random.default_rng(7))
+        a = fermi_step(g, s, scores, 0.1, np.random.default_rng(7))
+        b = fermi_step(g, s, scores, 0.1, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
 

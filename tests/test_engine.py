@@ -18,9 +18,9 @@ from coopsim.engine import (
 )
 from coopsim.game import COOPERATE, DEFECT, PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
-from coopsim.network import BA, NetworkConfig, generate
+from coopsim.network import BA, Graph, NetworkConfig, generate
 
-from conftest import connected_graphs, diameter
+from conftest import boundary, connected_graphs, diameter, is_homogeneous
 
 C, D = COOPERATE, DEFECT
 
@@ -109,6 +109,28 @@ class TestRunSimulation:
         # interference keeps accruing in the homogeneous stochastic state
         assert result.total_cost == pytest.approx(0.5 * 100 * 40)
 
+    @pytest.mark.parametrize("start", ["random", "all-C", "all-D"])
+    def test_fermi_generation_draws_2n_uniforms(self, start):
+        # Whatever the front holds (all-C and all-D have none), each
+        # generation draws n uniforms for the picks, then n for the copies.
+        horizon = 40
+        cfg = ba_config(update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
+                        interference=pop_cfg(theta=1.0, p_c=0.5),
+                        generations=horizon, stats_window=10, run_seed=12)
+        g = generate(NetworkConfig(model=BA, n=100, seed=5))
+        initial = None if start == "random" else \
+            np.full(g.n, C if start == "all-C" else D, dtype=np.int8)
+        rng = np.random.default_rng(cfg.run_seed)
+        result = run_simulation(cfg, g, rng=rng, initial_strategies=initial)
+        assert result.absorbed_at is None
+        want = np.random.default_rng(cfg.run_seed)
+        if initial is None:
+            want.integers(0, 2, g.n, np.int8)
+        for _ in range(horizon):
+            want.random(g.n)
+            want.random(g.n)
+        assert rng.bit_generator.state == want.bit_generator.state
+
     def test_total_cost_is_theta_times_invested_sum(self):
         cfg = ba_config(interference=pop_cfg(theta=1.5, p_c=0.9), run_seed=8)
         g = generate(NetworkConfig(model=BA, n=100, seed=6))
@@ -158,7 +180,8 @@ class TestInterferenceAccounting:
     def record_run(self, monkeypatch, cfg, g):
         calls = {"eligible": [], "scores": [], "stepped": []}
         eligible_set, scores_from_counts, step = (interference.eligible_set,
-                                                  game.scores_from_counts, dynamics.step)
+                                                  game.scores_from_counts,
+                                                  dynamics.step_deterministic)
 
         def spy_eligible(*args):
             mask = eligible_set(*args)
@@ -176,7 +199,7 @@ class TestInterferenceAccounting:
 
         monkeypatch.setattr(interference, "eligible_set", spy_eligible)
         monkeypatch.setattr(game, "scores_from_counts", spy_scores)
-        monkeypatch.setattr(dynamics, "step", spy_step)
+        monkeypatch.setattr(dynamics, "step_deterministic", spy_step)
         return run_simulation(cfg, g), calls
 
     def test_invested_is_eligible_count_per_generation(self, monkeypatch):
@@ -221,6 +244,12 @@ class TestInterferenceAccounting:
             assert np.array_equal(stepped, before + np.where(mask, theta, 0.0))
 
 
+def classify(s):
+    if not is_homogeneous(s):
+        return engine.MIXED
+    return engine.HOMOGENEOUS_C if s[0] == C else engine.HOMOGENEOUS_D
+
+
 def full_recount_run(cfg, g, initial_strategies=None):
     """Oracle: the generation loop that recounts everything from the strategy
     vector each generation, with the Fermi probability evaluated for every
@@ -239,7 +268,7 @@ def full_recount_run(cfg, g, initial_strategies=None):
     invested = np.zeros(horizon, dtype=np.int64)
     absorbed_at = None
     for gen in range(horizon):
-        if deterministic and dynamics.is_homogeneous(s):
+        if deterministic and is_homogeneous(s):
             absorbed_at = gen
             coop[gen:] = game.coop_fraction(s)
             break
@@ -270,7 +299,7 @@ def full_recount_run(cfg, g, initial_strategies=None):
         coop=coop, invested=invested, cost=cost,
         total_cost=float(sum(cost.tolist())),
         mean_coop=float(coop[-cfg.stats_window:].mean()),
-        absorbed_at=absorbed_at, final_state=engine._classify(s),
+        absorbed_at=absorbed_at, final_state=classify(s),
         run_seed=cfg.run_seed)
 
 
@@ -326,27 +355,42 @@ class TestCarriedCounts:
     @given(case=run_cases())
     def test_carried_counts_equal_a_fresh_count(self, case):
         g, cfg, initial = case
-        seen = []
-        scores_from_counts, step = game.scores_from_counts, dynamics.step
+        carried, seen = [], []
+        count_neighbors = Graph.count_neighbors
+        step_deterministic, step_stochastic = (dynamics.step_deterministic,
+                                               dynamics.step_stochastic)
 
-        def spy_scores(is_coop, nc, p):
-            seen.append((is_coop.copy(), nc.copy()))
-            return scores_from_counts(is_coop, nc, p)
+        def spy_count(graph, mask):
+            # The run counts once, from the cooperator mask it carries, and
+            # then updates that mask and the counts in place.
+            nc = count_neighbors(graph, mask)
+            carried.extend([mask, nc])
+            return nc
 
-        def spy_step(g, s, *rest):
-            is_coop, nc = seen[-1]
+        def check(g, s):
+            is_coop, nc = carried
             assert np.array_equal(is_coop, s == C)
-            assert np.array_equal(nc, g.count_neighbors(s == C))
-            return step(g, s, *rest)
+            assert np.array_equal(nc, count_neighbors(g, s == C))
+            seen.append(is_coop.copy())
+
+        def spy_deterministic(g, s, *rest):
+            check(g, s)
+            return step_deterministic(g, s, *rest)
+
+        def spy_stochastic(g, s, front, *rest):
+            check(g, s)
+            assert np.array_equal(front, boundary(g, s))
+            return step_stochastic(g, s, front, *rest)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(game, "scores_from_counts", spy_scores)
-            mp.setattr(dynamics, "step", spy_step)
+            mp.setattr(Graph, "count_neighbors", spy_count)
+            mp.setattr(dynamics, "step_deterministic", spy_deterministic)
+            mp.setattr(dynamics, "step_stochastic", spy_stochastic)
             result = run_simulation(cfg, g, initial_strategies=initial)
         played = len(seen)
         assert played == (result.absorbed_at if result.absorbed_at is not None
                           else cfg.horizon)
-        for gen, (is_coop, _) in enumerate(seen):
+        for gen, is_coop in enumerate(seen):
             assert result.coop[gen] == np.count_nonzero(is_coop) / g.n
 
 
