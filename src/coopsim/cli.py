@@ -171,7 +171,9 @@ def parse_run_config(payload: dict) -> RunConfig:
     return _build(RunConfig, kwargs, "run")
 
 
-def _as_list(value):
+def _as_list(key, value):
+    if value == []:
+        raise ConfigError(f"grid value list for {key} is empty")
     return value if isinstance(value, list) else [value]
 
 
@@ -188,7 +190,7 @@ def expand_grid(base: dict, grid: list[dict]) -> list[RunConfig]:
             raise ConfigError(f"grid groups must be objects, got {group!r}")
         group = dict(group)
         schemes = group.pop("schemes", [])
-        axes = {key: _as_list(group.pop(key)) for key in ("theta", "p_c", "n_c", "c_I")
+        axes = {key: _as_list(key, group.pop(key)) for key in ("theta", "p_c", "n_c", "c_I")
                 if key in group}
         if group:
             raise ConfigError(f"unknown grid keys: {sorted(group)}")
@@ -444,8 +446,9 @@ def _cmd_frontier(args) -> int:
         targets = [float(t) for t in args.targets.split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --targets list: {args.targets!r}") from exc
-    if not targets:
-        raise ConfigError("--targets must name at least one cooperation target")
+    if not targets or not np.isfinite(targets).all():
+        raise ConfigError("--targets must list one or more finite cooperation targets, "
+                          f"got {args.targets!r}")
     rows = engine.efficiency_frontier(summaries, targets)
     write_frontier_csv(rows, args.out)
     write_meta(args.out, "frontier", source=str(args.infile), targets=targets,

@@ -1,9 +1,9 @@
 """Synchronous social-learning updates: deterministic imitate-best and the
 stochastic Fermi rule.
 
-Both rules update every agent simultaneously from the same scores. Random
-draws are consumed as whole per-node arrays in node-index order, so
-trajectories are fully determined by the RNG seed.
+Both rules update every agent simultaneously from the same scores and
+return the agents that switch, ascending. Draws are whole per-node arrays
+in node-index order, so trajectories are fully determined by the RNG seed.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
     """Every agent imitates its highest-scoring neighbor, simultaneously.
 
-    Ties among equally best neighbors are broken uniformly with one draw
-    per node. An agent keeps its strategy unless the best neighbor strictly
-    outscores it.
+    Returns the agents that switch, ascending: those whose best neighbor
+    strictly outscores them and holds the other strategy. Ties among equally
+    best neighbors are broken uniformly with one draw per node.
     """
     nbr_scores = scores[g.indices]
     best = np.full(g.n, -np.inf)
@@ -74,7 +74,7 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
     before = np.cumsum(tie_counts) - tie_counts
     best_neighbor = g.indices[tiepos[before + want]]
 
-    return np.where(best > scores, s[best_neighbor], s).astype(np.int8)
+    return ((best > scores) & (s[best_neighbor] != s)).nonzero()[0]
 
 
 def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics, game, interference, network
 from .dynamics import DETERMINISTIC, UpdateRuleConfig
-from .game import COOPERATE, DEFECT, PayoffParams
+from .game import COOPERATE, PayoffParams
 from .interference import InterferenceConfig
 from .network import Graph, NetworkConfig
 
@@ -34,9 +34,8 @@ HOMOGENEOUS_C = "homogeneous-C"
 HOMOGENEOUS_D = "homogeneous-D"
 MIXED = "mixed"
 
-# Indexed by the cooperator flag (False, True): the strategy, and the
-# change a switch to it makes to each neighbor's cooperating-neighbor count.
-_STRATEGY = np.array([DEFECT, COOPERATE], dtype=np.int8)
+# Indexed by the cooperator flag (False, True): the change a switch to that
+# strategy makes to each neighbor's cooperating-neighbor count.
 _SIGN = np.array([-1.0, 1.0])
 
 # Stream tags for the counter-based seed split.
@@ -117,20 +116,20 @@ def run_simulation(cfg: RunConfig, g: Graph,
     Strategies start C/D with equal probability (or from initial_strategies
     when given). Each generation: payoffs are accumulated, interference
     conditions checked and endowments added, then all strategies update
-    synchronously. Deterministic runs freeze as soon as the population is
-    homogeneous (state cannot change and no further endowments are paid);
-    the frozen state fills the rest of the trace so it always spans the
-    full horizon. Stochastic runs never stop early. mean_coop averages the
-    trailing stats_window generations.
+    synchronously. Under either rule a homogeneous population absorbs:
+    neither rule can leave it (both copy a neighbor, without mutation), so
+    the run stops, pays no further endowment and draws nothing more; the
+    frozen state fills the rest of the trace so it always spans the full
+    horizon. mean_coop averages the trailing stats_window generations.
 
-    The run counts each node's cooperating neighbors once, then carries
-    those counts (nc), the cooperator mask and the number of cooperators
-    across generations, updating them in place: after each update only
-    the agents that switched and their neighbors change, the neighbors by
-    one per switch. Scores, NEB eligibility, POP, the recorded coop
-    fraction, the absorption test and the final state all read the carried
-    values. The counts are small integers, exact in float64, so every
-    number equals a fresh recount.
+    The run carries the cooperator mask (initial_strategies, int8 C/D, are
+    converted once), the number of cooperators and each node's count of
+    cooperating neighbors (nc, counted once), updating them in place from
+    the agents each step returns as switching: only they and their
+    neighbors change, the neighbors by one per switch. Scores, NEB
+    eligibility, POP, the recorded coop fraction, the absorption test and
+    the final state all read the carried values. The counts are small
+    integers, exact in float64, so every number equals a fresh recount.
 
     Under the Fermi rule a generation works only on the front: the agents
     with a neighbor of the other strategy, the only ones that can switch.
@@ -155,10 +154,9 @@ def run_simulation(cfg: RunConfig, g: Graph,
         if len(initial_strategies) != g.n:
             raise ConfigMismatchError(
                 f"initial strategies have length {len(initial_strategies)}, graph has {g.n}")
-        s = np.array(initial_strategies, dtype=np.int8)
+        is_coop = np.array(initial_strategies, dtype=np.int8) == COOPERATE
     else:
-        s = game.random_strategies(g.n, rng)
-    is_coop = s == COOPERATE
+        is_coop = game.random_strategies(g.n, rng) == COOPERATE
     n_coop = int(np.count_nonzero(is_coop))
     nc = g.count_neighbors(is_coop)
     # nc as it would be if every neighbor agreed: the degree for a
@@ -178,7 +176,7 @@ def run_simulation(cfg: RunConfig, g: Graph,
         return f
 
     for gen in range(horizon):
-        if deterministic and n_coop in (0, g.n):
+        if n_coop in (0, g.n):
             absorbed_at = gen
             coop[gen:] = n_coop / g.n
             break
@@ -187,14 +185,12 @@ def run_simulation(cfg: RunConfig, g: Graph,
             eligible = interference.eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
             invested[gen] = np.count_nonzero(eligible)
         if deterministic:
-            new_s = dynamics.step_deterministic(g, s, score(slice(None)), rng)
-            switched = (new_s != s).nonzero()[0]
+            switched = dynamics.step_deterministic(g, is_coop, score(slice(None)), rng)
         else:
             front = (nc != alike_nc).nonzero()[0]
-            switched = dynamics.step_stochastic(g, s, front, score, cfg.update.K, rng)
+            switched = dynamics.step_stochastic(g, is_coop, front, score, cfg.update.K, rng)
         gained = ~is_coop[switched]
         is_coop[switched] = gained
-        s[switched] = _STRATEGY.take(gained)
         degrees = g.degrees[switched]
         alike_nc[switched] = degrees * gained
         n_coop += 2 * int(np.count_nonzero(gained)) - switched.size

@@ -318,6 +318,24 @@ class TestBadInputFailsFast:
                 command, "--config", write_config(tmp_path, payload),
                 "--out", str(tmp_path / "out.csv"), "--jobs", jobs], "--jobs")
 
+    def test_empty_grid_value_list(self, tmp_path, capsys):
+        # The group would expand to no points and vanish beside the baseline.
+        payload = sweep_config(grid=[{"schemes": []},
+                                     {"schemes": ["POP"], "theta": [], "p_c": [0.5, 0.8]}])
+        out = tmp_path / "s.csv"
+        self.assert_usage_error(capsys, ["sweep", "--config", write_config(tmp_path, payload),
+                                         "--out", str(out)], "theta")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("targets", ["nan", "inf", "0.5,-inf"])
+    def test_non_finite_frontier_targets(self, tmp_path, capsys, targets):
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text(SWEEP_HEADER + "\n")
+        out = tmp_path / "f.csv"
+        self.assert_usage_error(capsys, ["frontier", "--in", str(sweep_csv),
+                                         "--targets", targets, "--out", str(out)], "--targets")
+        assert not out.exists()
+
     def test_self_comparison_is_not_a_knob(self, tmp_path, capsys):
         payload = sweep_config(update={"rule": "deterministic", "self_comparison": False})
         self.assert_usage_error(capsys, ["sweep", "--config", write_config(tmp_path, payload),

@@ -40,13 +40,22 @@ def reference_step_deterministic(g, s, scores, u, order):
     return new_s
 
 
-def fermi_step(g, s, scores, K, rng):
-    """step_stochastic with every agent in the front, applied to s: the new
-    strategies."""
-    switched = step_stochastic(g, s, np.arange(g.n), scores.take, K, rng)
+def switch(s, switched):
+    """s with the given agents switched to the other strategy."""
     new_s = s.copy()
     new_s[switched] = np.where(s[switched] == C, D, C)
     return new_s
+
+
+def imitate_step(g, s, scores, rng):
+    """step_deterministic applied to s: the new strategies."""
+    return switch(s, step_deterministic(g, s, scores, rng))
+
+
+def fermi_step(g, s, scores, K, rng):
+    """step_stochastic with every agent in the front, applied to s: the new
+    strategies."""
+    return switch(s, step_stochastic(g, s, np.arange(g.n), scores.take, K, rng))
 
 
 def reference_step_stochastic(g, s, scores, K, u_pick, u_copy, order):
@@ -102,7 +111,7 @@ class TestStepDeterministic:
         for strat in (C, D):
             s = np.full(g.n, strat, dtype=np.int8)
             scores = accumulate_scores(g, s, PayoffParams(b=1.8))
-            assert np.array_equal(step_deterministic(g, s, scores, rng), s)
+            assert np.array_equal(imitate_step(g, s, scores, rng), s)
 
     def test_path_cdc_collapses_to_defection(self):
         # middle defector scores 3.6 > 0; both ends adopt D, middle keeps D
@@ -110,7 +119,7 @@ class TestStepDeterministic:
         s = np.array([C, D, C], dtype=np.int8)
         scores = accumulate_scores(g, s, PayoffParams(b=1.8))
         assert scores.tolist() == [0.0, 3.6, 0.0]
-        new_s = step_deterministic(g, s, scores, np.random.default_rng(0))
+        new_s = imitate_step(g, s, scores, np.random.default_rng(0))
         assert new_s.tolist() == [D, D, D]
 
     def test_equal_best_neighbor_keeps_incumbent(self):
@@ -118,7 +127,7 @@ class TestStepDeterministic:
         s = np.array([C, D], dtype=np.int8)
         scores = np.array([2.5, 2.5])
         for seed in range(5):
-            new_s = step_deterministic(g, s, scores, np.random.default_rng(seed))
+            new_s = imitate_step(g, s, scores, np.random.default_rng(seed))
             assert new_s.tolist() == [C, D]
 
     def test_matches_reference_under_any_node_order(self):
@@ -128,7 +137,7 @@ class TestStepDeterministic:
             s = rng.integers(0, 2, g.n).astype(np.int8)
             scores = accumulate_scores(g, s, PayoffParams(b=1.8))
             u = np.random.default_rng(trial).random(g.n)
-            fast = step_deterministic(g, s, scores, np.random.default_rng(trial))
+            fast = imitate_step(g, s, scores, np.random.default_rng(trial))
             for perm_seed in range(3):
                 order = np.random.default_rng(perm_seed).permutation(g.n)
                 assert np.array_equal(
@@ -146,9 +155,32 @@ class TestStepDeterministic:
         scores = accumulate_scores(g, s, PayoffParams(b=2.0)) + np.where(paid, theta, 0.0)
         seed = data.draw(st.integers(0, 2**32 - 1))
         u = np.random.default_rng(seed).random(g.n)
-        fast = step_deterministic(g, s, scores, np.random.default_rng(seed))
+        fast = imitate_step(g, s, scores, np.random.default_rng(seed))
         assert fast.dtype == np.int8
         assert np.array_equal(fast, reference_step_deterministic(g, s, scores, u, range(g.n)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=connected_graphs(), data=st.data())
+    def test_returns_the_agents_that_switch(self, g, data):
+        # The step returns the agents whose strategy the reference changes,
+        # ascending, from the same n tie-break draws, whether it is given
+        # strategy labels or the cooperator mask. Integer scores keep ties
+        # common.
+        s = np.array(data.draw(st.lists(st.sampled_from([C, D]), min_size=g.n,
+                                        max_size=g.n)), dtype=np.int8)
+        paid = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+        theta = data.draw(st.integers(1, 3))
+        scores = accumulate_scores(g, s, PayoffParams(b=2.0)) + np.where(paid, theta, 0.0)
+        population = s == C if data.draw(st.booleans()) else s
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        draws = np.random.default_rng(seed)
+        u = draws.random(g.n)
+        rng = np.random.default_rng(seed)
+        switched = step_deterministic(g, population, scores, rng)
+        want = np.flatnonzero(reference_step_deterministic(g, s, scores, u, range(g.n)) != s)
+        assert np.array_equal(switched, want)
+        assert np.all(np.diff(switched) > 0)
+        assert rng.random() == draws.random()
 
     def test_tie_break_is_uniform(self):
         # center of a 4-star, all leaves tied strictly better and only one of
@@ -161,7 +193,7 @@ class TestStepDeterministic:
         for leaf in range(1, 5):
             s = np.full(5, D, dtype=np.int8)
             s[leaf] = C
-            turned = sum(step_deterministic(g, s, scores, rng)[0] == C for _ in range(trials))
+            turned = sum(imitate_step(g, s, scores, rng)[0] == C for _ in range(trials))
             assert abs(turned / trials - 1 / 4) < 0.04
 
     def test_seed_reproducible(self):
@@ -169,8 +201,8 @@ class TestStepDeterministic:
         g = random_connected_graph(40, rng)
         s = rng.integers(0, 2, g.n).astype(np.int8)
         scores = accumulate_scores(g, s, PayoffParams(b=1.8))
-        a = step_deterministic(g, s, scores, np.random.default_rng(99))
-        b = step_deterministic(g, s, scores, np.random.default_rng(99))
+        a = imitate_step(g, s, scores, np.random.default_rng(99))
+        b = imitate_step(g, s, scores, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
 

@@ -98,21 +98,38 @@ class TestRunSimulation:
             assert result.absorbed_at is not None
             assert result.absorbed_at <= diameter(g) + 2
 
-    def test_stochastic_runs_never_stop_early(self):
-        cfg = ba_config(update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
-                        interference=pop_cfg(theta=0.5, p_c=1.0),
-                        generations=40, stats_window=10)
+    @pytest.mark.parametrize("start", ["all-C", "all-D", "takeover"])
+    @pytest.mark.parametrize("rule", [DETERMINISTIC, STOCHASTIC])
+    def test_homogeneous_state_absorbs_under_either_rule(self, rule, start):
+        # Neither rule can leave a homogeneous state (both copy a neighbor,
+        # and there is no mutation), so the run stops there: the state stays,
+        # absorbed_at is its first generation and nothing more is paid.
+        # "takeover" starts mixed and reaches all-C through a large POP
+        # endowment paid to every cooperator.
+        cfg = ba_config(update=UpdateRuleConfig(rule=rule, K=0.1),
+                        interference=pop_cfg(theta=40.0, p_c=1.0),
+                        generations=60, stats_window=10, run_seed=4)
         g = generate(NetworkConfig(model=BA, n=100, seed=5))
-        result = run_simulation(cfg, g, initial_strategies=np.full(100, C, dtype=np.int8))
-        assert result.absorbed_at is None
-        assert len(result.coop) == 40
-        # interference keeps accruing in the homogeneous stochastic state
-        assert result.total_cost == pytest.approx(0.5 * 100 * 40)
+        initial = None if start == "takeover" else \
+            np.full(g.n, C if start == "all-C" else D, dtype=np.int8)
+        result = run_simulation(cfg, g, initial_strategies=initial)
+        at = result.absorbed_at
+        assert at is not None
+        assert (at == 0) if initial is not None else (at > 0)
+        frozen = result.coop[at]
+        assert frozen in (0.0, 1.0)
+        assert not np.isin(result.coop[:at], (0.0, 1.0)).any()
+        assert np.all(result.coop[at:] == frozen)
+        assert not result.invested[at:].any()
+        assert not result.cost[at:].any()
+        assert result.total_cost == float(sum(result.cost[:at].tolist()))
+        assert result.final_state == ("homogeneous-C" if frozen else "homogeneous-D")
 
     @pytest.mark.parametrize("start", ["random", "all-C", "all-D"])
     def test_fermi_generation_draws_2n_uniforms(self, start):
-        # Whatever the front holds (all-C and all-D have none), each
-        # generation draws n uniforms for the picks, then n for the copies.
+        # Whatever the front holds, each generation played draws n uniforms
+        # for the picks, then n for the copies. All-C and all-D starts
+        # absorb at generation 0 and draw nothing.
         horizon = 40
         cfg = ba_config(update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
                         interference=pop_cfg(theta=1.0, p_c=0.5),
@@ -122,11 +139,12 @@ class TestRunSimulation:
             np.full(g.n, C if start == "all-C" else D, dtype=np.int8)
         rng = np.random.default_rng(cfg.run_seed)
         result = run_simulation(cfg, g, rng=rng, initial_strategies=initial)
-        assert result.absorbed_at is None
+        played = horizon if initial is None else 0
+        assert result.absorbed_at == (None if initial is None else 0)
         want = np.random.default_rng(cfg.run_seed)
         if initial is None:
             want.integers(0, 2, g.n, np.int8)
-        for _ in range(horizon):
+        for _ in range(played):
             want.random(g.n)
             want.random(g.n)
         assert rng.bit_generator.state == want.bit_generator.state
@@ -268,7 +286,7 @@ def full_recount_run(cfg, g, initial_strategies=None):
     invested = np.zeros(horizon, dtype=np.int64)
     absorbed_at = None
     for gen in range(horizon):
-        if deterministic and is_homogeneous(s):
+        if is_homogeneous(s):
             absorbed_at = gen
             coop[gen:] = game.coop_fraction(s)
             break
@@ -286,7 +304,8 @@ def full_recount_run(cfg, g, initial_strategies=None):
             invested[gen] = np.count_nonzero(eligible)
             scores = scores + np.where(eligible, theta, 0.0)
         if deterministic:
-            s = dynamics.step_deterministic(g, s, scores, rng)
+            switched = dynamics.step_deterministic(g, s, scores, rng)
+            s[switched] = np.where(s[switched] == C, D, C)
         else:
             u_pick = rng.random(g.n)
             u_copy = rng.random(g.n)

@@ -62,16 +62,29 @@ RUN_STOCH = {
     "run_seed": 9,
 }
 
+# Fermi POP run that absorbs into all-C at generation 4: like an
+# imitate-best run, it stops there and pays nothing more.
+RUN_STOCH_ABSORBS = {
+    "network": {"model": "DMS", "n": 200, "seed": 5},
+    "payoff": {"b": 1.6},
+    "update": {"rule": "stochastic", "K": 0.1},
+    "interference": {"schemes": ["POP"], "theta": 40, "p_c": 1.0},
+    "generations": 40,
+    "stats_window": 10,
+    "run_seed": 0,
+}
+
 TARGETS = "0.25,0.5,0.75,0.9"
 
 PINNED = {
     "run-absorbs": "4288e11d6260ed86d767b6d5c8a6868481b85c39c93f1e5fde2af6cdbbb34460",
+    "run-stoch-absorbs": "4128c8a12b82961bbc46725a5fd13c7edc0e3322a19cd54e02cc8eeddb2f5aec",
     "run-stoch": "0265ee0caeb4f9d8418c439499806c7cdb6923c4e7e5772386d258b9d99539f0",
     "baseline": "59d71217927a6eec2cd43bc32b59ac9de702ad806b516d9eb5574ba28bece13b",
     "sweep-ba": "506b7dff069e9bf9d158a9e3c23386907f1ff1c3fa06b07b5bb9008e673aabda",
     "frontier-ba": "bfa96e28d759ad7a863b637fdd3c5bf6565d6355bf67e8d5e9cb650a4e944955",
-    "sweep-dms": "3f655a16ffd44a1df7fe4019c70c8c06dd4c1ff32eaac131da9af0d5bb57328b",
-    "frontier-dms": "3f2694e14d82cda2239428fb4d250168d27975dc1b6b0469e273f9b5a875c96a",
+    "sweep-dms": "7fc0b923244707a91a56d76b1db893a8156302dfc69a9572dbb05bf50c416986",
+    "frontier-dms": "79c29dbdaa0f85932fe99b48409dadb22cad991048919bccb7c20cd11d8812f1",
 }
 
 
@@ -99,6 +112,13 @@ def test_run_trace_that_absorbs_early(tmp_path):
     meta = json.loads((tmp_path / "run-absorbs.csv.meta.json").read_text())
     assert meta["absorbed_at"] == 3
     assert sha256(out) == PINNED["run-absorbs"]
+
+
+def test_stochastic_run_trace_that_absorbs_early(tmp_path):
+    out = cli(tmp_path, "run", RUN_STOCH_ABSORBS, "run-stoch-absorbs")
+    meta = json.loads((tmp_path / "run-stoch-absorbs.csv.meta.json").read_text())
+    assert meta["absorbed_at"] == 4
+    assert sha256(out) == PINNED["run-stoch-absorbs"]
 
 
 def test_stochastic_neb_ni_trace(tmp_path):
