@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -298,7 +298,10 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
     """
     gseeds, tasks = _task_list(cfgs, master_seed, graphs, realisations)
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Looked up on the module, so the pool is imported on first use and
+        # a class assigned to engine.ProcessPoolExecutor is the one used.
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=jobs) as pool:
             per_task = list(pool.map(_point_graph_task, tasks, chunksize=1))
     else:
         per_task = [_point_graph_task(t) for t in tasks]
@@ -322,6 +325,16 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
             run_seeds=tuple(run_seeds),
         ))
     return summaries
+
+
+def __getattr__(name):
+    """Import the process pool on first use (PEP 562): a run that never
+    needs one never loads multiprocessing."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

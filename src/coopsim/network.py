@@ -160,24 +160,22 @@ class Graph:
 
 
 def generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
-    """Grow a BA graph: m0-node core joined by a single edge, then one node per
+    """Grow a BA graph: an m0-node path core (m0 - 1 edges), then one node per
     step attached to m distinct targets sampled proportionally to degree."""
     if config.model != BA:
         raise InvalidConfigError(f"generate_ba needs model=BA, got {config.model}")
     n, m0, m = config.n, config.m0, config.m
 
-    edges = [(i, i + 1) for i in range(m0 - 1)]  # minimal connected core
-    # One entry per degree unit; sampling uniformly from it is degree-proportional.
-    repeated = [u for e in edges for u in e]
+    # The edge list, flat: (u0, v0, u1, v1, ...). Each node appears once per
+    # degree unit, so sampling uniformly from it is degree-proportional.
+    ends = [u for i in range(m0 - 1) for u in (i, i + 1)]
     for new in range(m0, n):
         targets = set()
         while len(targets) < m:
-            targets.add(repeated[rng.integers(len(repeated))])
+            targets.add(ends[rng.integers(len(ends))])
         for t in sorted(targets):
-            edges.append((t, new))
-            repeated.append(t)
-            repeated.append(new)
-    return Graph.from_edges(n, edges, model=BA, seed=config.seed)
+            ends += (t, new)
+    return Graph.from_edges(n, np.array(ends, dtype=np.int64), model=BA, seed=config.seed)
 
 
 def generate_dms(config: NetworkConfig, rng: np.random.Generator) -> Graph:
@@ -187,12 +185,16 @@ def generate_dms(config: NetworkConfig, rng: np.random.Generator) -> Graph:
         raise InvalidConfigError(f"generate_dms needs model=DMS, got {config.model}")
     n = config.n
 
-    edges = [(0, 1), (0, 2), (1, 2)]
-    for new in range(3, n):
-        u, v = edges[rng.integers(len(edges))]
-        edges.append((u, new))
-        edges.append((v, new))
-    return Graph.from_edges(n, edges, model=DMS, seed=config.seed)
+    # Node k (k >= 3) finds 2k - 3 edges and picks one of them. The bounds
+    # are known in advance, so one call draws every pick, from the same
+    # stream as one call per node.
+    picks = rng.integers(0, np.arange(3, 2 * n - 3, 2)).tolist()
+    src, dst = [0, 0, 1], [1, 2, 2]
+    for new, k in zip(range(3, n), picks):
+        src += (src[k], dst[k])
+        dst += (new, new)
+    return Graph.from_edges(n, np.array((src, dst), dtype=np.int64).T,
+                            model=DMS, seed=config.seed)
 
 
 def generate(config: NetworkConfig, rng: np.random.Generator | None = None) -> Graph:

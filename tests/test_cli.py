@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coopsim
+from coopsim import engine
 from coopsim.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -622,3 +625,61 @@ class TestConsoleScript:
             [sys.executable, "-m", "coopsim.cli", "plot"],
             capture_output=True, text=True)
         assert proc.returncode == EXIT_USAGE
+
+
+class TestLazyPool:
+    """Only a sweep that runs more than one task on more than one job
+    imports the process pool."""
+
+    POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+    def test_serial_commands_never_import_the_pool(self, tmp_path):
+        payload = sweep_config(graphs=1, realisations=1)
+        sweep_cfg = write_config(tmp_path, payload, "sweep.json")
+        base_payload = {key: value for key, value in payload.items() if key != "grid"}
+        base_cfg = write_config(tmp_path, base_payload, "base.json")
+        run_payload = {key: payload[key] for key in
+                       ("network", "payoff", "update", "generations", "stats_window")}
+        run_cfg = write_config(tmp_path, run_payload, "run.json")
+        sweep_csv = str(tmp_path / "sweep.csv")
+        commands = [
+            ["gen-net", "--model", "dms", "--n", "30", "--seed", "1",
+             "--out", str(tmp_path / "g.json")],
+            ["run", "--config", run_cfg, "--out", str(tmp_path / "run.csv")],
+            ["baseline", "--config", base_cfg, "--out", str(tmp_path / "base.csv")],
+            ["sweep", "--config", sweep_cfg, "--out", sweep_csv, "--jobs", "1"],
+            ["frontier", "--in", sweep_csv, "--targets", "0.5",
+             "--out", str(tmp_path / "frontier.csv")],
+        ]
+        # A fresh interpreter: this one may have imported the pool already.
+        script = (
+            "import json, sys\n"
+            "from coopsim.cli import main\n"
+            f"for argv in json.loads({json.dumps(json.dumps(commands))}):\n"
+            "    assert main(argv) == 0, argv\n"
+            f"    loaded = [m for m in {self.POOL_MODULES!r} if m in sys.modules]\n"
+            "    assert not loaded, (argv[0], loaded)\n"
+        )
+        src = os.path.dirname(os.path.dirname(coopsim.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_parallel_sweep_uses_the_module_pool_class(self, tmp_path, monkeypatch):
+        made = []
+
+        class CountingPool(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+        cfg = write_config(tmp_path, sweep_config())
+        serial, parallel = tmp_path / "j1.csv", tmp_path / "j2.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(serial), "--jobs", "1"]) == EXIT_OK
+        assert made == []
+        assert main(["sweep", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == EXIT_OK
+        assert made == [2]
+        assert parallel.read_bytes() == serial.read_bytes()

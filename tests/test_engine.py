@@ -374,32 +374,42 @@ class TestCarriedCounts:
     @given(case=run_cases())
     def test_carried_counts_equal_a_fresh_count(self, case):
         g, cfg, initial = case
-        carried, seen = [], []
+        carried, record, seen = [], [], []
         count_neighbors = Graph.count_neighbors
         step_deterministic, step_stochastic = (dynamics.step_deterministic,
                                                dynamics.step_stochastic)
 
         def spy_count(graph, mask):
             # The run counts once, from the cooperator mask it carries, and
-            # then updates that mask and the counts in place.
+            # then updates that mask and the counts in place. The record is
+            # kept apart: a copy of the initial mask, flipped at the agents
+            # each step returns as switching.
             nc = count_neighbors(graph, mask)
             carried.extend([mask, nc])
+            record.append(mask.copy())
             return nc
 
         def check(g, s):
             is_coop, nc = carried
-            assert np.array_equal(is_coop, s == C)
-            assert np.array_equal(nc, count_neighbors(g, s == C))
-            seen.append(is_coop.copy())
+            want = record[0]
+            assert s is is_coop
+            assert np.array_equal(is_coop, want)
+            assert np.array_equal(nc, count_neighbors(g, want))
+            seen.append(want.copy())
+
+        def flip(switched):
+            want = record[0]
+            want[switched] = ~want[switched]
+            return switched
 
         def spy_deterministic(g, s, *rest):
             check(g, s)
-            return step_deterministic(g, s, *rest)
+            return flip(step_deterministic(g, s, *rest))
 
         def spy_stochastic(g, s, front, *rest):
             check(g, s)
-            assert np.array_equal(front, boundary(g, s))
-            return step_stochastic(g, s, front, *rest)
+            assert np.array_equal(front, boundary(g, record[0]))
+            return flip(step_stochastic(g, s, front, *rest))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Graph, "count_neighbors", spy_count)
