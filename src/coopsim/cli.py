@@ -285,11 +285,15 @@ def _summary_from_row(fields: list[str]) -> SweepSummary:
             theta=_float_or_none(theta), p_c=_float_or_none(p_c),
             n_c=_float_or_none(n_c), c_I=_float_or_none(c_I)),
     )
-    return SweepSummary(
-        config=cfg, replicates=int(replicates),
-        coop_mean=float(coop_mean), coop_std=float(coop_std),
-        cost_mean=float(cost_mean), cost_std=float(cost_std),
-        master_seed=int(master_seed), graph_seeds=(), run_seeds=())
+    stats = {"coop_mean": float(coop_mean), "coop_std": float(coop_std),
+             "cost_mean": float(cost_mean), "cost_std": float(cost_std)}
+    for name, value in stats.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if int(replicates) < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
+    return SweepSummary(config=cfg, replicates=int(replicates), **stats,
+                        master_seed=int(master_seed), graph_seeds=(), run_seeds=())
 
 
 def read_sweep_csv(path) -> list[SweepSummary]:

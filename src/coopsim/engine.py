@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics, game, interference, network
 from .dynamics import DETERMINISTIC, UpdateRuleConfig
-from .game import COOPERATE, PayoffParams
+from .game import COOPERATE, DEFECT, PayoffParams
 from .interference import InterferenceConfig
 from .network import Graph, NetworkConfig
 
@@ -122,7 +122,7 @@ def run_simulation(cfg: RunConfig, g: Graph,
     frozen state fills the rest of the trace so it always spans the full
     horizon. mean_coop averages the trailing stats_window generations.
 
-    The run carries the cooperator mask (initial_strategies, int8 C/D, are
+    The run carries the cooperator mask (initial_strategies, C/D only, are
     converted once), the number of cooperators and each node's count of
     cooperating neighbors (nc, counted once), updating them in place from
     the agents each step returns as switching: only they and their
@@ -154,7 +154,11 @@ def run_simulation(cfg: RunConfig, g: Graph,
         if len(initial_strategies) != g.n:
             raise ConfigMismatchError(
                 f"initial strategies have length {len(initial_strategies)}, graph has {g.n}")
-        is_coop = np.array(initial_strategies, dtype=np.int8) == COOPERATE
+        initial = np.asarray(initial_strategies)
+        if not np.isin(initial, (DEFECT, COOPERATE)).all():
+            raise ValueError("initial strategies must hold only DEFECT (0) and "
+                             "COOPERATE (1)")
+        is_coop = initial == COOPERATE
     else:
         is_coop = game.random_strategies(g.n, rng) == COOPERATE
     n_coop = int(np.count_nonzero(is_coop))
@@ -301,7 +305,9 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
         # Looked up on the module, so the pool is imported on first use and
         # a class assigned to engine.ProcessPoolExecutor is the one used.
         pool_class = sys.modules[__name__].ProcessPoolExecutor
-        with pool_class(max_workers=jobs) as pool:
+        # A fork pool starts every worker at the first submit: start no more
+        # than there are tasks.
+        with pool_class(max_workers=min(jobs, len(tasks))) as pool:
             per_task = list(pool.map(_point_graph_task, tasks, chunksize=1))
     else:
         per_task = [_point_graph_task(t) for t in tasks]
@@ -343,10 +349,6 @@ class FrontierRow:
 
     target: float
     summary: SweepSummary | None
-
-    @property
-    def reachable(self) -> bool:
-        return self.summary is not None
 
 
 def _frontier_key(summary: SweepSummary):

@@ -1,4 +1,4 @@
-"""One-shot weak Prisoner's Dilemma payoffs accumulated over graph neighborhoods.
+"""One-shot weak Prisoner's Dilemma payoffs summed over graph neighborhoods.
 
 Payoff matrix for the row player (C and D rows/columns):
 
@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .network import Graph
 
 COOPERATE = 1
 DEFECT = 0
@@ -36,17 +34,6 @@ def random_strategies(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.int8)
 
 
-def coop_fraction(s: np.ndarray) -> float:
-    return float(np.count_nonzero(s == COOPERATE)) / len(s)
-
-
-def pairwise_payoff(s_row: int, s_col: int, p: PayoffParams) -> float:
-    """Payoff of the row player in a single encounter."""
-    if s_col == DEFECT:
-        return 0.0
-    return 1.0 if s_row == COOPERATE else p.b
-
-
 def scores_from_counts(coop: np.ndarray, nc: np.ndarray, p: PayoffParams) -> np.ndarray:
     """Each node's summed payoff from its cooperator mask coop and its count
     of cooperating neighbors nc.
@@ -56,11 +43,3 @@ def scores_from_counts(coop: np.ndarray, nc: np.ndarray, p: PayoffParams) -> np.
     """
     # Indexed by the coop flag: b for a defector (False), 1 for a cooperator.
     return np.array([p.b, 1.0]).take(coop) * nc
-
-
-def accumulate_scores(g: Graph, s: np.ndarray, p: PayoffParams) -> np.ndarray:
-    """Sum of one-shot payoffs of each node against all its neighbors."""
-    if len(s) != g.n:
-        raise ValueError(f"strategy vector length {len(s)} != graph size {g.n}")
-    coop = s == COOPERATE
-    return scores_from_counts(coop, g.count_neighbors(coop), p)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import COOPERATE
 from .network import Graph
 
 POP = "POP"
@@ -70,54 +69,29 @@ class InterferenceConfig:
         return bool(self.schemes)
 
 
-def pop_eligible(s: np.ndarray, p_c: float) -> np.ndarray:
-    """All cooperators if the cooperator fraction is at most p_c, else nobody."""
-    coop = s == COOPERATE
-    return _pop(coop, np.count_nonzero(coop), p_c)
-
-
-def neb_eligible(g: Graph, s: np.ndarray, n_c: float) -> np.ndarray:
-    """Cooperators whose fraction of cooperating neighbors is at most n_c."""
-    coop = s == COOPERATE
-    return _neb(g, coop, g.count_neighbors(coop), n_c)
-
-
-def ni_eligible(percentile: np.ndarray, s: np.ndarray, c_I: float) -> np.ndarray:
-    """Cooperators whose degree percentile is at least c_I."""
-    return _ni(percentile, s == COOPERATE, c_I)
-
-
-def _pop(coop, n_coop, p_c):
-    return coop if n_coop / len(coop) <= p_c else np.zeros(len(coop), dtype=bool)
-
-
-def _neb(g, coop, nc, n_c):
-    return coop & (nc / g.degrees <= n_c)
-
-
-def _ni(percentile, coop, c_I):
-    return coop & (percentile >= c_I)
-
-
-def eligible_set(g: Graph, percentile: np.ndarray | None, coop: np.ndarray,
-                 nc: np.ndarray, n_coop: int, cfg: InterferenceConfig) -> np.ndarray:
+def eligible_set(g: Graph | None, percentile: np.ndarray | None, coop: np.ndarray,
+                 nc: np.ndarray | None, n_coop: int, cfg: InterferenceConfig) -> np.ndarray:
     """Boolean mask of nodes to pay this generation: cooperators meeting every
     active scheme's condition. An empty scheme set yields an empty mask.
 
     The population enters as its cooperator mask coop, the number of
     cooperators n_coop and each node's count of cooperating neighbors nc
     (g.count_neighbors(coop)), so a caller that carries them across
-    generations never recounts. percentile is the graph's
-    degree_percentiles, needed only when NI is active. Each node appears
+    generations never recounts. The mask is sized from coop: g and nc are
+    needed only when NEB is active, percentile (the graph's
+    degree_percentiles) only when NI is active. Each node appears
     once, so the endowment is paid at most once however many schemes it
     satisfies.
     """
-    out = np.ones(g.n, dtype=bool) if cfg.schemes else np.zeros(g.n, dtype=bool)
+    if not cfg.schemes:
+        return np.zeros(len(coop), dtype=bool)
+    out = coop.copy()
     for scheme in cfg.schemes:
         if scheme == POP:
-            out &= _pop(coop, n_coop, cfg.p_c)
+            # All or nothing: the global cooperator fraction decides for everyone.
+            out &= n_coop / len(coop) <= cfg.p_c
         elif scheme == NEB:
-            out &= _neb(g, coop, nc, cfg.n_c)
+            out &= nc / g.degrees <= cfg.n_c
         else:
-            out &= _ni(percentile, coop, cfg.c_I)
+            out &= percentile >= cfg.c_I
     return out

@@ -1,4 +1,4 @@
-"""Scale-free network generation and structural metrics.
+"""Scale-free network generation, degree percentiles and graph files.
 
 Two growth models are supported: classical preferential attachment (BA),
 which produces low clustering, and edge-duplication growth (DMS), which
@@ -65,12 +65,12 @@ class Graph:
 
     Neighbor ids are stored in CSR form (indptr/indices) with each node's
     neighbor list sorted ascending; rows holds the node each CSR entry
-    belongs to. edges holds the canonical (u < v) edge list. model/seed
-    record provenance when the graph was generated here.
+    belongs to. The CSR is the only copy of the edges: edges derives the
+    canonical (u < v) edge list from it. model/seed record provenance when
+    the graph was generated here.
     """
 
     n: int
-    edges: np.ndarray    # shape (E, 2), u < v, lexicographically sorted
     indptr: np.ndarray   # shape (n + 1,)
     indices: np.ndarray  # shape (2E,)
     rows: np.ndarray     # shape (2E,), nondecreasing: rows[k] owns indices[k]
@@ -105,18 +105,14 @@ class Graph:
         order = np.lexsort((both[:, 1], both[:, 0]))
         indices = both[order, 1]
 
-        g = cls(n=n, edges=canon, indptr=indptr, indices=indices,
+        g = cls(n=n, indptr=indptr, indices=indices,
                 rows=np.repeat(np.arange(n), degrees), degrees=degrees,
                 model=model, seed=seed)
         if not g._is_connected():
             raise InvalidConfigError("graph is not connected")
-        for arr in (g.edges, g.indptr, g.indices, g.rows, g.degrees):
+        for arr in (g.indptr, g.indices, g.rows, g.degrees):
             arr.setflags(write=False)
         return g
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbor ids of node i."""
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def neighbors_of(self, nodes: np.ndarray) -> np.ndarray:
         """The neighbor lists of nodes, concatenated in the order given."""
@@ -132,8 +128,16 @@ class Graph:
         return np.bincount(self.rows, weights=mask[self.indices], minlength=self.n)
 
     @property
+    def edges(self) -> np.ndarray:
+        """The canonical edge list, shape (E, 2): u < v, lexicographically
+        sorted. These are the CSR entries whose row is below its neighbor,
+        in CSR order."""
+        upper = self.rows < self.indices
+        return np.stack((self.rows[upper], self.indices[upper]), axis=1)
+
+    @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.indices.size // 2
 
     @property
     def average_degree(self) -> float:
@@ -206,18 +210,6 @@ def generate(config: NetworkConfig, rng: np.random.Generator | None = None) -> G
     return generate_dms(config, rng)
 
 
-def global_transitivity(g: Graph) -> float:
-    """3 * triangles / connected triples; 0 for graphs with no connected triple."""
-    degs = g.degrees.astype(np.int64)
-    triples = int(np.sum(degs * (degs - 1) // 2))
-    if triples == 0:
-        return 0.0
-    adj = [set(g.neighbors(i).tolist()) for i in range(g.n)]
-    # Each triangle is counted once per edge.
-    closed = sum(len(adj[u] & adj[v]) for u, v in g.edges)
-    return closed / triples
-
-
 def degree_percentiles(g: Graph) -> np.ndarray:
     """Read-only percentile rank of each node's degree: the fraction of other
     nodes with strictly lower degree."""
@@ -226,19 +218,6 @@ def degree_percentiles(g: Graph) -> np.ndarray:
     q = lower / (g.n - 1)
     q.setflags(write=False)
     return q
-
-
-def fit_degree_exponent(degrees, k_min: int = 2) -> float:
-    """Maximum-likelihood power-law exponent of a degree sequence.
-
-    Discrete MLE approximation: alpha = 1 + n / sum(ln(k / (k_min - 1/2)))
-    over degrees >= k_min.
-    """
-    k = np.asarray(degrees, dtype=np.float64)
-    k = k[k >= k_min]
-    if len(k) == 0:
-        raise ValueError(f"no degrees >= k_min={k_min}")
-    return 1.0 + len(k) / float(np.sum(np.log(k / (k_min - 0.5))))
 
 
 def save_graph(g: Graph, path) -> None:

@@ -1,6 +1,11 @@
+"""Shared test helpers: graph builders, hypothesis strategies, and the
+per-node and per-pair forms of library concepts that only tests use."""
+
 import numpy as np
 from hypothesis import strategies as st
 
+from coopsim.game import COOPERATE, DEFECT, PayoffParams, scores_from_counts
+from coopsim.interference import NEB, NI, POP, InterferenceConfig, eligible_set
 from coopsim.network import Graph
 
 
@@ -22,6 +27,86 @@ def random_connected_graph(n: int, rng: np.random.Generator,
     return Graph.from_edges(n, sorted(edges))
 
 
+def neighbors(g: Graph, i: int) -> np.ndarray:
+    """Sorted neighbor ids of node i."""
+    return g.indices[g.indptr[i]:g.indptr[i + 1]]
+
+
+def coop_fraction(s: np.ndarray) -> float:
+    return float(np.count_nonzero(s == COOPERATE)) / len(s)
+
+
+def pairwise_payoff(s_row: int, s_col: int, p: PayoffParams) -> float:
+    """Payoff of the row player in a single encounter."""
+    if s_col == DEFECT:
+        return 0.0
+    return 1.0 if s_row == COOPERATE else p.b
+
+
+def accumulate_scores(g: Graph, s: np.ndarray, p: PayoffParams) -> np.ndarray:
+    """Sum of one-shot payoffs of each node against all its neighbors, by the
+    library's neighbor count and scoring."""
+    if len(s) != g.n:
+        raise ValueError(f"strategy vector length {len(s)} != graph size {g.n}")
+    coop = s == COOPERATE
+    return scores_from_counts(coop, g.count_neighbors(coop), p)
+
+
+def eligible(g: Graph | None, percentile: np.ndarray | None, s: np.ndarray,
+             cfg: InterferenceConfig) -> np.ndarray:
+    """eligible_set on a population given by its strategy vector alone; g may
+    be None unless NEB is active."""
+    coop = s == COOPERATE
+    nc = None if g is None else g.count_neighbors(coop)
+    return eligible_set(g, percentile, coop, nc, int(np.count_nonzero(coop)), cfg)
+
+
+def pop_eligible(s: np.ndarray, p_c: float) -> np.ndarray:
+    """All cooperators if the cooperator fraction is at most p_c, else nobody."""
+    return eligible(None, None, s, InterferenceConfig(schemes=(POP,), theta=1.0, p_c=p_c))
+
+
+def neb_eligible(g: Graph, s: np.ndarray, n_c: float) -> np.ndarray:
+    """Cooperators whose fraction of cooperating neighbors is at most n_c."""
+    return eligible(g, None, s, InterferenceConfig(schemes=(NEB,), theta=1.0, n_c=n_c))
+
+
+def ni_eligible(percentile: np.ndarray, s: np.ndarray, c_I: float) -> np.ndarray:
+    """Cooperators whose degree percentile is at least c_I."""
+    return eligible(None, percentile, s,
+                    InterferenceConfig(schemes=(NI,), theta=1.0, c_I=c_I))
+
+
+def global_transitivity(g: Graph) -> float:
+    """3 * triangles / connected triples; 0 for graphs with no connected triple."""
+    degs = g.degrees.astype(np.int64)
+    triples = int(np.sum(degs * (degs - 1) // 2))
+    if triples == 0:
+        return 0.0
+    adj = [set(neighbors(g, i).tolist()) for i in range(g.n)]
+    # Each triangle is counted once per edge.
+    closed = sum(len(adj[u] & adj[v]) for u, v in g.edges)
+    return closed / triples
+
+
+def fit_degree_exponent(degrees, k_min: int = 2) -> float:
+    """Maximum-likelihood power-law exponent of a degree sequence.
+
+    Discrete MLE approximation: alpha = 1 + n / sum(ln(k / (k_min - 1/2)))
+    over degrees >= k_min.
+    """
+    k = np.asarray(degrees, dtype=np.float64)
+    k = k[k >= k_min]
+    if len(k) == 0:
+        raise ValueError(f"no degrees >= k_min={k_min}")
+    return 1.0 + len(k) / float(np.sum(np.log(k / (k_min - 0.5))))
+
+
+def reachable(row) -> bool:
+    """Whether a frontier row found a configuration reaching its target."""
+    return row.summary is not None
+
+
 def is_homogeneous(s: np.ndarray) -> bool:
     """True iff every agent holds the same strategy."""
     return bool(np.all(s == s[0]))
@@ -30,7 +115,7 @@ def is_homogeneous(s: np.ndarray) -> bool:
 def boundary(g: Graph, s: np.ndarray) -> np.ndarray:
     """Agents with at least one neighbor of the other strategy, by a
     per-node loop."""
-    return np.array([i for i in range(g.n) if np.any(s[g.neighbors(i)] != s[i])],
+    return np.array([i for i in range(g.n) if np.any(s[neighbors(g, i)] != s[i])],
                     dtype=np.int64)
 
 
@@ -45,7 +130,7 @@ def diameter(g: Graph) -> int:
         while frontier:
             nxt = []
             for u in frontier:
-                for v in g.neighbors(u):
+                for v in neighbors(g, u):
                     if dist[v] < 0:
                         dist[v] = dist[u] + 1
                         nxt.append(int(v))

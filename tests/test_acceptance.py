@@ -33,8 +33,6 @@ from coopsim.game import (
     COOPERATE,
     DEFECT,
     PayoffParams,
-    accumulate_scores,
-    pairwise_payoff,
     random_strategies,
 )
 from coopsim.interference import (
@@ -42,20 +40,27 @@ from coopsim.interference import (
     NI,
     POP,
     InterferenceConfig,
-    neb_eligible,
-    ni_eligible,
-    pop_eligible,
 )
 from coopsim.network import (
     BA,
     DMS,
     NetworkConfig,
     degree_percentiles,
-    fit_degree_exponent,
     generate,
 )
 
-from conftest import diameter, random_connected_graph
+from conftest import (
+    accumulate_scores,
+    diameter,
+    fit_degree_exponent,
+    global_transitivity,
+    neb_eligible,
+    neighbors,
+    ni_eligible,
+    pairwise_payoff,
+    pop_eligible,
+    random_connected_graph,
+)
 
 C, D = COOPERATE, DEFECT
 
@@ -78,7 +83,7 @@ class TestCriterion1:
             p = PayoffParams(b=[1.2, 1.8, 2.0][trial % 3])
             fast = accumulate_scores(g, s, p)
             oracle = np.array([
-                math.fsum(pairwise_payoff(s[i], s[j], p) for j in g.neighbors(i))
+                math.fsum(pairwise_payoff(s[i], s[j], p) for j in neighbors(g, i))
                 for i in range(n)
             ])
             mismatches += not np.array_equal(fast, oracle)
@@ -119,8 +124,6 @@ class TestCriterion2:
 class TestCriterion3:
     def test_network_structure(self):
         start = time.perf_counter()
-        from coopsim.network import global_transitivity
-
         ba, dms = [], []
         for seed in range(10):
             ba.append(generate(NetworkConfig(model=BA, n=2000, seed=3000 + seed)))

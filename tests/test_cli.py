@@ -28,6 +28,8 @@ from coopsim.cli import (
 from coopsim.engine import efficiency_frontier
 from coopsim.network import load_graph
 
+from conftest import reachable
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -524,7 +526,7 @@ class TestFrontier:
         rows = efficiency_frontier(summaries, [0.2, 0.9, 1.1])
         for line, row in zip(lines[1:], rows):
             status = line.split(",")[1]
-            assert status == ("ok" if row.reachable else "unreachable")
+            assert status == ("ok" if reachable(row) else "unreachable")
 
     def test_reserialisation_is_stable(self, tmp_path):
         cfg = write_config(tmp_path, sweep_config())
@@ -547,6 +549,25 @@ class TestFrontier:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert str(sweep_out) in err and "row 2" in err
+
+    @pytest.mark.parametrize("column,value", [("coop_mean", "nan"), ("coop_std", "inf"),
+                                              ("cost_mean", "-inf"), ("cost_std", "nan"),
+                                              ("replicates", "0"), ("replicates", "-3")])
+    def test_bad_statistic_names_file_and_row(self, tmp_path, capsys, column, value):
+        cfg = write_config(tmp_path, sweep_config())
+        sweep_out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(sweep_out)]) == EXIT_OK
+        lines = sweep_out.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[SWEEP_HEADER.split(",").index(column)] = value
+        lines[2] = ",".join(fields)
+        sweep_out.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "f.csv"
+        rc = main(["frontier", "--in", str(sweep_out), "--targets", "0.5", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(sweep_out) in err and "row 2" in err and column in err
+        assert not out.exists()
 
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
@@ -683,3 +704,34 @@ class TestLazyPool:
         assert main(["sweep", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == EXIT_OK
         assert made == [2]
         assert parallel.read_bytes() == serial.read_bytes()
+
+    def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
+        made = []
+
+        class SerialPool:
+            """Records its size and maps in this process: no worker starts."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        # one grid point on three graphs: three tasks
+        cfg = write_config(tmp_path, sweep_config(graphs=3, realisations=1,
+                                                  grid=[{"schemes": []}]))
+        serial = tmp_path / "j1.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(serial)]) == EXIT_OK
+        for jobs, workers in (("64", 3), ("3", 3), ("2", 2)):
+            out = tmp_path / f"j{jobs}.csv"
+            assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+            assert made.pop() == workers
+            assert out.read_bytes() == serial.read_bytes()
+        assert made == []

@@ -10,10 +10,17 @@ from coopsim.dynamics import (
     step_deterministic,
     step_stochastic,
 )
-from coopsim.game import COOPERATE, DEFECT, PayoffParams, accumulate_scores
+from coopsim.game import COOPERATE, DEFECT, PayoffParams
 from coopsim.network import Graph
 
-from conftest import boundary, connected_graphs, is_homogeneous, random_connected_graph
+from conftest import (
+    accumulate_scores,
+    boundary,
+    connected_graphs,
+    is_homogeneous,
+    neighbors,
+    random_connected_graph,
+)
 
 C, D = COOPERATE, DEFECT
 
@@ -30,7 +37,7 @@ def reference_step_deterministic(g, s, scores, u, order):
     """Oracle: per-node loop in an arbitrary node order, same per-node draws."""
     new_s = np.array(s, copy=True)
     for i in order:
-        nbrs = g.neighbors(i)
+        nbrs = neighbors(g, i)
         nbr_scores = scores[nbrs]
         best = nbr_scores.max()
         ties = nbrs[nbr_scores == best]
@@ -61,7 +68,7 @@ def fermi_step(g, s, scores, K, rng):
 def reference_step_stochastic(g, s, scores, K, u_pick, u_copy, order):
     new_s = np.array(s, copy=True)
     for i in order:
-        nbrs = g.neighbors(i)
+        nbrs = neighbors(g, i)
         j = nbrs[min(int(u_pick[i] * len(nbrs)), len(nbrs) - 1)]
         if u_copy[i] < fermi_probability(scores[i], scores[j], K):
             new_s[i] = s[j]
@@ -264,7 +271,7 @@ class TestStepStochastic:
                                             max_size=g.n)), dtype=np.int8)
             if kind == "agreeing":
                 i = data.draw(st.integers(0, g.n - 1))
-                s[g.neighbors(i)] = s[i]
+                s[neighbors(g, i)] = s[i]
         scores = np.array(data.draw(st.one_of(
             st.floats(0.0, 50.0).map(lambda x: [x] * g.n),
             st.lists(st.integers(0, 4).map(float), min_size=g.n, max_size=g.n),

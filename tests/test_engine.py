@@ -20,7 +20,18 @@ from coopsim.game import COOPERATE, DEFECT, PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
 from coopsim.network import BA, Graph, NetworkConfig, generate
 
-from conftest import boundary, connected_graphs, diameter, is_homogeneous
+from conftest import (
+    accumulate_scores,
+    boundary,
+    connected_graphs,
+    coop_fraction,
+    diameter,
+    is_homogeneous,
+    neb_eligible,
+    ni_eligible,
+    pop_eligible,
+    reachable,
+)
 
 C, D = COOPERATE, DEFECT
 
@@ -55,6 +66,14 @@ class TestRunSimulation:
         g = generate(NetworkConfig(model=BA, n=50, seed=0))
         with pytest.raises(ConfigMismatchError):
             run_simulation(ba_config(n=60), g)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_initial_strategies_other_than_c_or_d_rejected(self, bad):
+        g = generate(NetworkConfig(model=BA, n=100, seed=3))
+        initial = np.full(100, C, dtype=np.float64)
+        initial[7] = bad
+        with pytest.raises(ValueError, match="initial strategies"):
+            run_simulation(ba_config(), g, initial_strategies=initial)
 
     def test_all_defector_start_stays_and_costs_nothing(self):
         cfg = ba_config(interference=pop_cfg(theta=5.0, p_c=1.0))
@@ -288,19 +307,19 @@ def full_recount_run(cfg, g, initial_strategies=None):
     for gen in range(horizon):
         if is_homogeneous(s):
             absorbed_at = gen
-            coop[gen:] = game.coop_fraction(s)
+            coop[gen:] = coop_fraction(s)
             break
-        scores = game.accumulate_scores(g, s, cfg.payoff)
-        coop[gen] = game.coop_fraction(s)
+        scores = accumulate_scores(g, s, cfg.payoff)
+        coop[gen] = coop_fraction(s)
         if icfg.active:
             eligible = np.ones(g.n, dtype=bool)
             for scheme in icfg.schemes:
                 if scheme == POP:
-                    eligible &= interference.pop_eligible(s, icfg.p_c)
+                    eligible &= pop_eligible(s, icfg.p_c)
                 elif scheme == NEB:
-                    eligible &= interference.neb_eligible(g, s, icfg.n_c)
+                    eligible &= neb_eligible(g, s, icfg.n_c)
                 else:
-                    eligible &= interference.ni_eligible(percentile, s, icfg.c_I)
+                    eligible &= ni_eligible(percentile, s, icfg.c_I)
             invested[gen] = np.count_nonzero(eligible)
             scores = scores + np.where(eligible, theta, 0.0)
         if deterministic:
@@ -592,7 +611,7 @@ class TestEfficiencyFrontier:
     def test_unreachable_target_marked(self):
         summaries = [make_summary((POP,), 1.0, 0.9, 10.0, p_c=0.5)]
         rows = efficiency_frontier(summaries, [1.1])
-        assert not rows[0].reachable
+        assert not reachable(rows[0])
         assert rows[0].summary is None
 
     def test_zero_cost_configurations_excluded(self):

@@ -9,14 +9,18 @@ from coopsim.game import (
     COOPERATE,
     DEFECT,
     PayoffParams,
-    accumulate_scores,
-    coop_fraction,
-    pairwise_payoff,
     random_strategies,
 )
 from coopsim.network import Graph
 
-from conftest import connected_graphs, random_connected_graph
+from conftest import (
+    accumulate_scores,
+    connected_graphs,
+    coop_fraction,
+    neighbors,
+    pairwise_payoff,
+    random_connected_graph,
+)
 
 C, D = COOPERATE, DEFECT
 
@@ -24,7 +28,7 @@ C, D = COOPERATE, DEFECT
 def brute_force_scores(g, s, p):
     """Oracle: correctly-rounded sum of payoffs over every ordered neighbor pair."""
     return np.array([
-        math.fsum(pairwise_payoff(s[i], s[j], p) for j in g.neighbors(i))
+        math.fsum(pairwise_payoff(s[i], s[j], p) for j in neighbors(g, i))
         for i in range(g.n)
     ])
 
@@ -87,7 +91,7 @@ class TestAccumulateScores:
         p = PayoffParams(b=1.8)
         scores = accumulate_scores(g, s, p)
         for i in range(g.n):
-            c_nbrs = int(np.sum(s[g.neighbors(i)] == C))
+            c_nbrs = int(np.sum(s[neighbors(g, i)] == C))
             expected = float(c_nbrs) if s[i] == C else p.b * c_nbrs
             assert scores[i] == expected
 

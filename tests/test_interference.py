@@ -9,14 +9,18 @@ from coopsim.interference import (
     NI,
     POP,
     InterferenceConfig,
-    eligible_set,
-    neb_eligible,
-    ni_eligible,
-    pop_eligible,
 )
 from coopsim.network import BA, Graph, NetworkConfig, degree_percentiles, generate
 
-from conftest import connected_graphs, random_connected_graph
+from conftest import (
+    connected_graphs,
+    eligible,
+    neb_eligible,
+    neighbors,
+    ni_eligible,
+    pop_eligible,
+    random_connected_graph,
+)
 
 C, D = COOPERATE, DEFECT
 
@@ -27,13 +31,6 @@ def star_graph(leaves):
 
 def strategies(*vals):
     return np.array(vals, dtype=np.int8)
-
-
-def eligible(g, percentile, s, cfg):
-    """eligible_set on a population given by its strategy vector alone."""
-    coop = s == C
-    return eligible_set(g, percentile, coop, g.count_neighbors(coop),
-                        int(np.count_nonzero(coop)), cfg)
 
 
 def random_state(rng, n=25):
@@ -109,21 +106,6 @@ class TestNebEligible:
         s = strategies(C, C, C, C, D)  # center has 3/4 cooperating neighbors
         assert not neb_eligible(g, s, 0.5)[0]
 
-    @settings(max_examples=200, deadline=None)
-    @given(g=connected_graphs(),
-           n_c=st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]),
-                         st.floats(0.0, 1.0)),
-           data=st.data())
-    def test_matches_per_node_loop(self, g, n_c, data):
-        s = np.array(data.draw(st.lists(st.sampled_from([C, D]), min_size=g.n,
-                                        max_size=g.n)), dtype=np.int8)
-        expected = [
-            bool(s[i] == C)
-            and sum(int(s[j] == C) for j in g.neighbors(i)) / g.degrees[i] <= n_c
-            for i in range(g.n)
-        ]
-        assert neb_eligible(g, s, n_c).tolist() == expected
-
 
 class TestNiEligible:
     def test_zero_threshold_covers_every_cooperator(self):
@@ -160,7 +142,46 @@ class TestEligibleSet:
         cfg = InterferenceConfig(schemes=(POP,), theta=1.0, p_c=0.6)
         for _ in range(20):
             g, s = random_state(rng)
-            assert np.array_equal(eligible(g, None, s, cfg), pop_eligible(s, 0.6))
+            expected = s == C if np.mean(s == C) <= 0.6 else np.zeros(g.n, dtype=bool)
+            assert np.array_equal(eligible(g, None, s, cfg), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=connected_graphs(),
+           schemes=st.lists(st.sampled_from([POP, NEB, NI]), min_size=1, max_size=3,
+                            unique=True),
+           thresholds=st.lists(st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]),
+                                         st.floats(0.0, 1.0)),
+                               min_size=3, max_size=3),
+           data=st.data())
+    def test_matches_per_node_loop(self, g, schemes, thresholds, data):
+        """Every non-empty scheme set against the scheme table, node by node."""
+        s = np.array(data.draw(st.lists(st.sampled_from([C, D]), min_size=g.n,
+                                        max_size=g.n)), dtype=np.int8)
+        p_c, n_c, c_I = thresholds
+        cfg = InterferenceConfig(schemes=tuple(schemes), theta=1.0,
+                                 p_c=p_c if POP in schemes else None,
+                                 n_c=n_c if NEB in schemes else None,
+                                 c_I=c_I if NI in schemes else None)
+        degree = [len(neighbors(g, i)) for i in range(g.n)]
+        coop_fraction = sum(int(x == C) for x in s) / g.n
+
+        def pays(i):
+            if s[i] != C:
+                return False
+            if POP in schemes and not coop_fraction <= p_c:
+                return False
+            c_nbrs = sum(int(s[j] == C) for j in neighbors(g, i))
+            if NEB in schemes and not c_nbrs / degree[i] <= n_c:
+                return False
+            # percentile: the fraction of other nodes with strictly lower degree
+            lower = sum(1 for j in range(g.n) if j != i and degree[j] < degree[i])
+            if NI in schemes and not lower / (g.n - 1) >= c_I:
+                return False
+            return True
+
+        percentile = degree_percentiles(g) if NI in schemes else None
+        got = eligible(g, percentile, s, cfg)
+        assert got.tolist() == [pays(i) for i in range(g.n)]
 
     def test_neb_ni_conjunction(self):
         # cooperator in the bottom tail with an all-defector neighborhood:

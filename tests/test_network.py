@@ -10,21 +10,25 @@ from coopsim.network import (
     InvalidConfigError,
     NetworkConfig,
     degree_percentiles,
-    fit_degree_exponent,
     generate,
     generate_ba,
     generate_dms,
-    global_transitivity,
     load_graph,
     save_graph,
 )
 
-from conftest import diameter, random_connected_graph
+from conftest import (
+    diameter,
+    fit_degree_exponent,
+    global_transitivity,
+    neighbors,
+    random_connected_graph,
+)
 
 
 def brute_force_transitivity(g: Graph) -> float:
     """Oracle: enumerate all node triples and count edges among them."""
-    adj = [set(g.neighbors(i).tolist()) for i in range(g.n)]
+    adj = [set(neighbors(g, i).tolist()) for i in range(g.n)]
     triangles = 0
     triples = 0
     for i, j, k in itertools.combinations(range(g.n), 3):
@@ -48,10 +52,10 @@ def check_structure(g: Graph, n: int) -> None:
     assert g.degrees.min() >= 1
     # undirected: u in adj(v) iff v in adj(u); simple: sorted neighbor lists strictly increase
     for u in range(n):
-        nbrs = g.neighbors(u)
+        nbrs = neighbors(g, u)
         assert np.all(np.diff(nbrs) > 0)
         for v in nbrs:
-            assert u in g.neighbors(v)
+            assert u in neighbors(g, v)
             assert v != u
 
 
