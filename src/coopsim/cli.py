@@ -132,10 +132,11 @@ def parse_interference(payload: dict | None) -> InterferenceConfig:
     return _build(InterferenceConfig, payload, "interference")
 
 
-_RUN_KEYS = ("network", "payoff", "update", "interference",
-             "generations", "stats_window", "run_seed")
-_POINT_KEYS = ("network", "payoff", "update", "generations", "stats_window",
-               "graphs", "realisations", "master_seed")
+_RUN_KEYS = tuple(f.name for f in fields(RunConfig))
+# The run keys every point of a sweep shares: its grid group sets each
+# point's interference, and the master seed its run seeds.
+_SHARED_KEYS = tuple(key for key in _RUN_KEYS if key not in ("interference", "run_seed"))
+_POINT_KEYS = _SHARED_KEYS + ("graphs", "realisations", "master_seed")
 
 
 def _check_keys(payload: dict, allowed: tuple, where: str) -> None:
@@ -147,7 +148,6 @@ def _check_keys(payload: dict, allowed: tuple, where: str) -> None:
 def parse_run_config(payload: dict) -> RunConfig:
     """Build a RunConfig from its JSON object form."""
     _check_keys(payload, _RUN_KEYS, "run")
-    payload = dict(payload)
     net = payload.get("network")
     if isinstance(net, dict) and "graph_file" not in net:
         net = _build(NetworkConfig, net, "network")
@@ -159,16 +159,13 @@ def parse_run_config(payload: dict) -> RunConfig:
                               f"got {net!r}")
         if not os.path.isfile(net):
             raise ConfigError(f"network graph_file not found: {net!r}")
-    kwargs = {
+    return _build(RunConfig, {
+        **payload,
         "network": net,
         "payoff": _build(PayoffParams, payload.get("payoff", {}), "payoff"),
         "update": _build(UpdateRuleConfig, payload.get("update", {}), "update"),
         "interference": parse_interference(payload.get("interference")),
-    }
-    for key in ("generations", "stats_window", "run_seed"):
-        if key in payload:
-            kwargs[key] = payload[key]
-    return _build(RunConfig, kwargs, "run")
+    }, "run")
 
 
 def _as_list(key, value):
@@ -227,39 +224,41 @@ def resolve_master_seed(config: dict, where: str = "config") -> int:
 # ---------------------------------------------------------------------------
 # CSV serialisation
 
-def _interference_fields(icfg: InterferenceConfig) -> list[str]:
-    return ["+".join(icfg.schemes), _fmt(icfg.theta), _fmt(icfg.p_c),
-            _fmt(icfg.n_c), _fmt(icfg.c_I)]
+def _write(path, what: str, text: str) -> None:
+    """Write text to path; a failure is a RuntimeError naming what and path."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def _csv(header: str, rows) -> str:
+    return "".join(f"{line}\n" for line in (header, *rows))
 
 
 def _config_fields(cfg: RunConfig) -> list[str]:
-    net = cfg.network
-    model = net.model if isinstance(net, NetworkConfig) else GRAPH_FILE_MODEL
-    n = str(net.n) if isinstance(net, NetworkConfig) else ""
-    K = _fmt(cfg.update.K) if cfg.update.rule == STOCHASTIC else ""
-    return [model, n, _fmt(cfg.payoff.b), cfg.update.rule, K,
-            *_interference_fields(cfg.interference)]
-
-
-def summary_row(summary: SweepSummary) -> str:
-    return ",".join([
-        *_config_fields(summary.config),
-        str(summary.replicates),
-        _fmt(summary.coop_mean), _fmt(summary.coop_std),
-        _fmt(summary.cost_mean), _fmt(summary.cost_std),
-        str(summary.master_seed),
-    ])
+    net, icfg = cfg.network, cfg.interference
+    generated = isinstance(net, NetworkConfig)
+    return [net.model if generated else GRAPH_FILE_MODEL, str(net.n) if generated else "",
+            _fmt(cfg.payoff.b), cfg.update.rule,
+            _fmt(cfg.update.K) if cfg.update.rule == STOCHASTIC else "",
+            "+".join(icfg.schemes), _fmt(icfg.theta), _fmt(icfg.p_c), _fmt(icfg.n_c),
+            _fmt(icfg.c_I)]
 
 
 def write_sweep_csv(summaries: list[SweepSummary], path) -> None:
     """One row per parameter point under the fixed sweep header."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(SWEEP_HEADER + "\n")
-            for summary in summaries:
-                fh.write(summary_row(summary) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write sweep CSV {path}: {exc}") from exc
+    _write(path, "sweep CSV", _csv(SWEEP_HEADER, (
+        ",".join([*_config_fields(s.config), str(s.replicates),
+                  _fmt(s.coop_mean), _fmt(s.coop_std), _fmt(s.cost_mean), _fmt(s.cost_std),
+                  str(s.master_seed)])
+        for s in summaries)))
+
+
+# A sweep row's statistics are finite and at least 0; coop_mean, a
+# fraction of cooperators, is at most 1.
+_STAT_MAX = {"coop_mean": 1.0, "coop_std": np.inf, "cost_mean": np.inf, "cost_std": np.inf}
 
 
 def _float_or_none(field: str):
@@ -288,17 +287,18 @@ def _summary_from_row(fields: list[str]) -> SweepSummary:
     stats = {"coop_mean": float(coop_mean), "coop_std": float(coop_std),
              "cost_mean": float(cost_mean), "cost_std": float(cost_std)}
     for name, value in stats.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        high = _STAT_MAX[name]
+        if not (np.isfinite(value) and 0.0 <= value <= high):
+            raise ValueError(f"{name} must be finite and in [0, {high:g}], got {value!r}")
     if int(replicates) < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
     return SweepSummary(config=cfg, replicates=int(replicates), **stats,
-                        master_seed=int(master_seed), graph_seeds=(), run_seeds=())
+                        master_seed=int(master_seed))
 
 
 def read_sweep_csv(path) -> list[SweepSummary]:
-    """Parse a sweep CSV back into summaries (seeds beyond the master are not
-    kept). A missing file or a bad row is a ConfigError naming both."""
+    """Parse a sweep CSV back into summaries. A missing file or a bad row is
+    a ConfigError naming both."""
     try:
         with open(path) as fh:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -319,51 +319,30 @@ def read_sweep_csv(path) -> list[SweepSummary]:
 
 
 def write_frontier_csv(rows: list[FrontierRow], path) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(FRONTIER_HEADER + "\n")
-            for row in rows:
-                if row.summary is None:
-                    fields = [_fmt(row.target), "unreachable"] + [""] * 13
-                else:
-                    s = row.summary
-                    fields = [_fmt(row.target), "ok", *_config_fields(s.config),
-                              _fmt(s.coop_mean), _fmt(s.cost_mean), _fmt(s.cost_std),
-                              str(s.master_seed)]
-                fh.write(",".join(fields) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write frontier CSV {path}: {exc}") from exc
+    lines = []
+    for row in rows:
+        s = row.summary
+        if s is None:
+            fields = [_fmt(row.target), "unreachable"] + [""] * 13
+        else:
+            fields = [_fmt(row.target), "ok", *_config_fields(s.config),
+                      _fmt(s.coop_mean), _fmt(s.cost_mean), _fmt(s.cost_std),
+                      str(s.master_seed)]
+        lines.append(",".join(fields))
+    _write(path, "frontier CSV", _csv(FRONTIER_HEADER, lines))
 
 
 def write_trace_csv(result, path) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            for gen, (coop, invested, cost) in enumerate(
-                    zip(result.coop, result.invested, result.cost)):
-                fh.write(f"{gen},{_fmt(coop)},{invested},{_fmt(cost)}\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write trace CSV {path}: {exc}") from exc
-
-
-def _jsonable(obj):
-    if isinstance(obj, RunConfig):
-        d = asdict(obj)
-        if isinstance(obj.network, NetworkConfig):
-            d["network"] = asdict(obj.network)
-        return d
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+    _write(path, "trace CSV", _csv(TRACE_HEADER, (
+        f"{gen},{_fmt(coop)},{invested},{_fmt(cost)}"
+        for gen, (coop, invested, cost) in enumerate(
+            zip(result.coop, result.invested, result.cost)))))
 
 
 def write_meta(path, command: str, **payload) -> None:
     """Sibling provenance file for an output artifact."""
-    meta = {"tool": "coopsim", "version": __version__, "command": command}
-    meta.update(payload)
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, default=_jsonable)
-        fh.write("\n")
+    meta = {"tool": "coopsim", "version": __version__, "command": command, **payload}
+    _write(f"{path}.meta.json", "meta file", json.dumps(meta, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +353,7 @@ def _cmd_gen_net(args) -> int:
         "model": args.model.upper(), "n": args.n, "m0": args.m0, "m": args.m,
         "seed": args.seed,
     }, "network")
-    g = network.generate(cfg)
+    g = engine.graph_for(cfg)
     network.save_graph(g, args.out)
     write_meta(args.out, "gen-net", config=asdict(cfg),
                edges=g.n_edges, average_degree=g.average_degree)
@@ -384,13 +363,9 @@ def _cmd_gen_net(args) -> int:
 def _cmd_run(args) -> int:
     payload = apply_overrides(_load_json(args.config), args.set)
     cfg = parse_run_config(payload)
-    if isinstance(cfg.network, str):
-        g = network.load_graph(cfg.network)
-    else:
-        g = network.generate(cfg.network)
-    result = engine.run_simulation(cfg, g)
+    result = engine.run_simulation(cfg, engine.graph_for(cfg.network))
     write_trace_csv(result, args.out)
-    write_meta(args.out, "run", config=cfg, total_cost=result.total_cost,
+    write_meta(args.out, "run", config=asdict(cfg), total_cost=result.total_cost,
                mean_coop=result.mean_coop, absorbed_at=result.absorbed_at,
                final_state=result.final_state, run_seed=result.run_seed)
     return EXIT_OK
@@ -405,12 +380,6 @@ def _replication(payload: dict) -> tuple[int, int]:
             raise ConfigError(f"{key} must be a positive integer, got {value!r}")
         counts.append(value)
     return tuple(counts)
-
-
-def _base_payload(payload: dict) -> dict:
-    return {key: payload[key]
-            for key in ("network", "payoff", "update", "generations", "stats_window")
-            if key in payload}
 
 
 def _cmd_sweep(args) -> int:
@@ -428,7 +397,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError("sweep config needs a 'grid' list")
     master_seed = resolve_master_seed(payload)
     graphs, realisations = _replication(payload)
-    cfgs = expand_grid(_base_payload(payload), grid)
+    cfgs = expand_grid({key: payload[key] for key in _SHARED_KEYS if key in payload}, grid)
     generated = isinstance(cfgs[0].network, NetworkConfig)
     if graphs > 1 and not generated:
         raise ConfigError(f"graphs must be 1 for a graph-file network, got {graphs}: "
@@ -437,7 +406,7 @@ def _cmd_sweep(args) -> int:
                              realisations=realisations, jobs=args.jobs)
     write_sweep_csv(summaries, args.out)
     # A graph file is used as it is: no graph seed went into it.
-    graph_seeds = list(summaries[0].graph_seeds) if generated else []
+    graph_seeds = engine.graph_seeds_for(master_seed, graphs) if generated else []
     write_meta(args.out, args.command, config=payload, master_seed=master_seed,
                graph_seeds=graph_seeds, points=len(summaries),
                replicates_per_point=graphs * realisations, jobs=args.jobs)

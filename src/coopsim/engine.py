@@ -218,7 +218,10 @@ def run_simulation(cfg: RunConfig, g: Graph,
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """Mean/std of per-replicate cooperation and total cost at one grid point."""
+    """Mean/std of per-replicate cooperation and total cost at one grid
+    point: one sweep CSV row. Its graph seeds are graph_seeds_for(master_seed,
+    graphs); a replicate's run seed is derived from the point, graph and
+    realisation indices."""
 
     config: RunConfig
     replicates: int
@@ -227,8 +230,6 @@ class SweepSummary:
     cost_mean: float
     cost_std: float
     master_seed: int
-    graph_seeds: tuple
-    run_seeds: tuple
 
 
 def _sample_std(values: np.ndarray) -> float:
@@ -259,36 +260,24 @@ def _loaded(path: str, mtime_ns: int, size: int) -> Graph:
     return network.load_graph(path)
 
 
-def _graph_for(cfg: RunConfig, graph_seed: int) -> Graph:
-    if isinstance(cfg.network, NetworkConfig):
-        return _generated(replace(cfg.network, seed=graph_seed))
-    path = os.path.abspath(cfg.network)
+def graph_for(net: NetworkConfig | str) -> Graph:
+    """The graph a run on net plays on: generated from the config, seed
+    included, or read from the graph file at that path. The last graph of
+    each kind is kept, so consecutive runs on one graph build it once."""
+    if isinstance(net, NetworkConfig):
+        return _generated(net)
+    path = os.path.abspath(net)
     stat = os.stat(path)
     return _loaded(path, stat.st_mtime_ns, stat.st_size)
 
 
-def _point_graph_task(args):
-    """One (grid point, graph) cell: all realisations on one graph."""
-    cfg, graph_seed, run_seeds = args
-    g = _graph_for(cfg, graph_seed)
-    out = []
-    for run_seed in run_seeds:
-        result = run_simulation(replace(cfg, run_seed=run_seed), g)
-        out.append((result.mean_coop, result.total_cost))
-    return out
-
-
-def _task_list(cfgs, master_seed, graphs, realisations):
-    """(point, graph) tasks in graph-major order, so each worker builds each
-    graph at most once."""
-    gseeds = graph_seeds_for(master_seed, graphs)
-    tasks = []
-    for graph_idx, gseed in enumerate(gseeds):
-        for point_idx, cfg in enumerate(cfgs):
-            run_seeds = [derive_seed(master_seed, _RUN_STREAM, point_idx, graph_idx, r)
-                         for r in range(realisations)]
-            tasks.append((cfg, gseed, run_seeds))
-    return gseeds, tasks
+def _point_graph_task(args) -> np.ndarray:
+    """One (grid point, graph) cell: all realisations on one graph, as a
+    (realisations, 2) array of (mean_coop, total_cost)."""
+    cfg, run_seeds = args
+    g = graph_for(cfg.network)
+    results = (run_simulation(replace(cfg, run_seed=seed), g) for seed in run_seeds)
+    return np.array([(r.mean_coop, r.total_cost) for r in results])
 
 
 def sweep(cfgs: list[RunConfig], master_seed: int,
@@ -296,11 +285,19 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
           jobs: int = 1) -> list[SweepSummary]:
     """Evaluate every configuration over graphs x realisations replicates.
 
-    Tasks run graph-major and workers only parallelise independent
-    replicates; results are reduced in (point, graph, realisation) order,
-    so output is identical for any jobs.
+    Tasks are (point, graph) cells in graph-major order, so each worker
+    builds each graph at most once; a generated network's config carries its
+    graph seed. Workers only parallelise independent replicates, and each
+    point's replicates are reduced in (graph, realisation) order, so output
+    is identical for any jobs.
     """
-    gseeds, tasks = _task_list(cfgs, master_seed, graphs, realisations)
+    tasks = []
+    for graph_idx, graph_seed in enumerate(graph_seeds_for(master_seed, graphs)):
+        for point_idx, cfg in enumerate(cfgs):
+            if isinstance(cfg.network, NetworkConfig):
+                cfg = replace(cfg, network=replace(cfg.network, seed=graph_seed))
+            tasks.append((cfg, [derive_seed(master_seed, _RUN_STREAM, point_idx, graph_idx, r)
+                                for r in range(realisations)]))
     if jobs > 1 and len(tasks) > 1:
         # Looked up on the module, so the pool is imported on first use and
         # a class assigned to engine.ProcessPoolExecutor is the one used.
@@ -312,25 +309,16 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
     else:
         per_task = [_point_graph_task(t) for t in tasks]
 
-    summaries = []
-    for point_idx, cfg in enumerate(cfgs):
-        # Task graph_idx * len(cfgs) + point_idx holds this point on that graph.
-        cells = range(point_idx, len(tasks), len(cfgs))
-        run_seeds = [seed for k in cells for seed in tasks[k][2]]
-        coop = np.array([mean_coop for k in cells for mean_coop, _ in per_task[k]])
-        cost = np.array([total_cost for k in cells for _, total_cost in per_task[k]])
-        summaries.append(SweepSummary(
-            config=cfg,
-            replicates=len(coop),
-            coop_mean=float(coop.mean()),
-            coop_std=_sample_std(coop),
-            cost_mean=float(cost.mean()),
-            cost_std=_sample_std(cost),
-            master_seed=master_seed,
-            graph_seeds=tuple(gseeds),
-            run_seeds=tuple(run_seeds),
-        ))
-    return summaries
+    # graphs x points x realisations x (coop, cost) -> points x 2 x replicates,
+    # each statistic's replicates contiguous and graph-major: the summation
+    # order, and so the CSV bytes, depend on it.
+    stats = np.array(per_task).reshape(graphs, len(cfgs), realisations, 2)
+    stats = np.ascontiguousarray(stats.transpose(1, 3, 0, 2)).reshape(len(cfgs), 2, -1)
+    return [SweepSummary(config=cfg, replicates=coop.size,
+                         coop_mean=float(coop.mean()), coop_std=_sample_std(coop),
+                         cost_mean=float(cost.mean()), cost_std=_sample_std(cost),
+                         master_seed=master_seed)
+            for cfg, (coop, cost) in zip(cfgs, stats)]
 
 
 def __getattr__(name):

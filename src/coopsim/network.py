@@ -33,8 +33,8 @@ class GraphFileError(InvalidConfigError):
 class NetworkConfig:
     """Parameters for one generated network.
 
-    m0 and m only apply to the BA model; DMS always seeds from a triangle
-    and adds two edges per node.
+    m0 and m set the BA core and edges per node. DMS always seeds from a
+    triangle and adds two edges per node, so it takes only m0 = m = 2.
     """
 
     model: str
@@ -57,6 +57,12 @@ class NetworkConfig:
                 raise InvalidConfigError(f"BA needs 1 <= m <= m0, got m={self.m}, m0={self.m0}")
             if self.n < self.m0 + 1:
                 raise InvalidConfigError(f"BA needs n >= m0 + 1, got n={self.n}, m0={self.m0}")
+        else:
+            for key in ("m0", "m"):
+                if getattr(self, key) != 2:
+                    raise InvalidConfigError(
+                        f"DMS grows from a triangle by two edges per node: {key} must "
+                        f"be 2, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,18 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges, model=None, seed=None) -> "Graph":
-        """Build and structurally validate a graph from an undirected edge list."""
+        """Build and structurally validate a graph from an undirected edge
+        list: an integer array, or nested lists of ints. Any other endpoint
+        (a float, even a whole one, or a bool) is rejected, not converted."""
+        if isinstance(edges, np.ndarray):
+            integral = edges.dtype.kind in "iu"
+        else:
+            # Checked value by value: NumPy turns a bool listed beside ints
+            # into an int.
+            integral = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                           for v in np.array(edges, dtype=object).flat)
+        if not integral:
+            raise InvalidConfigError("edge endpoints must be integers")
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if n < 2 or len(edges) == 0:
             raise InvalidConfigError("graph needs at least 2 nodes and 1 edge")

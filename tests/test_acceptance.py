@@ -232,7 +232,7 @@ class TestCriterion8:
                 config=cfg, replicates=4,
                 coop_mean=float(rng.integers(0, 21)) / 20, coop_std=0.0,
                 cost_mean=float(rng.integers(0, 40)) * 5.0, cost_std=0.0,
-                master_seed=0, graph_seeds=(), run_seeds=()))
+                master_seed=0))
 
         targets = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, 1.1]
         rows = efficiency_frontier(summaries, targets)

@@ -70,6 +70,15 @@ class TestGenNet:
         assert meta["command"] == "gen-net"
         assert meta["config"]["seed"] == 7
 
+    @pytest.mark.parametrize("key", ["m0", "m"])
+    def test_dms_other_than_two_edges_per_node_rejected(self, tmp_path, capsys, key):
+        out = tmp_path / "g.json"
+        rc = main(["gen-net", "--model", "dms", "--n", "50", "--seed", "1",
+                   f"--{key}", "3", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"{key} must be 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_model_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen-net", "--model", "lattice", "--n", "10", "--seed", "1",
@@ -227,6 +236,8 @@ class TestBadGraphFile:
         "not-json": "not json\n",
         "no-edges": json.dumps({"n": 3}),
         "not-an-object": json.dumps([[0, 1], [1, 2]]),
+        "fractional-endpoint": json.dumps({"n": 3, "edges": [[0, 1.7], [1, 2.2]]}),
+        "boolean-endpoint": json.dumps({"n": 3, "edges": [[0, True], [1, 2]]}),
     }
 
     @pytest.mark.parametrize("content", sorted(CONTENT))
@@ -552,7 +563,10 @@ class TestFrontier:
 
     @pytest.mark.parametrize("column,value", [("coop_mean", "nan"), ("coop_std", "inf"),
                                               ("cost_mean", "-inf"), ("cost_std", "nan"),
-                                              ("replicates", "0"), ("replicates", "-3")])
+                                              ("replicates", "0"), ("replicates", "-3"),
+                                              ("coop_mean", "7.5"), ("coop_mean", "-0.1"),
+                                              ("coop_std", "-2"), ("cost_mean", "-10"),
+                                              ("cost_std", "-1")])
     def test_bad_statistic_names_file_and_row(self, tmp_path, capsys, column, value):
         cfg = write_config(tmp_path, sweep_config())
         sweep_out = tmp_path / "sweep.csv"
@@ -582,6 +596,33 @@ class TestFrontier:
         rc = main(["frontier", "--in", str(bad), "--targets", "0.5",
                    "--out", str(tmp_path / "f.csv")])
         assert rc == EXIT_USAGE
+
+
+class TestUnwritableOutput:
+    """Every output file goes through one writer: a failed write exits 1,
+    naming what was being written and where."""
+
+    def argv(self, tmp_path, command, out):
+        if command == "frontier":
+            sweep_out = tmp_path / "sweep.csv"
+            assert main(["sweep", "--config", write_config(tmp_path, sweep_config()),
+                         "--out", str(sweep_out)]) == EXIT_OK
+            return ["frontier", "--in", str(sweep_out), "--targets", "0.5", "--out", str(out)]
+        payload = run_config() if command == "run" else sweep_config()
+        return [command, "--config", write_config(tmp_path, payload), "--out", str(out)]
+
+    @pytest.mark.parametrize("command,what", [("run", "trace CSV"), ("sweep", "sweep CSV"),
+                                              ("frontier", "frontier CSV")])
+    def test_csv_in_missing_directory(self, tmp_path, capsys, command, what):
+        out = tmp_path / "missing" / "out.csv"
+        assert main(self.argv(tmp_path, command, out)) == EXIT_RUNTIME
+        assert f"cannot write {what} {out}" in capsys.readouterr().err
+
+    def test_meta_file_in_the_way(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        (tmp_path / "out.csv.meta.json").mkdir()
+        assert main(self.argv(tmp_path, "run", out)) == EXIT_RUNTIME
+        assert f"cannot write meta file {out}.meta.json" in capsys.readouterr().err
 
 
 class TestOverrides:

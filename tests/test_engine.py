@@ -447,11 +447,9 @@ class TestReplication:
         cfg = ba_config(n=60)
         summary = sweep([cfg], master_seed=5, graphs=2, realisations=3)[0]
         assert summary.replicates == 6
-        assert len(summary.graph_seeds) == 2
-        assert len(summary.run_seeds) == 6
         # recompute the replicate set by hand and compare the aggregate
         coops = []
-        for g_idx, gseed in enumerate(summary.graph_seeds):
+        for g_idx, gseed in enumerate(graph_seeds_for(5, 2)):
             g = generate(NetworkConfig(model=BA, n=60, seed=gseed))
             for r_idx in range(3):
                 rseed = derive_seed(5, 1, 0, g_idx, r_idx)
@@ -466,11 +464,20 @@ class TestReplication:
         b = sweep([cfg], master_seed=7, graphs=2, realisations=2)[0]
         assert a == b
 
-    def test_initial_states_differ_across_realisations(self):
+    def test_initial_states_differ_across_realisations(self, monkeypatch):
         cfg = ba_config(n=60, update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
                         generations=5, stats_window=5)
-        summary = sweep([cfg], master_seed=9, graphs=1, realisations=8)[0]
-        assert len(set(summary.run_seeds)) == 8
+        used = []
+        real_run = engine.run_simulation
+
+        def recording_run(run_cfg, g, *args, **kwargs):
+            used.append(run_cfg.run_seed)
+            return real_run(run_cfg, g, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_simulation", recording_run)
+        sweep([cfg], master_seed=9, graphs=1, realisations=8)
+        assert used == [derive_seed(9, 1, 0, 0, r) for r in range(8)]
+        assert len(set(used)) == 8
 
     def test_parallel_jobs_do_not_change_results(self):
         cfg = ba_config(n=60, interference=pop_cfg(theta=2.0, p_c=0.7))
@@ -484,13 +491,31 @@ class TestReplication:
         one = sweep([cfg], master_seed=3, graphs=2, realisations=2)[0]
         assert sweep([cfg, other], master_seed=3, graphs=2, realisations=2)[0] == one
 
+    def test_each_point_reduces_its_own_replicates(self):
+        cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(theta=2.0, p_c=0.5)),
+                ba_config(n=60, interference=pop_cfg(theta=5.0, p_c=0.8))]
+        summaries = sweep(cfgs, master_seed=17, graphs=2, realisations=3)
+        graphs = [generate(NetworkConfig(model=BA, n=60, seed=gseed))
+                  for gseed in graph_seeds_for(17, 2)]
+        for p_idx, (cfg, summary) in enumerate(zip(cfgs, summaries)):
+            # graph-major, as the sweep reduces them
+            results = [run_simulation(RunConfig(**{**cfg.__dict__, "run_seed": rseed}), g)
+                       for g_idx, g in enumerate(graphs)
+                       for rseed in (derive_seed(17, 1, p_idx, g_idx, r) for r in range(3))]
+            coop = np.array([r.mean_coop for r in results])
+            cost = np.array([r.total_cost for r in results])
+            assert summary.config == cfg
+            assert summary.replicates == 6
+            assert (summary.coop_mean, summary.coop_std) == (coop.mean(), np.std(coop, ddof=1))
+            assert (summary.cost_mean, summary.cost_std) == (cost.mean(), np.std(cost, ddof=1))
+
     def test_std_is_sample_std(self):
         cfg = ba_config(n=60, update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
                         generations=10, stats_window=5)
         summary = sweep([cfg], master_seed=21, graphs=2, realisations=3)[0]
         # reconstruct per-replicate values through the engine itself
         coops = []
-        for g_idx, gseed in enumerate(summary.graph_seeds):
+        for g_idx, gseed in enumerate(graph_seeds_for(21, 2)):
             g = generate(NetworkConfig(model=BA, n=60, seed=gseed))
             for r_idx in range(3):
                 rseed = derive_seed(21, 1, 0, g_idx, r_idx)
@@ -506,8 +531,7 @@ def make_summary(schemes, theta, coop_mean, cost_mean, p_c=None, n_c=None, c_I=N
                                         p_c=p_c, n_c=n_c, c_I=c_I),
     )
     return SweepSummary(config=cfg, replicates=4, coop_mean=coop_mean, coop_std=0.0,
-                        cost_mean=cost_mean, cost_std=1.0, master_seed=0,
-                        graph_seeds=(), run_seeds=())
+                        cost_mean=cost_mean, cost_std=1.0, master_seed=0)
 
 
 def brute_force_frontier(summaries, targets):

@@ -78,6 +78,8 @@ RUN_STOCH_ABSORBS = {
 }
 
 TARGETS = "0.25,0.5,0.75,0.9"
+# No configuration reaches a target above 1: its frontier row is unreachable.
+TARGETS_UNREACHABLE = "0.25,1.5"
 
 PINNED = {
     "run-absorbs": "4288e11d6260ed86d767b6d5c8a6868481b85c39c93f1e5fde2af6cdbbb34460",
@@ -88,6 +90,8 @@ PINNED = {
     "frontier-ba": "bfa96e28d759ad7a863b637fdd3c5bf6565d6355bf67e8d5e9cb650a4e944955",
     "sweep-dms": "7fc0b923244707a91a56d76b1db893a8156302dfc69a9572dbb05bf50c416986",
     "frontier-dms": "79c29dbdaa0f85932fe99b48409dadb22cad991048919bccb7c20cd11d8812f1",
+    "frontier-ba-unreachable":
+        "66db842341a052659fc59f1103bd84269c9f95e6748537fc637a11cdb9cedd49",
 }
 
 # gen-net graph files at seed 20230116, (model, n, m0, m) -> sha256. DMS n=3
@@ -123,9 +127,9 @@ def cli(tmp_path, command, payload, out_name, *extra):
     return out
 
 
-def frontier(tmp_path, sweep_csv, out_name):
+def frontier(tmp_path, sweep_csv, out_name, targets=TARGETS):
     out = tmp_path / f"{out_name}.csv"
-    assert main(["frontier", "--in", str(sweep_csv), "--targets", TARGETS,
+    assert main(["frontier", "--in", str(sweep_csv), "--targets", targets,
                  "--out", str(out)]) == EXIT_OK
     return out
 
@@ -159,6 +163,13 @@ def test_sweep_and_frontier_csvs(tmp_path, name, base):
     out = cli(tmp_path, "sweep", {**base, "grid": GRID}, f"sweep-{name}")
     assert sha256(out) == PINNED[f"sweep-{name}"]
     assert sha256(frontier(tmp_path, out, f"frontier-{name}")) == PINNED[f"frontier-{name}"]
+
+
+def test_frontier_with_an_unreachable_target(tmp_path):
+    out = cli(tmp_path, "sweep", {**DET_BA, "grid": GRID}, "sweep-ba")
+    rows = frontier(tmp_path, out, "frontier-ba-unreachable", TARGETS_UNREACHABLE)
+    assert rows.read_text().splitlines()[-1].startswith("1.5,unreachable,")
+    assert sha256(rows) == PINNED["frontier-ba-unreachable"]
 
 
 @pytest.mark.parametrize("model,n,m0,m", list(GRAPHS))

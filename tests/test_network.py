@@ -114,6 +114,9 @@ class TestGeneration:
             NetworkConfig(model="WS", n=10)
         with pytest.raises(InvalidConfigError):
             generate_ba(NetworkConfig(model=DMS, n=10), np.random.default_rng(0))
+        for key in ("m0", "m"):
+            with pytest.raises(InvalidConfigError, match=f"{key} must be 2, got 3"):
+                NetworkConfig(model=DMS, n=50, **{key: 3})
 
 
 class TestGraphValidation:
@@ -149,6 +152,15 @@ class TestGraphValidation:
             assert np.all(g.rows[g.indptr[i]:g.indptr[i + 1]] == i)
         with pytest.raises(ValueError):
             g.rows[0] = 1
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1.7], [1, 2.2]], [[0, True], [1, 2]], [[0, 1.0], [1, 2]], [0, False, 1, 2],
+        np.array([[0, 1], [1, 2]], dtype=float), np.array([[True, False]])],
+        ids=["fractional", "bool-among-ints", "whole-float", "flat-bool", "float-array",
+             "bool-array"])
+    def test_rejects_non_integer_endpoints(self, edges):
+        with pytest.raises(InvalidConfigError, match="integers"):
+            Graph.from_edges(3, edges)
 
     def test_rejects_isolated_node(self):
         with pytest.raises(InvalidConfigError):
