@@ -16,7 +16,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -59,12 +59,12 @@ def _fmt(x) -> str:
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     return payload
@@ -118,20 +118,6 @@ def _build(cls, payload: dict, where: str):
         raise ConfigError(f"bad {where} config: {exc}") from exc
 
 
-def parse_interference(payload: dict | None) -> InterferenceConfig:
-    if payload is None:
-        payload = {}
-    if not isinstance(payload, dict):
-        raise ConfigError(f"interference config must be an object, got {payload!r}")
-    payload = dict(payload)
-    if "schemes" in payload:
-        schemes = payload["schemes"]
-        if not (isinstance(schemes, list) and all(isinstance(x, str) for x in schemes)):
-            raise ConfigError(f"schemes must be a list of scheme names, got {schemes!r}")
-        payload["schemes"] = tuple(schemes)
-    return _build(InterferenceConfig, payload, "interference")
-
-
 _RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 # The run keys every point of a sweep shares: its grid group sets each
 # point's interference, and the master seed its run seeds.
@@ -145,26 +131,38 @@ def _check_keys(payload: dict, allowed: tuple, where: str) -> None:
         raise ConfigError(f"unknown {where} config keys: {unknown}")
 
 
+def _integer(key: str, value, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def parse_run_config(payload: dict) -> RunConfig:
-    """Build a RunConfig from its JSON object form."""
+    """Build a RunConfig from its JSON object form. network is a generator
+    object or {"graph_file": path}; update gives K only with the stochastic
+    rule, the one rule that reads it."""
     _check_keys(payload, _RUN_KEYS, "run")
     net = payload.get("network")
-    if isinstance(net, dict) and "graph_file" not in net:
-        net = _build(NetworkConfig, net, "network")
-    else:
-        if isinstance(net, dict):
-            net = net["graph_file"]
+    if isinstance(net, dict) and "graph_file" in net:
+        _check_keys(net, ("graph_file",), "network")
+        net = net["graph_file"]
         if not isinstance(net, str):
-            raise ConfigError("network must be an object or a graph_file path, "
-                              f"got {net!r}")
+            raise ConfigError(f"network graph_file must be a path, got {net!r}")
         if not os.path.isfile(net):
             raise ConfigError(f"network graph_file not found: {net!r}")
+    else:
+        net = _build(NetworkConfig, net, "network")
+    update = _build(UpdateRuleConfig, payload.get("update", {}), "update")
+    if "K" in payload.get("update", {}) and update.rule != STOCHASTIC:
+        raise ConfigError(f"bad update config: K is read only by the {STOCHASTIC} rule, "
+                          f"got rule {update.rule!r}")
     return _build(RunConfig, {
         **payload,
         "network": net,
         "payoff": _build(PayoffParams, payload.get("payoff", {}), "payoff"),
-        "update": _build(UpdateRuleConfig, payload.get("update", {}), "update"),
-        "interference": parse_interference(payload.get("interference")),
+        "update": update,
+        "interference": _build(InterferenceConfig, payload.get("interference", {}),
+                               "interference"),
     }, "run")
 
 
@@ -174,12 +172,13 @@ def _as_list(key, value):
     return value if isinstance(value, list) else [value]
 
 
-def expand_grid(base: dict, grid: list[dict]) -> list[RunConfig]:
-    """Expand grid groups into concrete configurations.
+def expand_grid(base: RunConfig, grid: list[dict]) -> list[RunConfig]:
+    """Expand grid groups into concrete configurations of base.
 
     Each group names a scheme set and per-parameter value lists; the group
-    expands to the cartesian product of the lists it provides. An empty
-    scheme set expands to the single baseline point.
+    expands to the cartesian product of the lists it provides, each point
+    base with that interference. An empty scheme set is base itself, the
+    single baseline point.
     """
     configs = []
     for group in grid:
@@ -194,31 +193,29 @@ def expand_grid(base: dict, grid: list[dict]) -> list[RunConfig]:
         if schemes == []:
             if axes:
                 raise ConfigError("baseline grid group cannot carry thresholds")
-            configs.append(parse_run_config({**base, "interference": {}}))
+            configs.append(base)
             continue
         names = sorted(axes)
         for values in itertools.product(*(axes[k] for k in names)):
             icfg = {"schemes": schemes, **dict(zip(names, values))}
-            configs.append(parse_run_config({**base, "interference": icfg}))
+            configs.append(replace(base, interference=_build(
+                InterferenceConfig, icfg, "interference")))
     if not configs:
         raise ConfigError("grid expanded to zero configurations")
     return configs
 
 
-def resolve_master_seed(config: dict, where: str = "config") -> int:
+def resolve_master_seed(config: dict) -> int:
     seed = config.get("master_seed")
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
         if env is None:
-            raise ConfigError(
-                f"no master_seed in {where} and {SEED_ENV_VAR} is not set")
+            raise ConfigError(f"no master_seed in config and {SEED_ENV_VAR} is not set")
         try:
             seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"master_seed must be a non-negative integer, got {seed!r}")
-    return seed
+    return _integer("master_seed", seed, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +368,6 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _replication(payload: dict) -> tuple[int, int]:
-    counts = []
-    for key, default in (("graphs", engine.DEFAULT_GRAPHS),
-                         ("realisations", engine.DEFAULT_REALISATIONS)):
-        value = payload.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
-        counts.append(value)
-    return tuple(counts)
-
-
 def _cmd_sweep(args) -> int:
     """sweep, or baseline: the same job over the bare grid [{"schemes": []}]."""
     if args.jobs < 1:
@@ -396,9 +382,15 @@ def _cmd_sweep(args) -> int:
         if not isinstance(grid, list):
             raise ConfigError("sweep config needs a 'grid' list")
     master_seed = resolve_master_seed(payload)
-    graphs, realisations = _replication(payload)
-    cfgs = expand_grid({key: payload[key] for key in _SHARED_KEYS if key in payload}, grid)
-    generated = isinstance(cfgs[0].network, NetworkConfig)
+    graphs = _integer("graphs", payload.get("graphs", engine.DEFAULT_GRAPHS), 1)
+    realisations = _integer("realisations",
+                            payload.get("realisations", engine.DEFAULT_REALISATIONS), 1)
+    base = parse_run_config({key: payload[key] for key in _SHARED_KEYS if key in payload})
+    if "seed" in payload["network"]:
+        raise ConfigError(f"{args.command} config sets network.seed: a sweep's graph "
+                          "seeds come from master_seed")
+    cfgs = expand_grid(base, grid)
+    generated = isinstance(base.network, NetworkConfig)
     if graphs > 1 and not generated:
         raise ConfigError(f"graphs must be 1 for a graph-file network, got {graphs}: "
                           "every replicate would run on the same graph")

@@ -43,13 +43,12 @@ def fermi_probability(f_a, f_b, K: float):
     """Probability that an agent with score f_a copies one with score f_b.
 
     Evaluates (1 + exp((f_a - f_b) / K))**-1, clipping the exponent so the
-    result saturates to 0/1 instead of overflowing. Works elementwise on
-    arrays and on scalars alike.
+    result saturates to 0/1 instead of overflowing. Works elementwise and
+    always returns an array, 0-d for scalar scores.
     """
     z = np.minimum(np.maximum((np.asarray(f_a, dtype=np.float64) - f_b) / K,
                               -_MAX_EXPONENT), _MAX_EXPONENT)
-    out = 1.0 / (1.0 + np.exp(z))
-    return float(out) if np.ndim(out) == 0 else out
+    return 1.0 / (1.0 + np.exp(z))
 
 
 def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,

@@ -243,32 +243,27 @@ def graph_seeds_for(master_seed: int, graphs: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _generated(net: NetworkConfig) -> Graph:
-    """The last generated graph of this process, keyed by its full config.
-
-    Tasks run graph-major, so consecutive tasks mostly share a graph. The
-    key includes the seed and graphs are immutable, so a hit is always the
-    graph network.generate would build again.
-    """
-    return network.generate(net)
-
-
-@functools.lru_cache(maxsize=1)
-def _loaded(path: str, mtime_ns: int, size: int) -> Graph:
-    """The last graph file this process loaded. The key holds the file's
-    modification time and size, so a rewritten file is read again."""
-    return network.load_graph(path)
+def _graph(net: NetworkConfig | str, stamp: tuple | None) -> Graph:
+    """The last graph this process built or loaded: generated from a config,
+    keyed by the full config (seed included), or read from an absolute file
+    path, whose stamp (modification time, size) makes a rewritten file read
+    again. Tasks run graph-major, so consecutive tasks mostly share a graph,
+    and graphs are immutable, so a hit is always the graph a rebuild would
+    give."""
+    if isinstance(net, NetworkConfig):
+        return network.generate(net)
+    return network.load_graph(net)
 
 
 def graph_for(net: NetworkConfig | str) -> Graph:
     """The graph a run on net plays on: generated from the config, seed
-    included, or read from the graph file at that path. The last graph of
-    each kind is kept, so consecutive runs on one graph build it once."""
+    included, or read from the graph file at that path. The last graph is
+    kept, so consecutive runs on one graph build it once."""
     if isinstance(net, NetworkConfig):
-        return _generated(net)
+        return _graph(net, None)
     path = os.path.abspath(net)
     stat = os.stat(path)
-    return _loaded(path, stat.st_mtime_ns, stat.st_size)
+    return _graph(path, (stat.st_mtime_ns, stat.st_size))
 
 
 def _point_graph_task(args) -> np.ndarray:

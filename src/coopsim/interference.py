@@ -42,6 +42,9 @@ class InterferenceConfig:
     c_I: float | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.schemes, (list, tuple))
+                and all(isinstance(x, str) for x in self.schemes)):
+            raise ValueError(f"schemes must be a list of scheme names, got {self.schemes!r}")
         schemes = tuple(dict.fromkeys(self.schemes))
         object.__setattr__(self, "schemes", schemes)
         for scheme in schemes:

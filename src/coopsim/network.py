@@ -106,21 +106,21 @@ class Graph:
         if np.any(edges[:, 0] == edges[:, 1]):
             raise InvalidConfigError("self-loops are not allowed")
 
-        canon = np.sort(edges, axis=1)
-        order = np.lexsort((canon[:, 1], canon[:, 0]))
-        canon = canon[order]
-        if len(canon) > 1 and np.any(np.all(canon[1:] == canon[:-1], axis=1)):
+        # Both directions of every edge, sorted by (row, neighbor): the CSR
+        # entries in order. An edge listed twice, in either direction, shows
+        # as two equal neighboring entries.
+        both = np.concatenate([edges, edges[:, ::-1]])
+        both = both[np.lexsort((both[:, 1], both[:, 0]))]
+        if np.any(np.all(both[1:] == both[:-1], axis=1)):
             raise InvalidConfigError("parallel edges are not allowed")
-
-        both = np.concatenate([canon, canon[:, ::-1]])
         degrees = np.bincount(both[:, 0], minlength=n)
         if degrees.min() < 1:
             raise InvalidConfigError("isolated node: every node needs degree >= 1")
 
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        indices = both[order, 1]
+        # A column of both is a strided view: copy it into its own array.
+        indices = np.ascontiguousarray(both[:, 1])
 
         g = cls(n=n, indptr=indptr, indices=indices,
                 rows=np.repeat(np.arange(n), degrees), degrees=degrees,

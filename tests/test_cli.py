@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from coopsim.cli import (
     apply_overrides,
     expand_grid,
     main,
+    parse_run_config,
     read_sweep_csv,
     write_sweep_csv,
 )
@@ -35,6 +37,14 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def graph_file(tmp_path):
+    """A BA n=60 graph file; its path as a str."""
+    gpath = tmp_path / "g.json"
+    assert main(["gen-net", "--model", "ba", "--n", "60", "--seed", "2",
+                 "--out", str(gpath)]) == EXIT_OK
+    return str(gpath)
 
 
 def sweep_config(**overrides):
@@ -366,6 +376,57 @@ class TestBadInputFailsFast:
         self.assert_usage_error(capsys, ["run", "--config", write_config(tmp_path, payload),
                                          "--out", str(tmp_path / "t.csv")], key)
 
+    def config_for(self, command, **overrides):
+        if command == "run":
+            return run_config(**overrides)
+        payload = sweep_config(graphs=1, **overrides)
+        if command == "baseline":
+            del payload["grid"]
+        return payload
+
+    def assert_rejected(self, tmp_path, capsys, command, payload, key):
+        out = tmp_path / "out.csv"
+        self.assert_usage_error(capsys, [command, "--config", write_config(tmp_path, payload),
+                                         "--out", str(out)], key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("n", 60), ("model", "BA"), ("bogus", 1)])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_key_beside_graph_file(self, tmp_path, capsys, command, key, value):
+        net = {"graph_file": graph_file(tmp_path), key: value}
+        self.assert_rejected(tmp_path, capsys, command,
+                             self.config_for(command, network=net), repr(key))
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_bare_graph_file_path(self, tmp_path, capsys, command):
+        self.assert_rejected(tmp_path, capsys, command,
+                             self.config_for(command, network=graph_file(tmp_path)), "network")
+
+    @pytest.mark.parametrize("command", ["sweep", "baseline"])
+    def test_sweep_network_seed_is_unread(self, tmp_path, capsys, command):
+        # A sweep's graph seeds come from master_seed.
+        payload = self.config_for(command, network={"model": "BA", "n": 60, "seed": 4})
+        self.assert_rejected(tmp_path, capsys, command, payload, "seed")
+
+    @pytest.mark.parametrize("update", [{"K": 0.2}, {"rule": "deterministic", "K": 0.2}])
+    @pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
+    def test_fermi_noise_without_the_fermi_rule(self, tmp_path, capsys, command, update):
+        self.assert_rejected(tmp_path, capsys, command,
+                             self.config_for(command, update=update), "K")
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(json.dumps(self.config_for(command)).encode()[:-1] + b"\xff}")
+        out = tmp_path / "out.csv"
+        self.assert_usage_error(capsys, [command, "--config", str(path), "--out", str(out)],
+                                str(path))
+        assert not out.exists()
+
 
 # Small, valid run and sweep configs touching every key; each property test
 # example breaks exactly one value.
@@ -380,7 +441,10 @@ PROPERTY_RUN = {
     "run_seed": 1,
 }
 PROPERTY_SWEEP = {
-    **{k: v for k, v in PROPERTY_RUN.items() if k not in ("interference", "run_seed")},
+    **{k: v for k, v in PROPERTY_RUN.items()
+       if k not in ("network", "interference", "run_seed")},
+    # A sweep's graph seeds come from master_seed: it takes no network seed.
+    "network": {k: v for k, v in PROPERTY_RUN["network"].items() if k != "seed"},
     "graphs": 1,
     "realisations": 1,
     "master_seed": 1,
@@ -649,9 +713,67 @@ class TestOverrides:
         assert "unknown" in capsys.readouterr().err
 
 
+_UNIT = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+def grid_axis(values):
+    return values | st.lists(values, min_size=1, max_size=2)
+
+
+@st.composite
+def grid_groups(draw):
+    """A valid grid group: the bare baseline group, or a scheme set with a
+    theta axis and one threshold axis per active scheme."""
+    schemes = draw(st.lists(st.sampled_from(["POP", "NEB", "NI"]), unique=True, max_size=3))
+    if not schemes:
+        return {"schemes": []}
+    group = {"schemes": schemes, "theta": draw(grid_axis(st.sampled_from([0.5, 1, 5.0])))}
+    for scheme, key in (("POP", "p_c"), ("NEB", "n_c"), ("NI", "c_I")):
+        if scheme in schemes:
+            group[key] = draw(grid_axis(_UNIT))
+    return group
+
+
+def grid_points(grid):
+    """The interference object of every point the grid names, in order."""
+    points = []
+    for group in grid:
+        axes = {k: v if isinstance(v, list) else [v] for k, v in group.items()
+                if k != "schemes"}
+        names = sorted(axes)
+        points += [{"schemes": group["schemes"], **dict(zip(names, values))}
+                   if group["schemes"] else {}
+                   for values in itertools.product(*(axes[k] for k in names))]
+    return points
+
+
 class TestGridExpansion:
+    SHARED = {"network": {"model": "BA", "n": 50}, "update": {"rule": "stochastic", "K": 0.2},
+              "generations": 12, "stats_window": 4}
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=st.lists(grid_groups(), min_size=1, max_size=3))
+    def test_every_point_parses_like_a_run(self, grid):
+        points = expand_grid(parse_run_config(self.SHARED), grid)
+        assert points == [parse_run_config({**self.SHARED, "interference": point})
+                          for point in grid_points(grid)]
+
+    def test_shared_keys_parsed_once_per_sweep(self, tmp_path, monkeypatch):
+        gpath = graph_file(tmp_path)
+        checked = []
+        isfile = os.path.isfile
+        monkeypatch.setattr(os.path, "isfile", lambda p: checked.append(p) or isfile(p))
+        payload = sweep_config(network={"graph_file": gpath}, graphs=1, realisations=1,
+                               grid=[{"schemes": []},
+                                     {"schemes": ["POP"], "theta": [1, 2, 5], "p_c": [0.5, 1.0]}])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 7
+        assert checked.count(gpath) == 1
+
     def test_cartesian_product(self):
-        base = {"network": {"model": "BA", "n": 50}}
+        base = parse_run_config({"network": {"model": "BA", "n": 50}})
         cfgs = expand_grid(base, [
             {"schemes": ["NEB", "NI"], "theta": [1, 2], "n_c": [0.2, 0.4], "c_I": 0.05},
         ])
@@ -662,13 +784,13 @@ class TestGridExpansion:
     def test_baseline_group_must_be_bare(self):
         from coopsim.cli import ConfigError
         with pytest.raises(ConfigError):
-            expand_grid({"network": {"model": "BA", "n": 50}},
+            expand_grid(parse_run_config({"network": {"model": "BA", "n": 50}}),
                         [{"schemes": [], "theta": [1.0]}])
 
     def test_unknown_grid_key_rejected(self):
         from coopsim.cli import ConfigError
         with pytest.raises(ConfigError):
-            expand_grid({"network": {"model": "BA", "n": 50}},
+            expand_grid(parse_run_config({"network": {"model": "BA", "n": 50}}),
                         [{"schemes": ["POP"], "theta": [1], "p_c": [1], "bogus": 3}])
 
 

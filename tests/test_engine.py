@@ -562,7 +562,7 @@ class TestGraphOnce:
             built.append(cfg.seed)
             return real_generate(cfg, *args, **kwargs)
 
-        engine._generated.cache_clear()
+        engine._graph.cache_clear()
         monkeypatch.setattr(network, "generate", counting_generate)
         cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(1.0, 0.5)),
                 ba_config(n=60, interference=pop_cfg(5.0, 0.8))]
@@ -571,9 +571,9 @@ class TestGraphOnce:
 
     def test_memo_never_serves_another_sweeps_graph(self):
         cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(2.0, 0.7))]
-        engine._generated.cache_clear()
+        engine._graph.cache_clear()
         fresh_a = sweep(cfgs, master_seed=31, graphs=2, realisations=2)
-        engine._generated.cache_clear()
+        engine._graph.cache_clear()
         b = sweep(cfgs, master_seed=32, graphs=2, realisations=2)
         a_after_b = sweep(cfgs, master_seed=31, graphs=2, realisations=2)
         a_again = sweep(cfgs, master_seed=31, graphs=2, realisations=2)
@@ -600,7 +600,7 @@ class TestGraphFileOnce:
             loads.append(p)
             return real_load(p)
 
-        engine._loaded.cache_clear()
+        engine._graph.cache_clear()
         monkeypatch.setattr(network, "load_graph", counting_load)
         summaries = sweep(self.graph_file_cfgs(path, 7), master_seed=3, graphs=1,
                           realisations=2)

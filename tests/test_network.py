@@ -128,6 +128,15 @@ class TestGraphValidation:
         with pytest.raises(InvalidConfigError):
             Graph.from_edges(3, [(0, 1), (1, 0), (1, 2)])
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 1)], [(2, 1), (0, 1), (1, 2)]])
+    def test_rejects_repeated_edge_in_any_order(self, edges):
+        with pytest.raises(InvalidConfigError, match="parallel"):
+            Graph.from_edges(3, edges)
+
+    def test_csr_arrays_are_contiguous(self):
+        g = generate(NetworkConfig(model=DMS, n=200, seed=1))
+        assert all(a.flags.c_contiguous for a in (g.indptr, g.indices, g.rows, g.degrees))
+
     def test_rejects_disconnected(self):
         with pytest.raises(InvalidConfigError):
             Graph.from_edges(4, [(0, 1), (2, 3)])
