@@ -21,11 +21,11 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import __version__, engine, network
-from .dynamics import STOCHASTIC, UpdateRuleConfig
+from .dynamics import UpdateRuleConfig
 from .engine import FrontierRow, RunConfig, SweepSummary
 from .game import PayoffParams
 from .interference import InterferenceConfig
-from .network import NetworkConfig
+from .network import ConfigError, NetworkConfig
 
 SWEEP_HEADER = ("model,n,b,update_rule,K,schemes,theta,p_c,n_c,c_I,"
                 "replicates,coop_mean,coop_std,cost_mean,cost_std,master_seed")
@@ -41,10 +41,6 @@ GRAPH_FILE_MODEL = "file"
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-class ConfigError(Exception):
-    """Malformed or inconsistent configuration input."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +135,7 @@ def _integer(key: str, value, low: int) -> int:
 
 def parse_run_config(payload: dict) -> RunConfig:
     """Build a RunConfig from its JSON object form. network is a generator
-    object or {"graph_file": path}; update gives K only with the stochastic
-    rule, the one rule that reads it."""
+    object or {"graph_file": path}."""
     _check_keys(payload, _RUN_KEYS, "run")
     net = payload.get("network")
     if isinstance(net, dict) and "graph_file" in net:
@@ -152,15 +147,11 @@ def parse_run_config(payload: dict) -> RunConfig:
             raise ConfigError(f"network graph_file not found: {net!r}")
     else:
         net = _build(NetworkConfig, net, "network")
-    update = _build(UpdateRuleConfig, payload.get("update", {}), "update")
-    if "K" in payload.get("update", {}) and update.rule != STOCHASTIC:
-        raise ConfigError(f"bad update config: K is read only by the {STOCHASTIC} rule, "
-                          f"got rule {update.rule!r}")
     return _build(RunConfig, {
         **payload,
         "network": net,
         "payoff": _build(PayoffParams, payload.get("payoff", {}), "payoff"),
-        "update": update,
+        "update": _build(UpdateRuleConfig, payload.get("update", {}), "update"),
         "interference": _build(InterferenceConfig, payload.get("interference", {}),
                                "interference"),
     }, "run")
@@ -177,8 +168,8 @@ def expand_grid(base: RunConfig, grid: list[dict]) -> list[RunConfig]:
 
     Each group names a scheme set and per-parameter value lists; the group
     expands to the cartesian product of the lists it provides, each point
-    base with that interference. An empty scheme set is base itself, the
-    single baseline point.
+    base with that interference. A bare group, {"schemes": []}, expands to
+    one point equal to base: the baseline point.
     """
     configs = []
     for group in grid:
@@ -190,11 +181,6 @@ def expand_grid(base: RunConfig, grid: list[dict]) -> list[RunConfig]:
                 if key in group}
         if group:
             raise ConfigError(f"unknown grid keys: {sorted(group)}")
-        if schemes == []:
-            if axes:
-                raise ConfigError("baseline grid group cannot carry thresholds")
-            configs.append(base)
-            continue
         names = sorted(axes)
         for values in itertools.product(*(axes[k] for k in names)):
             icfg = {"schemes": schemes, **dict(zip(names, values))}
@@ -238,8 +224,7 @@ def _config_fields(cfg: RunConfig) -> list[str]:
     net, icfg = cfg.network, cfg.interference
     generated = isinstance(net, NetworkConfig)
     return [net.model if generated else GRAPH_FILE_MODEL, str(net.n) if generated else "",
-            _fmt(cfg.payoff.b), cfg.update.rule,
-            _fmt(cfg.update.K) if cfg.update.rule == STOCHASTIC else "",
+            _fmt(cfg.payoff.b), cfg.update.rule, _fmt(cfg.update.K),
             "+".join(icfg.schemes), _fmt(icfg.theta), _fmt(icfg.p_c), _fmt(icfg.n_c),
             _fmt(icfg.c_I)]
 
@@ -275,7 +260,7 @@ def _summary_from_row(fields: list[str]) -> SweepSummary:
     cfg = RunConfig(
         network=net,
         payoff=PayoffParams(b=float(b)),
-        update=UpdateRuleConfig(rule=rule, K=float(K) if K else 0.1),
+        update=UpdateRuleConfig(rule=rule, K=_float_or_none(K)),
         interference=InterferenceConfig(
             schemes=tuple(schemes.split("+")) if schemes else (),
             theta=_float_or_none(theta), p_c=_float_or_none(p_c),
@@ -287,10 +272,8 @@ def _summary_from_row(fields: list[str]) -> SweepSummary:
         high = _STAT_MAX[name]
         if not (np.isfinite(value) and 0.0 <= value <= high):
             raise ValueError(f"{name} must be finite and in [0, {high:g}], got {value!r}")
-    if int(replicates) < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
-    return SweepSummary(config=cfg, replicates=int(replicates), **stats,
-                        master_seed=int(master_seed))
+    return SweepSummary(config=cfg, replicates=_integer("replicates", int(replicates), 1),
+                        **stats, master_seed=_integer("master_seed", int(master_seed), 0))
 
 
 def read_sweep_csv(path) -> list[SweepSummary]:
@@ -351,7 +334,7 @@ def _cmd_gen_net(args) -> int:
         "seed": args.seed,
     }, "network")
     g = engine.graph_for(cfg)
-    network.save_graph(g, args.out)
+    _write(args.out, "graph file", network.graph_json(g))
     write_meta(args.out, "gen-net", config=asdict(cfg),
                edges=g.n_edges, average_degree=g.average_degree)
     return EXIT_OK
@@ -466,7 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, network.GraphFileError) as exc:
+    except ConfigError as exc:
         print(f"coopsim: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

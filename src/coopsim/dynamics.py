@@ -26,17 +26,22 @@ _MAX_EXPONENT = 700.0
 class UpdateRuleConfig:
     """Update rule selection.
 
-    K is the Fermi noise amplitude (stochastic rule only).
+    K is the Fermi noise amplitude: required, and > 0, under the stochastic
+    rule, and None under imitate-best, which reads no noise.
     """
 
     rule: str = DETERMINISTIC
-    K: float = 0.1
+    K: float | None = None
 
     def __post_init__(self):
         if self.rule not in (DETERMINISTIC, STOCHASTIC):
             raise ValueError(f"unknown update rule: {self.rule!r}")
-        if self.rule == STOCHASTIC and not self.K > 0:
-            raise ValueError(f"Fermi noise K must be > 0, got {self.K}")
+        if self.rule == STOCHASTIC and (self.K is None or not self.K > 0):
+            raise ValueError(f"Fermi noise K must be > 0 under the {STOCHASTIC} rule, "
+                             f"got {self.K}")
+        if self.rule != STOCHASTIC and self.K is not None:
+            raise ValueError(f"K is read only by the {STOCHASTIC} rule, got K={self.K} "
+                             f"under rule {self.rule!r}")
 
 
 def fermi_probability(f_a, f_b, K: float):

@@ -6,8 +6,10 @@ Payoff matrix for the row player (C and D rows/columns):
     C   1    0
     D   b    0
 
-with temptation 1 < b <= 2. Strategies are stored as int8 vectors with
-COOPERATE = 1 and DEFECT = 0.
+with temptation 1 < b <= 2. A run carries its population as a boolean
+cooperator mask. The int8 labels COOPERATE = 1 and DEFECT = 0 are only the
+form initial strategies take: random_strategies returns them, and
+run_simulation's initial_strategies holds them.
 """
 
 from __future__ import annotations

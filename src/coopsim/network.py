@@ -20,13 +20,9 @@ DMS = "DMS"
 _MODELS = (BA, DMS)
 
 
-class InvalidConfigError(ValueError):
-    """Raised when a network configuration cannot produce a valid graph."""
-
-
-class GraphFileError(InvalidConfigError):
-    """Raised when a graph file cannot be read or holds no valid graph; the
-    message names the file."""
+class ConfigError(ValueError):
+    """Bad outside input: a config value, a sweep CSV row or a graph file.
+    The message names the key, the row or the file."""
 
 
 @dataclass(frozen=True)
@@ -45,22 +41,22 @@ class NetworkConfig:
 
     def __post_init__(self):
         if self.model not in _MODELS:
-            raise InvalidConfigError(f"unknown network model: {self.model!r}")
+            raise ValueError(f"unknown network model: {self.model!r}")
         if self.n < 3:
-            raise InvalidConfigError(f"need at least 3 nodes, got n={self.n}")
+            raise ValueError(f"need at least 3 nodes, got n={self.n}")
         if self.seed < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model == BA:
             if self.m0 < 2:
-                raise InvalidConfigError(f"BA initial core needs m0 >= 2, got {self.m0}")
+                raise ValueError(f"BA initial core needs m0 >= 2, got {self.m0}")
             if not 1 <= self.m <= self.m0:
-                raise InvalidConfigError(f"BA needs 1 <= m <= m0, got m={self.m}, m0={self.m0}")
+                raise ValueError(f"BA needs 1 <= m <= m0, got m={self.m}, m0={self.m0}")
             if self.n < self.m0 + 1:
-                raise InvalidConfigError(f"BA needs n >= m0 + 1, got n={self.n}, m0={self.m0}")
+                raise ValueError(f"BA needs n >= m0 + 1, got n={self.n}, m0={self.m0}")
         else:
             for key in ("m0", "m"):
                 if getattr(self, key) != 2:
-                    raise InvalidConfigError(
+                    raise ValueError(
                         f"DMS grows from a triangle by two edges per node: {key} must "
                         f"be 2, got {getattr(self, key)}")
 
@@ -97,14 +93,14 @@ class Graph:
             integral = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                            for v in np.array(edges, dtype=object).flat)
         if not integral:
-            raise InvalidConfigError("edge endpoints must be integers")
+            raise ValueError("edge endpoints must be integers")
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if n < 2 or len(edges) == 0:
-            raise InvalidConfigError("graph needs at least 2 nodes and 1 edge")
+            raise ValueError("graph needs at least 2 nodes and 1 edge")
         if edges.min() < 0 or edges.max() >= n:
-            raise InvalidConfigError("edge endpoint out of range")
+            raise ValueError("edge endpoint out of range")
         if np.any(edges[:, 0] == edges[:, 1]):
-            raise InvalidConfigError("self-loops are not allowed")
+            raise ValueError("self-loops are not allowed")
 
         # Both directions of every edge, sorted by (row, neighbor): the CSR
         # entries in order. An edge listed twice, in either direction, shows
@@ -112,10 +108,10 @@ class Graph:
         both = np.concatenate([edges, edges[:, ::-1]])
         both = both[np.lexsort((both[:, 1], both[:, 0]))]
         if np.any(np.all(both[1:] == both[:-1], axis=1)):
-            raise InvalidConfigError("parallel edges are not allowed")
+            raise ValueError("parallel edges are not allowed")
         degrees = np.bincount(both[:, 0], minlength=n)
         if degrees.min() < 1:
-            raise InvalidConfigError("isolated node: every node needs degree >= 1")
+            raise ValueError("isolated node: every node needs degree >= 1")
 
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
@@ -126,7 +122,7 @@ class Graph:
                 rows=np.repeat(np.arange(n), degrees), degrees=degrees,
                 model=model, seed=seed)
         if not g._is_connected():
-            raise InvalidConfigError("graph is not connected")
+            raise ValueError("graph is not connected")
         for arr in (g.indptr, g.indices, g.rows, g.degrees):
             arr.setflags(write=False)
         return g
@@ -180,11 +176,9 @@ class Graph:
         return bool(seen.all())
 
 
-def generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
+def _generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
     """Grow a BA graph: an m0-node path core (m0 - 1 edges), then one node per
     step attached to m distinct targets sampled proportionally to degree."""
-    if config.model != BA:
-        raise InvalidConfigError(f"generate_ba needs model=BA, got {config.model}")
     n, m0, m = config.n, config.m0, config.m
 
     # The edge list, flat: (u0, v0, u1, v1, ...). Each node appears once per
@@ -199,11 +193,9 @@ def generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
     return Graph.from_edges(n, np.array(ends, dtype=np.int64), model=BA, seed=config.seed)
 
 
-def generate_dms(config: NetworkConfig, rng: np.random.Generator) -> Graph:
+def _generate_dms(config: NetworkConfig, rng: np.random.Generator) -> Graph:
     """Grow a DMS graph: triangle seed, then each new node attaches to both
     endpoints of a uniformly chosen existing edge."""
-    if config.model != DMS:
-        raise InvalidConfigError(f"generate_dms needs model=DMS, got {config.model}")
     n = config.n
 
     # Node k (k >= 3) finds 2k - 3 edges and picks one of them. The bounds
@@ -223,8 +215,8 @@ def generate(config: NetworkConfig, rng: np.random.Generator | None = None) -> G
     if rng is None:
         rng = np.random.default_rng(config.seed)
     if config.model == BA:
-        return generate_ba(config, rng)
-    return generate_dms(config, rng)
+        return _generate_ba(config, rng)
+    return _generate_dms(config, rng)
 
 
 def degree_percentiles(g: Graph) -> np.ndarray:
@@ -237,33 +229,26 @@ def degree_percentiles(g: Graph) -> np.ndarray:
     return q
 
 
-def save_graph(g: Graph, path) -> None:
-    """Write graph JSON: {model, n, seed, edges}."""
-    payload = {
-        "model": g.model,
-        "n": g.n,
-        "seed": g.seed,
-        "edges": g.edges.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+def graph_json(g: Graph) -> str:
+    """The text of a graph file: one JSON line {model, n, seed, edges}."""
+    return json.dumps({"model": g.model, "n": g.n, "seed": g.seed,
+                       "edges": g.edges.tolist()}) + "\n"
 
 
 def load_graph(path) -> Graph:
     """Read and validate a graph JSON file. Any reason it holds no valid
-    graph is raised as a GraphFileError naming path."""
+    graph is raised as a ConfigError naming path."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise GraphFileError(f"cannot read graph file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
     if not (isinstance(payload, dict) and isinstance(payload.get("n"), int)
             and isinstance(payload.get("edges"), list)):
-        raise GraphFileError(f"graph file {path} must hold an object with an "
-                             "integer n and an edges list")
+        raise ConfigError(f"graph file {path} must hold an object with an "
+                          "integer n and an edges list")
     try:
         return Graph.from_edges(payload["n"], payload["edges"],
                                 model=payload.get("model"), seed=payload.get("seed"))
     except (TypeError, ValueError) as exc:
-        raise GraphFileError(f"bad graph file {path}: {exc}") from exc
+        raise ConfigError(f"bad graph file {path}: {exc}") from exc

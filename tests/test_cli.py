@@ -47,6 +47,14 @@ def graph_file(tmp_path):
     return str(gpath)
 
 
+def child_env():
+    """os.environ with the src directory of the coopsim under test first on
+    PYTHONPATH, so a child interpreter imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(coopsim.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def sweep_config(**overrides):
     payload = {
         "network": {"model": "BA", "n": 60},
@@ -115,6 +123,13 @@ class TestRun:
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
         assert meta["final_state"] in ("homogeneous-C", "homogeneous-D", "mixed")
         assert meta["run_seed"] == 5
+
+    def test_meta_records_no_noise_under_imitate_best(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--config", write_config(tmp_path, run_config()),
+                     "--out", str(out)]) == EXIT_OK
+        meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+        assert meta["config"]["update"] == {"rule": "deterministic", "K": None}
 
     def test_run_from_graph_file(self, tmp_path):
         gpath = tmp_path / "g.json"
@@ -414,6 +429,11 @@ class TestBadInputFailsFast:
         self.assert_rejected(tmp_path, capsys, command,
                              self.config_for(command, update=update), "K")
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
+    def test_fermi_rule_without_noise(self, tmp_path, capsys, command):
+        self.assert_rejected(tmp_path, capsys, command,
+                             self.config_for(command, update={"rule": "stochastic"}), "K")
+
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     @pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
     def test_unreadable_config_names_the_file(self, tmp_path, capsys, command, kind):
@@ -625,27 +645,37 @@ class TestFrontier:
         err = capsys.readouterr().err
         assert str(sweep_out) in err and "row 2" in err
 
-    @pytest.mark.parametrize("column,value", [("coop_mean", "nan"), ("coop_std", "inf"),
-                                              ("cost_mean", "-inf"), ("cost_std", "nan"),
-                                              ("replicates", "0"), ("replicates", "-3"),
-                                              ("coop_mean", "7.5"), ("coop_mean", "-0.1"),
-                                              ("coop_std", "-2"), ("cost_mean", "-10"),
-                                              ("cost_std", "-1")])
-    def test_bad_statistic_names_file_and_row(self, tmp_path, capsys, column, value):
+    def assert_row_rejected(self, tmp_path, capsys, columns, key):
+        """frontier on a sweep CSV whose row 2 has columns replaced exits 2,
+        naming the file, the row and key."""
         cfg = write_config(tmp_path, sweep_config())
         sweep_out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", cfg, "--out", str(sweep_out)]) == EXIT_OK
         lines = sweep_out.read_text().splitlines()
         fields = lines[2].split(",")
-        fields[SWEEP_HEADER.split(",").index(column)] = value
+        for column, value in columns.items():
+            fields[SWEEP_HEADER.split(",").index(column)] = value
         lines[2] = ",".join(fields)
         sweep_out.write_text("\n".join(lines) + "\n")
         out = tmp_path / "f.csv"
         rc = main(["frontier", "--in", str(sweep_out), "--targets", "0.5", "--out", str(out)])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
-        assert str(sweep_out) in err and "row 2" in err and column in err
+        assert f"{sweep_out} row 2: " in err and key in err.split("row 2: ", 1)[1]
         assert not out.exists()
+
+    @pytest.mark.parametrize("column,value", [("coop_mean", "nan"), ("coop_std", "inf"),
+                                              ("cost_mean", "-inf"), ("cost_std", "nan"),
+                                              ("replicates", "0"), ("replicates", "-3"),
+                                              ("coop_mean", "7.5"), ("coop_mean", "-0.1"),
+                                              ("coop_std", "-2"), ("cost_mean", "-10"),
+                                              ("cost_std", "-1"), ("master_seed", "-5")])
+    def test_bad_statistic_names_file_and_row(self, tmp_path, capsys, column, value):
+        self.assert_row_rejected(tmp_path, capsys, {column: value}, column)
+
+    @pytest.mark.parametrize("rule,K", [("deterministic", "0.5"), ("stochastic", "")])
+    def test_noise_only_under_the_fermi_rule(self, tmp_path, capsys, rule, K):
+        self.assert_row_rejected(tmp_path, capsys, {"update_rule": rule, "K": K}, "K")
 
     def test_missing_input_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
@@ -667,6 +697,8 @@ class TestUnwritableOutput:
     naming what was being written and where."""
 
     def argv(self, tmp_path, command, out):
+        if command == "gen-net":
+            return ["gen-net", "--model", "ba", "--n", "60", "--seed", "2", "--out", str(out)]
         if command == "frontier":
             sweep_out = tmp_path / "sweep.csv"
             assert main(["sweep", "--config", write_config(tmp_path, sweep_config()),
@@ -676,7 +708,8 @@ class TestUnwritableOutput:
         return [command, "--config", write_config(tmp_path, payload), "--out", str(out)]
 
     @pytest.mark.parametrize("command,what", [("run", "trace CSV"), ("sweep", "sweep CSV"),
-                                              ("frontier", "frontier CSV")])
+                                              ("frontier", "frontier CSV"),
+                                              ("gen-net", "graph file")])
     def test_csv_in_missing_directory(self, tmp_path, capsys, command, what):
         out = tmp_path / "missing" / "out.csv"
         assert main(self.argv(tmp_path, command, out)) == EXIT_RUNTIME
@@ -783,7 +816,7 @@ class TestGridExpansion:
 
     def test_baseline_group_must_be_bare(self):
         from coopsim.cli import ConfigError
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="theta"):
             expand_grid(parse_run_config({"network": {"model": "BA", "n": 50}}),
                         [{"schemes": [], "theta": [1.0]}])
 
@@ -800,14 +833,14 @@ class TestConsoleScript:
         proc = subprocess.run(
             [sys.executable, "-m", "coopsim.cli", "gen-net", "--model", "ba",
              "--n", "20", "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True)
+            env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert load_graph(out).n == 20
 
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "coopsim.cli", "plot"],
-            capture_output=True, text=True)
+            env=child_env(), capture_output=True, text=True)
         assert proc.returncode == EXIT_USAGE
 
 
@@ -844,10 +877,7 @@ class TestLazyPool:
             f"    loaded = [m for m in {self.POOL_MODULES!r} if m in sys.modules]\n"
             "    assert not loaded, (argv[0], loaded)\n"
         )
-        src = os.path.dirname(os.path.dirname(coopsim.__file__))
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 

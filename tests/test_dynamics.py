@@ -347,3 +347,10 @@ class TestUpdateRuleConfig:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
             UpdateRuleConfig(rule="majority")
+
+    def test_noise_belongs_to_the_fermi_rule_alone(self):
+        assert UpdateRuleConfig().K is None
+        with pytest.raises(ValueError, match="K must be > 0"):
+            UpdateRuleConfig(rule=STOCHASTIC)
+        with pytest.raises(ValueError, match="K is read only"):
+            UpdateRuleConfig(K=0.1)

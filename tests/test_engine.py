@@ -125,7 +125,7 @@ class TestRunSimulation:
         # absorbed_at is its first generation and nothing more is paid.
         # "takeover" starts mixed and reaches all-C through a large POP
         # endowment paid to every cooperator.
-        cfg = ba_config(update=UpdateRuleConfig(rule=rule, K=0.1),
+        cfg = ba_config(update=UpdateRuleConfig(rule=rule, K=0.1 if rule == STOCHASTIC else None),
                         interference=pop_cfg(theta=40.0, p_c=1.0),
                         generations=60, stats_window=10, run_seed=4)
         g = generate(NetworkConfig(model=BA, n=100, seed=5))
@@ -360,7 +360,8 @@ def run_cases(draw):
     cfg = RunConfig(
         network="oracle-graph.json",
         payoff=PayoffParams(b=draw(st.sampled_from([1.5, 2.0]) | st.floats(1.01, 2.0))),
-        update=UpdateRuleConfig(rule=rule, K=draw(st.sampled_from([0.1, 1.0]))),
+        update=UpdateRuleConfig(rule=rule, K=draw(st.sampled_from([0.1, 1.0]))
+                                if rule == STOCHASTIC else None),
         interference=icfg,
         generations=generations,
         stats_window=draw(st.integers(1, generations)),
@@ -592,7 +593,7 @@ class TestGraphFileOnce:
 
     def test_file_loaded_once_per_sweep(self, tmp_path, monkeypatch):
         path = tmp_path / "g.json"
-        network.save_graph(generate(NetworkConfig(model=BA, n=60, seed=1)), path)
+        path.write_text(network.graph_json(generate(NetworkConfig(model=BA, n=60, seed=1))))
         loads = []
         real_load = network.load_graph
 
@@ -609,8 +610,8 @@ class TestGraphFileOnce:
 
     def test_rewritten_file_is_read_again(self, tmp_path):
         path, other = tmp_path / "g.json", tmp_path / "other.json"
-        network.save_graph(generate(NetworkConfig(model=BA, n=60, seed=1)), path)
-        network.save_graph(generate(NetworkConfig(model=BA, n=80, seed=2)), other)
+        path.write_text(network.graph_json(generate(NetworkConfig(model=BA, n=60, seed=1))))
+        other.write_text(network.graph_json(generate(NetworkConfig(model=BA, n=80, seed=2))))
         cfgs = self.graph_file_cfgs(path, 3)
         first = sweep(cfgs, master_seed=3, graphs=1, realisations=2)
         path.write_bytes(other.read_bytes())
