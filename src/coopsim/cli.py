@@ -32,6 +32,7 @@ SWEEP_HEADER = ("model,n,b,update_rule,K,schemes,theta,p_c,n_c,c_I,"
 FRONTIER_HEADER = ("target,status,model,n,b,update_rule,K,schemes,theta,p_c,n_c,c_I,"
                    "coop_mean,cost_mean,cost_std,master_seed")
 TRACE_HEADER = "generation,coop_fraction,invested_count,generation_cost"
+_SWEEP_COLUMNS = SWEEP_HEADER.split(",")
 
 SEED_ENV_VAR = "COOPSIM_SEED"
 
@@ -243,37 +244,44 @@ def write_sweep_csv(summaries: list[SweepSummary], path) -> None:
 _STAT_MAX = {"coop_mean": 1.0, "coop_std": np.inf, "cost_mean": np.inf, "cost_std": np.inf}
 
 
-def _float_or_none(field: str):
-    return float(field) if field else None
-
-
 def _summary_from_row(fields: list[str]) -> SweepSummary:
-    (model, n, b, rule, K, schemes, theta, p_c, n_c, c_I,
-     replicates, coop_mean, coop_std, cost_mean, cost_std, master_seed) = fields
-    if model == GRAPH_FILE_MODEL:
-        if n:
-            raise ValueError(f"graph-file row has n={n!r}, expected it empty")
+    row = dict(zip(_SWEEP_COLUMNS, fields))
+
+    def number(key: str, kind=float, optional=False):
+        """The field under key as kind, or None when optional and empty. A
+        field that is not a kind is a ValueError naming key."""
+        text = row[key]
+        if optional and not text:
+            return None
+        try:
+            return kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{key} must be {noun}, got {text!r}") from None
+
+    if row["model"] == GRAPH_FILE_MODEL:
+        if row["n"]:
+            raise ValueError(f"graph-file row has n={row['n']!r}, expected it empty")
         # The CSV does not record the file's path, only that there was one.
         net = GRAPH_FILE_MODEL
     else:
-        net = NetworkConfig(model=model, n=int(n))
+        net = NetworkConfig(model=row["model"], n=number("n", int))
     cfg = RunConfig(
         network=net,
-        payoff=PayoffParams(b=float(b)),
-        update=UpdateRuleConfig(rule=rule, K=_float_or_none(K)),
+        payoff=PayoffParams(b=number("b")),
+        update=UpdateRuleConfig(rule=row["update_rule"], K=number("K", optional=True)),
         interference=InterferenceConfig(
-            schemes=tuple(schemes.split("+")) if schemes else (),
-            theta=_float_or_none(theta), p_c=_float_or_none(p_c),
-            n_c=_float_or_none(n_c), c_I=_float_or_none(c_I)),
+            schemes=tuple(row["schemes"].split("+")) if row["schemes"] else (),
+            **{key: number(key, optional=True) for key in ("theta", "p_c", "n_c", "c_I")}),
     )
-    stats = {"coop_mean": float(coop_mean), "coop_std": float(coop_std),
-             "cost_mean": float(cost_mean), "cost_std": float(cost_std)}
+    stats = {name: number(name) for name in _STAT_MAX}
     for name, value in stats.items():
         high = _STAT_MAX[name]
         if not (np.isfinite(value) and 0.0 <= value <= high):
             raise ValueError(f"{name} must be finite and in [0, {high:g}], got {value!r}")
-    return SweepSummary(config=cfg, replicates=_integer("replicates", int(replicates), 1),
-                        **stats, master_seed=_integer("master_seed", int(master_seed), 0))
+    return SweepSummary(config=cfg, **stats,
+                        replicates=_integer("replicates", number("replicates", int), 1),
+                        master_seed=_integer("master_seed", number("master_seed", int), 0))
 
 
 def read_sweep_csv(path) -> list[SweepSummary]:
@@ -289,7 +297,7 @@ def read_sweep_csv(path) -> list[SweepSummary]:
     summaries = []
     for row_no, line in enumerate(lines[1:], start=1):
         fields = line.split(",")
-        if len(fields) != len(SWEEP_HEADER.split(",")):
+        if len(fields) != len(_SWEEP_COLUMNS):
             raise ConfigError(f"{path} row {row_no}: malformed sweep CSV row {line!r}")
         try:
             summaries.append(_summary_from_row(fields))
@@ -329,12 +337,10 @@ def write_meta(path, command: str, **payload) -> None:
 # subcommands
 
 def _cmd_gen_net(args) -> int:
-    cfg = _build(NetworkConfig, {
-        "model": args.model.upper(), "n": args.n, "m0": args.m0, "m": args.m,
-        "seed": args.seed,
-    }, "network")
+    cfg = _build(NetworkConfig, {"model": args.model.upper(), "n": args.n,
+                                 "seed": args.seed}, "network")
     g = engine.graph_for(cfg)
-    _write(args.out, "graph file", network.graph_json(g))
+    _write(args.out, "graph file", network.graph_json(cfg, g))
     write_meta(args.out, "gen-net", config=asdict(cfg),
                edges=g.n_edges, average_degree=g.average_degree)
     return EXIT_OK
@@ -345,7 +351,11 @@ def _cmd_run(args) -> int:
     cfg = parse_run_config(payload)
     result = engine.run_simulation(cfg, engine.graph_for(cfg.network))
     write_trace_csv(result, args.out)
-    write_meta(args.out, "run", config=asdict(cfg), total_cost=result.total_cost,
+    # The config in the form run reads, so that it can be fed back.
+    config = asdict(cfg)
+    if not isinstance(cfg.network, NetworkConfig):
+        config["network"] = {"graph_file": cfg.network}
+    write_meta(args.out, "run", config=config, total_cost=result.total_cost,
                mean_coop=result.mean_coop, absorbed_at=result.absorbed_at,
                final_state=result.final_state, run_seed=result.run_seed)
     return EXIT_OK
@@ -411,12 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "on scale-free networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-net", help="generate a network and write graph JSON")
+    # No abbreviations: --m, a removed flag, must not read as --model.
+    p = sub.add_parser("gen-net", help="generate a network and write graph JSON",
+                       allow_abbrev=False)
     p.add_argument("--model", required=True, choices=["ba", "dms", "BA", "DMS"])
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--m0", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_net)
 

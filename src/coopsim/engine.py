@@ -43,10 +43,6 @@ _GRAPH_STREAM = 0
 _RUN_STREAM = 1
 
 
-class ConfigMismatchError(ValueError):
-    """Raised when a run configuration and the supplied graph disagree."""
-
-
 def derive_seed(master_seed: int, *path: int) -> int:
     """Deterministic 64-bit child seed for a (stream, counter...) path."""
     state = np.random.SeedSequence([master_seed, *path]).generate_state(2, np.uint32)
@@ -140,7 +136,7 @@ def run_simulation(cfg: RunConfig, g: Graph,
     """
     expected_n = cfg.network.n if isinstance(cfg.network, NetworkConfig) else None
     if expected_n is not None and g.n != expected_n:
-        raise ConfigMismatchError(f"graph has {g.n} nodes, config expects {expected_n}")
+        raise ValueError(f"graph has {g.n} nodes, config expects {expected_n}")
     if rng is None:
         rng = np.random.default_rng(cfg.run_seed)
 
@@ -152,7 +148,7 @@ def run_simulation(cfg: RunConfig, g: Graph,
 
     if initial_strategies is not None:
         if len(initial_strategies) != g.n:
-            raise ConfigMismatchError(
+            raise ValueError(
                 f"initial strategies have length {len(initial_strategies)}, graph has {g.n}")
         initial = np.asarray(initial_strategies)
         if not np.isin(initial, (DEFECT, COOPERATE)).all():

@@ -3,8 +3,8 @@
 Two growth models are supported: classical preferential attachment (BA),
 which produces low clustering, and edge-duplication growth (DMS), which
 produces the same degree exponent and mean degree but much higher
-clustering. Both yield connected simple graphs with average degree close
-to 4 at the default parameters.
+clustering. Both grow by two edges per new node and yield connected simple
+graphs with average degree close to 4.
 """
 
 from __future__ import annotations
@@ -27,16 +27,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Parameters for one generated network.
-
-    m0 and m set the BA core and edges per node. DMS always seeds from a
-    triangle and adds two edges per node, so it takes only m0 = m = 2.
-    """
+    """One generated network: its growth model, size and seed."""
 
     model: str
     n: int
-    m0: int = 2
-    m: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -46,19 +40,6 @@ class NetworkConfig:
             raise ValueError(f"need at least 3 nodes, got n={self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.model == BA:
-            if self.m0 < 2:
-                raise ValueError(f"BA initial core needs m0 >= 2, got {self.m0}")
-            if not 1 <= self.m <= self.m0:
-                raise ValueError(f"BA needs 1 <= m <= m0, got m={self.m}, m0={self.m0}")
-            if self.n < self.m0 + 1:
-                raise ValueError(f"BA needs n >= m0 + 1, got n={self.n}, m0={self.m0}")
-        else:
-            for key in ("m0", "m"):
-                if getattr(self, key) != 2:
-                    raise ValueError(
-                        f"DMS grows from a triangle by two edges per node: {key} must "
-                        f"be 2, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +49,7 @@ class Graph:
     Neighbor ids are stored in CSR form (indptr/indices) with each node's
     neighbor list sorted ascending; rows holds the node each CSR entry
     belongs to. The CSR is the only copy of the edges: edges derives the
-    canonical (u < v) edge list from it. model/seed record provenance when
-    the graph was generated here.
+    canonical (u < v) edge list from it.
     """
 
     n: int
@@ -77,14 +57,13 @@ class Graph:
     indices: np.ndarray  # shape (2E,)
     rows: np.ndarray     # shape (2E,), nondecreasing: rows[k] owns indices[k]
     degrees: np.ndarray  # shape (n,)
-    model: str | None = None
-    seed: int | None = None
 
     @classmethod
-    def from_edges(cls, n, edges, model=None, seed=None) -> "Graph":
+    def from_edges(cls, n, edges) -> "Graph":
         """Build and structurally validate a graph from an undirected edge
-        list: an integer array, or nested lists of ints. Any other endpoint
-        (a float, even a whole one, or a bool) is rejected, not converted."""
+        list of shape (E, 2): an integer array, or a list of [u, v] int
+        pairs. Any other endpoint (a float, even a whole one, or a bool) is
+        rejected, not converted."""
         if isinstance(edges, np.ndarray):
             integral = edges.dtype.kind in "iu"
         else:
@@ -94,7 +73,9 @@ class Graph:
                            for v in np.array(edges, dtype=object).flat)
         if not integral:
             raise ValueError("edge endpoints must be integers")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got shape {edges.shape}")
         if n < 2 or len(edges) == 0:
             raise ValueError("graph needs at least 2 nodes and 1 edge")
         if edges.min() < 0 or edges.max() >= n:
@@ -119,8 +100,7 @@ class Graph:
         indices = np.ascontiguousarray(both[:, 1])
 
         g = cls(n=n, indptr=indptr, indices=indices,
-                rows=np.repeat(np.arange(n), degrees), degrees=degrees,
-                model=model, seed=seed)
+                rows=np.repeat(np.arange(n), degrees), degrees=degrees)
         if not g._is_connected():
             raise ValueError("graph is not connected")
         for arr in (g.indptr, g.indices, g.rows, g.degrees):
@@ -177,20 +157,18 @@ class Graph:
 
 
 def _generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
-    """Grow a BA graph: an m0-node path core (m0 - 1 edges), then one node per
-    step attached to m distinct targets sampled proportionally to degree."""
-    n, m0, m = config.n, config.m0, config.m
-
+    """Grow a BA graph from the single edge (0, 1): each new node attaches to
+    2 distinct targets sampled proportionally to degree."""
     # The edge list, flat: (u0, v0, u1, v1, ...). Each node appears once per
     # degree unit, so sampling uniformly from it is degree-proportional.
-    ends = [u for i in range(m0 - 1) for u in (i, i + 1)]
-    for new in range(m0, n):
+    ends = [0, 1]
+    for new in range(2, config.n):
         targets = set()
-        while len(targets) < m:
+        while len(targets) < 2:
             targets.add(ends[rng.integers(len(ends))])
         for t in sorted(targets):
             ends += (t, new)
-    return Graph.from_edges(n, np.array(ends, dtype=np.int64), model=BA, seed=config.seed)
+    return Graph.from_edges(config.n, np.array(ends, dtype=np.int64).reshape(-1, 2))
 
 
 def _generate_dms(config: NetworkConfig, rng: np.random.Generator) -> Graph:
@@ -206,8 +184,7 @@ def _generate_dms(config: NetworkConfig, rng: np.random.Generator) -> Graph:
     for new, k in zip(range(3, n), picks):
         src += (src[k], dst[k])
         dst += (new, new)
-    return Graph.from_edges(n, np.array((src, dst), dtype=np.int64).T,
-                            model=DMS, seed=config.seed)
+    return Graph.from_edges(n, np.array((src, dst), dtype=np.int64).T)
 
 
 def generate(config: NetworkConfig, rng: np.random.Generator | None = None) -> Graph:
@@ -229,9 +206,10 @@ def degree_percentiles(g: Graph) -> np.ndarray:
     return q
 
 
-def graph_json(g: Graph) -> str:
-    """The text of a graph file: one JSON line {model, n, seed, edges}."""
-    return json.dumps({"model": g.model, "n": g.n, "seed": g.seed,
+def graph_json(config: NetworkConfig, g: Graph) -> str:
+    """The text of the graph file for g, generated from config: one JSON line
+    {model, n, seed, edges}."""
+    return json.dumps({"model": config.model, "n": g.n, "seed": config.seed,
                        "edges": g.edges.tolist()}) + "\n"
 
 
@@ -248,7 +226,6 @@ def load_graph(path) -> Graph:
         raise ConfigError(f"graph file {path} must hold an object with an "
                           "integer n and an edges list")
     try:
-        return Graph.from_edges(payload["n"], payload["edges"],
-                                model=payload.get("model"), seed=payload.get("seed"))
+        return Graph.from_edges(payload["n"], payload["edges"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad graph file {path}: {exc}") from exc

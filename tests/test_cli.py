@@ -80,21 +80,24 @@ class TestGenNet:
         rc = main(["gen-net", "--model", "dms", "--n", "200", "--seed", "7",
                    "--out", str(out)])
         assert rc == EXIT_OK
-        g = load_graph(out)
-        assert g.n == 200
-        assert g.model == "DMS"
-        assert g.seed == 7
+        assert load_graph(out).n == 200
+        # The file records the config it was generated from.
+        payload = json.loads(out.read_text())
+        assert (payload["model"], payload["n"], payload["seed"]) == ("DMS", 200, 7)
         meta = json.loads((tmp_path / "g.json.meta.json").read_text())
         assert meta["command"] == "gen-net"
         assert meta["config"]["seed"] == 7
 
     @pytest.mark.parametrize("key", ["m0", "m"])
     def test_dms_other_than_two_edges_per_node_rejected(self, tmp_path, capsys, key):
+        # Both models grow by two edges per node: gen-net has no flag to ask
+        # for another count, and --m does not abbreviate --model.
         out = tmp_path / "g.json"
-        rc = main(["gen-net", "--model", "dms", "--n", "50", "--seed", "1",
-                   f"--{key}", "3", "--out", str(out)])
-        assert rc == EXIT_USAGE
-        assert f"{key} must be 2" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-net", "--model", "dms", "--n", "50", "--seed", "1",
+                  f"--{key}", "3", "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: --{key} 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_model_is_usage_error(self, tmp_path, capsys):
@@ -130,6 +133,19 @@ class TestRun:
                      "--out", str(out)]) == EXIT_OK
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
         assert meta["config"]["update"] == {"rule": "deterministic", "K": None}
+
+    @pytest.mark.parametrize("network", ["generated", "graph-file"])
+    def test_meta_config_feeds_back(self, tmp_path, network):
+        net = ({"graph_file": graph_file(tmp_path)} if network == "graph-file"
+               else {"model": "DMS", "n": 60, "seed": 4})
+        first, again = tmp_path / "trace.csv", tmp_path / "again.csv"
+        assert main(["run", "--config", write_config(tmp_path, run_config(network=net)),
+                     "--out", str(first)]) == EXIT_OK
+        meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+        assert meta["config"]["network"] == net
+        assert main(["run", "--config", write_config(tmp_path, meta["config"], "meta.json"),
+                     "--out", str(again)]) == EXIT_OK
+        assert again.read_bytes() == first.read_bytes()
 
     def test_run_from_graph_file(self, tmp_path):
         gpath = tmp_path / "g.json"
@@ -263,6 +279,10 @@ class TestBadGraphFile:
         "not-an-object": json.dumps([[0, 1], [1, 2]]),
         "fractional-endpoint": json.dumps({"n": 3, "edges": [[0, 1.7], [1, 2.2]]}),
         "boolean-endpoint": json.dumps({"n": 3, "edges": [[0, True], [1, 2]]}),
+        # Edges are (u, v) pairs, not integer lists of any other shape.
+        "triple-edges": json.dumps({"n": 3, "edges": [[0, 1, 2], [1, 2, 0]]}),
+        "flat-edges": json.dumps({"n": 3, "edges": [0, 1, 1, 2]}),
+        "nested-edges": json.dumps({"n": 3, "edges": [[[0, 1]], [[1, 2]]]}),
     }
 
     @pytest.mark.parametrize("content", sorted(CONTENT))
@@ -383,6 +403,13 @@ class TestBadInputFailsFast:
                                          "--out", str(tmp_path / "s.csv")],
                                 "self_comparison")
 
+    @pytest.mark.parametrize("key", ["m0", "m"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_edges_per_node_is_not_a_knob(self, tmp_path, capsys, command, key):
+        payload = self.config_for(command)
+        payload["network"][key] = 2
+        self.assert_rejected(tmp_path, capsys, command, payload, repr(key))
+
     @pytest.mark.parametrize("key,value", [("composition", "any"),
                                            ("centrality", "degree_fraction")])
     def test_interference_mode_is_not_a_knob(self, tmp_path, capsys, key, value):
@@ -451,7 +478,7 @@ class TestBadInputFailsFast:
 # Small, valid run and sweep configs touching every key; each property test
 # example breaks exactly one value.
 PROPERTY_RUN = {
-    "network": {"model": "BA", "n": 20, "m0": 2, "m": 2, "seed": 3},
+    "network": {"model": "BA", "n": 20, "seed": 3},
     "payoff": {"b": 1.8},
     "update": {"rule": "stochastic", "K": 0.1},
     "interference": {"schemes": ["POP", "NEB", "NI"], "theta": 1.0,
@@ -516,8 +543,6 @@ _SHARED_KEYS = [
     (("network",), _NOT_OBJECT | st.none() | st.just("missing-graph.json")),
     (("network", "model"), bad_name(("BA", "DMS"))),
     (("network", "n"), bad_int(3)),
-    (("network", "m0"), bad_int(2, 19)),
-    (("network", "m"), bad_int(1, 2)),
     (("network", "seed"), bad_int(0)),
     (("network", "graph_file"), _NOT_STRING.filter(lambda v: not isinstance(v, str))
      | st.just("missing-graph.json")),
@@ -669,9 +694,11 @@ class TestFrontier:
                                               ("replicates", "0"), ("replicates", "-3"),
                                               ("coop_mean", "7.5"), ("coop_mean", "-0.1"),
                                               ("coop_std", "-2"), ("cost_mean", "-10"),
-                                              ("cost_std", "-1"), ("master_seed", "-5")])
+                                              ("cost_std", "-1"), ("master_seed", "-5"),
+                                              ("n", "6x0"), ("b", "1.8q"), ("theta", "x"),
+                                              ("replicates", "4.5"), ("master_seed", "seed")])
     def test_bad_statistic_names_file_and_row(self, tmp_path, capsys, column, value):
-        self.assert_row_rejected(tmp_path, capsys, {column: value}, column)
+        self.assert_row_rejected(tmp_path, capsys, {column: value}, f"{column} must be")
 
     @pytest.mark.parametrize("rule,K", [("deterministic", "0.5"), ("stochastic", "")])
     def test_noise_only_under_the_fermi_rule(self, tmp_path, capsys, rule, K):

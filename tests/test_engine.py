@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from coopsim import dynamics, engine, game, interference, network
 from coopsim.dynamics import DETERMINISTIC, STOCHASTIC, UpdateRuleConfig
 from coopsim.engine import (
-    ConfigMismatchError,
     FrontierRow,
     RunConfig,
     SweepSummary,
@@ -64,8 +63,13 @@ class TestDeriveSeed:
 class TestRunSimulation:
     def test_graph_size_mismatch_rejected(self):
         g = generate(NetworkConfig(model=BA, n=50, seed=0))
-        with pytest.raises(ConfigMismatchError):
+        with pytest.raises(ValueError, match="graph has 50 nodes, config expects 60"):
             run_simulation(ba_config(n=60), g)
+
+    def test_initial_strategies_length_mismatch_rejected(self):
+        g = generate(NetworkConfig(model=BA, n=50, seed=0))
+        with pytest.raises(ValueError, match="initial strategies have length 49"):
+            run_simulation(ba_config(n=50), g, initial_strategies=np.ones(49, dtype=np.int8))
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5])
     def test_initial_strategies_other_than_c_or_d_rejected(self, bad):
@@ -591,9 +595,12 @@ class TestGraphFileOnce:
                           generations=10, stats_window=5)
                 for k in range(points)]
 
+    def write_graph_file(self, path, cfg):
+        path.write_text(network.graph_json(cfg, generate(cfg)))
+
     def test_file_loaded_once_per_sweep(self, tmp_path, monkeypatch):
         path = tmp_path / "g.json"
-        path.write_text(network.graph_json(generate(NetworkConfig(model=BA, n=60, seed=1))))
+        self.write_graph_file(path, NetworkConfig(model=BA, n=60, seed=1))
         loads = []
         real_load = network.load_graph
 
@@ -610,8 +617,8 @@ class TestGraphFileOnce:
 
     def test_rewritten_file_is_read_again(self, tmp_path):
         path, other = tmp_path / "g.json", tmp_path / "other.json"
-        path.write_text(network.graph_json(generate(NetworkConfig(model=BA, n=60, seed=1))))
-        other.write_text(network.graph_json(generate(NetworkConfig(model=BA, n=80, seed=2))))
+        self.write_graph_file(path, NetworkConfig(model=BA, n=60, seed=1))
+        self.write_graph_file(other, NetworkConfig(model=BA, n=80, seed=2))
         cfgs = self.graph_file_cfgs(path, 3)
         first = sweep(cfgs, master_seed=3, graphs=1, realisations=2)
         path.write_bytes(other.read_bytes())

@@ -94,25 +94,30 @@ PINNED = {
         "66db842341a052659fc59f1103bd84269c9f95e6748537fc637a11cdb9cedd49",
 }
 
-# gen-net graph files at seed 20230116, (model, n, m0, m) -> sha256. DMS n=3
-# is the bare triangle and n=4 makes a single pick.
+# gen-net graph files at seed 20230116, (model, n) -> sha256. DMS n=3 is the
+# bare triangle and n=4 makes a single pick.
 GRAPHS = {
-    ("ba", 2000, 2, 2): "c366dfd0d11b86541f753beae159f66fa803b772805678b77a9fae2630ff2178",
-    ("ba", 500, 4, 3): "deea2b38ce14615ed35a41fded2b7f97508056578c607ca6f59e8bcdeeed5223",
-    ("dms", 5000, 2, 2): "d80708ae89153d7f0c28fdc0fca1f6e4924b75268b371351f5903e4260f86f88",
-    ("dms", 3, 2, 2): "8c3fd61f6784a010193bdbc790f14aa8a3efe118ff223cc8b50cdf504670a40b",
-    ("dms", 4, 2, 2): "07adde553ff3c4c8e88a0c6839aaea8d5b43a0f1f59c4b680257e488dc3231f9",
+    ("ba", 2000): "c366dfd0d11b86541f753beae159f66fa803b772805678b77a9fae2630ff2178",
+    ("dms", 5000): "d80708ae89153d7f0c28fdc0fca1f6e4924b75268b371351f5903e4260f86f88",
+    ("dms", 3): "8c3fd61f6784a010193bdbc790f14aa8a3efe118ff223cc8b50cdf504670a40b",
+    ("dms", 4): "07adde553ff3c4c8e88a0c6839aaea8d5b43a0f1f59c4b680257e488dc3231f9",
 }
 
 # The draw that follows network.generate(cfg, rng) at seed 7 on a
 # default_rng(7) stream: growth must leave a shared stream where it did.
 NEXT_DRAW = {
-    ("ba", 2000, 2, 2): 0.5639723423952818,
-    ("ba", 500, 4, 3): 0.052391757017708374,
-    ("dms", 5000, 2, 2): 0.8117797317002403,
-    ("dms", 3, 2, 2): 0.625095466604667,
-    ("dms", 4, 2, 2): 0.8972138009695755,
+    ("ba", 2000): 0.5639723423952818,
+    ("dms", 5000): 0.8117797317002403,
+    ("dms", 3): 0.625095466604667,
+    ("dms", 4): 0.8972138009695755,
 }
+
+
+def graph_ids(keys):
+    """Test ids model-n-2-2. The trailing 2-2 is the BA core size and the
+    edges per node, both 2 in every pin, from when they were config keys; the
+    ids keep it so each pin keeps its name."""
+    return [f"{model}-{n}-2-2" for model, n in keys]
 
 
 def sha256(path):
@@ -172,16 +177,16 @@ def test_frontier_with_an_unreachable_target(tmp_path):
     assert sha256(rows) == PINNED["frontier-ba-unreachable"]
 
 
-@pytest.mark.parametrize("model,n,m0,m", list(GRAPHS))
-def test_gen_net_graph_file(tmp_path, model, n, m0, m):
+@pytest.mark.parametrize("model,n", list(GRAPHS), ids=graph_ids(GRAPHS))
+def test_gen_net_graph_file(tmp_path, model, n):
     out = tmp_path / f"{model}-{n}.json"
     assert main(["gen-net", "--model", model, "--n", str(n), "--seed", "20230116",
-                 "--m0", str(m0), "--m", str(m), "--out", str(out)]) == EXIT_OK
-    assert sha256(out) == GRAPHS[model, n, m0, m]
+                 "--out", str(out)]) == EXIT_OK
+    assert sha256(out) == GRAPHS[model, n]
 
 
-@pytest.mark.parametrize("model,n,m0,m", list(NEXT_DRAW))
-def test_generate_leaves_an_explicit_stream_where_it_was(model, n, m0, m):
+@pytest.mark.parametrize("model,n", list(NEXT_DRAW), ids=graph_ids(NEXT_DRAW))
+def test_generate_leaves_an_explicit_stream_where_it_was(model, n):
     rng = np.random.default_rng(7)
-    network.generate(NetworkConfig(model=model.upper(), n=n, m0=m0, m=m, seed=7), rng)
-    assert rng.random() == NEXT_DRAW[model, n, m0, m]
+    network.generate(NetworkConfig(model=model.upper(), n=n, seed=7), rng)
+    assert rng.random() == NEXT_DRAW[model, n]

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestGeneration:
         assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_ba_edge_count_formula(self):
-        # |E| = 1 + m * (n - m0) with the single-edge two-node core
+        # |E| = 1 + 2 * (n - 2): the edge (0, 1), then two edges per new node
         for n in (10, 500, 5000):
             g = generate(NetworkConfig(model=BA, n=n, seed=n))
             assert g.n_edges == 1 + 2 * (n - 2)
@@ -104,14 +105,13 @@ class TestGeneration:
         with pytest.raises(ValueError):
             NetworkConfig(model=BA, n=2)
         with pytest.raises(ValueError):
-            NetworkConfig(model=BA, n=10, m0=2, m=3)
-        with pytest.raises(ValueError):
             NetworkConfig(model=DMS, n=2)
         with pytest.raises(ValueError):
             NetworkConfig(model="WS", n=10)
+        # Both models grow by two edges per node: no config sets another count.
         for key in ("m0", "m"):
-            with pytest.raises(ValueError, match=f"{key} must be 2, got 3"):
-                NetworkConfig(model=DMS, n=50, **{key: 3})
+            with pytest.raises(TypeError, match=repr(key)):
+                NetworkConfig(model=BA, n=50, **{key: 2})
 
 
 class TestGraphValidation:
@@ -164,6 +164,13 @@ class TestGraphValidation:
              "bool-array"])
     def test_rejects_non_integer_endpoints(self, edges):
         with pytest.raises(ValueError, match="integers"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1, 2], [1, 2, 0]], [0, 1, 1, 2], [[[0, 1]], [[1, 2]]],
+        np.array([0, 1, 1, 2])], ids=["triples", "flat", "nested", "flat-array"])
+    def test_rejects_edges_that_are_not_pairs(self, edges):
+        with pytest.raises(ValueError, match=r"\(u, v\) pairs"):
             Graph.from_edges(3, edges)
 
     def test_rejects_isolated_node(self):
@@ -250,11 +257,13 @@ class TestPowerLawFit:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        g = generate(NetworkConfig(model=DMS, n=50, seed=9))
+        cfg = NetworkConfig(model=DMS, n=50, seed=9)
+        g = generate(cfg)
         path = tmp_path / "g.json"
-        path.write_text(graph_json(g))
+        path.write_text(graph_json(cfg, g))
+        # The file records the config that generated it; the graph is its CSR.
+        assert {k: v for k, v in json.loads(path.read_text()).items()
+                if k != "edges"} == {"model": DMS, "n": 50, "seed": 9}
         back = load_graph(path)
         assert back.n == g.n
-        assert back.model == DMS
-        assert back.seed == 9
         assert np.array_equal(back.edges, g.edges)
