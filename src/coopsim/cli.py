@@ -95,10 +95,12 @@ _SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a numbe
 
 
 def _build(cls, payload: dict, where: str):
-    """cls(**payload), with every JSON value of the wrong type and every
-    value the config rejects reported as a ConfigError naming the key."""
+    """cls(**payload), with every unknown key, every JSON value of the wrong
+    type and every value the config rejects reported as a ConfigError
+    naming the keys."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{where} config must be an object, got {payload!r}")
+    _check_keys(payload, tuple(f.name for f in fields(cls)), where)
     for f in fields(cls):
         kind, _, optional = f.type.partition(" | ")
         if f.name not in payload or kind not in _SCALAR_TYPES:
@@ -419,18 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coopsim",
         description="Reward-interference experiments for the Prisoner's Dilemma "
                     "on scale-free networks.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    # No abbreviations: --m, a removed flag, must not read as --model.
-    p = sub.add_parser("gen-net", help="generate a network and write graph JSON",
-                       allow_abbrev=False)
+    def sub(name: str, help_text: str) -> argparse.ArgumentParser:
+        # No abbreviations: a removed flag, such as gen-net's --m, must not
+        # read as a longer one that shares its prefix, such as --model.
+        return subparsers.add_parser(name, help=help_text, allow_abbrev=False)
+
+    p = sub("gen-net", "generate a network and write graph JSON")
     p.add_argument("--model", required=True, choices=["ba", "dms", "BA", "DMS"])
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_net)
 
-    p = sub.add_parser("run", help="single replicate, per-generation CSV trace")
+    p = sub("run", "single replicate, per-generation CSV trace")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
@@ -438,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (("sweep", "replicated grid of parameter points"),
                             ("baseline", "no-interference reference point")):
-        p = sub.add_parser(name, help=help_text)
+        p = sub(name, help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
         p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("frontier", help="minimum-cost rows per cooperation target")
+    p = sub("frontier", "minimum-cost rows per cooperation target")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--targets", required=True,
                    help="comma-separated cooperation targets, e.g. 0.5,0.75,0.9")

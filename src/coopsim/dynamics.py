@@ -71,12 +71,15 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
     # Pick uniformly among the tied best neighbors of each node: tiepos
     # lists the CSR positions of all ties, grouped by node, so a node's
     # k-th tie (k = floor(u * count)) sits at its group start plus k.
-    tiepos = np.flatnonzero(nbr_scores == best[g.rows])
+    tiepos = (nbr_scores == best[g.rows]).nonzero()[0]
     tie_counts = np.bincount(g.rows[tiepos], minlength=g.n)
     u = rng.random(g.n)
-    want = np.minimum((u * tie_counts).astype(np.int64), tie_counts - 1)
-    before = np.cumsum(tie_counts) - tie_counts
-    best_neighbor = g.indices[tiepos[before + want]]
+    u *= tie_counts
+    pick = u.astype(np.int64)
+    np.minimum(pick, tie_counts - 1, out=pick)
+    pick += np.cumsum(tie_counts)
+    pick -= tie_counts
+    best_neighbor = g.indices[tiepos[pick]]
 
     return ((best > scores) & (s[best_neighbor] != s)).nonzero()[0]
 

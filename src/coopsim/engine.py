@@ -38,6 +38,16 @@ MIXED = "mixed"
 # strategy makes to each neighbor's cooperating-neighbor count.
 _SIGN = np.array([-1.0, 1.0])
 
+# Past this share of the CSR entries, scattering the switchers' neighbor
+# lists into the counts costs more than one fresh count. Timed inside the
+# generation loop on det-grid states (BA n=2000, 2-core Xeon VM), the two
+# meet at shares of 0.15-0.175 while other guests load the machine (49 us
+# each) and at 0.20-0.25 when it is idle (23 us). Between those shares
+# the recount costs at most 3 us more when idle and saves up to 7 us under
+# load. On DMS n=5000 (stoch-long) they meet near 0.25, a share hardly any
+# Fermi generation reaches.
+_RECOUNT_SHARE = 1 / 6
+
 # Stream tags for the counter-based seed split.
 _GRAPH_STREAM = 0
 _RUN_STREAM = 1
@@ -120,12 +130,15 @@ def run_simulation(cfg: RunConfig, g: Graph,
 
     The run carries the cooperator mask (initial_strategies, C/D only, are
     converted once), the number of cooperators and each node's count of
-    cooperating neighbors (nc, counted once), updating them in place from
-    the agents each step returns as switching: only they and their
-    neighbors change, the neighbors by one per switch. Scores, NEB
-    eligibility, POP, the recorded coop fraction, the absorption test and
-    the final state all read the carried values. The counts are small
-    integers, exact in float64, so every number equals a fresh recount.
+    cooperating neighbors (nc), updating them from the agents each step
+    returns as switching: only they and their neighbors change, the
+    neighbors by one per switch. The counts take the cheaper of two exact
+    updates: a scatter over the switchers' neighbor lists or, when those
+    lists cover more than _RECOUNT_SHARE of the CSR entries, a fresh
+    count. Scores, NEB eligibility, POP, the recorded coop fraction, the
+    absorption test and the final state all read the carried values. The
+    counts are small integers, exact in float64, so both updates give the
+    same numbers.
 
     Under the Fermi rule a generation works only on the front: the agents
     with a neighbor of the other strategy, the only ones that can switch.
@@ -161,7 +174,8 @@ def run_simulation(cfg: RunConfig, g: Graph,
     nc = g.count_neighbors(is_coop)
     # nc as it would be if every neighbor agreed: the degree for a
     # cooperator, 0 for a defector. Agents with nc != alike_nc, and no
-    # others, have a neighbor of the other strategy.
+    # others, have a neighbor of the other strategy: the Fermi front, the
+    # only reader of alike_nc.
     alike_nc = np.where(is_coop, g.degrees, 0).astype(np.float64)
     bonus = np.array([0.0, theta])  # the endowment, looked up by eligibility
     coop = np.empty(horizon)
@@ -192,11 +206,15 @@ def run_simulation(cfg: RunConfig, g: Graph,
         gained = ~is_coop[switched]
         is_coop[switched] = gained
         degrees = g.degrees[switched]
-        alike_nc[switched] = degrees * gained
+        if not deterministic:
+            alike_nc[switched] = degrees * gained
         n_coop += 2 * int(np.count_nonzero(gained)) - switched.size
-        # Each switch moves every neighbor's count by one, up for a new
-        # cooperator and down for a new defector.
-        np.add.at(nc, g.neighbors_of(switched), _SIGN.take(gained).repeat(degrees))
+        if degrees.sum() > _RECOUNT_SHARE * g.indices.size:
+            nc = g.count_neighbors(is_coop)
+        else:
+            # Each switch moves every neighbor's count by one, up for a new
+            # cooperator and down for a new defector.
+            np.add.at(nc, g.neighbors_of(switched), _SIGN.take(gained).repeat(degrees))
 
     cost = theta * invested
     return RunResult(

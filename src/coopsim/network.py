@@ -159,16 +159,39 @@ class Graph:
 def _generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
     """Grow a BA graph from the single edge (0, 1): each new node attaches to
     2 distinct targets sampled proportionally to degree."""
+    n = config.n
     # The edge list, flat: (u0, v0, u1, v1, ...). Each node appears once per
     # degree unit, so sampling uniformly from it is degree-proportional.
     ends = [0, 1]
-    for new in range(2, config.n):
-        targets = set()
-        while len(targets) < 2:
-            targets.add(ends[rng.integers(len(ends))])
-        for t in sorted(targets):
-            ends += (t, new)
-    return Graph.from_edges(config.n, np.array(ends, dtype=np.int64).reshape(-1, 2))
+    # Node k draws from the 4k - 6 ends before it until it holds 2 distinct
+    # targets: a duplicate redraws with the same bound. One call with an
+    # array of bounds draws the same values as one call per bound and
+    # leaves the generator in the same state. So each batch draws as if no
+    # node to come draws a duplicate; at a duplicate, the generator rewinds
+    # to the batch start, replays the draws used, and a new batch starts
+    # with the redraw.
+    new, first = 2, None  # first: new's first target, once drawn
+    while new < n:
+        # Batches grow with the graph: duplicates are likeliest while it is
+        # small, and a rewind wastes at most one batch of draws.
+        stop = min(n, new + new // 2 + 8)
+        bounds = np.arange(4 * new - 6, 4 * stop - 6, 4).repeat(2)
+        if first is not None:
+            bounds = bounds[1:]
+        state = rng.bit_generator.state
+        for k, pick in enumerate(rng.integers(0, bounds).tolist()):
+            t = ends[pick]
+            if first is None:
+                first = t
+            elif t == first:
+                rng.bit_generator.state = state
+                rng.integers(0, bounds[:k + 1])
+                break
+            else:
+                ends += (first, new, t, new) if first < t else (t, new, first, new)
+                first = None
+                new += 1
+    return Graph.from_edges(n, np.array(ends, dtype=np.int64).reshape(-1, 2))
 
 
 def _generate_dms(config: NetworkConfig, rng: np.random.Generator) -> Graph:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from coopsim.game import COOPERATE, DEFECT, PayoffParams, scores_from_counts
 from coopsim.interference import NEB, NI, POP, InterferenceConfig, eligible_set
-from coopsim.network import Graph
+from coopsim.network import Graph, NetworkConfig
 
 
 def random_connected_graph(n: int, rng: np.random.Generator,
@@ -25,6 +25,20 @@ def random_connected_graph(n: int, rng: np.random.Generator,
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph.from_edges(n, sorted(edges))
+
+
+def reference_generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
+    """BA growth with one draw per call: from the single edge (0, 1), each
+    new node draws uniformly from the flat edge list until it holds 2
+    distinct targets."""
+    ends = [0, 1]
+    for new in range(2, config.n):
+        targets = set()
+        while len(targets) < 2:
+            targets.add(ends[rng.integers(len(ends))])
+        for t in sorted(targets):
+            ends += (t, new)
+    return Graph.from_edges(config.n, np.array(ends, dtype=np.int64).reshape(-1, 2))
 
 
 def neighbors(g: Graph, i: int) -> np.ndarray:

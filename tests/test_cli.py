@@ -432,6 +432,16 @@ class TestBadInputFailsFast:
                                          "--out", str(out)], key)
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,keys", [("network", ["m", "m0"]),
+                                              ("payoff", ["bogus", "c"]),
+                                              ("update", ["bogus", "noise"]),
+                                              ("interference", ["bogus", "mode"])])
+    def test_every_unknown_key_in_a_section_is_named(self, tmp_path, capsys, section, keys):
+        payload = run_config()
+        payload[section] = {**payload.get(section, {}), **dict.fromkeys(keys, 2)}
+        self.assert_rejected(tmp_path, capsys, "run", payload,
+                             f"unknown {section} config keys: {keys}")
+
     @pytest.mark.parametrize("key,value", [("n", 60), ("model", "BA"), ("bogus", 1)])
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_key_beside_graph_file(self, tmp_path, capsys, command, key, value):
@@ -863,6 +873,25 @@ class TestConsoleScript:
             env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert load_graph(out).n == 20
+
+    @pytest.mark.parametrize("argv,abbreviated", [
+        (["run", "--config", "c.json", "--out", "t.csv", "--conf", "d.json"], "--conf"),
+        (["sweep", "--config", "c.json", "--out", "s.csv", "--jo", "2"], "--jo"),
+        (["baseline", "--config", "c.json", "--out", "s.csv", "--se", "n=1"], "--se"),
+        (["frontier", "--in", "s.csv", "--targets", "0.5", "--out", "f.csv", "--tar", "0.9"],
+         "--tar"),
+        (["gen-net", "--model", "ba", "--n", "20", "--seed", "1", "--out", "g.json",
+          "--mod", "dms"], "--mod"),
+    ])
+    def test_abbreviated_flag_exits_2(self, tmp_path, capsys, monkeypatch, argv, abbreviated):
+        # A flag is read only under its full name: an abbreviation is an
+        # unrecognized argument, not the longer flag it is a prefix of.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {abbreviated}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(

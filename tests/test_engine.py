@@ -404,13 +404,16 @@ class TestCarriedCounts:
                                                dynamics.step_stochastic)
 
         def spy_count(graph, mask):
-            # The run counts once, from the cooperator mask it carries, and
-            # then updates that mask and the counts in place. The record is
-            # kept apart: a copy of the initial mask, flipped at the agents
-            # each step returns as switching.
+            # The run counts from the cooperator mask it carries: at the
+            # start, and again in place of the scatter in a generation
+            # whose switchers touch many CSR entries. Each count replaces
+            # the carried counts, which the scatter updates in place. The
+            # record is kept apart: a copy of the initial mask, flipped at
+            # the agents each step returns as switching.
             nc = count_neighbors(graph, mask)
-            carried.extend([mask, nc])
-            record.append(mask.copy())
+            carried[:] = [mask, nc]
+            if not record:
+                record.append(mask.copy())
             return nc
 
         def check(g, s):
@@ -445,6 +448,43 @@ class TestCarriedCounts:
                           else cfg.horizon)
         for gen, is_coop in enumerate(seen):
             assert result.coop[gen] == np.count_nonzero(is_coop) / g.n
+
+
+    @pytest.mark.parametrize("model, rule", [(BA, DETERMINISTIC), (network.DMS, STOCHASTIC)])
+    def test_update_follows_the_switchers_share(self, model, rule):
+        cfg = RunConfig(
+            network=NetworkConfig(model=model, n=2000, seed=3),
+            update=UpdateRuleConfig(rule=rule, K=0.1 if rule == STOCHASTIC else None),
+            interference=pop_cfg(1.0, 0.5), generations=10, stats_window=5, run_seed=4)
+        g = generate(cfg.network)
+        calls = {"count_neighbors": 0, "neighbors_of": 0}
+
+        def spy(name):
+            method = getattr(Graph, name)
+
+            def counted(graph, arg):
+                calls[name] += 1
+                return method(graph, arg)
+            return counted
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in calls:
+                mp.setattr(Graph, name, spy(name))
+            result = run_simulation(cfg, g)
+        assert result.absorbed_at is None
+        # One count at the start, then one update per generation: a recount
+        # or a scatter over the switchers' neighbor lists.
+        recounted, scattered = calls["count_neighbors"] - 1, calls["neighbors_of"]
+        assert recounted + scattered == cfg.horizon
+        if rule == DETERMINISTIC:
+            # Imitate-best on BA switches many agents at once: in such a
+            # generation their neighbor lists cover many CSR entries, and
+            # the counts are recounted.
+            assert recounted > 0
+        else:
+            # Only the Fermi front can switch, and once the random start has
+            # sorted itself out few of it do: the counts are scattered.
+            assert recounted <= 1 and scattered >= cfg.horizon - 1
 
 
 class TestReplication:

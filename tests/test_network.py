@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coopsim.network import (
     BA,
@@ -21,6 +23,7 @@ from conftest import (
     global_transitivity,
     neighbors,
     random_connected_graph,
+    reference_generate_ba,
 )
 
 
@@ -100,6 +103,28 @@ class TestGeneration:
         dms = [global_transitivity(generate(NetworkConfig(model=DMS, n=n, seed=s)))
                for s in range(10)]
         assert np.mean(dms) > np.mean(ba)
+
+    def test_bounded_draws_match_one_call_per_bound(self):
+        # BA and DMS growth draw a batch of bounded integers in one call:
+        # it must give the draws, and leave the stream, of one call per bound.
+        for seed in (0, 1, 12345):
+            bounds = np.random.default_rng(seed).integers(1, 20_000, size=500)
+            bounds[:3] = (1, 2, 20_000)
+            batch, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = batch.integers(0, bounds)
+            assert drawn.tolist() == [int(loop.integers(b)) for b in bounds]
+            assert batch.random() == loop.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 300), seed=st.integers(0, 2**63 - 1))
+    @example(n=2000, seed=20230116)  # the benchmark's graph size and seed
+    def test_ba_matches_one_draw_per_call(self, n, seed):
+        cfg = NetworkConfig(model=BA, n=n, seed=seed)
+        batch, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = generate(cfg, batch), reference_generate_ba(cfg, loop)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert batch.random() == loop.random()
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
