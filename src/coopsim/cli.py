@@ -54,19 +54,6 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def _load_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    return payload
-
-
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
     """Apply repeatable --set key=value pairs; keys use dotted paths."""
     config = copy.deepcopy(config)
@@ -196,15 +183,16 @@ def expand_grid(base: RunConfig, grid: list[dict]) -> list[RunConfig]:
 
 def resolve_master_seed(config: dict) -> int:
     seed = config.get("master_seed")
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is None:
-            raise ConfigError(f"no master_seed in config and {SEED_ENV_VAR} is not set")
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return _integer("master_seed", seed, 0)
+    if seed is not None:
+        return _integer("master_seed", seed, 0)
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is None:
+        raise ConfigError(f"no master_seed in config and {SEED_ENV_VAR} is not set")
+    try:
+        seed = int(env)
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+    return _integer(SEED_ENV_VAR, seed, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +337,7 @@ def _cmd_gen_net(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    payload = apply_overrides(_load_json(args.config), args.set)
+    payload = apply_overrides(network.read_json_object(args.config, "config file"), args.set)
     cfg = parse_run_config(payload)
     result = engine.run_simulation(cfg, engine.graph_for(cfg.network))
     write_trace_csv(result, args.out)
@@ -367,7 +355,7 @@ def _cmd_sweep(args) -> int:
     """sweep, or baseline: the same job over the bare grid [{"schemes": []}]."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    payload = apply_overrides(_load_json(args.config), args.set)
+    payload = apply_overrides(network.read_json_object(args.config, "config file"), args.set)
     if args.command == "baseline":
         _check_keys(payload, _POINT_KEYS, "baseline")
         grid = [{"schemes": []}]
@@ -394,8 +382,10 @@ def _cmd_sweep(args) -> int:
     write_sweep_csv(summaries, args.out)
     # A graph file is used as it is: no graph seed went into it.
     graph_seeds = engine.graph_seeds_for(master_seed, graphs) if generated else []
-    write_meta(args.out, args.command, config=payload, master_seed=master_seed,
-               graph_seeds=graph_seeds, points=len(summaries),
+    # The config as run, seed included, so that it feeds back without the
+    # environment.
+    write_meta(args.out, args.command, config={**payload, "master_seed": master_seed},
+               master_seed=master_seed, graph_seeds=graph_seeds, points=len(summaries),
                replicates_per_point=graphs * realisations, jobs=args.jobs)
     return EXIT_OK
 

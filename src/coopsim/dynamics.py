@@ -8,6 +8,7 @@ in node-index order, so trajectories are fully determined by the RNG seed.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -26,8 +27,8 @@ _MAX_EXPONENT = 700.0
 class UpdateRuleConfig:
     """Update rule selection.
 
-    K is the Fermi noise amplitude: required, and > 0, under the stochastic
-    rule, and None under imitate-best, which reads no noise.
+    K is the Fermi noise amplitude: required, > 0 and finite, under the
+    stochastic rule, and None under imitate-best, which reads no noise.
     """
 
     rule: str = DETERMINISTIC
@@ -36,9 +37,9 @@ class UpdateRuleConfig:
     def __post_init__(self):
         if self.rule not in (DETERMINISTIC, STOCHASTIC):
             raise ValueError(f"unknown update rule: {self.rule!r}")
-        if self.rule == STOCHASTIC and (self.K is None or not self.K > 0):
-            raise ValueError(f"Fermi noise K must be > 0 under the {STOCHASTIC} rule, "
-                             f"got {self.K}")
+        if self.rule == STOCHASTIC and (self.K is None or not 0 < self.K < math.inf):
+            raise ValueError(f"Fermi noise K must be > 0 and finite under the {STOCHASTIC} "
+                             f"rule, got {self.K}")
         if self.rule != STOCHASTIC and self.K is not None:
             raise ValueError(f"K is read only by the {STOCHASTIC} rule, got K={self.K} "
                              f"under rule {self.rule!r}")

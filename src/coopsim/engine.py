@@ -11,7 +11,6 @@ parallelism produce identical output.
 from __future__ import annotations
 
 import functools
-import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -257,27 +256,16 @@ def graph_seeds_for(master_seed: int, graphs: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _graph(net: NetworkConfig | str, stamp: tuple | None) -> Graph:
-    """The last graph this process built or loaded: generated from a config,
-    keyed by the full config (seed included), or read from an absolute file
-    path, whose stamp (modification time, size) makes a rewritten file read
-    again. Tasks run graph-major, so consecutive tasks mostly share a graph,
-    and graphs are immutable, so a hit is always the graph a rebuild would
-    give."""
-    if isinstance(net, NetworkConfig):
-        return network.generate(net)
-    return network.load_graph(net)
-
-
 def graph_for(net: NetworkConfig | str) -> Graph:
     """The graph a run on net plays on: generated from the config, seed
     included, or read from the graph file at that path. The last graph is
-    kept, so consecutive runs on one graph build it once."""
+    kept until the next sweep starts, so consecutive runs on one graph
+    build or read it once; tasks run graph-major, so consecutive tasks
+    mostly share a graph. A graph file rewritten during a sweep is not read
+    again: every run of the sweep plays on the version read first."""
     if isinstance(net, NetworkConfig):
-        return _graph(net, None)
-    path = os.path.abspath(net)
-    stat = os.stat(path)
-    return _graph(path, (stat.st_mtime_ns, stat.st_size))
+        return network.generate(net)
+    return network.load_graph(net)
 
 
 def _point_graph_task(args) -> np.ndarray:
@@ -294,12 +282,14 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
           jobs: int = 1) -> list[SweepSummary]:
     """Evaluate every configuration over graphs x realisations replicates.
 
-    Tasks are (point, graph) cells in graph-major order, so each worker
-    builds each graph at most once; a generated network's config carries its
+    Tasks are (point, graph) cells in graph-major order, and the graph
+    memo is emptied first, so each worker builds or reads each graph at
+    most once per sweep; a generated network's config carries its
     graph seed. Workers only parallelise independent replicates, and each
     point's replicates are reduced in (graph, realisation) order, so output
     is identical for any jobs.
     """
+    graph_for.cache_clear()
     tasks = []
     for graph_idx, graph_seed in enumerate(graph_seeds_for(master_seed, graphs)):
         for point_idx, cfg in enumerate(cfgs):

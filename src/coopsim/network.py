@@ -236,18 +236,27 @@ def graph_json(config: NetworkConfig, g: Graph) -> str:
                        "edges": g.edges.tolist()}) + "\n"
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at path. Any reason the file holds
+    none is raised as a ConfigError naming what and path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return payload
+
+
 def load_graph(path) -> Graph:
     """Read and validate a graph JSON file. Any reason it holds no valid
     graph is raised as a ConfigError naming path."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
-    if not (isinstance(payload, dict) and isinstance(payload.get("n"), int)
-            and isinstance(payload.get("edges"), list)):
-        raise ConfigError(f"graph file {path} must hold an object with an "
-                          "integer n and an edges list")
+    payload = read_json_object(path, "graph file")
+    if not (isinstance(payload.get("n"), int) and isinstance(payload.get("edges"), list)):
+        raise ConfigError(f"graph file {path} must hold an integer n and an edges list")
     try:
         return Graph.from_edges(payload["n"], payload["edges"])
     except (TypeError, ValueError) as exc:

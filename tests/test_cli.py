@@ -226,6 +226,33 @@ class TestSweep:
         row = out.read_text().splitlines()[1].split(",")
         assert row[-1] == "11"
 
+    @pytest.mark.parametrize("command", ["sweep", "baseline"])
+    def test_meta_config_feeds_back_without_env_seed(self, tmp_path, monkeypatch, command):
+        payload = sweep_config()
+        del payload["master_seed"]
+        if command == "baseline":
+            del payload["grid"]
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        monkeypatch.setenv("COOPSIM_SEED", "7")
+        assert main([command, "--config", write_config(tmp_path, payload),
+                     "--out", str(first)]) == EXIT_OK
+        meta = json.loads((tmp_path / "first.csv.meta.json").read_text())
+        assert meta["config"]["master_seed"] == 7
+        monkeypatch.delenv("COOPSIM_SEED")
+        assert main([command, "--config", write_config(tmp_path, meta["config"], "meta.json"),
+                     "--out", str(again)]) == EXIT_OK
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_negative_env_seed_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        payload = sweep_config()
+        del payload["master_seed"]
+        monkeypatch.setenv("COOPSIM_SEED", "-3")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "COOPSIM_SEED must be an integer >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_meta_records_seeds(self, tmp_path):
         cfg = write_config(tmp_path, sweep_config())
         out = tmp_path / "sweep.csv"
@@ -283,6 +310,8 @@ class TestBadGraphFile:
         "triple-edges": json.dumps({"n": 3, "edges": [[0, 1, 2], [1, 2, 0]]}),
         "flat-edges": json.dumps({"n": 3, "edges": [0, 1, 1, 2]}),
         "nested-edges": json.dumps({"n": 3, "edges": [[[0, 1]], [[1, 2]]]}),
+        # A valid graph but for one byte that is not UTF-8.
+        "not-utf8": b'{"n": 3, "edges": [[0, 1], [1, 2]], "note": "\xff"}',
     }
 
     @pytest.mark.parametrize("content", sorted(CONTENT))
@@ -291,7 +320,8 @@ class TestBadGraphFile:
                              ids=["run", "sweep-jobs1", "sweep-jobs2"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, content, command):
         gpath = tmp_path / "bad-graph.json"
-        gpath.write_text(self.CONTENT[content])
+        text = self.CONTENT[content]
+        gpath.write_bytes(text if isinstance(text, bytes) else text.encode())
         payload = sweep_config(network={"graph_file": str(gpath)}, graphs=1)
         if command[0] == "run":
             payload = {key: payload[key] for key in
@@ -471,6 +501,14 @@ class TestBadInputFailsFast:
         self.assert_rejected(tmp_path, capsys, command,
                              self.config_for(command, update={"rule": "stochastic"}), "K")
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
+    def test_infinite_fermi_noise(self, tmp_path, capsys, command):
+        # json.dumps writes math.inf as the bare token Infinity, which
+        # json.load accepts.
+        update = {"rule": "stochastic", "K": math.inf}
+        self.assert_rejected(tmp_path, capsys, command, self.config_for(command, update=update),
+                             "K must be > 0 and finite")
+
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     @pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
     def test_unreadable_config_names_the_file(self, tmp_path, capsys, command, kind):
@@ -561,7 +599,8 @@ _SHARED_KEYS = [
      | st.floats(min_value=2.0, exclude_min=True)),
     (("update",), _NOT_OBJECT | st.text(max_size=3)),
     (("update", "rule"), bad_name(("deterministic", "stochastic"))),
-    (("update", "K"), _NOT_NUMBER | st.none() | _NAN | st.floats(max_value=0.0)),
+    (("update", "K"), _NOT_NUMBER | st.none() | _NAN | st.floats(max_value=0.0)
+     | st.just(math.inf)),
     (("generations",), bad_int(1, none_ok=True)),
     (("stats_window",), bad_int(1, 3)),
 ]
@@ -710,7 +749,8 @@ class TestFrontier:
     def test_bad_statistic_names_file_and_row(self, tmp_path, capsys, column, value):
         self.assert_row_rejected(tmp_path, capsys, {column: value}, f"{column} must be")
 
-    @pytest.mark.parametrize("rule,K", [("deterministic", "0.5"), ("stochastic", "")])
+    @pytest.mark.parametrize("rule,K", [("deterministic", "0.5"), ("stochastic", ""),
+                                        ("stochastic", "inf")])
     def test_noise_only_under_the_fermi_rule(self, tmp_path, capsys, rule, K):
         self.assert_row_rejected(tmp_path, capsys, {"update_rule": rule, "K": K}, "K")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,10 @@ class TestUpdateRuleConfig:
         with pytest.raises(ValueError):
             UpdateRuleConfig(rule=STOCHASTIC, K=0.0)
         UpdateRuleConfig(rule=STOCHASTIC, K=0.1)
+
+    def test_stochastic_needs_finite_k(self):
+        with pytest.raises(ValueError, match="K must be > 0 and finite"):
+            UpdateRuleConfig(rule=STOCHASTIC, K=math.inf)
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):

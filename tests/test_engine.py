@@ -607,7 +607,6 @@ class TestGraphOnce:
             built.append(cfg.seed)
             return real_generate(cfg, *args, **kwargs)
 
-        engine._graph.cache_clear()
         monkeypatch.setattr(network, "generate", counting_generate)
         cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(1.0, 0.5)),
                 ba_config(n=60, interference=pop_cfg(5.0, 0.8))]
@@ -616,9 +615,7 @@ class TestGraphOnce:
 
     def test_memo_never_serves_another_sweeps_graph(self):
         cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(2.0, 0.7))]
-        engine._graph.cache_clear()
         fresh_a = sweep(cfgs, master_seed=31, graphs=2, realisations=2)
-        engine._graph.cache_clear()
         b = sweep(cfgs, master_seed=32, graphs=2, realisations=2)
         a_after_b = sweep(cfgs, master_seed=31, graphs=2, realisations=2)
         a_again = sweep(cfgs, master_seed=31, graphs=2, realisations=2)
@@ -648,7 +645,6 @@ class TestGraphFileOnce:
             loads.append(p)
             return real_load(p)
 
-        engine._graph.cache_clear()
         monkeypatch.setattr(network, "load_graph", counting_load)
         summaries = sweep(self.graph_file_cfgs(path, 7), master_seed=3, graphs=1,
                           realisations=2)
@@ -668,6 +664,32 @@ class TestGraphFileOnce:
         assert [(s.coop_mean, s.cost_mean) for s in second] == \
             [(s.coop_mean, s.cost_mean) for s in expected]
         assert [s.coop_mean for s in second] != [s.coop_mean for s in first]
+
+    def test_file_rewritten_mid_sweep_is_read_once(self, tmp_path, monkeypatch):
+        path, first, other = tmp_path / "g.json", tmp_path / "first.json", tmp_path / "o.json"
+        self.write_graph_file(first, NetworkConfig(model=BA, n=60, seed=1))
+        self.write_graph_file(other, NetworkConfig(model=BA, n=80, seed=2))
+        path.write_bytes(first.read_bytes())
+        expected = sweep(self.graph_file_cfgs(first, 3), master_seed=3, graphs=1,
+                         realisations=2)
+        loads = []
+        real_load = network.load_graph
+
+        def load_then_rewrite(p):
+            loads.append(p)
+            g = real_load(p)
+            path.write_bytes(other.read_bytes())
+            return g
+
+        monkeypatch.setattr(network, "load_graph", load_then_rewrite)
+        summaries = sweep(self.graph_file_cfgs(path, 3), master_seed=3, graphs=1,
+                          realisations=2)
+        assert len(loads) == 1
+
+        def stats(s):
+            return (s.replicates, s.coop_mean, s.coop_std, s.cost_mean, s.cost_std)
+
+        assert [stats(s) for s in summaries] == [stats(s) for s in expected]
 
 
 class TestEfficiencyFrontier:
