@@ -25,7 +25,7 @@ from .dynamics import UpdateRuleConfig
 from .engine import FrontierRow, RunConfig, SweepSummary
 from .game import PayoffParams
 from .interference import InterferenceConfig
-from .network import ConfigError, NetworkConfig
+from .network import NetworkConfig
 
 SWEEP_HEADER = ("model,n,b,update_rule,K,schemes,theta,p_c,n_c,c_I,"
                 "replicates,coop_mean,coop_std,cost_mean,cost_std,master_seed")
@@ -36,9 +36,6 @@ _SWEEP_COLUMNS = SWEEP_HEADER.split(",")
 
 SEED_ENV_VAR = "COOPSIM_SEED"
 
-# The model column of rows whose network is a graph file; their n is empty.
-GRAPH_FILE_MODEL = "file"
-
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
@@ -46,6 +43,26 @@ EXIT_USAGE = 2
 
 # ---------------------------------------------------------------------------
 # config parsing
+
+class ConfigError(ValueError):
+    """Bad outside input: a config value, a config file or a sweep CSV row.
+    The message names the key, the file or the row."""
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at path. Any reason the file holds
+    none is raised as a ConfigError naming what and path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return payload
+
 
 def _fmt(x) -> str:
     """9-significant-digit float field; empty for missing values."""
@@ -124,22 +141,11 @@ def _integer(key: str, value, low: int) -> int:
 
 
 def parse_run_config(payload: dict) -> RunConfig:
-    """Build a RunConfig from its JSON object form. network is a generator
-    object or {"graph_file": path}."""
+    """Build a RunConfig from its JSON object form."""
     _check_keys(payload, _RUN_KEYS, "run")
-    net = payload.get("network")
-    if isinstance(net, dict) and "graph_file" in net:
-        _check_keys(net, ("graph_file",), "network")
-        net = net["graph_file"]
-        if not isinstance(net, str):
-            raise ConfigError(f"network graph_file must be a path, got {net!r}")
-        if not os.path.isfile(net):
-            raise ConfigError(f"network graph_file not found: {net!r}")
-    else:
-        net = _build(NetworkConfig, net, "network")
     return _build(RunConfig, {
         **payload,
-        "network": net,
+        "network": _build(NetworkConfig, payload.get("network"), "network"),
         "payoff": _build(PayoffParams, payload.get("payoff", {}), "payoff"),
         "update": _build(UpdateRuleConfig, payload.get("update", {}), "update"),
         "interference": _build(InterferenceConfig, payload.get("interference", {}),
@@ -213,9 +219,7 @@ def _csv(header: str, rows) -> str:
 
 def _config_fields(cfg: RunConfig) -> list[str]:
     net, icfg = cfg.network, cfg.interference
-    generated = isinstance(net, NetworkConfig)
-    return [net.model if generated else GRAPH_FILE_MODEL, str(net.n) if generated else "",
-            _fmt(cfg.payoff.b), cfg.update.rule, _fmt(cfg.update.K),
+    return [net.model, str(net.n), _fmt(cfg.payoff.b), cfg.update.rule, _fmt(cfg.update.K),
             "+".join(icfg.schemes), _fmt(icfg.theta), _fmt(icfg.p_c), _fmt(icfg.n_c),
             _fmt(icfg.c_I)]
 
@@ -249,15 +253,8 @@ def _summary_from_row(fields: list[str]) -> SweepSummary:
             noun = "an integer" if kind is int else "a number"
             raise ValueError(f"{key} must be {noun}, got {text!r}") from None
 
-    if row["model"] == GRAPH_FILE_MODEL:
-        if row["n"]:
-            raise ValueError(f"graph-file row has n={row['n']!r}, expected it empty")
-        # The CSV does not record the file's path, only that there was one.
-        net = GRAPH_FILE_MODEL
-    else:
-        net = NetworkConfig(model=row["model"], n=number("n", int))
     cfg = RunConfig(
-        network=net,
+        network=NetworkConfig(model=row["model"], n=number("n", int)),
         payoff=PayoffParams(b=number("b")),
         update=UpdateRuleConfig(rule=row["update_rule"], K=number("K", optional=True)),
         interference=InterferenceConfig(
@@ -337,15 +334,12 @@ def _cmd_gen_net(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    payload = apply_overrides(network.read_json_object(args.config, "config file"), args.set)
+    payload = apply_overrides(read_json_object(args.config, "config file"), args.set)
     cfg = parse_run_config(payload)
     result = engine.run_simulation(cfg, engine.graph_for(cfg.network))
     write_trace_csv(result, args.out)
     # The config in the form run reads, so that it can be fed back.
-    config = asdict(cfg)
-    if not isinstance(cfg.network, NetworkConfig):
-        config["network"] = {"graph_file": cfg.network}
-    write_meta(args.out, "run", config=config, total_cost=result.total_cost,
+    write_meta(args.out, "run", config=asdict(cfg), total_cost=result.total_cost,
                mean_coop=result.mean_coop, absorbed_at=result.absorbed_at,
                final_state=result.final_state, run_seed=result.run_seed)
     return EXIT_OK
@@ -355,7 +349,7 @@ def _cmd_sweep(args) -> int:
     """sweep, or baseline: the same job over the bare grid [{"schemes": []}]."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    payload = apply_overrides(network.read_json_object(args.config, "config file"), args.set)
+    payload = apply_overrides(read_json_object(args.config, "config file"), args.set)
     if args.command == "baseline":
         _check_keys(payload, _POINT_KEYS, "baseline")
         grid = [{"schemes": []}]
@@ -373,20 +367,16 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"{args.command} config sets network.seed: a sweep's graph "
                           "seeds come from master_seed")
     cfgs = expand_grid(base, grid)
-    generated = isinstance(base.network, NetworkConfig)
-    if graphs > 1 and not generated:
-        raise ConfigError(f"graphs must be 1 for a graph-file network, got {graphs}: "
-                          "every replicate would run on the same graph")
     summaries = engine.sweep(cfgs, master_seed, graphs=graphs,
                              realisations=realisations, jobs=args.jobs)
     write_sweep_csv(summaries, args.out)
-    # A graph file is used as it is: no graph seed went into it.
-    graph_seeds = engine.graph_seeds_for(master_seed, graphs) if generated else []
     # The config as run, seed included, so that it feeds back without the
     # environment.
     write_meta(args.out, args.command, config={**payload, "master_seed": master_seed},
-               master_seed=master_seed, graph_seeds=graph_seeds, points=len(summaries),
-               replicates_per_point=graphs * realisations, jobs=args.jobs)
+               master_seed=master_seed,
+               graph_seeds=engine.graph_seeds_for(master_seed, graphs),
+               points=len(summaries), replicates_per_point=graphs * realisations,
+               jobs=args.jobs)
     return EXIT_OK
 
 

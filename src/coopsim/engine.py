@@ -62,11 +62,10 @@ def derive_seed(master_seed: int, *path: int) -> int:
 class RunConfig:
     """Everything needed to reproduce one replicate.
 
-    network is either a NetworkConfig or a path to a graph JSON file.
     generations defaults by update rule (75 deterministic, 500 stochastic).
     """
 
-    network: NetworkConfig | str
+    network: NetworkConfig
     payoff: PayoffParams = field(default_factory=PayoffParams)
     update: UpdateRuleConfig = field(default_factory=UpdateRuleConfig)
     interference: InterferenceConfig = field(default_factory=InterferenceConfig)
@@ -146,9 +145,8 @@ def run_simulation(cfg: RunConfig, g: Graph,
     random stream does not depend on the front. Imitate-best scores every
     agent.
     """
-    expected_n = cfg.network.n if isinstance(cfg.network, NetworkConfig) else None
-    if expected_n is not None and g.n != expected_n:
-        raise ValueError(f"graph has {g.n} nodes, config expects {expected_n}")
+    if g.n != cfg.network.n:
+        raise ValueError(f"graph has {g.n} nodes, config expects {cfg.network.n}")
     if rng is None:
         rng = np.random.default_rng(cfg.run_seed)
 
@@ -256,16 +254,12 @@ def graph_seeds_for(master_seed: int, graphs: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=1)
-def graph_for(net: NetworkConfig | str) -> Graph:
-    """The graph a run on net plays on: generated from the config, seed
-    included, or read from the graph file at that path. The last graph is
-    kept until the next sweep starts, so consecutive runs on one graph
-    build or read it once; tasks run graph-major, so consecutive tasks
-    mostly share a graph. A graph file rewritten during a sweep is not read
-    again: every run of the sweep plays on the version read first."""
-    if isinstance(net, NetworkConfig):
-        return network.generate(net)
-    return network.load_graph(net)
+def graph_for(net: NetworkConfig) -> Graph:
+    """The graph a run on net plays on, generated from the config, seed
+    included. The last graph is kept until the next sweep starts, so
+    consecutive runs on one graph build it once; tasks run graph-major, so
+    consecutive tasks mostly share a graph."""
+    return network.generate(net)
 
 
 def _point_graph_task(args) -> np.ndarray:
@@ -283,18 +277,17 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
     """Evaluate every configuration over graphs x realisations replicates.
 
     Tasks are (point, graph) cells in graph-major order, and the graph
-    memo is emptied first, so each worker builds or reads each graph at
-    most once per sweep; a generated network's config carries its
-    graph seed. Workers only parallelise independent replicates, and each
-    point's replicates are reduced in (graph, realisation) order, so output
-    is identical for any jobs.
+    memo is emptied first, so each worker builds each graph at most once
+    per sweep; each task's network config carries its graph seed. Workers
+    only parallelise independent replicates, and each point's replicates
+    are reduced in (graph, realisation) order, so output is identical for
+    any jobs.
     """
     graph_for.cache_clear()
     tasks = []
     for graph_idx, graph_seed in enumerate(graph_seeds_for(master_seed, graphs)):
         for point_idx, cfg in enumerate(cfgs):
-            if isinstance(cfg.network, NetworkConfig):
-                cfg = replace(cfg, network=replace(cfg.network, seed=graph_seed))
+            cfg = replace(cfg, network=replace(cfg.network, seed=graph_seed))
             tasks.append((cfg, [derive_seed(master_seed, _RUN_STREAM, point_idx, graph_idx, r)
                                 for r in range(realisations)]))
     if jobs > 1 and len(tasks) > 1:

@@ -1,4 +1,4 @@
-"""Scale-free network generation, degree percentiles and graph files.
+"""Scale-free network generation, degree percentiles and graph export.
 
 Two growth models are supported: classical preferential attachment (BA),
 which produces low clustering, and edge-duplication growth (DMS), which
@@ -18,11 +18,6 @@ BA = "BA"
 DMS = "DMS"
 
 _MODELS = (BA, DMS)
-
-
-class ConfigError(ValueError):
-    """Bad outside input: a config value, a sweep CSV row or a graph file.
-    The message names the key, the row or the file."""
 
 
 @dataclass(frozen=True)
@@ -234,30 +229,3 @@ def graph_json(config: NetworkConfig, g: Graph) -> str:
     {model, n, seed, edges}."""
     return json.dumps({"model": config.model, "n": g.n, "seed": config.seed,
                        "edges": g.edges.tolist()}) + "\n"
-
-
-def read_json_object(path, what: str) -> dict:
-    """The JSON object in the UTF-8 file at path. Any reason the file holds
-    none is raised as a ConfigError naming what and path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{what} not found: {path}") from exc
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{what} {path} must hold a JSON object")
-    return payload
-
-
-def load_graph(path) -> Graph:
-    """Read and validate a graph JSON file. Any reason it holds no valid
-    graph is raised as a ConfigError naming path."""
-    payload = read_json_object(path, "graph file")
-    if not (isinstance(payload.get("n"), int) and isinstance(payload.get("edges"), list)):
-        raise ConfigError(f"graph file {path} must hold an integer n and an edges list")
-    try:
-        return Graph.from_edges(payload["n"], payload["edges"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad graph file {path}: {exc}") from exc

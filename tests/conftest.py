@@ -1,6 +1,8 @@
 """Shared test helpers: graph builders, hypothesis strategies, and the
 per-node and per-pair forms of library concepts that only tests use."""
 
+import json
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -25,6 +27,13 @@ def random_connected_graph(n: int, rng: np.random.Generator,
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph.from_edges(n, sorted(edges))
+
+
+def load_graph(path) -> Graph:
+    """The graph in a file gen-net wrote."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    return Graph.from_edges(payload["n"], payload["edges"])
 
 
 def reference_generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
@@ -154,10 +163,10 @@ def diameter(g: Graph) -> int:
 
 
 @st.composite
-def connected_graphs(draw, max_n: int = 30) -> Graph:
+def connected_graphs(draw, min_n: int = 2, max_n: int = 30) -> Graph:
     """Hypothesis strategy: random connected graphs, and hubs (a star plus a
     few leaf-leaf edges) whose centre has many equally placed neighbors."""
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     if draw(st.booleans()):
         seed = draw(st.integers(0, 2**32 - 1))
         return random_connected_graph(n, np.random.default_rng(seed))

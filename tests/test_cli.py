@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopsim
-from coopsim import engine
+from coopsim import cli, engine
 from coopsim.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -28,23 +28,15 @@ from coopsim.cli import (
     write_sweep_csv,
 )
 from coopsim.engine import efficiency_frontier
-from coopsim.network import load_graph
+from coopsim.network import NetworkConfig
 
-from conftest import reachable
+from conftest import load_graph, reachable
 
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def graph_file(tmp_path):
-    """A BA n=60 graph file; its path as a str."""
-    gpath = tmp_path / "g.json"
-    assert main(["gen-net", "--model", "ba", "--n", "60", "--seed", "2",
-                 "--out", str(gpath)]) == EXIT_OK
-    return str(gpath)
 
 
 def child_env():
@@ -134,10 +126,8 @@ class TestRun:
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
         assert meta["config"]["update"] == {"rule": "deterministic", "K": None}
 
-    @pytest.mark.parametrize("network", ["generated", "graph-file"])
-    def test_meta_config_feeds_back(self, tmp_path, network):
-        net = ({"graph_file": graph_file(tmp_path)} if network == "graph-file"
-               else {"model": "DMS", "n": 60, "seed": 4})
+    def test_meta_config_feeds_back(self, tmp_path):
+        net = {"model": "DMS", "n": 60, "seed": 4}
         first, again = tmp_path / "trace.csv", tmp_path / "again.csv"
         assert main(["run", "--config", write_config(tmp_path, run_config(network=net)),
                      "--out", str(first)]) == EXIT_OK
@@ -146,18 +136,6 @@ class TestRun:
         assert main(["run", "--config", write_config(tmp_path, meta["config"], "meta.json"),
                      "--out", str(again)]) == EXIT_OK
         assert again.read_bytes() == first.read_bytes()
-
-    def test_run_from_graph_file(self, tmp_path):
-        gpath = tmp_path / "g.json"
-        main(["gen-net", "--model", "ba", "--n", "50", "--seed", "2",
-              "--out", str(gpath)])
-        cfg = write_config(tmp_path, {
-            "network": {"graph_file": str(gpath)},
-            "generations": 10, "stats_window": 5, "run_seed": 1,
-        })
-        out = tmp_path / "trace.csv"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        assert len(out.read_text().splitlines()) == 11
 
     def test_set_override(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -261,77 +239,6 @@ class TestSweep:
         assert meta["master_seed"] == 11
         assert len(meta["graph_seeds"]) == 2
         assert meta["points"] == 5
-
-
-class TestGraphFileSweep:
-    def graph_file_sweep(self, tmp_path, graphs):
-        gpath = tmp_path / "g.json"
-        assert main(["gen-net", "--model", "ba", "--n", "60", "--seed", "2",
-                     "--out", str(gpath)]) == EXIT_OK
-        payload = sweep_config(network={"graph_file": str(gpath)}, graphs=graphs)
-        return write_config(tmp_path, payload)
-
-    def test_several_graphs_rejected(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        rc = main(["sweep", "--config", self.graph_file_sweep(tmp_path, 2),
-                   "--out", str(out)])
-        assert rc == EXIT_USAGE
-        assert "graphs" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_frontier_reads_graph_file_rows(self, tmp_path):
-        sweep_out, frontier_out = tmp_path / "sweep.csv", tmp_path / "frontier.csv"
-        assert main(["sweep", "--config", self.graph_file_sweep(tmp_path, 1),
-                     "--out", str(sweep_out)]) == EXIT_OK
-        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-        assert meta["graph_seeds"] == []
-        assert main(["frontier", "--in", str(sweep_out), "--targets", "0.0,1.1",
-                     "--out", str(frontier_out)]) == EXIT_OK
-        ok_row = dict(zip(FRONTIER_HEADER.split(","),
-                          frontier_out.read_text().splitlines()[1].split(",")))
-        assert (ok_row["status"], ok_row["model"], ok_row["n"]) == ("ok", "file", "")
-        again = tmp_path / "sweep2.csv"
-        write_sweep_csv(read_sweep_csv(sweep_out), again)
-        assert again.read_bytes() == sweep_out.read_bytes()
-
-
-class TestBadGraphFile:
-    """A graph file that holds no valid graph is bad input: exit 2 with a
-    message naming the file, also when a pool worker loads it."""
-
-    CONTENT = {
-        "isolated-node": json.dumps({"n": 3, "edges": [[0, 1]]}),
-        "not-json": "not json\n",
-        "no-edges": json.dumps({"n": 3}),
-        "not-an-object": json.dumps([[0, 1], [1, 2]]),
-        "fractional-endpoint": json.dumps({"n": 3, "edges": [[0, 1.7], [1, 2.2]]}),
-        "boolean-endpoint": json.dumps({"n": 3, "edges": [[0, True], [1, 2]]}),
-        # Edges are (u, v) pairs, not integer lists of any other shape.
-        "triple-edges": json.dumps({"n": 3, "edges": [[0, 1, 2], [1, 2, 0]]}),
-        "flat-edges": json.dumps({"n": 3, "edges": [0, 1, 1, 2]}),
-        "nested-edges": json.dumps({"n": 3, "edges": [[[0, 1]], [[1, 2]]]}),
-        # A valid graph but for one byte that is not UTF-8.
-        "not-utf8": b'{"n": 3, "edges": [[0, 1], [1, 2]], "note": "\xff"}',
-    }
-
-    @pytest.mark.parametrize("content", sorted(CONTENT))
-    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"],
-                                         ["sweep", "--jobs", "2"]],
-                             ids=["run", "sweep-jobs1", "sweep-jobs2"])
-    def test_exits_2_naming_the_file(self, tmp_path, capsys, content, command):
-        gpath = tmp_path / "bad-graph.json"
-        text = self.CONTENT[content]
-        gpath.write_bytes(text if isinstance(text, bytes) else text.encode())
-        payload = sweep_config(network={"graph_file": str(gpath)}, graphs=1)
-        if command[0] == "run":
-            payload = {key: payload[key] for key in
-                       ("network", "payoff", "update", "generations", "stats_window")}
-        out = tmp_path / "out.csv"
-        rc = main([*command, "--config", write_config(tmp_path, payload),
-                   "--out", str(out)])
-        assert rc == EXIT_USAGE
-        assert str(gpath) in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestBaseline:
@@ -472,17 +379,22 @@ class TestBadInputFailsFast:
         self.assert_rejected(tmp_path, capsys, "run", payload,
                              f"unknown {section} config keys: {keys}")
 
-    @pytest.mark.parametrize("key,value", [("n", 60), ("model", "BA"), ("bogus", 1)])
-    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("key,value", [pytest.param(None, None, id="alone"),
+                                           ("n", 60), ("model", "BA"), ("bogus", 1)])
+    @pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
     def test_key_beside_graph_file(self, tmp_path, capsys, command, key, value):
-        net = {"graph_file": graph_file(tmp_path), key: value}
+        # A network is always generated: graph_file is an unknown key,
+        # alone or beside the generator's own keys.
+        net = {"graph_file": "g.json"}
+        if key is not None:
+            net[key] = value
         self.assert_rejected(tmp_path, capsys, command,
-                             self.config_for(command, network=net), repr(key))
+                             self.config_for(command, network=net), "'graph_file'")
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_bare_graph_file_path(self, tmp_path, capsys, command):
         self.assert_rejected(tmp_path, capsys, command,
-                             self.config_for(command, network=graph_file(tmp_path)), "network")
+                             self.config_for(command, network="g.json"), "network")
 
     @pytest.mark.parametrize("command", ["sweep", "baseline"])
     def test_sweep_network_seed_is_unread(self, tmp_path, capsys, command):
@@ -592,8 +504,6 @@ _SHARED_KEYS = [
     (("network", "model"), bad_name(("BA", "DMS"))),
     (("network", "n"), bad_int(3)),
     (("network", "seed"), bad_int(0)),
-    (("network", "graph_file"), _NOT_STRING.filter(lambda v: not isinstance(v, str))
-     | st.just("missing-graph.json")),
     (("payoff",), _NOT_OBJECT | st.text(max_size=3)),
     (("payoff", "b"), _NOT_NUMBER | st.none() | _NAN | st.floats(max_value=1.0)
      | st.floats(min_value=2.0, exclude_min=True)),
@@ -633,8 +543,6 @@ def broken_configs(draw, base, keys):
     node = payload
     for part in path[:-1]:
         node = node[part]
-    if path[-1] == "graph_file":
-        node.clear()
     node[path[-1]] = draw(bad)
     return [part for part in path if isinstance(part, str)][-1], payload
 
@@ -748,6 +656,11 @@ class TestFrontier:
                                               ("replicates", "4.5"), ("master_seed", "seed")])
     def test_bad_statistic_names_file_and_row(self, tmp_path, capsys, column, value):
         self.assert_row_rejected(tmp_path, capsys, {column: value}, f"{column} must be")
+
+    def test_graph_file_row(self, tmp_path, capsys):
+        # The form coopsim once wrote for a sweep over a graph file: a
+        # network no config can name now.
+        self.assert_row_rejected(tmp_path, capsys, {"model": "file", "n": ""}, "n must be")
 
     @pytest.mark.parametrize("rule,K", [("deterministic", "0.5"), ("stochastic", ""),
                                         ("stochastic", "inf")])
@@ -869,18 +782,18 @@ class TestGridExpansion:
                           for point in grid_points(grid)]
 
     def test_shared_keys_parsed_once_per_sweep(self, tmp_path, monkeypatch):
-        gpath = graph_file(tmp_path)
-        checked = []
-        isfile = os.path.isfile
-        monkeypatch.setattr(os.path, "isfile", lambda p: checked.append(p) or isfile(p))
-        payload = sweep_config(network={"graph_file": gpath}, graphs=1, realisations=1,
+        built = []
+        build = cli._build
+        monkeypatch.setattr(cli, "_build", lambda cls, payload, where: (
+            built.append(cls) or build(cls, payload, where)))
+        payload = sweep_config(graphs=1, realisations=1,
                                grid=[{"schemes": []},
                                      {"schemes": ["POP"], "theta": [1, 2, 5], "p_c": [0.5, 1.0]}])
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", write_config(tmp_path, payload),
                      "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 1 + 7
-        assert checked.count(gpath) == 1
+        assert built.count(NetworkConfig) == 1
 
     def test_cartesian_product(self):
         base = parse_run_config({"network": {"model": "BA", "n": 50}})

@@ -348,8 +348,9 @@ def full_recount_run(cfg, g, initial_strategies=None):
 @st.composite
 def run_cases(draw):
     """A graph, a run config over it (either rule, any scheme combination)
-    and optionally the initial strategies, all-C and all-D included."""
-    g = draw(connected_graphs())
+    and optionally the initial strategies, all-C and all-D included. The
+    graph has at least 3 nodes, the smallest network a config can name."""
+    g = draw(connected_graphs(min_n=3))
     schemes = tuple(x for x in draw(st.permutations([POP, NEB, NI]))
                     if draw(st.booleans()))
     threshold = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
@@ -362,7 +363,7 @@ def run_cases(draw):
     rule = draw(st.sampled_from([DETERMINISTIC, STOCHASTIC]))
     generations = draw(st.integers(1, 30))
     cfg = RunConfig(
-        network="oracle-graph.json",
+        network=NetworkConfig(model=BA, n=g.n),
         payoff=PayoffParams(b=draw(st.sampled_from([1.5, 2.0]) | st.floats(1.01, 2.0))),
         update=UpdateRuleConfig(rule=rule, K=draw(st.sampled_from([0.1, 1.0]))
                                 if rule == STOCHASTIC else None),
@@ -622,74 +623,6 @@ class TestGraphOnce:
         assert a_after_b == fresh_a
         assert a_again == fresh_a
         assert [s.coop_mean for s in b] != [s.coop_mean for s in fresh_a]
-
-
-class TestGraphFileOnce:
-    def graph_file_cfgs(self, path, points):
-        return [RunConfig(network=str(path), update=UpdateRuleConfig(rule=DETERMINISTIC),
-                          interference=pop_cfg(theta=1.0 + k, p_c=0.8) if k else
-                          InterferenceConfig(),
-                          generations=10, stats_window=5)
-                for k in range(points)]
-
-    def write_graph_file(self, path, cfg):
-        path.write_text(network.graph_json(cfg, generate(cfg)))
-
-    def test_file_loaded_once_per_sweep(self, tmp_path, monkeypatch):
-        path = tmp_path / "g.json"
-        self.write_graph_file(path, NetworkConfig(model=BA, n=60, seed=1))
-        loads = []
-        real_load = network.load_graph
-
-        def counting_load(p):
-            loads.append(p)
-            return real_load(p)
-
-        monkeypatch.setattr(network, "load_graph", counting_load)
-        summaries = sweep(self.graph_file_cfgs(path, 7), master_seed=3, graphs=1,
-                          realisations=2)
-        assert len(summaries) == 7
-        assert len(loads) == 1
-
-    def test_rewritten_file_is_read_again(self, tmp_path):
-        path, other = tmp_path / "g.json", tmp_path / "other.json"
-        self.write_graph_file(path, NetworkConfig(model=BA, n=60, seed=1))
-        self.write_graph_file(other, NetworkConfig(model=BA, n=80, seed=2))
-        cfgs = self.graph_file_cfgs(path, 3)
-        first = sweep(cfgs, master_seed=3, graphs=1, realisations=2)
-        path.write_bytes(other.read_bytes())
-        second = sweep(cfgs, master_seed=3, graphs=1, realisations=2)
-        expected = sweep(self.graph_file_cfgs(other, 3), master_seed=3, graphs=1,
-                         realisations=2)
-        assert [(s.coop_mean, s.cost_mean) for s in second] == \
-            [(s.coop_mean, s.cost_mean) for s in expected]
-        assert [s.coop_mean for s in second] != [s.coop_mean for s in first]
-
-    def test_file_rewritten_mid_sweep_is_read_once(self, tmp_path, monkeypatch):
-        path, first, other = tmp_path / "g.json", tmp_path / "first.json", tmp_path / "o.json"
-        self.write_graph_file(first, NetworkConfig(model=BA, n=60, seed=1))
-        self.write_graph_file(other, NetworkConfig(model=BA, n=80, seed=2))
-        path.write_bytes(first.read_bytes())
-        expected = sweep(self.graph_file_cfgs(first, 3), master_seed=3, graphs=1,
-                         realisations=2)
-        loads = []
-        real_load = network.load_graph
-
-        def load_then_rewrite(p):
-            loads.append(p)
-            g = real_load(p)
-            path.write_bytes(other.read_bytes())
-            return g
-
-        monkeypatch.setattr(network, "load_graph", load_then_rewrite)
-        summaries = sweep(self.graph_file_cfgs(path, 3), master_seed=3, graphs=1,
-                          realisations=2)
-        assert len(loads) == 1
-
-        def stats(s):
-            return (s.replicates, s.coop_mean, s.coop_std, s.cost_mean, s.cost_std)
-
-        assert [stats(s) for s in summaries] == [stats(s) for s in expected]
 
 
 class TestEfficiencyFrontier:

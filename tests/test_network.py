@@ -14,13 +14,13 @@ from coopsim.network import (
     degree_percentiles,
     generate,
     graph_json,
-    load_graph,
 )
 
 from conftest import (
     diameter,
     fit_degree_exponent,
     global_transitivity,
+    load_graph,
     neighbors,
     random_connected_graph,
     reference_generate_ba,
