@@ -241,6 +241,46 @@ class TestSweep:
         assert meta["points"] == 5
 
 
+class TestBadGraphFile:
+    """A config that names a graph file is bad input whatever the file holds:
+    exit 2 with a message naming the graph_file key that names the file,
+    also under a worker pool, and no traceback from reading the graph."""
+
+    CONTENT = {
+        "isolated-node": json.dumps({"n": 3, "edges": [[0, 1]]}),
+        "not-json": "not json\n",
+        "no-edges": json.dumps({"n": 3}),
+        "not-an-object": json.dumps([[0, 1], [1, 2]]),
+        "fractional-endpoint": json.dumps({"n": 3, "edges": [[0, 1.7], [1, 2.2]]}),
+        "boolean-endpoint": json.dumps({"n": 3, "edges": [[0, True], [1, 2]]}),
+        "triple-edges": json.dumps({"n": 3, "edges": [[0, 1, 2], [1, 2, 0]]}),
+        "flat-edges": json.dumps({"n": 3, "edges": [0, 1, 1, 2]}),
+        "nested-edges": json.dumps({"n": 3, "edges": [[[0, 1]], [[1, 2]]]}),
+        "not-utf8": b'{"n": 3, "edges": [[0, 1], [1, 2]], "note": "\xff"}',
+    }
+
+    @pytest.mark.parametrize("content", sorted(CONTENT))
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--jobs", "1"],
+                                         ["sweep", "--jobs", "2"]],
+                             ids=["run", "sweep-jobs1", "sweep-jobs2"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, content, command):
+        gpath = tmp_path / "bad-graph.json"
+        text = self.CONTENT[content]
+        gpath.write_bytes(text if isinstance(text, bytes) else text.encode())
+        payload = sweep_config(network={"graph_file": str(gpath)}, graphs=1)
+        if command[0] == "run":
+            payload = {key: payload[key] for key in
+                       ("network", "payoff", "update", "generations", "stats_window")}
+        out = tmp_path / "out.csv"
+        rc = main([*command, "--config", write_config(tmp_path, payload),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert "unknown network config keys: ['graph_file']" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestBaseline:
     def test_single_zero_cost_row(self, tmp_path):
         payload = sweep_config()
