@@ -49,18 +49,18 @@ class ConfigError(ValueError):
     The message names the key, the file or the row."""
 
 
-def read_json_object(path, what: str) -> dict:
-    """The JSON object in the UTF-8 file at path. Any reason the file holds
-    none is raised as a ConfigError naming what and path."""
+def read_json_object(path) -> dict:
+    """The JSON object in the UTF-8 config file at path. Any reason the file
+    holds none is raised as a ConfigError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except FileNotFoundError as exc:
-        raise ConfigError(f"{what} not found: {path}") from exc
+        raise ConfigError(f"config file not found: {path}") from exc
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ConfigError(f"{what} {path} must hold a JSON object")
+        raise ConfigError(f"config file {path} must hold a JSON object")
     return payload
 
 
@@ -334,7 +334,7 @@ def _cmd_gen_net(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    payload = apply_overrides(read_json_object(args.config, "config file"), args.set)
+    payload = apply_overrides(read_json_object(args.config), args.set)
     cfg = parse_run_config(payload)
     result = engine.run_simulation(cfg, engine.graph_for(cfg.network))
     write_trace_csv(result, args.out)
@@ -349,7 +349,7 @@ def _cmd_sweep(args) -> int:
     """sweep, or baseline: the same job over the bare grid [{"schemes": []}]."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    payload = apply_overrides(read_json_object(args.config, "config file"), args.set)
+    payload = apply_overrides(read_json_object(args.config), args.set)
     if args.command == "baseline":
         _check_keys(payload, _POINT_KEYS, "baseline")
         grid = [{"schemes": []}]

@@ -256,9 +256,9 @@ def graph_seeds_for(master_seed: int, graphs: int) -> list[int]:
 @functools.lru_cache(maxsize=1)
 def graph_for(net: NetworkConfig) -> Graph:
     """The graph a run on net plays on, generated from the config, seed
-    included. The last graph is kept until the next sweep starts, so
-    consecutive runs on one graph build it once; tasks run graph-major, so
-    consecutive tasks mostly share a graph."""
+    included. A graph is a pure function of its config, so the last one is
+    kept: consecutive runs on one graph build it once, and tasks run
+    graph-major, so consecutive tasks mostly share a graph."""
     return network.generate(net)
 
 
@@ -276,14 +276,13 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
           jobs: int = 1) -> list[SweepSummary]:
     """Evaluate every configuration over graphs x realisations replicates.
 
-    Tasks are (point, graph) cells in graph-major order, and the graph
-    memo is emptied first, so each worker builds each graph at most once
-    per sweep; each task's network config carries its graph seed. Workers
+    Tasks are (point, graph) cells in graph-major order, and each task's
+    network config carries its graph seed, so each worker builds each graph
+    at most once per sweep. Workers
     only parallelise independent replicates, and each point's replicates
     are reduced in (graph, realisation) order, so output is identical for
     any jobs.
     """
-    graph_for.cache_clear()
     tasks = []
     for graph_idx, graph_seed in enumerate(graph_seeds_for(master_seed, graphs)):
         for point_idx, cfg in enumerate(cfgs):

@@ -11,9 +11,10 @@ from coopsim.interference import NEB, NI, POP, InterferenceConfig, eligible_set
 from coopsim.network import Graph, NetworkConfig
 
 
-def random_connected_graph(n: int, rng: np.random.Generator,
-                           extra_edges: int | None = None) -> Graph:
-    """Random connected simple graph: a random spanning tree plus extra edges."""
+def random_connected_edges(n: int, rng: np.random.Generator,
+                           extra_edges: int | None = None) -> list[tuple[int, int]]:
+    """The edges of a random connected simple graph, a random spanning tree
+    plus extra edges, as sorted (u, v) pairs with u < v."""
     edges = set()
     order = rng.permutation(n)
     for i in range(1, n):
@@ -26,7 +27,13 @@ def random_connected_graph(n: int, rng: np.random.Generator,
         u, v = rng.integers(0, n, size=2)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(n, sorted(edges))
+    return sorted(edges)
+
+
+def random_connected_graph(n: int, rng: np.random.Generator,
+                           extra_edges: int | None = None) -> Graph:
+    """Random connected simple graph: a random spanning tree plus extra edges."""
+    return Graph.from_edges(n, random_connected_edges(n, rng, extra_edges))
 
 
 def load_graph(path) -> Graph:
