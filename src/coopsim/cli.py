@@ -4,6 +4,8 @@ Subcommands: gen-net (write a graph file), run (one replicate, per-generation
 trace), sweep (grid of parameter points), baseline (a sweep whose grid is
 the single no-interference point), frontier (minimum-cost configurations per
 cooperation target).
+The config file is the whole input of run, sweep and baseline: no flag and
+no shell variable changes a value in it, so its bytes fix the output's.
 Every output CSV gets a sibling <out>.meta.json echoing the resolved
 configuration and seeds needed to reproduce it bit-exactly.
 """
@@ -11,10 +13,8 @@ configuration and seeds needed to reproduce it bit-exactly.
 from __future__ import annotations
 
 import argparse
-import copy
 import itertools
 import json
-import os
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -33,8 +33,6 @@ FRONTIER_HEADER = ("target,status,model,n,b,update_rule,K,schemes,theta,p_c,n_c,
                    "coop_mean,cost_mean,cost_std,master_seed")
 TRACE_HEADER = "generation,coop_fraction,invested_count,generation_cost"
 _SWEEP_COLUMNS = SWEEP_HEADER.split(",")
-
-SEED_ENV_VAR = "COOPSIM_SEED"
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -69,27 +67,6 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     return format(float(x), ".9g")
-
-
-def apply_overrides(config: dict, overrides: list[str]) -> dict:
-    """Apply repeatable --set key=value pairs; keys use dotted paths."""
-    config = copy.deepcopy(config)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node.get(part), dict):
-                node[part] = {}
-            node = node[part]
-        node[parts[-1]] = value
-    return config
 
 
 # The JSON values a scalar config field accepts, by its annotation; a
@@ -185,20 +162,6 @@ def expand_grid(base: RunConfig, grid: list[dict]) -> list[RunConfig]:
     if not configs:
         raise ConfigError("grid expanded to zero configurations")
     return configs
-
-
-def resolve_master_seed(config: dict) -> int:
-    seed = config.get("master_seed")
-    if seed is not None:
-        return _integer("master_seed", seed, 0)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        raise ConfigError(f"no master_seed in config and {SEED_ENV_VAR} is not set")
-    try:
-        seed = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return _integer(SEED_ENV_VAR, seed, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +297,14 @@ def _cmd_gen_net(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    payload = apply_overrides(read_json_object(args.config), args.set)
+    payload = read_json_object(args.config)
     cfg = parse_run_config(payload)
     result = engine.run_simulation(cfg, engine.graph_for(cfg.network))
     write_trace_csv(result, args.out)
     # The config in the form run reads, so that it can be fed back.
     write_meta(args.out, "run", config=asdict(cfg), total_cost=result.total_cost,
                mean_coop=result.mean_coop, absorbed_at=result.absorbed_at,
-               final_state=result.final_state, run_seed=result.run_seed)
+               final_state=result.final_state, run_seed=cfg.run_seed)
     return EXIT_OK
 
 
@@ -349,7 +312,7 @@ def _cmd_sweep(args) -> int:
     """sweep, or baseline: the same job over the bare grid [{"schemes": []}]."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    payload = apply_overrides(read_json_object(args.config), args.set)
+    payload = read_json_object(args.config)
     if args.command == "baseline":
         _check_keys(payload, _POINT_KEYS, "baseline")
         grid = [{"schemes": []}]
@@ -358,7 +321,7 @@ def _cmd_sweep(args) -> int:
         grid = payload.get("grid")
         if not isinstance(grid, list):
             raise ConfigError("sweep config needs a 'grid' list")
-    master_seed = resolve_master_seed(payload)
+    master_seed = _integer("master_seed", payload.get("master_seed"), 0)
     graphs = _integer("graphs", payload.get("graphs", engine.DEFAULT_GRAPHS), 1)
     realisations = _integer("realisations",
                             payload.get("realisations", engine.DEFAULT_REALISATIONS), 1)
@@ -370,9 +333,8 @@ def _cmd_sweep(args) -> int:
     summaries = engine.sweep(cfgs, master_seed, graphs=graphs,
                              realisations=realisations, jobs=args.jobs)
     write_sweep_csv(summaries, args.out)
-    # The config as run, seed included, so that it feeds back without the
-    # environment.
-    write_meta(args.out, args.command, config={**payload, "master_seed": master_seed},
+    # The config file's object, master_seed included: it feeds back as is.
+    write_meta(args.out, args.command, config=payload,
                master_seed=master_seed,
                graph_seeds=engine.graph_seeds_for(master_seed, graphs),
                points=len(summaries), replicates_per_point=graphs * realisations,
@@ -418,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("run", "single replicate, per-generation CSV trace")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.set_defaults(func=_cmd_run)
 
     for name, help_text in (("sweep", "replicated grid of parameter points"),
@@ -427,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
         p.set_defaults(func=_cmd_sweep)
 
     p = sub("frontier", "minimum-cost rows per cooperation target")

@@ -103,7 +103,6 @@ class RunResult:
     mean_coop: float
     absorbed_at: int | None
     final_state: str
-    run_seed: int
 
 
 def _classify(n_coop: int, n: int) -> str:
@@ -223,7 +222,6 @@ def run_simulation(cfg: RunConfig, g: Graph,
         mean_coop=float(coop[-cfg.stats_window:].mean()),
         absorbed_at=absorbed_at,
         final_state=_classify(n_coop, g.n),
-        run_seed=cfg.run_seed,
     )
 
 

@@ -20,7 +20,6 @@ from coopsim.cli import (
     EXIT_USAGE,
     FRONTIER_HEADER,
     SWEEP_HEADER,
-    apply_overrides,
     expand_grid,
     main,
     parse_run_config,
@@ -137,16 +136,6 @@ class TestRun:
                      "--out", str(again)]) == EXIT_OK
         assert again.read_bytes() == first.read_bytes()
 
-    def test_set_override(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "network": {"model": "BA", "n": 60, "seed": 3},
-            "generations": 10, "stats_window": 5, "run_seed": 5,
-        })
-        out = tmp_path / "trace.csv"
-        assert main(["run", "--config", cfg, "--out", str(out),
-                     "--set", "generations=15"]) == EXIT_OK
-        assert len(out.read_text().splitlines()) == 16
-
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "t.csv")])
@@ -192,44 +181,35 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out2), "--jobs", "4"]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        payload = sweep_config()
-        del payload["master_seed"]
-        cfg = write_config(tmp_path, payload)
-        out = tmp_path / "sweep.csv"
-        monkeypatch.delenv("COOPSIM_SEED", raising=False)
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    @pytest.mark.parametrize("command", ["sweep", "baseline"])
+    def test_master_seed_is_required(self, tmp_path, monkeypatch, capsys, command):
+        # The seed comes from the config alone: COOPSIM_SEED in the
+        # environment fills in neither a missing nor a null one.
         monkeypatch.setenv("COOPSIM_SEED", "11")
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        row = out.read_text().splitlines()[1].split(",")
-        assert row[-1] == "11"
+        missing = sweep_config()
+        del missing["master_seed"]
+        out = tmp_path / "sweep.csv"
+        for payload in (missing, sweep_config(master_seed=None)):
+            if command == "baseline":
+                del payload["grid"]
+            assert main([command, "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == EXIT_USAGE
+            assert "master_seed must be an integer >= 0, got None" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "baseline"])
-    def test_meta_config_feeds_back_without_env_seed(self, tmp_path, monkeypatch, command):
-        payload = sweep_config()
-        del payload["master_seed"]
+    def test_meta_config_feeds_back(self, tmp_path, command):
+        payload = sweep_config(master_seed=7)
         if command == "baseline":
             del payload["grid"]
         first, again = tmp_path / "first.csv", tmp_path / "again.csv"
-        monkeypatch.setenv("COOPSIM_SEED", "7")
         assert main([command, "--config", write_config(tmp_path, payload),
                      "--out", str(first)]) == EXIT_OK
         meta = json.loads((tmp_path / "first.csv.meta.json").read_text())
-        assert meta["config"]["master_seed"] == 7
-        monkeypatch.delenv("COOPSIM_SEED")
+        assert meta["config"] == payload
         assert main([command, "--config", write_config(tmp_path, meta["config"], "meta.json"),
                      "--out", str(again)]) == EXIT_OK
         assert again.read_bytes() == first.read_bytes()
-
-    def test_negative_env_seed_names_the_variable(self, tmp_path, monkeypatch, capsys):
-        payload = sweep_config()
-        del payload["master_seed"]
-        monkeypatch.setenv("COOPSIM_SEED", "-3")
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", write_config(tmp_path, payload),
-                     "--out", str(out)]) == EXIT_USAGE
-        assert "COOPSIM_SEED must be an integer >= 0, got -3" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_meta_records_seeds(self, tmp_path):
         cfg = write_config(tmp_path, sweep_config())
@@ -565,7 +545,7 @@ RUN_KEYS = _SHARED_KEYS + [
 SWEEP_KEYS = _SHARED_KEYS + [
     (("graphs",), bad_int(1)),
     (("realisations",), bad_int(1)),
-    (("master_seed",), bad_int(0, none_ok=True)),
+    (("master_seed",), bad_int(0)),
     (("grid",), _NOT_OBJECT.filter(lambda v: not isinstance(v, list)) | st.none()
      | st.lists(_NOT_OBJECT | st.text(max_size=3), min_size=1, max_size=2)),
     (("grid", 0, "schemes"), bad_schemes().filter(lambda v: v != [])),
@@ -752,30 +732,6 @@ class TestUnwritableOutput:
         assert f"cannot write meta file {out}.meta.json" in capsys.readouterr().err
 
 
-class TestOverrides:
-    def test_dotted_paths_and_json_values(self):
-        base = {"network": {"model": "BA", "n": 10}, "master_seed": 1}
-        out = apply_overrides(base, ["network.n=500", "update.rule=stochastic",
-                                     "master_seed=99"])
-        assert out["network"]["n"] == 500
-        assert out["update"]["rule"] == "stochastic"
-        assert out["master_seed"] == 99
-        assert base["network"]["n"] == 10  # original untouched
-
-    def test_bad_override_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, sweep_config())
-        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv"),
-                   "--set", "no_equals_sign"])
-        assert rc == EXIT_USAGE
-
-    def test_override_must_address_valid_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, sweep_config())
-        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv"),
-                   "--set", "generatoins=99"])
-        assert rc == EXIT_USAGE
-        assert "unknown" in capsys.readouterr().err
-
-
 _UNIT = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 
 
@@ -870,7 +826,7 @@ class TestConsoleScript:
     @pytest.mark.parametrize("argv,abbreviated", [
         (["run", "--config", "c.json", "--out", "t.csv", "--conf", "d.json"], "--conf"),
         (["sweep", "--config", "c.json", "--out", "s.csv", "--jo", "2"], "--jo"),
-        (["baseline", "--config", "c.json", "--out", "s.csv", "--se", "n=1"], "--se"),
+        (["baseline", "--config", "c.json", "--out", "s.csv", "--ou", "x.csv"], "--ou"),
         (["frontier", "--in", "s.csv", "--targets", "0.5", "--out", "f.csv", "--tar", "0.9"],
          "--tar"),
         (["gen-net", "--model", "ba", "--n", "20", "--seed", "1", "--out", "g.json",
@@ -885,6 +841,20 @@ class TestConsoleScript:
         assert exc.value.code == EXIT_USAGE
         assert f"unrecognized arguments: {abbreviated}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
+    def test_set_flag_is_gone(self, tmp_path, capsys, command):
+        # The config file is the whole input: no flag rewrites a key in it.
+        payload = run_config() if command == "run" else sweep_config()
+        if command == "baseline":
+            del payload["grid"]
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", write_config(tmp_path, payload), "--out", str(out),
+                  "--set", "generations=15"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --set" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(

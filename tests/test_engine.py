@@ -341,8 +341,7 @@ def full_recount_run(cfg, g, initial_strategies=None):
         coop=coop, invested=invested, cost=cost,
         total_cost=float(sum(cost.tolist())),
         mean_coop=float(coop[-cfg.stats_window:].mean()),
-        absorbed_at=absorbed_at, final_state=classify(s),
-        run_seed=cfg.run_seed)
+        absorbed_at=absorbed_at, final_state=classify(s))
 
 
 @st.composite
