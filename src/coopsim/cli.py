@@ -24,7 +24,7 @@ from . import __version__, engine, network
 from .dynamics import UpdateRuleConfig
 from .engine import FrontierRow, RunConfig, SweepSummary
 from .game import PayoffParams
-from .interference import InterferenceConfig
+from .interference import PARAMS, InterferenceConfig
 from .network import NetworkConfig
 
 SWEEP_HEADER = ("model,n,b,update_rule,K,schemes,theta,p_c,n_c,c_I,"
@@ -150,8 +150,7 @@ def expand_grid(base: RunConfig, grid: list[dict]) -> list[RunConfig]:
             raise ConfigError(f"grid groups must be objects, got {group!r}")
         group = dict(group)
         schemes = group.pop("schemes", [])
-        axes = {key: _as_list(key, group.pop(key)) for key in ("theta", "p_c", "n_c", "c_I")
-                if key in group}
+        axes = {key: _as_list(key, group.pop(key)) for key in PARAMS if key in group}
         if group:
             raise ConfigError(f"unknown grid keys: {sorted(group)}")
         names = sorted(axes)
@@ -183,8 +182,7 @@ def _csv(header: str, rows) -> str:
 def _config_fields(cfg: RunConfig) -> list[str]:
     net, icfg = cfg.network, cfg.interference
     return [net.model, str(net.n), _fmt(cfg.payoff.b), cfg.update.rule, _fmt(cfg.update.K),
-            "+".join(icfg.schemes), _fmt(icfg.theta), _fmt(icfg.p_c), _fmt(icfg.n_c),
-            _fmt(icfg.c_I)]
+            "+".join(icfg.schemes), *(_fmt(getattr(icfg, key)) for key in PARAMS)]
 
 
 def write_sweep_csv(summaries: list[SweepSummary], path) -> None:
@@ -222,7 +220,7 @@ def _summary_from_row(fields: list[str]) -> SweepSummary:
         update=UpdateRuleConfig(rule=row["update_rule"], K=number("K", optional=True)),
         interference=InterferenceConfig(
             schemes=tuple(row["schemes"].split("+")) if row["schemes"] else (),
-            **{key: number(key, optional=True) for key in ("theta", "p_c", "n_c", "c_I")}),
+            **{key: number(key, optional=True) for key in PARAMS}),
     )
     stats = {name: number(name) for name in _STAT_MAX}
     for name, value in stats.items():
@@ -287,7 +285,7 @@ def write_meta(path, command: str, **payload) -> None:
 # subcommands
 
 def _cmd_gen_net(args) -> int:
-    cfg = _build(NetworkConfig, {"model": args.model.upper(), "n": args.n,
+    cfg = _build(NetworkConfig, {"model": args.model, "n": args.n,
                                  "seed": args.seed}, "network")
     g = engine.graph_for(cfg)
     _write(args.out, "graph file", network.graph_json(cfg, g))
@@ -371,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         return subparsers.add_parser(name, help=help_text, allow_abbrev=False)
 
     p = sub("gen-net", "generate a network and write graph JSON")
-    p.add_argument("--model", required=True, choices=["ba", "dms", "BA", "DMS"])
+    p.add_argument("--model", required=True, type=str.upper, choices=network.MODELS)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out", required=True)

@@ -11,14 +11,13 @@ parallelism produce identical output.
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import dynamics, game, interference, network
 from .dynamics import DETERMINISTIC, UpdateRuleConfig
-from .game import COOPERATE, DEFECT, PayoffParams
+from .game import PayoffParams
 from .interference import InterferenceConfig
 from .network import Graph, NetworkConfig
 
@@ -46,6 +45,11 @@ _SIGN = np.array([-1.0, 1.0])
 # load. On DMS n=5000 (stoch-long) they meet near 0.25, a share hardly any
 # Fermi generation reaches.
 _RECOUNT_SHARE = 1 / 6
+
+# The process pool class, imported by sweep on first use: a run that never
+# needs a pool never loads multiprocessing. A class assigned here first is
+# the one sweep uses.
+ProcessPoolExecutor = None
 
 # Stream tags for the counter-based seed split.
 _GRAPH_STREAM = 0
@@ -113,11 +117,13 @@ def _classify(n_coop: int, n: int) -> str:
 
 def run_simulation(cfg: RunConfig, g: Graph,
                    rng: np.random.Generator | None = None,
-                   initial_strategies: np.ndarray | None = None) -> RunResult:
+                   initial_coop: np.ndarray | None = None) -> RunResult:
     """Simulate one replicate on a prepared graph.
 
-    Strategies start C/D with equal probability (or from initial_strategies
-    when given). Each generation: payoffs are accumulated, interference
+    Each agent starts C or D with equal probability, or as the cooperator
+    mask initial_coop says when it is given: a bool array of shape (n,),
+    which the run copies and leaves unchanged. Any other dtype or shape is
+    a ValueError. Each generation: payoffs are accumulated, interference
     conditions checked and endowments added, then all strategies update
     synchronously. Under either rule a homogeneous population absorbs:
     neither rule can leave it (both copy a neighbor, without mutation), so
@@ -125,17 +131,16 @@ def run_simulation(cfg: RunConfig, g: Graph,
     frozen state fills the rest of the trace so it always spans the full
     horizon. mean_coop averages the trailing stats_window generations.
 
-    The run carries the cooperator mask (initial_strategies, C/D only, are
-    converted once), the number of cooperators and each node's count of
-    cooperating neighbors (nc), updating them from the agents each step
-    returns as switching: only they and their neighbors change, the
-    neighbors by one per switch. The counts take the cheaper of two exact
-    updates: a scatter over the switchers' neighbor lists or, when those
-    lists cover more than _RECOUNT_SHARE of the CSR entries, a fresh
-    count. Scores, NEB eligibility, POP, the recorded coop fraction, the
-    absorption test and the final state all read the carried values. The
-    counts are small integers, exact in float64, so both updates give the
-    same numbers.
+    The run carries the cooperator mask, the number of cooperators and
+    each node's count of cooperating neighbors (nc), updating them from
+    the agents each step returns as switching: only they and their
+    neighbors change, the neighbors by one per switch. The counts take the
+    cheaper of two exact updates: a scatter over the switchers' neighbor
+    lists or, when those lists cover more than _RECOUNT_SHARE of the CSR
+    entries, a fresh count. Scores, NEB eligibility, POP, the recorded coop
+    fraction, the absorption test and the final state all read the carried
+    values. The counts are small integers, exact in float64, so both
+    updates give the same numbers.
 
     Under the Fermi rule a generation works only on the front: the agents
     with a neighbor of the other strategy, the only ones that can switch.
@@ -155,17 +160,15 @@ def run_simulation(cfg: RunConfig, g: Graph,
     deterministic = cfg.update.rule == DETERMINISTIC
     horizon = cfg.horizon
 
-    if initial_strategies is not None:
-        if len(initial_strategies) != g.n:
-            raise ValueError(
-                f"initial strategies have length {len(initial_strategies)}, graph has {g.n}")
-        initial = np.asarray(initial_strategies)
-        if not np.isin(initial, (DEFECT, COOPERATE)).all():
-            raise ValueError("initial strategies must hold only DEFECT (0) and "
-                             "COOPERATE (1)")
-        is_coop = initial == COOPERATE
+    if initial_coop is None:
+        # n int8 draws of 0 or 1, viewed as the mask: a dtype=bool draw
+        # gives other values, and so other bytes.
+        is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
     else:
-        is_coop = game.random_strategies(g.n, rng) == COOPERATE
+        is_coop = np.array(initial_coop)
+        if is_coop.dtype != bool or is_coop.shape != (g.n,):
+            raise ValueError(f"initial_coop must be a bool mask of shape ({g.n},), "
+                             f"got {is_coop.dtype} of shape {is_coop.shape}")
     n_coop = int(np.count_nonzero(is_coop))
     nc = g.count_neighbors(is_coop)
     # nc as it would be if every neighbor agreed: the degree for a
@@ -281,6 +284,7 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
     are reduced in (graph, realisation) order, so output is identical for
     any jobs.
     """
+    global ProcessPoolExecutor
     tasks = []
     for graph_idx, graph_seed in enumerate(graph_seeds_for(master_seed, graphs)):
         for point_idx, cfg in enumerate(cfgs):
@@ -288,12 +292,11 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
             tasks.append((cfg, [derive_seed(master_seed, _RUN_STREAM, point_idx, graph_idx, r)
                                 for r in range(realisations)]))
     if jobs > 1 and len(tasks) > 1:
-        # Looked up on the module, so the pool is imported on first use and
-        # a class assigned to engine.ProcessPoolExecutor is the one used.
-        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         # A fork pool starts every worker at the first submit: start no more
         # than there are tasks.
-        with pool_class(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_task = list(pool.map(_point_graph_task, tasks, chunksize=1))
     else:
         per_task = [_point_graph_task(t) for t in tasks]
@@ -310,16 +313,6 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
             for cfg, (coop, cost) in zip(cfgs, stats)]
 
 
-def __getattr__(name):
-    """Import the process pool on first use (PEP 562): a run that never
-    needs one never loads multiprocessing."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class FrontierRow:
     """Cheapest configuration reaching a cooperation target, if any does."""
@@ -330,12 +323,9 @@ class FrontierRow:
 
 def _frontier_key(summary: SweepSummary):
     icfg = summary.config.interference
-
-    def missing_last(v):
-        return (v is None, v if v is not None else 0.0)
-
-    return (summary.cost_mean, "+".join(icfg.schemes), icfg.theta or 0.0,
-            missing_last(icfg.p_c), missing_last(icfg.n_c), missing_last(icfg.c_I))
+    values = (getattr(icfg, key) for key in interference.PARAMS)
+    # A missing parameter sorts after every value.
+    return (summary.cost_mean, icfg.schemes, *((v is None, v or 0.0) for v in values))
 
 
 def efficiency_frontier(summaries: list[SweepSummary],

@@ -6,10 +6,8 @@ Payoff matrix for the row player (C and D rows/columns):
     C   1    0
     D   b    0
 
-with temptation 1 < b <= 2. A run carries its population as a boolean
-cooperator mask. The int8 labels COOPERATE = 1 and DEFECT = 0 are only the
-form initial strategies take: random_strategies returns them, and
-run_simulation's initial_strategies holds them.
+with temptation 1 < b <= 2. A population is its boolean cooperator mask:
+True plays C, False plays D.
 """
 
 from __future__ import annotations
@@ -17,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-COOPERATE = 1
-DEFECT = 0
 
 
 @dataclass(frozen=True)
@@ -29,11 +24,6 @@ class PayoffParams:
     def __post_init__(self):
         if not 1.0 < self.b <= 2.0:
             raise ValueError(f"temptation must satisfy 1 < b <= 2, got b={self.b}")
-
-
-def random_strategies(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Each node independently C or D with equal probability."""
-    return rng.integers(0, 2, size=n, dtype=np.int8)
 
 
 def scores_from_counts(coop: np.ndarray, nc: np.ndarray, p: PayoffParams) -> np.ndarray:

@@ -10,6 +10,8 @@ Three eligibility schemes, all restricted to cooperators:
 
 Several schemes may be active at once; a node is paid the endowment theta
 at most once per generation regardless of how many schemes it satisfies.
+PARAMS names a scheme set's parameters, in the one order that configs,
+sweep grids, CSV columns and the frontier's tie-break use.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ NEB = "NEB"
 NI = "NI"
 
 _SCHEMES = (POP, NEB, NI)
+# The endowment, then each scheme's threshold in _SCHEMES order.
+PARAMS = ("theta", "p_c", "n_c", "c_I")
 
 
 @dataclass(frozen=True)
@@ -56,9 +60,8 @@ class InterferenceConfig:
                                  f"active, got {self.theta}")
         elif self.theta is not None:
             raise ValueError("theta given without any active scheme")
-        for scheme, name, value in ((POP, "p_c", self.p_c),
-                                    (NEB, "n_c", self.n_c),
-                                    (NI, "c_I", self.c_I)):
+        for scheme, name in zip(_SCHEMES, PARAMS[1:]):
+            value = getattr(self, name)
             if scheme in schemes:
                 if value is None:
                     raise ValueError(f"{scheme} is active but {name} is missing")

@@ -18,7 +18,7 @@ import numpy as np
 BA = "BA"
 DMS = "DMS"
 
-_MODELS = (BA, DMS)
+MODELS = (BA, DMS)
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in _MODELS:
+        if self.model not in MODELS:
             raise ValueError(f"unknown network model: {self.model!r}")
         if self.n < 3:
             raise ValueError(f"need at least 3 nodes, got n={self.n}")

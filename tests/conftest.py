@@ -6,9 +6,13 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
-from coopsim.game import COOPERATE, DEFECT, PayoffParams, scores_from_counts
+from coopsim.game import PayoffParams, scores_from_counts
 from coopsim.interference import NEB, NI, POP, InterferenceConfig, eligible_set
 from coopsim.network import Graph, NetworkConfig
+
+# int8 strategy labels, the form the per-node and per-pair oracles take;
+# the library holds a population as its cooperator mask (labels == C).
+COOPERATE, DEFECT = 1, 0
 
 
 def random_connected_edges(n: int, rng: np.random.Generator,

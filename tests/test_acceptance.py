@@ -29,12 +29,7 @@ from coopsim.engine import (
     run_simulation,
     sweep,
 )
-from coopsim.game import (
-    COOPERATE,
-    DEFECT,
-    PayoffParams,
-    random_strategies,
-)
+from coopsim.game import PayoffParams
 from coopsim.interference import (
     NEB,
     NI,
@@ -50,6 +45,8 @@ from coopsim.network import (
 )
 
 from conftest import (
+    COOPERATE,
+    DEFECT,
     accumulate_scores,
     diameter,
     fit_degree_exponent,
@@ -79,7 +76,7 @@ class TestCriterion1:
         for trial in range(100):
             n = int(rng.integers(5, 51))
             g = random_connected_graph(n, rng)
-            s = random_strategies(n, rng)
+            s = rng.integers(0, 2, n, dtype=np.int8)
             p = PayoffParams(b=[1.2, 1.8, 2.0][trial % 3])
             fast = accumulate_scores(g, s, p)
             oracle = np.array([
@@ -168,7 +165,7 @@ class TestCriterion4:
                             interference=icfg, generations=75, stats_window=25,
                             run_seed=run_idx)
             result = run_simulation(cfg, generate(net),
-                                    initial_strategies=np.full(100, strat, np.int8))
+                                    initial_coop=np.full(100, strat == C))
             runs += 1
             unchanged = all(c == float(strat) for c in result.coop)
             if not unchanged or result.total_cost != 0.0 or len(result.coop) != 75:

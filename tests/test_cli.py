@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import io
@@ -890,11 +891,13 @@ class TestLazyPool:
         # A fresh interpreter: this one may have imported the pool already.
         script = (
             "import json, sys\n"
+            "from coopsim import engine\n"
             "from coopsim.cli import main\n"
             f"for argv in json.loads({json.dumps(json.dumps(commands))}):\n"
             "    assert main(argv) == 0, argv\n"
             f"    loaded = [m for m in {self.POOL_MODULES!r} if m in sys.modules]\n"
             "    assert not loaded, (argv[0], loaded)\n"
+            "    assert engine.ProcessPoolExecutor is None, argv[0]\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True)
@@ -903,7 +906,7 @@ class TestLazyPool:
     def test_parallel_sweep_uses_the_module_pool_class(self, tmp_path, monkeypatch):
         made = []
 
-        class CountingPool(engine.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 made.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)

@@ -12,10 +12,12 @@ from coopsim.dynamics import (
     step_deterministic,
     step_stochastic,
 )
-from coopsim.game import COOPERATE, DEFECT, PayoffParams
+from coopsim.game import PayoffParams
 from coopsim.network import Graph
 
 from conftest import (
+    COOPERATE,
+    DEFECT,
     accumulate_scores,
     boundary,
     connected_graphs,

@@ -15,11 +15,13 @@ from coopsim.engine import (
     run_simulation,
     sweep,
 )
-from coopsim.game import COOPERATE, DEFECT, PayoffParams
+from coopsim.game import PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
 from coopsim.network import BA, Graph, NetworkConfig, generate
 
 from conftest import (
+    COOPERATE,
+    DEFECT,
     accumulate_scores,
     boundary,
     connected_graphs,
@@ -66,23 +68,36 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="graph has 50 nodes, config expects 60"):
             run_simulation(ba_config(n=60), g)
 
-    def test_initial_strategies_length_mismatch_rejected(self):
-        g = generate(NetworkConfig(model=BA, n=50, seed=0))
-        with pytest.raises(ValueError, match="initial strategies have length 49"):
-            run_simulation(ba_config(n=50), g, initial_strategies=np.ones(49, dtype=np.int8))
-
-    @pytest.mark.parametrize("bad", [2, -1, 0.5])
-    def test_initial_strategies_other_than_c_or_d_rejected(self, bad):
+    @pytest.mark.parametrize("initial", [
+        np.ones(100, dtype=np.int8),
+        np.ones(100, dtype=np.float64),
+        np.ones(99, dtype=bool),
+        np.ones((100, 1), dtype=bool),
+    ], ids=["int8-labels", "float-mask", "short", "column"])
+    def test_initial_coop_not_a_bool_mask_rejected(self, initial):
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
-        initial = np.full(100, C, dtype=np.float64)
-        initial[7] = bad
-        with pytest.raises(ValueError, match="initial strategies"):
-            run_simulation(ba_config(), g, initial_strategies=initial)
+        with pytest.raises(ValueError,
+                           match=r"initial_coop must be a bool mask of shape \(100,\)"):
+            run_simulation(ba_config(), g, initial_coop=initial)
+
+    def test_initial_coop_is_left_unchanged(self):
+        g = generate(NetworkConfig(model=BA, n=100, seed=3))
+        initial = np.random.default_rng(8).integers(0, 2, g.n, dtype=np.int8) == C
+        given = initial.copy()
+        result = run_simulation(ba_config(), g, initial_coop=given)
+        assert result.coop[1] != result.coop[0]  # agents switched
+        assert np.array_equal(given, initial)
+
+    def test_random_start_is_balanced(self):
+        n = 100_000
+        g = Graph.from_edges(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
+        result = run_simulation(ba_config(n=n, generations=1, stats_window=1, run_seed=5), g)
+        assert abs(result.coop[0] - 0.5) < 0.01
 
     def test_all_defector_start_stays_and_costs_nothing(self):
         cfg = ba_config(interference=pop_cfg(theta=5.0, p_c=1.0))
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
-        result = run_simulation(cfg, g, initial_strategies=np.full(100, D, dtype=np.int8))
+        result = run_simulation(cfg, g, initial_coop=np.zeros(100, dtype=bool))
         assert result.final_state == "homogeneous-D"
         assert result.total_cost == 0.0
         assert result.mean_coop == 0.0
@@ -92,7 +107,7 @@ class TestRunSimulation:
         # deterministic absorbing state: no further interference is paid
         cfg = ba_config(interference=pop_cfg(theta=2.0, p_c=1.0))
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
-        result = run_simulation(cfg, g, initial_strategies=np.full(100, C, dtype=np.int8))
+        result = run_simulation(cfg, g, initial_coop=np.ones(100, dtype=bool))
         assert result.final_state == "homogeneous-C"
         assert result.total_cost == 0.0
         assert result.mean_coop == 1.0
@@ -133,9 +148,8 @@ class TestRunSimulation:
                         interference=pop_cfg(theta=40.0, p_c=1.0),
                         generations=60, stats_window=10, run_seed=4)
         g = generate(NetworkConfig(model=BA, n=100, seed=5))
-        initial = None if start == "takeover" else \
-            np.full(g.n, C if start == "all-C" else D, dtype=np.int8)
-        result = run_simulation(cfg, g, initial_strategies=initial)
+        initial = None if start == "takeover" else np.full(g.n, start == "all-C")
+        result = run_simulation(cfg, g, initial_coop=initial)
         at = result.absorbed_at
         assert at is not None
         assert (at == 0) if initial is not None else (at > 0)
@@ -158,10 +172,9 @@ class TestRunSimulation:
                         interference=pop_cfg(theta=1.0, p_c=0.5),
                         generations=horizon, stats_window=10, run_seed=12)
         g = generate(NetworkConfig(model=BA, n=100, seed=5))
-        initial = None if start == "random" else \
-            np.full(g.n, C if start == "all-C" else D, dtype=np.int8)
+        initial = None if start == "random" else np.full(g.n, start == "all-C")
         rng = np.random.default_rng(cfg.run_seed)
-        result = run_simulation(cfg, g, rng=rng, initial_strategies=initial)
+        result = run_simulation(cfg, g, rng=rng, initial_coop=initial)
         played = horizon if initial is None else 0
         assert result.absorbed_at == (None if initial is None else 0)
         want = np.random.default_rng(cfg.run_seed)
@@ -291,7 +304,7 @@ def classify(s):
     return engine.HOMOGENEOUS_C if s[0] == C else engine.HOMOGENEOUS_D
 
 
-def full_recount_run(cfg, g, initial_strategies=None):
+def full_recount_run(cfg, g, initial_coop=None):
     """Oracle: the generation loop that recounts everything from the strategy
     vector each generation, with the Fermi probability evaluated for every
     agent."""
@@ -301,10 +314,10 @@ def full_recount_run(cfg, g, initial_strategies=None):
     theta = icfg.theta if icfg.active else 0.0
     deterministic = cfg.update.rule == DETERMINISTIC
     horizon = cfg.horizon
-    if initial_strategies is not None:
-        s = np.array(initial_strategies, dtype=np.int8)
+    if initial_coop is not None:
+        s = np.where(initial_coop, C, D).astype(np.int8)
     else:
-        s = game.random_strategies(g.n, rng)
+        s = rng.integers(0, 2, g.n, dtype=np.int8)
     coop = np.empty(horizon)
     invested = np.zeros(horizon, dtype=np.int64)
     absorbed_at = None
@@ -347,8 +360,8 @@ def full_recount_run(cfg, g, initial_strategies=None):
 @st.composite
 def run_cases(draw):
     """A graph, a run config over it (either rule, any scheme combination)
-    and optionally the initial strategies, all-C and all-D included. The
-    graph has at least 3 nodes, the smallest network a config can name."""
+    and optionally the initial cooperator mask, all-C and all-D included.
+    The graph has at least 3 nodes, the smallest network a config can name."""
     g = draw(connected_graphs(min_n=3))
     schemes = tuple(x for x in draw(st.permutations([POP, NEB, NI]))
                     if draw(st.booleans()))
@@ -371,9 +384,8 @@ def run_cases(draw):
         stats_window=draw(st.integers(1, generations)),
         run_seed=draw(st.integers(0, 2**32 - 1)))
     initial = draw(st.none()
-                   | st.sampled_from([C, D]).map(lambda x: np.full(g.n, x, dtype=np.int8))
-                   | st.lists(st.sampled_from([C, D]), min_size=g.n, max_size=g.n)
-                   .map(lambda xs: np.array(xs, dtype=np.int8)))
+                   | st.booleans().map(lambda x: np.full(g.n, x))
+                   | st.lists(st.booleans(), min_size=g.n, max_size=g.n).map(np.array))
     return g, cfg, initial
 
 
@@ -385,8 +397,8 @@ class TestCarriedCounts:
     @given(case=run_cases())
     def test_matches_full_recount_loop(self, case):
         g, cfg, initial = case
-        got = run_simulation(cfg, g, initial_strategies=initial)
-        want = full_recount_run(cfg, g, initial_strategies=initial)
+        got = run_simulation(cfg, g, initial_coop=initial)
+        want = full_recount_run(cfg, g, initial_coop=initial)
         for name in ("coop", "invested", "cost"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.total_cost == want.total_cost
@@ -442,7 +454,7 @@ class TestCarriedCounts:
             mp.setattr(Graph, "count_neighbors", spy_count)
             mp.setattr(dynamics, "step_deterministic", spy_deterministic)
             mp.setattr(dynamics, "step_stochastic", spy_stochastic)
-            result = run_simulation(cfg, g, initial_strategies=initial)
+            result = run_simulation(cfg, g, initial_coop=initial)
         played = len(seen)
         assert played == (result.absorbed_at if result.absorbed_at is not None
                           else cfg.horizon)

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim.game import (
-    COOPERATE,
-    DEFECT,
-    PayoffParams,
-    random_strategies,
-)
+from coopsim.game import PayoffParams
 from coopsim.network import Graph
 
 from conftest import (
+    COOPERATE,
+    DEFECT,
     accumulate_scores,
     connected_graphs,
     coop_fraction,
@@ -72,7 +69,7 @@ class TestAccumulateScores:
         p = PayoffParams(b=b)
         for _ in range(25):
             g = random_connected_graph(30, rng)
-            s = random_strategies(g.n, rng)
+            s = rng.integers(0, 2, g.n, dtype=np.int8)
             assert np.array_equal(accumulate_scores(g, s, p), brute_force_scores(g, s, p))
 
     @settings(max_examples=200, deadline=None)
@@ -87,7 +84,7 @@ class TestAccumulateScores:
         # a cooperator scores exactly its C-neighbor count; a defector b times that
         rng = np.random.default_rng(23)
         g = random_connected_graph(40, rng)
-        s = random_strategies(g.n, rng)
+        s = rng.integers(0, 2, g.n, dtype=np.int8)
         p = PayoffParams(b=1.8)
         scores = accumulate_scores(g, s, p)
         for i in range(g.n):
@@ -100,7 +97,7 @@ class TestAccumulateScores:
         p = PayoffParams(b=1.8)
         for _ in range(10):
             g = random_connected_graph(35, rng)
-            s = random_strategies(g.n, rng)
+            s = rng.integers(0, 2, g.n, dtype=np.int8)
             cc = sum(1 for u, v in g.edges if s[u] == C and s[v] == C)
             cd = sum(1 for u, v in g.edges if (s[u] == C) != (s[v] == C))
             total = accumulate_scores(g, s, p).sum()
@@ -109,7 +106,7 @@ class TestAccumulateScores:
     def test_pure_function_bit_exact(self):
         rng = np.random.default_rng(31)
         g = random_connected_graph(25, rng)
-        s = random_strategies(g.n, rng)
+        s = rng.integers(0, 2, g.n, dtype=np.int8)
         p = PayoffParams(b=1.7)
         first = accumulate_scores(g, s, p)
         assert np.array_equal(first, accumulate_scores(g, s, p))
@@ -121,11 +118,6 @@ class TestAccumulateScores:
 
 
 class TestStrategies:
-    def test_random_strategies_balanced(self):
-        s = random_strategies(100_000, np.random.default_rng(5))
-        assert set(np.unique(s)) == {0, 1}
-        assert abs(coop_fraction(s) - 0.5) < 0.01
-
     def test_coop_fraction_exact(self):
         assert coop_fraction(np.array([C, C, D, D], dtype=np.int8)) == 0.5
         assert coop_fraction(np.array([D, D], dtype=np.int8)) == 0.0

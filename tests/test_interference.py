@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim.game import COOPERATE, DEFECT
 from coopsim.interference import (
     NEB,
     NI,
@@ -13,6 +12,8 @@ from coopsim.interference import (
 from coopsim.network import BA, Graph, NetworkConfig, degree_percentiles, generate
 
 from conftest import (
+    COOPERATE,
+    DEFECT,
     connected_graphs,
     eligible,
     neb_eligible,
