@@ -70,10 +70,12 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("initial", [
         np.ones(100, dtype=np.int8),
+        np.full(100, -1, dtype=np.int8),
+        np.full(100, 2, dtype=np.int8),
         np.ones(100, dtype=np.float64),
         np.ones(99, dtype=bool),
         np.ones((100, 1), dtype=bool),
-    ], ids=["int8-labels", "float-mask", "short", "column"])
+    ], ids=["int8-labels", "int8-minus-one", "int8-two", "float-mask", "short", "column"])
     def test_initial_coop_not_a_bool_mask_rejected(self, initial):
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
         with pytest.raises(ValueError,
