@@ -1,9 +1,11 @@
 """Synchronous social-learning updates: deterministic imitate-best and the
 stochastic Fermi rule.
 
-Both rules update every agent simultaneously from the same scores and
-return the agents that switch, ascending. Draws are whole per-node arrays
-in node-index order, so trajectories are fully determined by the RNG seed.
+Both rules update every agent simultaneously from the same scores. The
+Fermi step is numpy and returns the agents that switch, ascending;
+imitate-best runs a whole replicate in one compiled call. Draws are
+per-node, in node-index order, so trajectories are fully determined by the
+RNG seed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .game import PayoffParams
+from .interference import NEB, POP, InterferenceConfig
 from .network import Graph
 
 DETERMINISTIC = "deterministic"
@@ -57,32 +61,53 @@ def fermi_probability(f_a, f_b, K: float):
     return 1.0 / (1.0 + np.exp(z))
 
 
-def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Every agent imitates its highest-scoring neighbor, simultaneously.
+def step_deterministic(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
+                       icfg: InterferenceConfig, percentile: np.ndarray | None,
+                       rng: np.random.Generator, coop: np.ndarray,
+                       invested: np.ndarray) -> int | None:
+    """Run every imitate-best generation of one replicate in one compiled
+    call, and return the generation it absorbed at, or None.
 
-    Returns the agents that switch, ascending: those whose best neighbor
-    strictly outscores them and holds the other strategy. Ties among equally
-    best neighbors are broken uniformly with one draw per node.
+    Each generation, every agent imitates its highest-scoring neighbor
+    when that neighbor strictly outscores it, simultaneously. Ties among
+    equally best neighbors, in CSR order, are broken with one uniform per
+    agent from rng, in node order: the k-th tie with k = floor(u * ties).
+    Eligibility (percentile is the graph's degree_percentiles, needed only
+    when NI is active), endowments, scores and the carried neighbor counts
+    follow engine.run_simulation's rules; the loop is _imitate.c.
+    is_coop (the bool mask) ends as the final population, and coop and
+    invested, of horizon length, are filled as RunResult's arrays.
+
+    perfbench's tracer reports this function as dynamics.step_deterministic:
+    one call per imitate-best replicate.
     """
-    nbr_scores = scores[g.indices]
-    best = np.full(g.n, -np.inf)
-    np.maximum.at(best, g.rows, nbr_scores)
+    # Imported here, so that a process running only the Fermi rule never
+    # loads the library.
+    from . import _imitate
 
-    # Pick uniformly among the tied best neighbors of each node: tiepos
-    # lists the CSR positions of all ties, grouped by node, so a node's
-    # k-th tie (k = floor(u * count)) sits at its group start plus k.
-    tiepos = (nbr_scores == best[g.rows]).nonzero()[0]
-    tie_counts = np.bincount(g.rows[tiepos], minlength=g.n)
-    u = rng.random(g.n)
-    u *= tie_counts
-    pick = u.astype(np.int64)
-    np.minimum(pick, tie_counts - 1, out=pick)
-    pick += np.cumsum(tie_counts)
-    pick -= tie_counts
-    best_neighbor = g.indices[tiepos[pick]]
-
-    return ((best > scores) & (s[best_neighbor] != s)).nonzero()[0]
+    arrays = ((g.indptr, np.int64, g.n + 1), (g.indices, np.int64, int(g.indptr[-1])),
+              (is_coop, bool, g.n), (coop, np.float64, coop.size),
+              (invested, np.int64, coop.size))
+    if percentile is not None:
+        arrays += ((percentile, np.float64, g.n),)
+    for arr, dtype, size in arrays:
+        if arr.dtype != dtype or arr.shape != (size,) or not arr.flags.c_contiguous:
+            raise ValueError(f"step_deterministic needs contiguous {np.dtype(dtype)} arrays "
+                             f"of shape ({size},), got {arr.dtype} of shape {arr.shape}")
+    kernel = _imitate.library()
+    schemes = icfg.schemes
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        absorbed_at = kernel(
+            g.n, g.indptr.ctypes.data, g.indices.ctypes.data, payoff.b,
+            bool(schemes), icfg.theta or 0.0,
+            POP in schemes, icfg.p_c or 0.0, NEB in schemes, icfg.n_c or 0.0,
+            None if percentile is None else percentile.ctypes.data, icfg.c_I or 0.0,
+            coop.size, is_coop.ctypes.data, coop.ctypes.data, invested.ctypes.data,
+            bitgen.ctypes.state_address, bitgen.ctypes.next_double)
+    if absorbed_at == -2:
+        raise MemoryError("imitate-best loop: no memory for its work buffers")
+    return None if absorbed_at < 0 else absorbed_at
 
 
 def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray,

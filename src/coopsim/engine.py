@@ -36,16 +36,6 @@ MIXED = "mixed"
 # strategy makes to each neighbor's cooperating-neighbor count.
 _SIGN = np.array([-1.0, 1.0])
 
-# Past this share of the CSR entries, scattering the switchers' neighbor
-# lists into the counts costs more than one fresh count. Timed inside the
-# generation loop on det-grid states (BA n=2000, 2-core Xeon VM), the two
-# meet at shares of 0.15-0.175 while other guests load the machine (49 us
-# each) and at 0.20-0.25 when it is idle (23 us). Between those shares
-# the recount costs at most 3 us more when idle and saves up to 7 us under
-# load. On DMS n=5000 (stoch-long) they meet near 0.25, a share hardly any
-# Fermi generation reaches.
-_RECOUNT_SHARE = 1 / 6
-
 # The process pool class, imported by sweep on first use: a run that never
 # needs a pool never loads multiprocessing. A class assigned here first is
 # the one sweep uses.
@@ -131,23 +121,9 @@ def run_simulation(cfg: RunConfig, g: Graph,
     frozen state fills the rest of the trace so it always spans the full
     horizon. mean_coop averages the trailing stats_window generations.
 
-    The run carries the cooperator mask, the number of cooperators and
-    each node's count of cooperating neighbors (nc), updating them from
-    the agents each step returns as switching: only they and their
-    neighbors change, the neighbors by one per switch. The counts take the
-    cheaper of two exact updates: a scatter over the switchers' neighbor
-    lists or, when those lists cover more than _RECOUNT_SHARE of the CSR
-    entries, a fresh count. Scores, NEB eligibility, POP, the recorded coop
-    fraction, the absorption test and the final state all read the carried
-    values. The counts are small integers, exact in float64, so both
-    updates give the same numbers.
-
-    Under the Fermi rule a generation works only on the front: the agents
-    with a neighbor of the other strategy, the only ones that can switch.
-    Only they pick a neighbor, and only agents whose pick disagrees are
-    scored; the step still draws its 2n uniforms in full, so a run's
-    random stream does not depend on the front. Imitate-best scores every
-    agent.
+    After the initial draw, an imitate-best run is one compiled call,
+    dynamics.step_deterministic; a Fermi run is the numpy loop of
+    _run_fermi. Both draw from rng and from nothing else.
     """
     if g.n != cfg.network.n:
         raise ValueError(f"graph has {g.n} nodes, config expects {cfg.network.n}")
@@ -157,9 +133,6 @@ def run_simulation(cfg: RunConfig, g: Graph,
     icfg = cfg.interference
     percentile = network.degree_percentiles(g) if interference.NI in icfg.schemes else None
     theta = icfg.theta if icfg.active else 0.0
-    deterministic = cfg.update.rule == DETERMINISTIC
-    horizon = cfg.horizon
-
     if initial_coop is None:
         # n int8 draws of 0 or 1, viewed as the mask: a dtype=bool draw
         # gives other values, and so other bytes.
@@ -169,51 +142,13 @@ def run_simulation(cfg: RunConfig, g: Graph,
         if is_coop.dtype != bool or is_coop.shape != (g.n,):
             raise ValueError(f"initial_coop must be a bool mask of shape ({g.n},), "
                              f"got {is_coop.dtype} of shape {is_coop.shape}")
-    n_coop = int(np.count_nonzero(is_coop))
-    nc = g.count_neighbors(is_coop)
-    # nc as it would be if every neighbor agreed: the degree for a
-    # cooperator, 0 for a defector. Agents with nc != alike_nc, and no
-    # others, have a neighbor of the other strategy: the Fermi front, the
-    # only reader of alike_nc.
-    alike_nc = np.where(is_coop, g.degrees, 0).astype(np.float64)
-    bonus = np.array([0.0, theta])  # the endowment, looked up by eligibility
-    coop = np.empty(horizon)
-    invested = np.zeros(horizon, dtype=np.int64)
-    absorbed_at = None
-
-    def score(nodes):
-        """This generation's scores of nodes, endowment included."""
-        f = game.scores_from_counts(is_coop[nodes], nc[nodes], cfg.payoff)
-        if icfg.active:
-            f = f + bonus.take(eligible[nodes])
-        return f
-
-    for gen in range(horizon):
-        if n_coop in (0, g.n):
-            absorbed_at = gen
-            coop[gen:] = n_coop / g.n
-            break
-        coop[gen] = n_coop / g.n
-        if icfg.active:
-            eligible = interference.eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
-            invested[gen] = np.count_nonzero(eligible)
-        if deterministic:
-            switched = dynamics.step_deterministic(g, is_coop, score(slice(None)), rng)
-        else:
-            front = (nc != alike_nc).nonzero()[0]
-            switched = dynamics.step_stochastic(g, is_coop, front, score, cfg.update.K, rng)
-        gained = ~is_coop[switched]
-        is_coop[switched] = gained
-        degrees = g.degrees[switched]
-        if not deterministic:
-            alike_nc[switched] = degrees * gained
-        n_coop += 2 * int(np.count_nonzero(gained)) - switched.size
-        if degrees.sum() > _RECOUNT_SHARE * g.indices.size:
-            nc = g.count_neighbors(is_coop)
-        else:
-            # Each switch moves every neighbor's count by one, up for a new
-            # cooperator and down for a new defector.
-            np.add.at(nc, g.neighbors_of(switched), _SIGN.take(gained).repeat(degrees))
+    coop = np.empty(cfg.horizon)
+    invested = np.zeros(cfg.horizon, dtype=np.int64)
+    if cfg.update.rule == DETERMINISTIC:
+        absorbed_at = dynamics.step_deterministic(g, is_coop, cfg.payoff, icfg, percentile,
+                                                  rng, coop, invested)
+    else:
+        absorbed_at = _run_fermi(cfg, g, percentile, theta, is_coop, rng, coop, invested)
 
     cost = theta * invested
     return RunResult(
@@ -224,8 +159,65 @@ def run_simulation(cfg: RunConfig, g: Graph,
         total_cost=float(sum(cost.tolist())),
         mean_coop=float(coop[-cfg.stats_window:].mean()),
         absorbed_at=absorbed_at,
-        final_state=_classify(n_coop, g.n),
+        final_state=_classify(int(np.count_nonzero(is_coop)), g.n),
     )
+
+
+def _run_fermi(cfg: RunConfig, g: Graph, percentile: np.ndarray | None, theta: float,
+               is_coop: np.ndarray, rng: np.random.Generator, coop: np.ndarray,
+               invested: np.ndarray) -> int | None:
+    """Run the Fermi rule's generations, filling coop and invested and
+    leaving the final population in is_coop; return the absorption
+    generation, or None.
+
+    The run carries the cooperator mask, the number of cooperators and
+    each node's count of cooperating neighbors (nc), updating them from
+    the agents each step returns as switching: only they and their
+    neighbors change, the neighbors' counts by one per switch. Scores,
+    NEB eligibility, POP, the recorded coop fraction and the absorption
+    test all read the carried values.
+
+    A generation works only on the front: the agents with a neighbor of
+    the other strategy, the only ones that can switch. Only they pick a
+    neighbor, and only agents whose pick disagrees are scored; the step
+    still draws its 2n uniforms in full, so a run's random stream does not
+    depend on the front.
+    """
+    icfg = cfg.interference
+    n_coop = int(np.count_nonzero(is_coop))
+    nc = g.count_neighbors(is_coop)
+    # nc as it would be if every neighbor agreed: the degree for a
+    # cooperator, 0 for a defector. Agents with nc != alike_nc, and no
+    # others, have a neighbor of the other strategy: the front.
+    alike_nc = np.where(is_coop, g.degrees, 0).astype(np.float64)
+    bonus = np.array([0.0, theta])  # the endowment, looked up by eligibility
+
+    def score(nodes):
+        """This generation's scores of nodes, endowment included."""
+        f = game.scores_from_counts(is_coop[nodes], nc[nodes], cfg.payoff)
+        if icfg.active:
+            f = f + bonus.take(eligible[nodes])
+        return f
+
+    for gen in range(coop.size):
+        if n_coop in (0, g.n):
+            coop[gen:] = n_coop / g.n
+            return gen
+        coop[gen] = n_coop / g.n
+        if icfg.active:
+            eligible = interference.eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
+            invested[gen] = np.count_nonzero(eligible)
+        front = (nc != alike_nc).nonzero()[0]
+        switched = dynamics.step_stochastic(g, is_coop, front, score, cfg.update.K, rng)
+        gained = ~is_coop[switched]
+        is_coop[switched] = gained
+        degrees = g.degrees[switched]
+        alike_nc[switched] = degrees * gained
+        n_coop += 2 * int(np.count_nonzero(gained)) - switched.size
+        # Each switch moves every neighbor's count by one, up for a new
+        # cooperator and down for a new defector.
+        np.add.at(nc, g.neighbors_of(switched), _SIGN.take(gained).repeat(degrees))
+    return None
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,35 @@ def reference_generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Gr
     return Graph.from_edges(config.n, np.array(ends, dtype=np.int64).reshape(-1, 2))
 
 
+def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Numpy oracle of one imitate-best step: every agent imitates its
+    highest-scoring neighbor, simultaneously.
+
+    Returns the agents that switch, ascending: those whose best neighbor
+    strictly outscores them and holds the other strategy. Ties among equally
+    best neighbors are broken uniformly with one draw per node.
+    """
+    nbr_scores = scores[g.indices]
+    best = np.full(g.n, -np.inf)
+    np.maximum.at(best, g.rows, nbr_scores)
+
+    # Pick uniformly among the tied best neighbors of each node: tiepos
+    # lists the CSR positions of all ties, grouped by node, so a node's
+    # k-th tie (k = floor(u * count)) sits at its group start plus k.
+    tiepos = (nbr_scores == best[g.rows]).nonzero()[0]
+    tie_counts = np.bincount(g.rows[tiepos], minlength=g.n)
+    u = rng.random(g.n)
+    u *= tie_counts
+    pick = u.astype(np.int64)
+    np.minimum(pick, tie_counts - 1, out=pick)
+    pick += np.cumsum(tie_counts)
+    pick -= tie_counts
+    best_neighbor = g.indices[tiepos[pick]]
+
+    return ((best > scores) & (s[best_neighbor] != s)).nonzero()[0]
+
+
 def neighbors(g: Graph, i: int) -> np.ndarray:
     """Sorted neighbor ids of node i."""
     return g.indices[g.indptr[i]:g.indptr[i + 1]]

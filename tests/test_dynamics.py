@@ -9,7 +9,6 @@ from coopsim.dynamics import (
     STOCHASTIC,
     UpdateRuleConfig,
     fermi_probability,
-    step_deterministic,
     step_stochastic,
 )
 from coopsim.game import PayoffParams
@@ -24,6 +23,7 @@ from conftest import (
     is_homogeneous,
     neighbors,
     random_connected_graph,
+    step_deterministic,
 )
 
 C, D = COOPERATE, DEFECT
@@ -116,6 +116,10 @@ class TestFermiProbability:
 
 
 class TestStepDeterministic:
+    """The numpy oracle of one imitate-best step (conftest.step_deterministic)
+    against a per-node loop. The compiled loop that runs imitate-best is
+    compared with the oracle in test_engine's TestCarriedCounts."""
+
     def test_homogeneous_population_is_fixed_point(self):
         rng = np.random.default_rng(1)
         g = random_connected_graph(30, rng)

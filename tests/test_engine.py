@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopsim import dynamics, engine, game, interference, network
@@ -32,6 +34,7 @@ from conftest import (
     ni_eligible,
     pop_eligible,
     reachable,
+    step_deterministic,
 )
 
 C, D = COOPERATE, DEFECT
@@ -81,6 +84,19 @@ class TestRunSimulation:
         with pytest.raises(ValueError,
                            match=r"initial_coop must be a bool mask of shape \(100,\)"):
             run_simulation(ba_config(), g, initial_coop=initial)
+
+    def test_compiled_loop_takes_only_arrays_it_can_read(self):
+        # The loop reads raw buffers: a wrong dtype or a strided view is
+        # refused before any pointer is passed.
+        g = generate(NetworkConfig(model=BA, n=100, seed=3))
+        mask, coop, invested = np.ones(g.n, bool), np.empty(30), np.zeros(30, np.int64)
+        rng = np.random.default_rng(0)
+        for is_coop, coop_, invested_ in ((mask.astype(np.int8), coop, invested),
+                                          (mask, np.empty(60)[::2], invested),
+                                          (mask, coop, np.zeros(30, np.int32))):
+            with pytest.raises(ValueError, match="needs contiguous"):
+                dynamics.step_deterministic(g, is_coop, PayoffParams(), InterferenceConfig(),
+                                            None, rng, coop_, invested_)
 
     def test_initial_coop_is_left_unchanged(self):
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
@@ -230,14 +246,19 @@ class TestRunSimulation:
 
 
 class TestInterferenceAccounting:
-    """Per-generation investment bookkeeping, observed through the module
-    functions run_simulation calls."""
+    """Per-generation investment bookkeeping. The Fermi rule's numpy loop is
+    observed through the module functions it calls; the compiled
+    imitate-best loop is compared with the oracle loop."""
 
     def record_run(self, monkeypatch, cfg, g):
+        """cfg run under the Fermi rule, recording each generation's eligible
+        mask, the scores scores_from_counts returned (and a copy of them as
+        returned) and the nodes and scores the step was given."""
+        cfg = replace(cfg, update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1))
         calls = {"eligible": [], "scores": [], "stepped": []}
         eligible_set, scores_from_counts, step = (interference.eligible_set,
                                                   game.scores_from_counts,
-                                                  dynamics.step_deterministic)
+                                                  dynamics.step_stochastic)
 
         def spy_eligible(*args):
             mask = eligible_set(*args)
@@ -249,13 +270,16 @@ class TestInterferenceAccounting:
             calls["scores"].append((scores, scores.copy()))
             return scores
 
-        def spy_step(g, s, scores, *rest):
-            calls["stepped"].append(scores.copy())
-            return step(g, s, scores, *rest)
+        def spy_step(g, s, front, score, *rest):
+            def scored(nodes):
+                scores = score(nodes)
+                calls["stepped"].append((nodes, scores.copy()))
+                return scores
+            return step(g, s, front, scored, *rest)
 
         monkeypatch.setattr(interference, "eligible_set", spy_eligible)
         monkeypatch.setattr(game, "scores_from_counts", spy_scores)
-        monkeypatch.setattr(dynamics, "step_deterministic", spy_step)
+        monkeypatch.setattr(dynamics, "step_stochastic", spy_step)
         return run_simulation(cfg, g), calls
 
     def test_invested_is_eligible_count_per_generation(self, monkeypatch):
@@ -277,7 +301,7 @@ class TestInterferenceAccounting:
         assert calls["eligible"] and not any(m.any() for m in calls["eligible"])
         assert not result.cost.any()
         assert result.total_cost == 0.0
-        for (_, before), stepped in zip(calls["scores"], calls["stepped"]):
+        for (_, before), (_, stepped) in zip(calls["scores"], calls["stepped"]):
             assert np.array_equal(stepped, before)
 
     def test_cost_is_theta_times_invested_exactly(self):
@@ -294,10 +318,44 @@ class TestInterferenceAccounting:
         g = generate(NetworkConfig(model=BA, n=100, seed=11))
         _, calls = self.record_run(monkeypatch, cfg, g)
         assert calls["stepped"]
-        for (scores, before), mask, stepped in zip(calls["scores"], calls["eligible"],
-                                                   calls["stepped"]):
+        for (scores, before), mask, (nodes, stepped) in zip(
+                calls["scores"], calls["eligible"], calls["stepped"]):
             assert np.array_equal(scores, before)  # input scores left unchanged
-            assert np.array_equal(stepped, before + np.where(mask, theta, 0.0))
+            assert np.array_equal(stepped, before + np.where(mask[nodes], theta, 0.0))
+
+    @pytest.mark.parametrize("n, icfg, run_seed, graph_seed", [
+        (100, InterferenceConfig(schemes=(NEB, NI), theta=2.5, n_c=0.5, c_I=0.2), 3, 10),
+        (100, pop_cfg(theta=9.0, p_c=0.0), 6, 12),
+        (100, pop_cfg(theta=2.0, p_c=1.0), 5, 11),
+        # BA n=2000 imitate-best switches many agents in one generation.
+        (2000, pop_cfg(theta=1.0, p_c=0.5), 4, 3),
+    ], ids=["NEB+NI", "POP-pays-nobody", "POP-pays-all", "POP-n2000"])
+    def test_imitate_best_accounting_matches_the_oracle(self, n, icfg, run_seed, graph_seed):
+        cfg = ba_config(n=n, interference=icfg, run_seed=run_seed)
+        g = generate(NetworkConfig(model=BA, n=n, seed=graph_seed))
+        got, want = run_simulation(cfg, g), full_recount_run(cfg, g)
+        assert got.invested.any() == (icfg.p_c != 0.0)
+        for name in ("coop", "invested", "cost"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=connected_graphs(min_n=3), data=st.data())
+    def test_imitate_best_thresholds_are_inclusive(self, g, data):
+        # Thresholds taken from the start itself put one cooperator exactly
+        # on all three boundaries: the compiled loop pays it, as the oracle
+        # does.
+        start = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+        assume(0 < np.count_nonzero(start) < g.n)
+        node = data.draw(st.sampled_from(np.flatnonzero(start).tolist()))
+        icfg = InterferenceConfig(
+            schemes=(POP, NEB, NI), theta=1.0, p_c=np.count_nonzero(start) / g.n,
+            n_c=float(g.count_neighbors(start)[node] / g.degrees[node]),
+            c_I=float(network.degree_percentiles(g)[node]))
+        cfg = RunConfig(network=NetworkConfig(model=BA, n=g.n), interference=icfg,
+                        generations=1, stats_window=1)
+        got = run_simulation(cfg, g, initial_coop=start)
+        assert got.invested[0] >= 1
+        assert got.invested[0] == full_recount_run(cfg, g, initial_coop=start).invested[0]
 
 
 def classify(s):
@@ -306,11 +364,13 @@ def classify(s):
     return engine.HOMOGENEOUS_C if s[0] == C else engine.HOMOGENEOUS_D
 
 
-def full_recount_run(cfg, g, initial_coop=None):
-    """Oracle: the generation loop that recounts everything from the strategy
-    vector each generation, with the Fermi probability evaluated for every
-    agent."""
-    rng = np.random.default_rng(cfg.run_seed)
+def full_recount_run(cfg, g, initial_coop=None, rng=None):
+    """Oracle: the numpy generation loop that recounts everything from the
+    strategy vector each generation, with the imitate-best step of
+    conftest.step_deterministic and the Fermi probability evaluated for
+    every agent. rng defaults to one seeded with cfg.run_seed."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.run_seed)
     icfg = cfg.interference
     percentile = network.degree_percentiles(g)
     theta = icfg.theta if icfg.active else 0.0
@@ -342,7 +402,7 @@ def full_recount_run(cfg, g, initial_coop=None):
             invested[gen] = np.count_nonzero(eligible)
             scores = scores + np.where(eligible, theta, 0.0)
         if deterministic:
-            switched = dynamics.step_deterministic(g, s, scores, rng)
+            switched = step_deterministic(g, s, scores, rng)
             s[switched] = np.where(s[switched] == C, D, C)
         else:
             u_pick = rng.random(g.n)
@@ -360,8 +420,8 @@ def full_recount_run(cfg, g, initial_coop=None):
 
 
 @st.composite
-def run_cases(draw):
-    """A graph, a run config over it (either rule, any scheme combination)
+def run_cases(draw, rules=(DETERMINISTIC, STOCHASTIC)):
+    """A graph, a run config over it (any of rules, any scheme combination)
     and optionally the initial cooperator mask, all-C and all-D included.
     The graph has at least 3 nodes, the smallest network a config can name."""
     g = draw(connected_graphs(min_n=3))
@@ -374,7 +434,7 @@ def run_cases(draw):
         p_c=draw(threshold) if POP in schemes else None,
         n_c=draw(threshold) if NEB in schemes else None,
         c_I=draw(threshold) if NI in schemes else None)
-    rule = draw(st.sampled_from([DETERMINISTIC, STOCHASTIC]))
+    rule = draw(st.sampled_from(rules))
     generations = draw(st.integers(1, 30))
     cfg = RunConfig(
         network=NetworkConfig(model=BA, n=g.n),
@@ -392,42 +452,46 @@ def run_cases(draw):
 
 
 class TestCarriedCounts:
-    """run_simulation carries neighbor counts across generations; every
+    """run_simulation carries neighbor counts across generations, in the
+    compiled imitate-best loop and in the Fermi rule's numpy loop; every
     number it reports must equal the full recount's."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=run_cases())
     def test_matches_full_recount_loop(self, case):
+        # Each side draws from its own generator, seeded alike: both must
+        # leave it at the same point.
         g, cfg, initial = case
-        got = run_simulation(cfg, g, initial_coop=initial)
-        want = full_recount_run(cfg, g, initial_coop=initial)
+        got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
+        got = run_simulation(cfg, g, rng=got_rng, initial_coop=initial)
+        want = full_recount_run(cfg, g, initial_coop=initial, rng=want_rng)
         for name in ("coop", "invested", "cost"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.total_cost == want.total_cost
         assert got.mean_coop == want.mean_coop
         assert got.absorbed_at == want.absorbed_at
         assert got.final_state == want.final_state
+        assert got_rng.random() == want_rng.random()
 
     @settings(max_examples=150, deadline=None)
-    @given(case=run_cases())
+    @given(case=run_cases(rules=(STOCHASTIC,)))
     def test_carried_counts_equal_a_fresh_count(self, case):
+        # The Fermi loop's counts, observed through the Graph methods it
+        # calls; the compiled loop's are checked against the oracle above.
         g, cfg, initial = case
         carried, record, seen = [], [], []
         count_neighbors = Graph.count_neighbors
-        step_deterministic, step_stochastic = (dynamics.step_deterministic,
-                                               dynamics.step_stochastic)
+        step_stochastic = dynamics.step_stochastic
 
         def spy_count(graph, mask):
-            # The run counts from the cooperator mask it carries: at the
-            # start, and again in place of the scatter in a generation
-            # whose switchers touch many CSR entries. Each count replaces
-            # the carried counts, which the scatter updates in place. The
+            # The run counts from the cooperator mask it carries once, at
+            # the start; the scatter then updates the counts in place. The
             # record is kept apart: a copy of the initial mask, flipped at
             # the agents each step returns as switching.
+            assert not record
             nc = count_neighbors(graph, mask)
             carried[:] = [mask, nc]
-            if not record:
-                record.append(mask.copy())
+            record.append(mask.copy())
             return nc
 
         def check(g, s):
@@ -443,10 +507,6 @@ class TestCarriedCounts:
             want[switched] = ~want[switched]
             return switched
 
-        def spy_deterministic(g, s, *rest):
-            check(g, s)
-            return flip(step_deterministic(g, s, *rest))
-
         def spy_stochastic(g, s, front, *rest):
             check(g, s)
             assert np.array_equal(front, boundary(g, record[0]))
@@ -454,7 +514,6 @@ class TestCarriedCounts:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Graph, "count_neighbors", spy_count)
-            mp.setattr(dynamics, "step_deterministic", spy_deterministic)
             mp.setattr(dynamics, "step_stochastic", spy_stochastic)
             result = run_simulation(cfg, g, initial_coop=initial)
         played = len(seen)
@@ -464,11 +523,14 @@ class TestCarriedCounts:
             assert result.coop[gen] == np.count_nonzero(is_coop) / g.n
 
 
-    @pytest.mark.parametrize("model, rule", [(BA, DETERMINISTIC), (network.DMS, STOCHASTIC)])
+    @pytest.mark.parametrize("model, rule", [(BA, STOCHASTIC), (network.DMS, STOCHASTIC)])
     def test_update_follows_the_switchers_share(self, model, rule):
+        # The Fermi loop's counts: BA switches more agents at once than DMS.
+        # The compiled imitate-best loop calls no Graph method; its counts
+        # at BA n=2000 are checked in TestInterferenceAccounting.
         cfg = RunConfig(
             network=NetworkConfig(model=model, n=2000, seed=3),
-            update=UpdateRuleConfig(rule=rule, K=0.1 if rule == STOCHASTIC else None),
+            update=UpdateRuleConfig(rule=rule, K=0.1),
             interference=pop_cfg(1.0, 0.5), generations=10, stats_window=5, run_seed=4)
         g = generate(cfg.network)
         calls = {"count_neighbors": 0, "neighbors_of": 0}
@@ -486,19 +548,9 @@ class TestCarriedCounts:
                 mp.setattr(Graph, name, spy(name))
             result = run_simulation(cfg, g)
         assert result.absorbed_at is None
-        # One count at the start, then one update per generation: a recount
-        # or a scatter over the switchers' neighbor lists.
-        recounted, scattered = calls["count_neighbors"] - 1, calls["neighbors_of"]
-        assert recounted + scattered == cfg.horizon
-        if rule == DETERMINISTIC:
-            # Imitate-best on BA switches many agents at once: in such a
-            # generation their neighbor lists cover many CSR entries, and
-            # the counts are recounted.
-            assert recounted > 0
-        else:
-            # Only the Fermi front can switch, and once the random start has
-            # sorted itself out few of it do: the counts are scattered.
-            assert recounted <= 1 and scattered >= cfg.horizon - 1
+        # One count at the start, then a scatter over the switchers'
+        # neighbor lists in every generation, however many switch.
+        assert calls == {"count_neighbors": 1, "neighbors_of": cfg.horizon}
 
 
 class TestReplication:
