@@ -1,23 +1,21 @@
 """Synchronous social-learning updates: deterministic imitate-best and the
 stochastic Fermi rule.
 
-Both rules update every agent simultaneously from the same scores. The
-Fermi step is numpy and returns the agents that switch, ascending;
-imitate-best runs a whole replicate in one compiled call. Draws are
-per-node, in node-index order, so trajectories are fully determined by the
-RNG seed.
+Both rules update every agent simultaneously from the same scores, and
+each runs a whole replicate in one compiled call (_loops.c). Draws are
+per-node, in node-index order, from the run's numpy PCG64 generator, so
+trajectories are fully determined by the RNG seed.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .game import PayoffParams
-from .interference import NEB, POP, InterferenceConfig
+from .interference import NI, InterferenceConfig
 from .network import Graph
 
 DETERMINISTIC = "deterministic"
@@ -25,6 +23,12 @@ STOCHASTIC = "stochastic"
 
 # exp() overflows just above this; the probability has saturated long before.
 _MAX_EXPONENT = 700.0
+
+# The compiled Fermi loop decides a copy with libm's exp, which may differ
+# from numpy's by an ulp, unless its copy draw lies within this distance of
+# the probability; then fermi_probability decides. Far wider than any such
+# difference, and far narrower than any draw is likely to fall.
+_FERMI_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,64 +78,74 @@ def step_deterministic(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
     agent from rng, in node order: the k-th tie with k = floor(u * ties).
     Eligibility (percentile is the graph's degree_percentiles, needed only
     when NI is active), endowments, scores and the carried neighbor counts
-    follow engine.run_simulation's rules; the loop is _imitate.c.
+    follow engine.run_simulation's rules; the loop is in _loops.c.
     is_coop (the bool mask) ends as the final population, and coop and
     invested, of horizon length, are filled as RunResult's arrays.
 
     perfbench's tracer reports this function as dynamics.step_deterministic:
     one call per imitate-best replicate.
     """
-    # Imported here, so that a process running only the Fermi rule never
-    # loads the library.
-    from . import _imitate
+    return _run_loop("coopsim_imitate_best", g, is_coop, payoff, icfg, percentile, rng,
+                     coop, invested)
 
+
+def step_stochastic(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
+                    icfg: InterferenceConfig, percentile: np.ndarray | None, K: float,
+                    rng: np.random.Generator, coop: np.ndarray,
+                    invested: np.ndarray) -> int | None:
+    """Run every Fermi generation of one replicate in one compiled call, and
+    return the generation it absorbed at, or None.
+
+    Each generation draws 2n uniforms from rng: n neighbor picks, then n
+    copy draws, one each per agent in node order. Each agent picks a
+    random neighbor and copies it with probability fermi_probability(own
+    score, neighbor's score, K), simultaneously. The loop reads only the
+    draws that can change the population: the picks of agents with a
+    neighbor of the other strategy, and the copy draws of agents whose
+    pick disagrees. It steps the generator over the rest, so rng ends
+    where drawing all 2n would leave it. It decides a copy with libm's
+    exp, except when the copy draw lies within _FERMI_BAND of that
+    probability: then it calls fermi_probability, so every decision is
+    the one numpy's exp gives. The arguments and their effects are
+    step_deterministic's; the loop is in _loops.c.
+
+    perfbench's tracer reports this function as dynamics.step_stochastic:
+    one call per Fermi replicate.
+    """
+    def numpy_probability(f_a, f_b):
+        return float(fermi_probability(f_a, f_b, K))
+
+    from ._loops import FERMI_PROBABILITY
+    return _run_loop("coopsim_fermi", g, is_coop, payoff, icfg, percentile, rng, coop,
+                     invested, K, _FERMI_BAND, FERMI_PROBABILITY(numpy_probability))
+
+
+def _run_loop(name, g, is_coop, payoff, icfg, percentile, rng, coop, invested, *rule):
+    """Call the compiled loop name on one replicate, with the update rule's
+    own arguments rule, under rng's lock."""
+    # Imported here, so that a process that runs no simulation never loads
+    # the library.
+    from . import _loops
+
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise ValueError(f"the compiled loops draw from numpy's PCG64 alone, got a "
+                         f"{type(bitgen).__name__} generator")
     arrays = ((g.indptr, np.int64, g.n + 1), (g.indices, np.int64, int(g.indptr[-1])),
               (is_coop, bool, g.n), (coop, np.float64, coop.size),
               (invested, np.int64, coop.size))
-    if percentile is not None:
+    if NI in icfg.schemes:
         arrays += ((percentile, np.float64, g.n),)
     for arr, dtype, size in arrays:
         if arr.dtype != dtype or arr.shape != (size,) or not arr.flags.c_contiguous:
-            raise ValueError(f"step_deterministic needs contiguous {np.dtype(dtype)} arrays "
-                             f"of shape ({size},), got {arr.dtype} of shape {arr.shape}")
-    kernel = _imitate.library()
-    schemes = icfg.schemes
-    bitgen = rng.bit_generator
+            raise ValueError(f"{name} needs contiguous {np.dtype(dtype)} arrays of shape "
+                             f"({size},), got {arr.dtype} of shape {arr.shape}")
+    loop = getattr(_loops.library(), name)
     with bitgen.lock:
-        absorbed_at = kernel(
-            g.n, g.indptr.ctypes.data, g.indices.ctypes.data, payoff.b,
-            bool(schemes), icfg.theta or 0.0,
-            POP in schemes, icfg.p_c or 0.0, NEB in schemes, icfg.n_c or 0.0,
-            None if percentile is None else percentile.ctypes.data, icfg.c_I or 0.0,
-            coop.size, is_coop.ctypes.data, coop.ctypes.data, invested.ctypes.data,
-            bitgen.ctypes.state_address, bitgen.ctypes.next_double)
+        absorbed_at = loop(g.n, g.indptr.ctypes.data, g.indices.ctypes.data, payoff.b,
+                           _loops.pay(icfg, percentile), *rule, coop.size,
+                           is_coop.ctypes.data, coop.ctypes.data, invested.ctypes.data,
+                           bitgen.ctypes.state_address)
     if absorbed_at == -2:
-        raise MemoryError("imitate-best loop: no memory for its work buffers")
+        raise MemoryError(f"{name}: no memory for its work buffers")
     return None if absorbed_at < 0 else absorbed_at
-
-
-def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray,
-                    score: Callable[[np.ndarray], np.ndarray], K: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Every agent draws one random neighbor and copies it with Fermi
-    probability; returns the agents that switch, ascending when front is.
-
-    Each call draws 2n uniforms whatever front holds: n neighbor picks, then
-    n copy decisions, one per agent in node order. Copying a neighbor of
-    one's own strategy changes nothing, so only the agents in front pick,
-    and only those whose pick disagrees are scored and decide. front must
-    hold every agent with a neighbor of the other strategy (it may hold
-    more), and score(nodes) returns the scores of the given agents. Picks,
-    scores and the Fermi probability are elementwise, so every decision is
-    the one an evaluation over all agents would make.
-    """
-    u = rng.random(2 * g.n)
-    u_pick, u_copy = u[:g.n], u[g.n:]
-    degrees = g.degrees[front]
-    offset = np.minimum((u_pick[front] * degrees).astype(np.int64), degrees - 1)
-    neighbor = g.indices[g.indptr[front] + offset]
-    differ = (s[neighbor] != s[front]).nonzero()[0]
-    agents = front[differ]
-    f = score(np.concatenate([agents, neighbor[differ]]))
-    p_copy = fermi_probability(f[:agents.size], f[agents.size:], K)
-    return agents[(u_copy[agents] < p_copy).nonzero()[0]]

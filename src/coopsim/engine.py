@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import dynamics, game, interference, network
+from . import dynamics, interference, network
 from .dynamics import DETERMINISTIC, UpdateRuleConfig
 from .game import PayoffParams
 from .interference import InterferenceConfig
@@ -31,10 +31,6 @@ DEFAULT_STATS_WINDOW = 25
 HOMOGENEOUS_C = "homogeneous-C"
 HOMOGENEOUS_D = "homogeneous-D"
 MIXED = "mixed"
-
-# Indexed by the cooperator flag (False, True): the change a switch to that
-# strategy makes to each neighbor's cooperating-neighbor count.
-_SIGN = np.array([-1.0, 1.0])
 
 # The process pool class, imported by sweep on first use: a run that never
 # needs a pool never loads multiprocessing. A class assigned here first is
@@ -121,14 +117,20 @@ def run_simulation(cfg: RunConfig, g: Graph,
     frozen state fills the rest of the trace so it always spans the full
     horizon. mean_coop averages the trailing stats_window generations.
 
-    After the initial draw, an imitate-best run is one compiled call,
-    dynamics.step_deterministic; a Fermi run is the numpy loop of
-    _run_fermi. Both draw from rng and from nothing else.
+    After the initial draw, a run is one compiled call:
+    dynamics.step_deterministic or dynamics.step_stochastic. Both draw from
+    rng and from nothing else, and rng must be a PCG64 generator (the
+    default), which the compiled loops read in place; any other is a
+    ValueError.
     """
     if g.n != cfg.network.n:
         raise ValueError(f"graph has {g.n} nodes, config expects {cfg.network.n}")
     if rng is None:
         rng = np.random.default_rng(cfg.run_seed)
+    elif not isinstance(rng.bit_generator, np.random.PCG64):
+        # Before the initial draw, so a refused generator is left as it was.
+        raise ValueError(f"rng must be a PCG64 generator, which the compiled loops read in "
+                         f"place, got a {type(rng.bit_generator).__name__} generator")
 
     icfg = cfg.interference
     percentile = network.degree_percentiles(g) if interference.NI in icfg.schemes else None
@@ -148,7 +150,8 @@ def run_simulation(cfg: RunConfig, g: Graph,
         absorbed_at = dynamics.step_deterministic(g, is_coop, cfg.payoff, icfg, percentile,
                                                   rng, coop, invested)
     else:
-        absorbed_at = _run_fermi(cfg, g, percentile, theta, is_coop, rng, coop, invested)
+        absorbed_at = dynamics.step_stochastic(g, is_coop, cfg.payoff, icfg, percentile,
+                                               cfg.update.K, rng, coop, invested)
 
     cost = theta * invested
     return RunResult(
@@ -161,63 +164,6 @@ def run_simulation(cfg: RunConfig, g: Graph,
         absorbed_at=absorbed_at,
         final_state=_classify(int(np.count_nonzero(is_coop)), g.n),
     )
-
-
-def _run_fermi(cfg: RunConfig, g: Graph, percentile: np.ndarray | None, theta: float,
-               is_coop: np.ndarray, rng: np.random.Generator, coop: np.ndarray,
-               invested: np.ndarray) -> int | None:
-    """Run the Fermi rule's generations, filling coop and invested and
-    leaving the final population in is_coop; return the absorption
-    generation, or None.
-
-    The run carries the cooperator mask, the number of cooperators and
-    each node's count of cooperating neighbors (nc), updating them from
-    the agents each step returns as switching: only they and their
-    neighbors change, the neighbors' counts by one per switch. Scores,
-    NEB eligibility, POP, the recorded coop fraction and the absorption
-    test all read the carried values.
-
-    A generation works only on the front: the agents with a neighbor of
-    the other strategy, the only ones that can switch. Only they pick a
-    neighbor, and only agents whose pick disagrees are scored; the step
-    still draws its 2n uniforms in full, so a run's random stream does not
-    depend on the front.
-    """
-    icfg = cfg.interference
-    n_coop = int(np.count_nonzero(is_coop))
-    nc = g.count_neighbors(is_coop)
-    # nc as it would be if every neighbor agreed: the degree for a
-    # cooperator, 0 for a defector. Agents with nc != alike_nc, and no
-    # others, have a neighbor of the other strategy: the front.
-    alike_nc = np.where(is_coop, g.degrees, 0).astype(np.float64)
-    bonus = np.array([0.0, theta])  # the endowment, looked up by eligibility
-
-    def score(nodes):
-        """This generation's scores of nodes, endowment included."""
-        f = game.scores_from_counts(is_coop[nodes], nc[nodes], cfg.payoff)
-        if icfg.active:
-            f = f + bonus.take(eligible[nodes])
-        return f
-
-    for gen in range(coop.size):
-        if n_coop in (0, g.n):
-            coop[gen:] = n_coop / g.n
-            return gen
-        coop[gen] = n_coop / g.n
-        if icfg.active:
-            eligible = interference.eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
-            invested[gen] = np.count_nonzero(eligible)
-        front = (nc != alike_nc).nonzero()[0]
-        switched = dynamics.step_stochastic(g, is_coop, front, score, cfg.update.K, rng)
-        gained = ~is_coop[switched]
-        is_coop[switched] = gained
-        degrees = g.degrees[switched]
-        alike_nc[switched] = degrees * gained
-        n_coop += 2 * int(np.count_nonzero(gained)) - switched.size
-        # Each switch moves every neighbor's count by one, up for a new
-        # cooperator and down for a new defector.
-        np.add.at(nc, g.neighbors_of(switched), _SIGN.take(gained).repeat(degrees))
-    return None
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,19 @@ def scores_from_counts(coop: np.ndarray, nc: np.ndarray, p: PayoffParams) -> np.
     of cooperating neighbors nc.
 
     A cooperator earns 1 per cooperating neighbor, a defector earns b per
-    cooperating neighbor; defecting neighbors contribute nothing.
+    cooperating neighbor; defecting neighbors contribute nothing. The
+    compiled loops' own scoring pass computes it, with no scheme active.
     """
-    # Indexed by the coop flag: b for a defector (False), 1 for a cooperator.
-    return np.array([p.b, 1.0]).take(coop) * nc
+    # Imported here, so that a process that scores nothing never loads the
+    # library.
+    from . import _loops
+
+    coop = np.ascontiguousarray(coop, dtype=bool)
+    nc = np.ascontiguousarray(nc, dtype=np.float64)
+    if nc.shape != coop.shape:
+        raise ValueError(f"nc has shape {nc.shape}, coop {coop.shape}")
+    score = np.empty(coop.shape)
+    _loops.library().coopsim_pay_and_score(coop.size, None, p.b, _loops.Pay(), 0,
+                                           coop.ctypes.data, nc.ctypes.data,
+                                           score.ctypes.data, None)
+    return score

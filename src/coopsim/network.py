@@ -79,19 +79,6 @@ class Graph:
             arr.setflags(write=False)
         return g
 
-    def neighbors_of(self, nodes: np.ndarray) -> np.ndarray:
-        """The neighbor lists of nodes, concatenated in the order given."""
-        counts = self.degrees[nodes]
-        # The k-th gathered entry sits at its node's segment start plus k,
-        # less the entries gathered from earlier nodes.
-        shift = np.repeat(self.indptr[nodes] - (np.cumsum(counts) - counts), counts)
-        return self.indices[shift + np.arange(shift.size)]
-
-    def count_neighbors(self, mask: np.ndarray) -> np.ndarray:
-        """Per node, how many of its neighbors have mask set (float64; the
-        counts are small integers, so they are exact)."""
-        return np.bincount(self.rows, weights=mask[self.indices], minlength=self.n)
-
     @property
     def edges(self) -> np.ndarray:
         """The canonical edge list, shape (E, 2): u < v, lexicographically

@@ -6,6 +6,7 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
+from coopsim import dynamics, game, interference
 from coopsim.game import PayoffParams, scores_from_counts
 from coopsim.interference import NEB, NI, POP, InterferenceConfig, eligible_set
 from coopsim.network import Graph, NetworkConfig
@@ -90,6 +91,78 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
     return ((best > scores) & (s[best_neighbor] != s)).nonzero()[0]
 
 
+def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray, score, K: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Numpy oracle of one Fermi step: every agent draws one random neighbor
+    and copies it with Fermi probability; returns the agents that switch,
+    ascending when front is.
+
+    Each call draws 2n uniforms whatever front holds: n neighbor picks, then
+    n copy decisions, one per agent in node order. Copying a neighbor of
+    one's own strategy changes nothing, so only the agents in front pick,
+    and only those whose pick disagrees are scored and decide. front must
+    hold every agent with a neighbor of the other strategy (it may hold
+    more), and score(nodes) returns the scores of the given agents. Picks,
+    scores and the Fermi probability (dynamics.fermi_probability, once per
+    call over the deciding agents) are elementwise, so every decision is
+    the one an evaluation over all agents would make.
+    """
+    u = rng.random(2 * g.n)
+    u_pick, u_copy = u[:g.n], u[g.n:]
+    degrees = g.degrees[front]
+    offset = np.minimum((u_pick[front] * degrees).astype(np.int64), degrees - 1)
+    neighbor = g.indices[g.indptr[front] + offset]
+    differ = (s[neighbor] != s[front]).nonzero()[0]
+    agents = front[differ]
+    f = score(np.concatenate([agents, neighbor[differ]]))
+    p_copy = dynamics.fermi_probability(f[:agents.size], f[agents.size:], K)
+    return agents[(u_copy[agents] < p_copy).nonzero()[0]]
+
+
+def fermi_replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
+                    icfg: InterferenceConfig, percentile: np.ndarray | None, K: float,
+                    rng: np.random.Generator, coop: np.ndarray,
+                    invested: np.ndarray) -> int | None:
+    """Numpy oracle of dynamics.step_stochastic, with its arguments and its
+    effects: every Fermi generation of one replicate.
+
+    Each generation recounts the neighbor counts, pays through
+    interference.eligible_set, scores through game.scores_from_counts and
+    steps with step_stochastic over the agents with a neighbor of the other
+    strategy; all three are looked up when called, so a test can observe
+    them.
+    """
+    bonus = np.array([0.0, icfg.theta if icfg.active else 0.0])
+
+    def score(nodes):
+        """This generation's scores of nodes, endowment included."""
+        f = game.scores_from_counts(is_coop[nodes], nc[nodes], payoff)
+        if icfg.active:
+            f = f + bonus.take(eligible[nodes])
+        return f
+
+    for gen in range(coop.size):
+        n_coop = int(np.count_nonzero(is_coop))
+        if n_coop in (0, g.n):
+            coop[gen:] = n_coop / g.n
+            return gen
+        coop[gen] = n_coop / g.n
+        nc = count_neighbors(g, is_coop)
+        if icfg.active:
+            eligible = interference.eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
+            invested[gen] = np.count_nonzero(eligible)
+        front = (nc != np.where(is_coop, g.degrees, 0)).nonzero()[0]
+        switched = step_stochastic(g, is_coop, front, score, K, rng)
+        is_coop[switched] = ~is_coop[switched]
+    return None
+
+
+def count_neighbors(g: Graph, mask: np.ndarray) -> np.ndarray:
+    """Per node, how many of its neighbors have mask set (float64; the
+    counts are small integers, so they are exact)."""
+    return np.bincount(g.rows, weights=mask[g.indices], minlength=g.n)
+
+
 def neighbors(g: Graph, i: int) -> np.ndarray:
     """Sorted neighbor ids of node i."""
     return g.indices[g.indptr[i]:g.indptr[i + 1]]
@@ -112,7 +185,7 @@ def accumulate_scores(g: Graph, s: np.ndarray, p: PayoffParams) -> np.ndarray:
     if len(s) != g.n:
         raise ValueError(f"strategy vector length {len(s)} != graph size {g.n}")
     coop = s == COOPERATE
-    return scores_from_counts(coop, g.count_neighbors(coop), p)
+    return scores_from_counts(coop, count_neighbors(g, coop), p)
 
 
 def eligible(g: Graph | None, percentile: np.ndarray | None, s: np.ndarray,
@@ -120,7 +193,7 @@ def eligible(g: Graph | None, percentile: np.ndarray | None, s: np.ndarray,
     """eligible_set on a population given by its strategy vector alone; g may
     be None unless NEB is active."""
     coop = s == COOPERATE
-    nc = None if g is None else g.count_neighbors(coop)
+    nc = None if g is None else count_neighbors(g, coop)
     return eligible_set(g, percentile, coop, nc, int(np.count_nonzero(coop)), cfg)
 
 

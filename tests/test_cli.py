@@ -8,13 +8,16 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopsim
-from coopsim import _imitate, cli, engine
+from coopsim import _loops, cli, engine
 from coopsim.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -953,34 +956,35 @@ class TestLazyPool:
 
 
 class TestImitateBuild:
-    """The compiled imitate-best loop: one build per source text and
-    compiler command, written atomically, and loaded by imitate-best runs
-    alone."""
+    """The compiled loops of both update rules, first built for imitate-best
+    alone: one build per source text and compiler command, written
+    atomically, checked against numpy's draws, and loaded only by commands
+    that simulate."""
 
     # Runs one command with the build cache in argv[1] and the compiler in
     # argv[2]; the command's own arguments follow.
     SCRIPT = ("import sys\n"
               "from pathlib import Path\n"
-              "from coopsim import _imitate\n"
+              "from coopsim import _loops\n"
               "from coopsim.cli import main\n"
-              "_imitate.CACHE_DIR, _imitate.CC = Path(sys.argv[1]), sys.argv[2]\n"
+              "_loops.CACHE_DIR, _loops.CC = Path(sys.argv[1]), sys.argv[2]\n"
               "sys.exit(main(sys.argv[3:]))\n")
 
     def command(self, cache, cc, *argv):
         return [sys.executable, "-c", self.SCRIPT, str(cache), cc, *argv]
 
     def test_changed_source_gets_a_new_cache_name(self):
-        source = _imitate.SOURCE.read_bytes()
-        name = _imitate.cache_name(source)
-        assert name == _imitate.cache_name(source)
-        assert name != _imitate.cache_name(source + b"\n")
-        assert name != _imitate.cache_name(source.replace(b"-INFINITY", b"-HUGE_VAL"))
+        source = _loops.SOURCE.read_bytes()
+        name = _loops.cache_name(source)
+        assert name == _loops.cache_name(source)
+        assert name != _loops.cache_name(source + b"\n")
+        assert name != _loops.cache_name(source.replace(b"-INFINITY", b"-HUGE_VAL"))
 
     def test_two_interpreters_build_into_one_empty_cache_at_once(self, tmp_path):
         cache = tmp_path / "cache"
         cfg = write_config(tmp_path, sweep_config(graphs=1, realisations=2))
         outs = [tmp_path / f"sweep{i}.csv" for i in range(2)]
-        procs = [subprocess.Popen(self.command(cache, _imitate.CC, "sweep", "--config", cfg,
+        procs = [subprocess.Popen(self.command(cache, _loops.CC, "sweep", "--config", cfg,
                                                "--out", str(out)),
                                   env=child_env(), stderr=subprocess.PIPE, text=True)
                  for out in outs]
@@ -992,48 +996,79 @@ class TestImitateBuild:
         assert main(["sweep", "--config", cfg, "--out", str(reference)]) == EXIT_OK
         assert outs[0].read_bytes() == reference.read_bytes()
         # One library, and no temporary file left behind.
-        source = _imitate.SOURCE.read_bytes()
-        assert [p.name for p in cache.iterdir()] == [_imitate.cache_name(source)]
+        source = _loops.SOURCE.read_bytes()
+        assert [p.name for p in cache.iterdir()] == [_loops.cache_name(source)]
 
     def test_missing_compiler_exits_1_naming_it(self, tmp_path):
+        # Either update rule needs the library.
         cache, cc = tmp_path / "cache", str(tmp_path / "no-such-dir" / "gcc")
-        cfg = write_config(tmp_path, sweep_config(graphs=1, realisations=1))
-        proc = subprocess.run(self.command(cache, cc, "sweep", "--config", cfg,
-                                           "--out", str(tmp_path / "s.csv")),
-                              env=child_env(), capture_output=True, text=True, timeout=120)
-        assert proc.returncode == EXIT_RUNTIME
-        assert cc in proc.stderr
-        assert list(cache.iterdir()) == []
+        for update in ({"rule": "deterministic"}, {"rule": "stochastic", "K": 0.1}):
+            cfg = write_config(tmp_path, sweep_config(update=update, graphs=1,
+                                                      realisations=1))
+            proc = subprocess.run(self.command(cache, cc, "sweep", "--config", cfg,
+                                               "--out", str(tmp_path / "s.csv")),
+                                  env=child_env(), capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == EXIT_RUNTIME, update
+            assert cc in proc.stderr
+            assert list(cache.iterdir()) == []
 
-    def test_fermi_commands_never_load_the_library(self, tmp_path):
-        # numpy imports ctypes itself, so what is checked is coopsim._imitate,
+    def test_gen_net_and_frontier_never_load_the_library(self, tmp_path):
+        # numpy imports ctypes itself, so what is checked is coopsim._loops,
         # the one coopsim module that uses ctypes: it is imported only to
         # load the library.
         fermi = sweep_config(update={"rule": "stochastic", "K": 0.1}, graphs=1,
                              realisations=1)
         fermi_cfg = write_config(tmp_path, fermi, "fermi.json")
-        imitate_cfg = write_config(tmp_path, sweep_config(graphs=1, realisations=1),
-                                   "imitate.json")
         sweep_csv = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config", fermi_cfg, "--out", sweep_csv]) == EXIT_OK
         commands = [
             ["gen-net", "--model", "ba", "--n", "30", "--seed", "1",
              "--out", str(tmp_path / "g.json")],
-            ["sweep", "--config", fermi_cfg, "--out", sweep_csv, "--jobs", "1"],
             ["frontier", "--in", sweep_csv, "--targets", "0.5",
              "--out", str(tmp_path / "frontier.csv")],
         ]
-        # A fresh interpreter: this one may have loaded the library already.
-        # The imitate-best sweep at the end must load it.
+        # A fresh interpreter: this one has loaded the library already. The
+        # Fermi sweep at the end must load it.
         script = (
             "import json, sys\n"
             "from coopsim.cli import main\n"
             f"for argv in json.loads({json.dumps(json.dumps(commands))}):\n"
             "    assert main(argv) == 0, argv\n"
-            "    assert 'coopsim._imitate' not in sys.modules, argv[0]\n"
-            f"assert main(['sweep', '--config', {imitate_cfg!r}, '--out', {sweep_csv!r}]) == 0\n"
-            "from coopsim import _imitate\n"
-            "assert _imitate.library.cache_info().currsize == 1\n"
+            "    assert 'coopsim._loops' not in sys.modules, argv[0]\n"
+            f"assert main(['sweep', '--config', {fermi_cfg!r}, '--out', {sweep_csv!r}]) == 0\n"
+            "from coopsim import _loops\n"
+            "assert _loops.library.cache_info().currsize == 1\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_a_misread_generator_fails_the_load_check(self, tmp_path, monkeypatch, capsys):
+        # A library whose PCG64 multiplier is wrong draws other numbers than
+        # numpy: loading it raises, naming numpy's version, and run exits 1.
+        source = _loops.SOURCE.read_text()
+        assert source.count("0x4385df649fccf645ULL") == 1
+        wrong = tmp_path / "_loops.c"
+        wrong.write_text(source.replace("0x4385df649fccf645ULL", "0x4385df649fccf647ULL"))
+        cfg = write_config(tmp_path, {"network": {"model": "BA", "n": 60, "seed": 1},
+                                      "run_seed": 1})
+        monkeypatch.setattr(_loops, "SOURCE", wrong)
+        monkeypatch.setattr(_loops, "CACHE_DIR", tmp_path / "cache")
+        _loops.library.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=f"numpy {np.__version__}'s PCG64"):
+                _loops.library()
+            rc = main(["run", "--config", cfg, "--out", str(tmp_path / "run.csv")])
+        finally:
+            _loops.library.cache_clear()
+        assert rc == EXIT_RUNTIME
+        assert f"numpy {np.__version__}" in capsys.readouterr().err
+
+    def test_every_c_source_is_package_data(self):
+        # An install copies only the listed files: a C source left out of
+        # package-data cannot be built where the package is installed.
+        src = Path(_loops.__file__).parent
+        pyproject = tomllib.loads((src.parent.parent / "pyproject.toml").read_text())
+        listed = pyproject["tool"]["setuptools"]["package-data"]["coopsim"]
+        assert sorted(p.name for p in src.glob("*.c")) == sorted(listed)

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim.dynamics import (
-    STOCHASTIC,
-    UpdateRuleConfig,
-    fermi_probability,
-    step_stochastic,
-)
+from coopsim.dynamics import STOCHASTIC, UpdateRuleConfig, fermi_probability
 from coopsim.game import PayoffParams
 from coopsim.network import Graph
 
@@ -24,6 +19,7 @@ from conftest import (
     neighbors,
     random_connected_graph,
     step_deterministic,
+    step_stochastic,
 )
 
 C, D = COOPERATE, DEFECT
@@ -222,6 +218,10 @@ class TestStepDeterministic:
 
 
 class TestStepStochastic:
+    """The numpy oracle of one Fermi step (conftest.step_stochastic) against
+    a per-node loop. The compiled loop that runs the Fermi rule is compared
+    with the oracle in test_engine's TestFermiLoop and TestCarriedCounts."""
+
     def test_identical_strategy_neighbor_never_changes_state(self):
         g = path_graph(2)
         s = np.array([C, C], dtype=np.int8)

@@ -1,8 +1,9 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
 from coopsim import dynamics, engine, game, interference, network
@@ -21,6 +22,7 @@ from coopsim.game import PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
 from coopsim.network import BA, Graph, NetworkConfig, generate
 
+import conftest
 from conftest import (
     COOPERATE,
     DEFECT,
@@ -28,7 +30,9 @@ from conftest import (
     boundary,
     connected_graphs,
     coop_fraction,
+    count_neighbors,
     diameter,
+    fermi_replicate,
     is_homogeneous,
     neb_eligible,
     ni_eligible,
@@ -94,9 +98,12 @@ class TestRunSimulation:
         for is_coop, coop_, invested_ in ((mask.astype(np.int8), coop, invested),
                                           (mask, np.empty(60)[::2], invested),
                                           (mask, coop, np.zeros(30, np.int32))):
-            with pytest.raises(ValueError, match="needs contiguous"):
+            with pytest.raises(ValueError, match="imitate_best needs contiguous"):
                 dynamics.step_deterministic(g, is_coop, PayoffParams(), InterferenceConfig(),
                                             None, rng, coop_, invested_)
+            with pytest.raises(ValueError, match="fermi needs contiguous"):
+                dynamics.step_stochastic(g, is_coop, PayoffParams(), InterferenceConfig(),
+                                         None, 0.1, rng, coop_, invested_)
 
     def test_initial_coop_is_left_unchanged(self):
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
@@ -246,19 +253,21 @@ class TestRunSimulation:
 
 
 class TestInterferenceAccounting:
-    """Per-generation investment bookkeeping. The Fermi rule's numpy loop is
-    observed through the module functions it calls; the compiled
-    imitate-best loop is compared with the oracle loop."""
+    """Per-generation investment bookkeeping. Each compiled loop is compared
+    with its oracle; the Fermi oracle is also observed through the module
+    functions it calls."""
 
     def record_run(self, monkeypatch, cfg, g):
-        """cfg run under the Fermi rule, recording each generation's eligible
-        mask, the scores scores_from_counts returned (and a copy of them as
-        returned) and the nodes and scores the step was given."""
+        """cfg run under the Fermi rule, and the oracle's record of the same
+        run: each generation's eligible mask, the scores scores_from_counts
+        returned (and a copy of them as returned) and the nodes and scores
+        the step was given. The compiled run equals the oracle's, so the
+        record is the compiled run's too."""
         cfg = replace(cfg, update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1))
         calls = {"eligible": [], "scores": [], "stepped": []}
         eligible_set, scores_from_counts, step = (interference.eligible_set,
                                                   game.scores_from_counts,
-                                                  dynamics.step_stochastic)
+                                                  conftest.step_stochastic)
 
         def spy_eligible(*args):
             mask = eligible_set(*args)
@@ -277,10 +286,15 @@ class TestInterferenceAccounting:
                 return scores
             return step(g, s, front, scored, *rest)
 
+        result = run_simulation(cfg, g)
         monkeypatch.setattr(interference, "eligible_set", spy_eligible)
         monkeypatch.setattr(game, "scores_from_counts", spy_scores)
-        monkeypatch.setattr(dynamics, "step_stochastic", spy_step)
-        return run_simulation(cfg, g), calls
+        monkeypatch.setattr(conftest, "step_stochastic", spy_step)
+        absorbed_at, _, coop, invested = fermi_run(fermi_replicate, cfg, g)
+        assert result.absorbed_at == absorbed_at
+        assert np.array_equal(result.coop, coop)
+        assert np.array_equal(result.invested, invested)
+        return result, calls
 
     def test_invested_is_eligible_count_per_generation(self, monkeypatch):
         cfg = ba_config(interference=InterferenceConfig(
@@ -349,7 +363,7 @@ class TestInterferenceAccounting:
         node = data.draw(st.sampled_from(np.flatnonzero(start).tolist()))
         icfg = InterferenceConfig(
             schemes=(POP, NEB, NI), theta=1.0, p_c=np.count_nonzero(start) / g.n,
-            n_c=float(g.count_neighbors(start)[node] / g.degrees[node]),
+            n_c=float(count_neighbors(g, start)[node] / g.degrees[node]),
             c_I=float(network.degree_percentiles(g)[node]))
         cfg = RunConfig(network=NetworkConfig(model=BA, n=g.n), interference=icfg,
                         generations=1, stats_window=1)
@@ -419,6 +433,26 @@ def full_recount_run(cfg, g, initial_coop=None, rng=None):
         absorbed_at=absorbed_at, final_state=classify(s))
 
 
+def fermi_run(step, cfg, g, initial_coop=None, rng=None):
+    """One Fermi replicate of cfg on g through step, dynamics.step_stochastic
+    or the oracle conftest.fermi_replicate, started as run_simulation starts
+    it: (absorbed_at, final cooperator mask, coop, invested). rng defaults
+    to one seeded with cfg.run_seed."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.run_seed)
+    if initial_coop is None:
+        is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
+    else:
+        is_coop = initial_coop.copy()
+    icfg = cfg.interference
+    percentile = network.degree_percentiles(g) if NI in icfg.schemes else None
+    coop = np.empty(cfg.horizon)
+    invested = np.zeros(cfg.horizon, dtype=np.int64)
+    absorbed_at = step(g, is_coop, cfg.payoff, icfg, percentile, cfg.update.K, rng, coop,
+                       invested)
+    return absorbed_at, is_coop, coop, invested
+
+
 @st.composite
 def run_cases(draw, rules=(DETERMINISTIC, STOCHASTIC)):
     """A graph, a run config over it (any of rules, any scheme combination)
@@ -439,7 +473,8 @@ def run_cases(draw, rules=(DETERMINISTIC, STOCHASTIC)):
     cfg = RunConfig(
         network=NetworkConfig(model=BA, n=g.n),
         payoff=PayoffParams(b=draw(st.sampled_from([1.5, 2.0]) | st.floats(1.01, 2.0))),
-        update=UpdateRuleConfig(rule=rule, K=draw(st.sampled_from([0.1, 1.0]))
+        update=UpdateRuleConfig(rule=rule, K=draw(st.sampled_from([0.01, 0.1, 1.0])
+                                                  | st.floats(0.01, 10.0))
                                 if rule == STOCHASTIC else None),
         interference=icfg,
         generations=generations,
@@ -452,9 +487,8 @@ def run_cases(draw, rules=(DETERMINISTIC, STOCHASTIC)):
 
 
 class TestCarriedCounts:
-    """run_simulation carries neighbor counts across generations, in the
-    compiled imitate-best loop and in the Fermi rule's numpy loop; every
-    number it reports must equal the full recount's."""
+    """run_simulation carries neighbor counts across generations, in both
+    compiled loops; every number it reports must equal the full recount's."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=run_cases())
@@ -476,81 +510,259 @@ class TestCarriedCounts:
     @settings(max_examples=150, deadline=None)
     @given(case=run_cases(rules=(STOCHASTIC,)))
     def test_carried_counts_equal_a_fresh_count(self, case):
-        # The Fermi loop's counts, observed through the Graph methods it
-        # calls; the compiled loop's are checked against the oracle above.
+        # The compiled Fermi loop's counts live inside the call, so it is
+        # observed after every generation: run to horizon h, then one oracle
+        # generation from its state, counted afresh from the mask, must give
+        # the compiled loop's state at horizon h + 1 and leave the generator
+        # at the same point. The oracle's front is the boundary of that state.
         g, cfg, initial = case
-        carried, record, seen = [], [], []
-        count_neighbors = Graph.count_neighbors
-        step_stochastic = dynamics.step_stochastic
+        rng = np.random.default_rng(cfg.run_seed)
+        if initial is None:
+            initial = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
+        start = rng.bit_generator.state
 
-        def spy_count(graph, mask):
-            # The run counts from the cooperator mask it carries once, at
-            # the start; the scatter then updates the counts in place. The
-            # record is kept apart: a copy of the initial mask, flipped at
-            # the agents each step returns as switching.
-            assert not record
-            nc = count_neighbors(graph, mask)
-            carried[:] = [mask, nc]
-            record.append(mask.copy())
-            return nc
+        def generator(state):
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = state
+            return rng
 
-        def check(g, s):
-            is_coop, nc = carried
-            want = record[0]
-            assert s is is_coop
-            assert np.array_equal(is_coop, want)
-            assert np.array_equal(nc, count_neighbors(g, want))
-            seen.append(want.copy())
+        def compiled(horizon):
+            rng = generator(start)
+            run = fermi_run(dynamics.step_stochastic, replace(cfg, generations=horizon,
+                                                              stats_window=1),
+                            g, initial, rng)
+            return run, rng.bit_generator.state
 
-        def flip(switched):
-            want = record[0]
-            want[switched] = ~want[switched]
-            return switched
+        step = conftest.step_stochastic
 
-        def spy_stochastic(g, s, front, *rest):
-            check(g, s)
-            assert np.array_equal(front, boundary(g, record[0]))
-            return flip(step_stochastic(g, s, front, *rest))
+        def spy_step(g, s, front, *rest):
+            assert np.array_equal(front, boundary(g, s))
+            return step(g, s, front, *rest)
 
+        (absorbed_at, is_coop, _, _), state = (None, initial, None, None), start
+        played = 0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Graph, "count_neighbors", spy_count)
-            mp.setattr(dynamics, "step_stochastic", spy_stochastic)
-            result = run_simulation(cfg, g, initial_coop=initial)
-        played = len(seen)
-        assert played == (result.absorbed_at if result.absorbed_at is not None
-                          else cfg.horizon)
-        for gen, is_coop in enumerate(seen):
-            assert result.coop[gen] == np.count_nonzero(is_coop) / g.n
-
+            mp.setattr(conftest, "step_stochastic", spy_step)
+            for horizon in range(1, cfg.horizon + 1):
+                run, run_state = compiled(horizon)
+                if run[0] is not None:
+                    absorbed_at = run[0]
+                    break
+                played = horizon
+                want = is_coop.copy()
+                want_rng = generator(state)
+                fermi_replicate(g, want, cfg.payoff, cfg.interference,
+                                network.degree_percentiles(g), cfg.update.K, want_rng,
+                                np.empty(1), np.zeros(1, dtype=np.int64))
+                assert run[2][horizon - 1] == np.count_nonzero(is_coop) / g.n
+                assert np.array_equal(run[1], want)
+                assert np.array_equal(count_neighbors(g, run[1]), count_neighbors(g, want))
+                assert want_rng.bit_generator.state == run_state
+                is_coop, state = run[1], run_state
+        result = run_simulation(cfg, g, rng=generator(start), initial_coop=initial)
+        assert result.absorbed_at == absorbed_at
+        assert played == (absorbed_at if absorbed_at is not None else cfg.horizon)
 
     @pytest.mark.parametrize("model, rule", [(BA, STOCHASTIC), (network.DMS, STOCHASTIC)])
     def test_update_follows_the_switchers_share(self, model, rule):
-        # The Fermi loop's counts: BA switches more agents at once than DMS.
-        # The compiled imitate-best loop calls no Graph method; its counts
-        # at BA n=2000 are checked in TestInterferenceAccounting.
+        # BA switches more agents at once than DMS: the compiled Fermi loop's
+        # counts at n=2000 must still give the full recount's run.
         cfg = RunConfig(
             network=NetworkConfig(model=model, n=2000, seed=3),
             update=UpdateRuleConfig(rule=rule, K=0.1),
             interference=pop_cfg(1.0, 0.5), generations=10, stats_window=5, run_seed=4)
         g = generate(cfg.network)
-        calls = {"count_neighbors": 0, "neighbors_of": 0}
-
-        def spy(name):
-            method = getattr(Graph, name)
-
-            def counted(graph, arg):
-                calls[name] += 1
-                return method(graph, arg)
-            return counted
-
-        with pytest.MonkeyPatch.context() as mp:
-            for name in calls:
-                mp.setattr(Graph, name, spy(name))
-            result = run_simulation(cfg, g)
+        got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
+        result = run_simulation(cfg, g, rng=got_rng)
+        want = full_recount_run(cfg, g, rng=want_rng)
         assert result.absorbed_at is None
-        # One count at the start, then a scatter over the switchers'
-        # neighbor lists in every generation, however many switch.
-        assert calls == {"count_neighbors": 1, "neighbors_of": cfg.horizon}
+        for name in ("coop", "invested", "cost"):
+            assert np.array_equal(getattr(result, name), getattr(want, name)), name
+        assert got_rng.random() == want_rng.random()
+
+
+class TestFermiLoop:
+    """The compiled Fermi loop, dynamics.step_stochastic, against its numpy
+    oracle, conftest.fermi_replicate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=run_cases(rules=(STOCHASTIC,)))
+    def test_matches_the_oracle(self, case):
+        g, cfg, initial = case
+        got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
+        got = fermi_run(dynamics.step_stochastic, cfg, g, initial, got_rng)
+        want = fermi_run(fermi_replicate, cfg, g, initial, want_rng)
+        assert got[0] == want[0]  # absorbed_at
+        for name, a, b in zip(("mask", "coop", "invested"), got[1:], want[1:]):
+            assert np.array_equal(a, b), name
+        assert got_rng.random() == want_rng.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=run_cases(rules=(STOCHASTIC,)))
+    def test_a_band_of_one_sends_every_decision_to_fermi_probability(self, case):
+        # Every |u - p| is at most 1: each decision calls fermi_probability
+        # once, on the pair the oracle scores, in the oracle's order.
+        g, cfg, initial = case
+        fermi_probability = dynamics.fermi_probability
+        pairs = {"got": [], "want": []}
+
+        def recorded(side):
+            def spy(f_a, f_b, K):
+                pairs[side] += zip(np.atleast_1d(f_a).tolist(), np.atleast_1d(f_b).tolist())
+                return fermi_probability(f_a, f_b, K)
+            return spy
+
+        got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_FERMI_BAND", 1.0)
+            mp.setattr(dynamics, "fermi_probability", recorded("got"))
+            got = fermi_run(dynamics.step_stochastic, cfg, g, initial, got_rng)
+            mp.setattr(dynamics, "fermi_probability", recorded("want"))
+            want = fermi_run(fermi_replicate, cfg, g, initial, want_rng)
+        assert pairs["got"] == pairs["want"]
+        assert got[0] == want[0]
+        for name, a, b in zip(("mask", "coop", "invested"), got[1:], want[1:]):
+            assert np.array_equal(a, b), name
+        assert got_rng.random() == want_rng.random()
+
+    @staticmethod
+    def k_giving(p, b):
+        """A K at which fermi_probability(0, b, K) is exactly p, or None. p
+        falls from near 1 toward 0.5 as K grows, monotone but for rounding,
+        and may step over a double: bisect, then try the 64 K on either side."""
+        lo, hi = 1e-3, 1e3
+        while np.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if dynamics.fermi_probability(0.0, b, mid) > p else (lo, mid)
+        near = [lo, hi]
+        for _ in range(64):
+            near += [np.nextafter(near[-2], 0.0), np.nextafter(near[-1], np.inf)]
+        return next((float(k) for k in near if dynamics.fermi_probability(0.0, b, k) == p),
+                    None)
+
+    @pytest.mark.parametrize("above", [False, True], ids=["p-equals-u", "p-one-ulp-above-u"])
+    def test_a_draw_on_the_probability_is_decided_by_numpy(self, above):
+        # Two agents, C then D, one generation: agent 0 copies agent 1 when
+        # its copy draw u (the third) is below p = fermi_probability(0, b, K).
+        # The seed and K make numpy's p u itself, or the next double above:
+        # a p one ulp off numpy's decides the other way.
+        b = 1.8
+        for seed in itertools.count():
+            u = np.random.default_rng(seed).random(3)[2]
+            K = self.k_giving(np.nextafter(u, 1.0) if above else u, b) if u > 0.6 else None
+            if K is not None:
+                break
+        # fermi_run reads the config's payoff, rule and horizon, not its
+        # network: no network config has 2 nodes.
+        cfg = RunConfig(network=NetworkConfig(model=BA, n=3), payoff=PayoffParams(b=b),
+                        update=UpdateRuleConfig(rule=STOCHASTIC, K=K),
+                        generations=1, stats_window=1, run_seed=seed)
+        g, start = Graph.from_edges(2, [(0, 1)]), np.array([True, False])
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = fermi_run(dynamics.step_stochastic, cfg, g, start, got_rng)
+        want = fermi_run(fermi_replicate, cfg, g, start, want_rng)
+        assert got[1][0] == (not above)  # agent 0 turns D only when u < p
+        assert np.array_equal(got[1], want[1])
+        assert got_rng.random() == want_rng.random()
+
+    def test_other_bit_generators_are_rejected(self):
+        cfg = replace(ba_config(n=30), update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1))
+        g = generate(NetworkConfig(model=BA, n=30, seed=1))
+        for rule in (cfg.update, UpdateRuleConfig()):
+            rng = np.random.Generator(np.random.MT19937(1))
+            with pytest.raises(ValueError, match="MT19937"):
+                run_simulation(replace(cfg, update=rule), g, rng=rng)
+            # Refused before the initial draw: the generator has not moved.
+            assert rng.random() == np.random.Generator(np.random.MT19937(1)).random()
+        # The loops themselves refuse it too, before reading its state.
+        with pytest.raises(ValueError, match="MT19937"):
+            dynamics.step_stochastic(g, np.ones(g.n, dtype=bool), PayoffParams(),
+                                     InterferenceConfig(), None, 0.1, rng, np.empty(5),
+                                     np.zeros(5, dtype=np.int64))
+
+
+# Each b of the theta tests and the spacing of its lattice of theta
+# breakpoints. Under imitate-best theta enters only where a paid cooperator
+# (nc + theta) meets an unpaid one (an integer nc) or a defector (b * m): a
+# decision can change only where theta crosses an integer or b * m - k.
+THETA_LATTICES = {1.2: 0.2, 1.5: 0.5, 1.8: 0.2, 2.0: 1.0}
+THETA_MARGIN = 1e-6
+
+
+@st.composite
+def theta_cases(draw):
+    """An imitate-best run case with a scheme set of one to three schemes, two
+    theta at least THETA_MARGIN inside one open interval of its b's lattice,
+    and a third as far inside the next interval: (graph, config, initial
+    mask or None, (theta_a, theta_b), theta_next)."""
+    g = draw(connected_graphs(min_n=3))
+    schemes = draw(st.lists(st.sampled_from([POP, NEB, NI]), min_size=1, max_size=3,
+                            unique=True))
+    threshold = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+    b = draw(st.sampled_from(sorted(THETA_LATTICES)))
+    step = THETA_LATTICES[b]
+    k = draw(st.integers(0, round(8 / step)))
+    inside = st.floats(THETA_MARGIN, step - THETA_MARGIN)
+    thetas = tuple(k * step + draw(inside) for _ in range(2))
+    generations = draw(st.integers(1, 30))
+    cfg = RunConfig(
+        network=NetworkConfig(model=BA, n=g.n),
+        payoff=PayoffParams(b=b),
+        interference=InterferenceConfig(
+            schemes=tuple(schemes), theta=1.0,
+            p_c=draw(threshold) if POP in schemes else None,
+            n_c=draw(threshold) if NEB in schemes else None,
+            c_I=draw(threshold) if NI in schemes else None),
+        generations=generations,
+        stats_window=draw(st.integers(1, generations)),
+        run_seed=draw(st.integers(0, 2**32 - 1)))
+    initial = draw(st.none()
+                   | st.lists(st.booleans(), min_size=g.n, max_size=g.n).map(np.array))
+    return g, cfg, initial, thetas, (k + 1) * step + draw(inside)
+
+
+def with_theta(cfg, theta):
+    return replace(cfg, interference=replace(cfg.interference, theta=theta))
+
+
+def run_and_next_draw(cfg, g, initial):
+    rng = np.random.default_rng(cfg.run_seed)
+    return run_simulation(cfg, g, rng=rng, initial_coop=initial), rng.random()
+
+
+class TestThetaLattice:
+    """Under imitate-best the endowment theta is a step function of the run:
+    inside one open interval of its lattice, only the cost moves."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=theta_cases())
+    def test_theta_inside_an_interval_changes_only_the_cost(self, case):
+        g, cfg, initial, (theta_a, theta_b), _ = case
+        (a, draw_a), (b, draw_b) = (run_and_next_draw(with_theta(cfg, theta), g, initial)
+                                    for theta in (theta_a, theta_b))
+        assert np.array_equal(a.coop, b.coop)
+        assert np.array_equal(a.invested, b.invested)
+        assert a.absorbed_at == b.absorbed_at
+        assert draw_a == draw_b
+        assert np.allclose(a.cost * theta_b, b.cost * theta_a, rtol=1e-12, atol=0.0)
+        assert a.total_cost * theta_b == pytest.approx(b.total_cost * theta_a, rel=1e-12)
+        # A run that pays nobody is the run without interference.
+        if not a.invested.any():
+            base, draw_base = run_and_next_draw(
+                replace(cfg, interference=InterferenceConfig()), g, initial)
+            assert np.array_equal(a.coop, base.coop)
+            assert draw_a == draw_base
+
+    def test_theta_across_a_breakpoint_can_change_the_run(self):
+        # The property above can fail: in some generated case, theta in the
+        # next interval runs differently.
+        def differs(case):
+            g, cfg, initial, (theta, _), theta_next = case
+            (a, draw_a), (b, draw_b) = (run_and_next_draw(with_theta(cfg, t), g, initial)
+                                        for t in (theta, theta_next))
+            return not np.array_equal(a.coop, b.coop) or draw_a != draw_b
+        find(theta_cases(), differs,
+             settings=settings(max_examples=300, database=None, derandomize=True))
 
 
 class TestReplication:
