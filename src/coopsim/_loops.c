@@ -1,10 +1,10 @@
 /* The compiled generation loops: one imitate-best or one Fermi replicate on
  * a CSR graph per call, from the initial cooperator mask to the horizon or
- * absorption, and the payment-and-score pass they share.
- * coopsim.dynamics calls the loops, and coopsim.game and
- * coopsim.interference call the pass, through ctypes. coopsim._loops builds
- * this file with -ffp-contract=off, so b * nc + theta is never fused into
- * one rounding.
+ * absorption. coopsim.dynamics calls them through ctypes. They hold the
+ * only program form of the payment rule (coopsim.interference's POP, NEB
+ * and NI) and of the score (coopsim.game's matrix); tests/conftest.py holds
+ * the numpy oracles of both. coopsim._loops builds this file with
+ * -ffp-contract=off, so b * nc + theta is never fused into one rounding.
  *
  * Each generation of either loop, as the tests' numpy oracles do it:
  *   - absorb when every agent plays one strategy, filling coop to the end;
@@ -135,38 +135,20 @@ static inline double score_of(const struct run *r, double b, int pop_ok, int64_t
     return s;
 }
 
-/* One generation's payments and scores: score[i] and eligible[i] for every
- * node, each skipped when its array is NULL. Returns how many are paid.
- * Inlined, so that a loop that passes NULL tests for it once, not per node. */
-static inline int64_t pay_and_score(const struct run *r, double b, double *score,
-                                    uint8_t *eligible)
+/* One generation's payments and scores: score[i] for every node. Returns
+ * how many are paid. */
+static inline int64_t pay_and_score(const struct run *r, double b, double *score)
 {
     int pop_ok = pop_pays(r);
     int64_t count = 0;
     for (int64_t i = 0; i < r->n; i++) {
         int p = paid(r, pop_ok, i);
         count += p;
-        if (eligible)
-            eligible[i] = (uint8_t)p;
-        if (score) {
-            score[i] = r->is_coop[i] ? r->nc[i] : b * r->nc[i];
-            if (p)
-                score[i] += r->pay->theta;
-        }
+        score[i] = r->is_coop[i] ? r->nc[i] : b * r->nc[i];
+        if (p)
+            score[i] += r->pay->theta;
     }
     return count;
-}
-
-/* pay_and_score on one population: indptr is read only under NEB, nc only
- * under NEB and for the scores. */
-int64_t coopsim_pay_and_score(int64_t n, const int64_t *indptr, double b,
-                              const struct pay *pay, int64_t n_coop,
-                              const uint8_t *is_coop, const double *nc,
-                              double *score, uint8_t *eligible)
-{
-    struct run r = {.n = n, .indptr = indptr, .pay = pay, .is_coop = (uint8_t *)is_coop,
-                    .nc = (double *)nc, .n_coop = n_coop};
-    return pay_and_score(&r, b, score, eligible);
 }
 
 /* One uniform after skipping `skip_draws`, as numpy's Generator.random()
@@ -273,7 +255,7 @@ int64_t coopsim_imitate_best(
             absorbed_at = gen;
             break;
         }
-        invested[gen] = pay_and_score(&r, b, score, NULL);
+        invested[gen] = pay_and_score(&r, b, score);
 
         /* One pass over each row finds its best score and its ties. Every
          * neighbor is written to the slot after the ties so far and kept

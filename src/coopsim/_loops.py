@@ -1,13 +1,15 @@
 """Build, cache, check and load the compiled loops in _loops.c.
 
-The first run, score or eligibility evaluation in a process loads the
-library. If no build of the current source exists yet, it first compiles
-one with gcc into this package's __pycache__ directory, under a name keyed
-by the sha256 of the source and the compiler command. A build goes to a
-temporary name and is then renamed into place, so processes that build at
-once each load a whole file. Flags that may change floating-point results
-(-ffast-math, -march=native, contraction into FMAs) stay off: the loops
-must give the numpy oracles' numbers bit for bit.
+The loops apply the payment and score rules of coopsim.interference and
+coopsim.game; their numpy oracles are in tests/conftest.py. The first run
+in a process loads the library. If no build of the current source exists
+yet, it first compiles one with gcc into this package's __pycache__
+directory, under a name keyed by the sha256 of the source and the
+compiler command. A build goes to a temporary name and is then renamed
+into place, so processes that build at once each load a whole file. Flags
+that may change floating-point results (-ffast-math, -march=native,
+contraction into FMAs) stay off: the loops must give the numpy oracles'
+numbers bit for bit.
 
 The loops step numpy's PCG64 state in place. Loading checks that their
 draws equal numpy's own for a few seeds, so a numpy whose PCG64 layout
@@ -67,8 +69,6 @@ _PROTOTYPES = {
                              _I64),
     "coopsim_fermi": ((_I64, _PTR, _PTR, _F64, _PAY, _F64, _F64, FERMI_PROBABILITY,
                        _I64, _PTR, _PTR, _PTR, _PTR), _I64),
-    # n, indptr, b, pay, n_coop, is_coop, nc, score, eligible
-    "coopsim_pay_and_score": ((_I64, _PTR, _F64, _PAY, _I64, _PTR, _PTR, _PTR, _PTR), _I64),
     "coopsim_pcg64_random": ((_PTR, _I64), _F64),
 }
 

@@ -12,16 +12,15 @@ Several schemes may be active at once; a node is paid the endowment theta
 at most once per generation regardless of how many schemes it satisfies.
 PARAMS names a scheme set's parameters, in the one order that configs,
 sweep grids, CSV columns and the frontier's tie-break use.
+
+The compiled loops (_loops.c) apply this rule every generation;
+tests/conftest.py holds its numpy oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .network import Graph
 
 POP = "POP"
 NEB = "NEB"
@@ -73,36 +72,3 @@ class InterferenceConfig:
     @property
     def active(self) -> bool:
         return bool(self.schemes)
-
-
-def eligible_set(g: Graph | None, percentile: np.ndarray | None, coop: np.ndarray,
-                 nc: np.ndarray | None, n_coop: int, cfg: InterferenceConfig) -> np.ndarray:
-    """Boolean mask of nodes to pay this generation: cooperators meeting every
-    active scheme's condition. An empty scheme set yields an empty mask.
-
-    The population enters as its cooperator mask coop, the number of
-    cooperators n_coop and each node's count of cooperating neighbors nc,
-    so a caller that carries them across generations never recounts. The
-    mask is sized from coop: g and nc are needed only when NEB is active,
-    percentile (the graph's degree_percentiles) only when NI is active.
-    Each node appears once, so the endowment is paid at most once however
-    many schemes it satisfies. The compiled loops' own payment pass
-    computes it.
-    """
-    # Imported here: _loops imports this module.
-    from . import _loops
-
-    coop = np.ascontiguousarray(coop, dtype=bool)
-    out = np.zeros(coop.shape, dtype=bool)
-    neb, ni = NEB in cfg.schemes, NI in cfg.schemes
-    nc = np.ascontiguousarray(nc, dtype=np.float64) if neb else None
-    percentile = np.ascontiguousarray(percentile, dtype=np.float64) if ni else None
-    for name, arr in (("nc", nc), ("percentile", percentile),
-                      ("g.degrees", g.degrees if neb else None)):
-        if arr is not None and arr.shape != coop.shape:
-            raise ValueError(f"{name} has shape {arr.shape}, coop {coop.shape}")
-    _loops.library().coopsim_pay_and_score(
-        coop.size, g.indptr.ctypes.data if neb else None, 0.0, _loops.pay(cfg, percentile),
-        n_coop, coop.ctypes.data, None if nc is None else nc.ctypes.data, None,
-        out.ctypes.data)
-    return out

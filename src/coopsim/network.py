@@ -43,15 +43,13 @@ class Graph:
     """Immutable undirected simple connected graph, as grown by generate.
 
     Neighbor ids are stored in CSR form (indptr/indices) with each node's
-    neighbor list sorted ascending; rows holds the node each CSR entry
-    belongs to. The CSR is the only copy of the edges: edges derives the
-    canonical (u < v) edge list from it.
+    neighbor list sorted ascending. The CSR is the only copy of the edges:
+    edges derives the canonical (u < v) edge list from it.
     """
 
     n: int
     indptr: np.ndarray   # shape (n + 1,)
     indices: np.ndarray  # shape (2E,)
-    rows: np.ndarray     # shape (2E,), nondecreasing: rows[k] owns indices[k]
     degrees: np.ndarray  # shape (n,)
 
     @classmethod
@@ -73,9 +71,8 @@ class Graph:
         # A column of both is a strided view: copy it into its own array.
         indices = np.ascontiguousarray(both[:, 1])
 
-        g = cls(n=n, indptr=indptr, indices=indices,
-                rows=np.repeat(np.arange(n), degrees), degrees=degrees)
-        for arr in (g.indptr, g.indices, g.rows, g.degrees):
+        g = cls(n=n, indptr=indptr, indices=indices, degrees=degrees)
+        for arr in (g.indptr, g.indices, g.degrees):
             arr.setflags(write=False)
         return g
 
@@ -84,8 +81,9 @@ class Graph:
         """The canonical edge list, shape (E, 2): u < v, lexicographically
         sorted. These are the CSR entries whose row is below its neighbor,
         in CSR order."""
-        upper = self.rows < self.indices
-        return np.stack((self.rows[upper], self.indices[upper]), axis=1)
+        rows = np.repeat(np.arange(self.n), self.degrees)
+        upper = rows < self.indices
+        return np.stack((rows[upper], self.indices[upper]), axis=1)
 
     @property
     def n_edges(self) -> int:

@@ -1,14 +1,19 @@
-"""Shared test helpers: graph builders, hypothesis strategies, and the
-per-node and per-pair forms of library concepts that only tests use."""
+"""Shared test helpers: graph builders, hypothesis strategies, the numpy
+oracles of the compiled loops' rules, and the per-node and per-pair forms
+of library concepts that only tests use.
+
+The payment and score rules have one program form, in coopsim's _loops.c;
+eligible_set and scores_from_counts here are their numpy oracles, and read
+no compiled code."""
 
 import json
 
 import numpy as np
 from hypothesis import strategies as st
 
-from coopsim import dynamics, game, interference
-from coopsim.game import PayoffParams, scores_from_counts
-from coopsim.interference import NEB, NI, POP, InterferenceConfig, eligible_set
+from coopsim import dynamics
+from coopsim.game import PayoffParams
+from coopsim.interference import NEB, NI, POP, InterferenceConfig
 from coopsim.network import Graph, NetworkConfig
 
 # int8 strategy labels, the form the per-node and per-pair oracles take;
@@ -71,15 +76,16 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
     strictly outscores them and holds the other strategy. Ties among equally
     best neighbors are broken uniformly with one draw per node.
     """
+    rows = csr_rows(g)
     nbr_scores = scores[g.indices]
     best = np.full(g.n, -np.inf)
-    np.maximum.at(best, g.rows, nbr_scores)
+    np.maximum.at(best, rows, nbr_scores)
 
     # Pick uniformly among the tied best neighbors of each node: tiepos
     # lists the CSR positions of all ties, grouped by node, so a node's
     # k-th tie (k = floor(u * count)) sits at its group start plus k.
-    tiepos = (nbr_scores == best[g.rows]).nonzero()[0]
-    tie_counts = np.bincount(g.rows[tiepos], minlength=g.n)
+    tiepos = (nbr_scores == best[rows]).nonzero()[0]
+    tie_counts = np.bincount(rows[tiepos], minlength=g.n)
     u = rng.random(g.n)
     u *= tie_counts
     pick = u.astype(np.int64)
@@ -127,16 +133,16 @@ def fermi_replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
     effects: every Fermi generation of one replicate.
 
     Each generation recounts the neighbor counts, pays through
-    interference.eligible_set, scores through game.scores_from_counts and
-    steps with step_stochastic over the agents with a neighbor of the other
-    strategy; all three are looked up when called, so a test can observe
-    them.
+    eligible_set, scores through scores_from_counts and steps with
+    step_stochastic over the agents with a neighbor of the other strategy;
+    all three are looked up in this module when called, so a test can
+    observe them.
     """
     bonus = np.array([0.0, icfg.theta if icfg.active else 0.0])
 
     def score(nodes):
         """This generation's scores of nodes, endowment included."""
-        f = game.scores_from_counts(is_coop[nodes], nc[nodes], payoff)
+        f = scores_from_counts(is_coop[nodes], nc[nodes], payoff)
         if icfg.active:
             f = f + bonus.take(eligible[nodes])
         return f
@@ -149,7 +155,7 @@ def fermi_replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
         coop[gen] = n_coop / g.n
         nc = count_neighbors(g, is_coop)
         if icfg.active:
-            eligible = interference.eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
+            eligible = eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
             invested[gen] = np.count_nonzero(eligible)
         front = (nc != np.where(is_coop, g.degrees, 0)).nonzero()[0]
         switched = step_stochastic(g, is_coop, front, score, K, rng)
@@ -157,10 +163,51 @@ def fermi_replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
     return None
 
 
+def csr_rows(g: Graph) -> np.ndarray:
+    """The node each CSR entry belongs to: row k owns g.indices[k]."""
+    return np.repeat(np.arange(g.n), g.degrees)
+
+
 def count_neighbors(g: Graph, mask: np.ndarray) -> np.ndarray:
     """Per node, how many of its neighbors have mask set (float64; the
     counts are small integers, so they are exact)."""
-    return np.bincount(g.rows, weights=mask[g.indices], minlength=g.n)
+    return np.bincount(csr_rows(g), weights=mask[g.indices], minlength=g.n)
+
+
+def scores_from_counts(coop: np.ndarray, nc: np.ndarray, p: PayoffParams) -> np.ndarray:
+    """Numpy oracle of the compiled loops' score: each node's summed payoff
+    from its cooperator mask coop and its count of cooperating neighbors nc.
+
+    A cooperator earns 1 per cooperating neighbor, a defector earns b per
+    cooperating neighbor; defecting neighbors contribute nothing.
+    """
+    # Indexed by the coop flag: b for a defector (False), 1 for a cooperator.
+    return np.array([p.b, 1.0]).take(coop) * nc
+
+
+def eligible_set(g: Graph | None, percentile: np.ndarray | None, coop: np.ndarray,
+                 nc: np.ndarray | None, n_coop: int, cfg: InterferenceConfig) -> np.ndarray:
+    """Numpy oracle of the compiled loops' payment rule: the mask of
+    cooperators meeting every active scheme's condition. An empty scheme
+    set yields an empty mask.
+
+    The population enters as its cooperator mask coop, the number of
+    cooperators n_coop and each node's count of cooperating neighbors nc.
+    The mask is sized from coop: g and nc are read only when NEB is
+    active, percentile (the graph's degree_percentiles) only when NI is.
+    Each node appears once, so the endowment is paid at most once however
+    many schemes it satisfies.
+    """
+    out = coop.copy() if cfg.active else np.zeros(coop.shape, dtype=bool)
+    for scheme in cfg.schemes:
+        if scheme == POP:
+            # All or nothing: the global cooperator fraction decides for everyone.
+            out &= n_coop / coop.size <= cfg.p_c
+        elif scheme == NEB:
+            out &= nc / g.degrees <= cfg.n_c
+        else:
+            out &= percentile >= cfg.c_I
+    return out
 
 
 def neighbors(g: Graph, i: int) -> np.ndarray:
@@ -180,8 +227,8 @@ def pairwise_payoff(s_row: int, s_col: int, p: PayoffParams) -> float:
 
 
 def accumulate_scores(g: Graph, s: np.ndarray, p: PayoffParams) -> np.ndarray:
-    """Sum of one-shot payoffs of each node against all its neighbors, by the
-    library's neighbor count and scoring."""
+    """Sum of one-shot payoffs of each node against all its neighbors, by
+    count_neighbors and scores_from_counts."""
     if len(s) != g.n:
         raise ValueError(f"strategy vector length {len(s)} != graph size {g.n}")
     coop = s == COOPERATE

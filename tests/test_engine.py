@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
-from coopsim import dynamics, engine, game, interference, network
+from coopsim import _loops, dynamics, engine, network
 from coopsim.dynamics import DETERMINISTIC, STOCHASTIC, UpdateRuleConfig
 from coopsim.engine import (
     FrontierRow,
@@ -265,8 +265,8 @@ class TestInterferenceAccounting:
         record is the compiled run's too."""
         cfg = replace(cfg, update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1))
         calls = {"eligible": [], "scores": [], "stepped": []}
-        eligible_set, scores_from_counts, step = (interference.eligible_set,
-                                                  game.scores_from_counts,
+        eligible_set, scores_from_counts, step = (conftest.eligible_set,
+                                                  conftest.scores_from_counts,
                                                   conftest.step_stochastic)
 
         def spy_eligible(*args):
@@ -287,8 +287,8 @@ class TestInterferenceAccounting:
             return step(g, s, front, scored, *rest)
 
         result = run_simulation(cfg, g)
-        monkeypatch.setattr(interference, "eligible_set", spy_eligible)
-        monkeypatch.setattr(game, "scores_from_counts", spy_scores)
+        monkeypatch.setattr(conftest, "eligible_set", spy_eligible)
+        monkeypatch.setattr(conftest, "scores_from_counts", spy_scores)
         monkeypatch.setattr(conftest, "step_stochastic", spy_step)
         absorbed_at, _, coop, invested = fermi_run(fermi_replicate, cfg, g)
         assert result.absorbed_at == absorbed_at
@@ -579,6 +579,34 @@ class TestCarriedCounts:
         for name in ("coop", "invested", "cost"):
             assert np.array_equal(getattr(result, name), getattr(want, name)), name
         assert got_rng.random() == want_rng.random()
+
+
+class TestOraclesStandAlone:
+    """The oracles check the compiled loops only if they do not run them:
+    with the library unloadable, each still pays and scores, every scheme
+    active."""
+
+    icfg = InterferenceConfig(schemes=(POP, NEB, NI), theta=1.5, p_c=0.9, n_c=0.75,
+                              c_I=0.2)
+
+    @pytest.fixture(autouse=True)
+    def no_library(self, monkeypatch):
+        def refuse():
+            raise AssertionError("an oracle loaded the compiled loops")
+        monkeypatch.setattr(_loops, "library", refuse)
+
+    def test_full_recount_run(self):
+        g = generate(NetworkConfig(model=BA, n=100, seed=10))
+        for update in (UpdateRuleConfig(), UpdateRuleConfig(rule=STOCHASTIC, K=0.1)):
+            result = full_recount_run(ba_config(update=update, interference=self.icfg), g)
+            assert result.invested.any()
+
+    def test_fermi_replicate(self):
+        cfg = ba_config(update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
+                        interference=self.icfg)
+        _, _, _, invested = fermi_run(fermi_replicate, cfg,
+                                      generate(NetworkConfig(model=BA, n=100, seed=10)))
+        assert invested.any()
 
 
 class TestFermiLoop:

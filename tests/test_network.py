@@ -173,25 +173,17 @@ class TestGraphValidation:
         assert g.degrees.tolist() == [len(nbrs) for nbrs in lists]
         assert g.indptr.tolist() == [0, *itertools.accumulate(map(len, lists))]
         assert g.indices.tolist() == [v for nbrs in lists for v in nbrs]
-        assert g.rows.tolist() == [i for i, nbrs in enumerate(lists) for _ in nbrs]
         assert g.edges.tolist() == [list(e) for e in canonical]
 
     def test_csr_arrays_are_contiguous(self):
         g = generate(NetworkConfig(model=DMS, n=200, seed=1))
-        assert all(a.flags.c_contiguous for a in (g.indptr, g.indices, g.rows, g.degrees))
+        assert all(a.flags.c_contiguous for a in (g.indptr, g.indices, g.degrees))
 
     def test_accepts_long_path(self):
         order = np.random.default_rng(0).permutation(2000)
         edges = [(int(order[i]), int(order[i + 1])) for i in range(2000 - 1)]
         g = Graph.from_edges(2000, edges)
         assert g.n_edges == 1999
-
-    def test_rows_label_each_csr_entry(self):
-        g = generate(NetworkConfig(model=BA, n=50, seed=4))
-        for i in range(g.n):
-            assert np.all(g.rows[g.indptr[i]:g.indptr[i + 1]] == i)
-        with pytest.raises(ValueError):
-            g.rows[0] = 1
 
     def test_arrays_are_readonly(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
