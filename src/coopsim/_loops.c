@@ -94,6 +94,7 @@ struct run {
     int64_t n;
     const int64_t *indptr, *indices;  /* the CSR graph */
     const struct pay *pay;
+    double mult[2];  /* a node's score per cooperating neighbor, by is_coop: {b, 1} */
     uint8_t *is_coop;
     double *nc;      /* each node's count of cooperating neighbors */
     int64_t n_coop;
@@ -115,7 +116,8 @@ static inline int pop_pays(const struct run *r)
 
 /* Whether node i is paid, given POP's verdict pop_ok. Each condition is
  * evaluated, and the results combined without branching on them: a branch
- * on a node's strategy is a coin flip to predict. */
+ * on a node's strategy is a coin flip to predict. The branches here are on
+ * the schemes, the same for every node. */
 static inline int paid(const struct run *r, int pop_ok, int64_t i)
 {
     const struct pay *pay = r->pay;
@@ -127,26 +129,25 @@ static inline int paid(const struct run *r, int pop_ok, int64_t i)
     return ok;
 }
 
-static inline double score_of(const struct run *r, double b, int pop_ok, int64_t i)
+/* Node i's score, given whether it is paid (is_paid, 0 or 1): its
+ * multiplier times nc, plus theta * is_paid. Both products are exact:
+ * nc * 1 is nc, and a node not paid adds theta * 0 = +0 to a score >= +0,
+ * theta being finite. */
+static inline double score_of(const struct run *r, int is_paid, int64_t i)
 {
-    double s = r->is_coop[i] ? r->nc[i] : b * r->nc[i];
-    if (paid(r, pop_ok, i))
-        s += r->pay->theta;
-    return s;
+    return r->nc[i] * r->mult[r->is_coop[i]] + r->pay->theta * (double)is_paid;
 }
 
 /* One generation's payments and scores: score[i] for every node. Returns
  * how many are paid. */
-static inline int64_t pay_and_score(const struct run *r, double b, double *score)
+static inline int64_t pay_and_score(const struct run *r, double *score)
 {
     int pop_ok = pop_pays(r);
     int64_t count = 0;
     for (int64_t i = 0; i < r->n; i++) {
         int p = paid(r, pop_ok, i);
         count += p;
-        score[i] = r->is_coop[i] ? r->nc[i] : b * r->nc[i];
-        if (p)
-            score[i] += r->pay->theta;
+        score[i] = score_of(r, p, i);
     }
     return count;
 }
@@ -209,20 +210,25 @@ static int absorbed(const struct run *r, int64_t gen, int64_t horizon, double *c
     return 1;
 }
 
-/* Flips the switchers and moves their neighbors' counts. */
-static void flip(struct run *r, const int64_t *switched, int64_t n_switched)
+/* Flips the switchers and moves their neighbors' counts: d = +1 for a new
+ * cooperator, -1 for a new defector. Inlined into each loop, so the
+ * imitate-best one, whose front is NULL, keeps none of the Fermi
+ * bookkeeping. */
+static inline __attribute__((always_inline)) void flip(
+    struct run *r, const int64_t *switched, int64_t n_switched)
 {
     for (int64_t s = 0; s < n_switched; s++) {
         int64_t i = switched[s];
         leave(r, i);
-        r->is_coop[i] = !r->is_coop[i];
-        r->n_coop += r->is_coop[i] ? 1 : -1;
+        int c = !r->is_coop[i];
+        r->is_coop[i] = (uint8_t)c;
+        int64_t d = 2 * c - 1;
+        r->n_coop += d;
         enter(r, i);
-        double d = r->is_coop[i] ? 1.0 : -1.0;
         for (int64_t k = r->indptr[i]; k < r->indptr[i + 1]; k++) {
             int64_t j = r->indices[k];
             leave(r, j);
-            r->nc[j] += d;
+            r->nc[j] += (double)d;
             enter(r, j);
         }
     }
@@ -231,20 +237,31 @@ static void flip(struct run *r, const int64_t *switched, int64_t n_switched)
 /* Imitate-best: each agent picks one of its tied best neighbors, in CSR
  * order, with one uniform u per agent in node order:
  * pick = min(floor(u * ties), ties - 1); it switches when that neighbor
- * strictly outscores it and plays the other strategy. */
+ * strictly outscores it and plays the other strategy.
+ *
+ * In the oscillating regime some 40% of the agents switch each generation,
+ * so a branch on a node's strategy, payment or score is mispredicted about
+ * as often as not, and a generation's cost would follow the number of
+ * switchers. The generation passes take no such branch: the scores select
+ * their multiplier by index, the row scan resets its tie count with an
+ * integer mask, and every agent is written to the switchers list, which
+ * grows by one only when it switches. The generation's uniforms are drawn
+ * first, in one loop. */
 int64_t coopsim_imitate_best(
     int64_t n, const int64_t *indptr, const int64_t *indices, double b,
     const struct pay *pay, int64_t horizon, uint8_t *is_coop, double *coop,
     int64_t *invested, struct np_pcg64 *bitgen)
 {
     struct run r = {.n = n, .indptr = indptr, .indices = indices, .pay = pay,
-                    .is_coop = is_coop, .nc = malloc(n * sizeof *r.nc)};
+                    .mult = {b, 1.0}, .is_coop = is_coop,
+                    .nc = malloc(n * sizeof *r.nc)};
     double *score = malloc(n * sizeof *score);
+    double *u = malloc(n * sizeof *u);         /* the generation's uniforms */
     int64_t *ties = malloc(n * sizeof *ties);  /* a row's tied best neighbors */
     int64_t *switched = malloc(n * sizeof *switched);
     struct pcg64 rng = *bitgen->rng;
     int64_t absorbed_at = -1;
-    if (!r.nc || !score || !ties || !switched) {
+    if (!r.nc || !score || !u || !ties || !switched) {
         absorbed_at = -2;
         goto done;
     }
@@ -255,28 +272,30 @@ int64_t coopsim_imitate_best(
             absorbed_at = gen;
             break;
         }
-        invested[gen] = pay_and_score(&r, b, score);
+        invested[gen] = pay_and_score(&r, score);
+        for (int64_t i = 0; i < n; i++)
+            u[i] = uniform(&rng);
 
         /* One pass over each row finds its best score and its ties. Every
          * neighbor is written to the slot after the ties so far and kept
-         * only if it ties: conditional moves, not branches on the scores. */
+         * only if it ties; a new best first clears the count, with the mask
+         * above - 1 (0 when above, all ones otherwise). */
         int64_t n_switched = 0;
         for (int64_t i = 0; i < n; i++) {
             double best = -INFINITY;
             int64_t count = 0;
             for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
                 double s = score[indices[k]];
-                int above = s > best;
-                best = above ? s : best;
-                count = above ? 0 : count;
+                int64_t above = s > best;
+                count &= above - 1;
+                best = best > s ? best : s;
                 ties[count] = indices[k];
                 count += s == best;
             }
-            int64_t pick = (int64_t)(uniform(&rng) * (double)count);
-            if (pick > count - 1)
-                pick = count - 1;
-            if (best > score[i] && is_coop[ties[pick]] != is_coop[i])
-                switched[n_switched++] = i;
+            int64_t pick = (int64_t)(u[i] * (double)count);
+            pick = pick < count ? pick : count - 1;
+            switched[n_switched] = i;
+            n_switched += (best > score[i]) & (is_coop[ties[pick]] != is_coop[i]);
         }
         flip(&r, switched, n_switched);
     }
@@ -285,6 +304,7 @@ int64_t coopsim_imitate_best(
 done:
     free(r.nc);
     free(score);
+    free(u);
     free(ties);
     free(switched);
     return absorbed_at;
@@ -316,7 +336,8 @@ int64_t coopsim_fermi(
 {
     int64_t words = (n + 63) / 64;
     struct run r = {.n = n, .indptr = indptr, .indices = indices, .pay = pay,
-                    .is_coop = is_coop, .nc = malloc(n * sizeof *r.nc),
+                    .mult = {b, 1.0}, .is_coop = is_coop,
+                    .nc = malloc(n * sizeof *r.nc),
                     .front = calloc(words, sizeof *r.front)};
     int64_t *agent = malloc(n * sizeof *agent);  /* deciders, then switchers */
     int64_t *pick = malloc(n * sizeof *pick);
@@ -361,7 +382,9 @@ int64_t coopsim_fermi(
             skip(&rng, jumps, n + i - drawn);
             double u = uniform(&rng);
             drawn = n + i + 1;
-            double f_a = score_of(&r, b, pop_ok, i), f_b = score_of(&r, b, pop_ok, pick[d]);
+            int64_t j = pick[d];
+            double f_a = score_of(&r, paid(&r, pop_ok, i), i);
+            double f_b = score_of(&r, paid(&r, pop_ok, j), j);
             double z = (f_a - f_b) / K;
             z = z < -MAX_EXPONENT ? -MAX_EXPONENT : z > MAX_EXPONENT ? MAX_EXPONENT : z;
             double p = 1.0 / (1.0 + exp(z));

@@ -6,10 +6,11 @@ in a process loads the library. If no build of the current source exists
 yet, it first compiles one with gcc into this package's __pycache__
 directory, under a name keyed by the sha256 of the source and the
 compiler command. A build goes to a temporary name and is then renamed
-into place, so processes that build at once each load a whole file. Flags
-that may change floating-point results (-ffast-math, -march=native,
-contraction into FMAs) stay off: the loops must give the numpy oracles'
-numbers bit for bit.
+into place, so processes that build at once each load a whole file; the
+builds of other sources are then removed. Flags that may change
+floating-point results (-ffast-math, -march=native, contraction into
+FMAs) stay off: the loops must give the numpy oracles' numbers bit for
+bit.
 
 The loops step numpy's PCG64 state in place. Loading checks that their
 draws equal numpy's own for a few seeds, so a numpy whose PCG64 layout
@@ -108,6 +109,12 @@ def _build(source: bytes, path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    # Builds of other sources, and of _imitate.c, the imitate-best loop's
+    # earlier home, are never loaded again. A process that has one loaded
+    # keeps its mapping.
+    for stale in (*path.parent.glob("_loops-*.so"), *path.parent.glob("_imitate-*.so")):
+        if stale != path:
+            stale.unlink(missing_ok=True)
 
 
 def _check_draws(random) -> None:

@@ -999,6 +999,23 @@ class TestImitateBuild:
         source = _loops.SOURCE.read_bytes()
         assert [p.name for p in cache.iterdir()] == [_loops.cache_name(source)]
 
+    def test_a_build_removes_the_builds_of_other_sources(self, tmp_path, monkeypatch):
+        # The cache is a __pycache__ directory: its bytecode stays.
+        source = _loops.SOURCE.read_bytes()
+        for name in ("_loops-0123456789abcdef.so", "_imitate-10142f40c3c68dda.so",
+                     "engine.cpython-311.pyc"):
+            (tmp_path / name).write_bytes(b"stale")
+        monkeypatch.setattr(_loops, "CACHE_DIR", tmp_path)
+        _loops.library.__wrapped__()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [_loops.cache_name(source),
+                                                               "engine.cpython-311.pyc"]
+
+    def test_the_source_compiles_without_warnings(self):
+        proc = subprocess.run([_loops.CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                               "-x", "c", str(_loops.SOURCE)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_missing_compiler_exits_1_naming_it(self, tmp_path):
         # Either update rule needs the library.
         cache, cc = tmp_path / "cache", str(tmp_path / "no-such-dir" / "gcc")

@@ -486,6 +486,13 @@ def run_cases(draw, rules=(DETERMINISTIC, STOCHASTIC)):
     return g, cfg, initial
 
 
+# det-grid's two slowest points. On a BA graph of 2000 agents, some 750 to
+# 800 of them switch each generation under imitate-best.
+SLOW_IMITATE_BEST = (
+    ("POP", pop_cfg(5.0, 0.8)),
+    ("NEB+NI", InterferenceConfig(schemes=(NEB, NI), theta=5.0, n_c=0.5, c_I=0.05)))
+
+
 class TestCarriedCounts:
     """run_simulation carries neighbor counts across generations, in both
     compiled loops; every number it reports must equal the full recount's."""
@@ -563,21 +570,48 @@ class TestCarriedCounts:
         assert result.absorbed_at == absorbed_at
         assert played == (absorbed_at if absorbed_at is not None else cfg.horizon)
 
-    @pytest.mark.parametrize("model, rule", [(BA, STOCHASTIC), (network.DMS, STOCHASTIC)])
-    def test_update_follows_the_switchers_share(self, model, rule):
-        # BA switches more agents at once than DMS: the compiled Fermi loop's
-        # counts at n=2000 must still give the full recount's run.
+    @pytest.mark.parametrize("model, rule, icfg, generations", [
+        *(pytest.param(model, STOCHASTIC, pop_cfg(1.0, 0.5), 10, id=f"{model}-stochastic")
+          for model in (BA, network.DMS)),
+        *(pytest.param(model, DETERMINISTIC, icfg, 75, id=f"{model}-deterministic-{name}")
+          for model in (BA, network.DMS) for name, icfg in SLOW_IMITATE_BEST)])
+    def test_update_follows_the_switchers_share(self, model, rule, icfg, generations,
+                                                monkeypatch):
+        # BA switches more agents at once than DMS: either compiled loop's
+        # counts at n=2000 must still give the full recount's run, and leave
+        # its final population.
+        update = UpdateRuleConfig(rule=rule, K=0.1 if rule == STOCHASTIC else None)
         cfg = RunConfig(
-            network=NetworkConfig(model=model, n=2000, seed=3),
-            update=UpdateRuleConfig(rule=rule, K=0.1),
-            interference=pop_cfg(1.0, 0.5), generations=10, stats_window=5, run_seed=4)
+            network=NetworkConfig(model=model, n=2000, seed=3), update=update,
+            interference=icfg, generations=generations, stats_window=5, run_seed=4)
         g = generate(cfg.network)
+        finals = []
+
+        def keep_final(step):
+            def spy(g, is_coop, *rest):
+                absorbed_at = step(g, is_coop, *rest)
+                finals.append(is_coop)
+                return absorbed_at
+            return spy
+
+        real_classify = classify
+
+        def keep_classified(s):
+            finals.append(s == C)
+            return real_classify(s)
+
+        for name in ("step_deterministic", "step_stochastic"):
+            monkeypatch.setattr(dynamics, name, keep_final(getattr(dynamics, name)))
+        monkeypatch.setitem(globals(), "classify", keep_classified)
         got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
         result = run_simulation(cfg, g, rng=got_rng)
         want = full_recount_run(cfg, g, rng=want_rng)
-        assert result.absorbed_at is None
+        if rule == STOCHASTIC:
+            assert result.absorbed_at is None
+        assert result.absorbed_at == want.absorbed_at
         for name in ("coop", "invested", "cost"):
             assert np.array_equal(getattr(result, name), getattr(want, name)), name
+        assert len(finals) == 2 and np.array_equal(*finals)
         assert got_rng.random() == want_rng.random()
 
 
