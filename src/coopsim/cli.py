@@ -287,7 +287,7 @@ def write_meta(path, command: str, **payload) -> None:
 def _cmd_gen_net(args) -> int:
     cfg = _build(NetworkConfig, {"model": args.model, "n": args.n,
                                  "seed": args.seed}, "network")
-    g = engine.graph_for(cfg)
+    g = network.generate(cfg)
     _write(args.out, "graph file", network.graph_json(cfg, g))
     write_meta(args.out, "gen-net", config=asdict(cfg),
                edges=g.n_edges, average_degree=g.average_degree)
@@ -297,7 +297,7 @@ def _cmd_gen_net(args) -> int:
 def _cmd_run(args) -> int:
     payload = read_json_object(args.config)
     cfg = parse_run_config(payload)
-    result = engine.run_simulation(cfg, engine.graph_for(cfg.network))
+    result = engine.run_simulation(cfg, network.generate(cfg.network))
     write_trace_csv(result, args.out)
     # The config in the form run reads, so that it can be fed back.
     write_meta(args.out, "run", config=asdict(cfg), total_cost=result.total_cost,

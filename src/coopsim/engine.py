@@ -10,7 +10,6 @@ parallelism produce identical output.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,20 +191,10 @@ def graph_seeds_for(master_seed: int, graphs: int) -> list[int]:
     return [derive_seed(master_seed, _GRAPH_STREAM, i) for i in range(graphs)]
 
 
-@functools.lru_cache(maxsize=1)
-def graph_for(net: NetworkConfig) -> Graph:
-    """The graph a run on net plays on, generated from the config, seed
-    included. A graph is a pure function of its config, so the last one is
-    kept: consecutive runs on one graph build it once, and tasks run
-    graph-major, so consecutive tasks mostly share a graph."""
-    return network.generate(net)
-
-
 def _point_graph_task(args) -> np.ndarray:
     """One (grid point, graph) cell: all realisations on one graph, as a
     (realisations, 2) array of (mean_coop, total_cost)."""
-    cfg, run_seeds = args
-    g = graph_for(cfg.network)
+    cfg, g, run_seeds = args
     results = (run_simulation(replace(cfg, run_seed=seed), g) for seed in run_seeds)
     return np.array([(r.mean_coop, r.total_cost) for r in results])
 
@@ -215,20 +204,32 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
           jobs: int = 1) -> list[SweepSummary]:
     """Evaluate every configuration over graphs x realisations replicates.
 
-    Tasks are (point, graph) cells in graph-major order, and each task's
-    network config carries its graph seed, so each worker builds each graph
-    at most once per sweep. Workers
-    only parallelise independent replicates, and each point's replicates
-    are reduced in (graph, realisation) order, so output is identical for
-    any jobs.
+    Every point shares one network config. The sweep generates each graph
+    once, from that config and its graph seed, and ships it with each of its
+    tasks: (point, graph) cells in graph-major order. Workers only
+    parallelise independent replicates, and each point's replicates are
+    reduced in (graph, realisation) order, so output is identical for any
+    jobs. No points, or graphs or realisations below 1, or points whose
+    network configs differ, are a ValueError.
     """
     global ProcessPoolExecutor
+    if not cfgs:
+        raise ValueError("cfgs must hold at least one grid point")
+    if graphs < 1:
+        raise ValueError(f"graphs must be >= 1, got {graphs}")
+    if realisations < 1:
+        raise ValueError(f"realisations must be >= 1, got {realisations}")
+    net = cfgs[0].network
+    for cfg in cfgs:
+        if cfg.network != net:
+            raise ValueError(f"network must be the same for every point, got {net} "
+                             f"and {cfg.network}")
     tasks = []
     for graph_idx, graph_seed in enumerate(graph_seeds_for(master_seed, graphs)):
+        g = network.generate(replace(net, seed=graph_seed))
         for point_idx, cfg in enumerate(cfgs):
-            cfg = replace(cfg, network=replace(cfg.network, seed=graph_seed))
-            tasks.append((cfg, [derive_seed(master_seed, _RUN_STREAM, point_idx, graph_idx, r)
-                                for r in range(realisations)]))
+            tasks.append((cfg, g, [derive_seed(master_seed, _RUN_STREAM, point_idx, graph_idx, r)
+                                   for r in range(realisations)]))
     if jobs > 1 and len(tasks) > 1:
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor

@@ -52,6 +52,15 @@ class Graph:
     indices: np.ndarray  # shape (2E,)
     degrees: np.ndarray  # shape (n,)
 
+    def __post_init__(self):
+        for arr in (self.indptr, self.indices, self.degrees):
+            arr.setflags(write=False)
+
+    def __reduce__(self):
+        # Through the constructor, so that an unpickled graph, as a sweep's
+        # pool worker receives it, is read-only too.
+        return type(self), (self.n, self.indptr, self.indices, self.degrees)
+
     @classmethod
     def from_edges(cls, n, edges) -> "Graph":
         """Build the CSR of an undirected edge list of shape (E, 2).
@@ -71,10 +80,7 @@ class Graph:
         # A column of both is a strided view: copy it into its own array.
         indices = np.ascontiguousarray(both[:, 1])
 
-        g = cls(n=n, indptr=indptr, indices=indices, degrees=degrees)
-        for arr in (g.indptr, g.indices, g.degrees):
-            arr.setflags(write=False)
-        return g
+        return cls(n=n, indptr=indptr, indices=indices, degrees=degrees)
 
     @property
     def edges(self) -> np.ndarray:

@@ -939,21 +939,25 @@ def brute_force_frontier(summaries, targets):
 
 
 class TestGraphOnce:
-    def test_each_graph_generated_once_per_sweep(self, monkeypatch):
-        built = []
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_graph_generated_once_per_sweep(self, monkeypatch, tmp_path, jobs):
+        # Builds are logged to a file: forked pool workers inherit the patch,
+        # so a build in any process is counted.
+        log = tmp_path / "builds"
         real_generate = network.generate
 
         def counting_generate(cfg, *args, **kwargs):
-            built.append(cfg.seed)
+            with open(log, "a") as fh:
+                fh.write(f"{cfg.seed}\n")
             return real_generate(cfg, *args, **kwargs)
 
         monkeypatch.setattr(network, "generate", counting_generate)
         cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(1.0, 0.5)),
                 ba_config(n=60, interference=pop_cfg(5.0, 0.8))]
-        sweep(cfgs, master_seed=21, graphs=2, realisations=2, jobs=1)
-        assert built == graph_seeds_for(21, 2)
+        sweep(cfgs, master_seed=21, graphs=2, realisations=2, jobs=jobs)
+        assert [int(seed) for seed in log.read_text().split()] == graph_seeds_for(21, 2)
 
-    def test_memo_never_serves_another_sweeps_graph(self):
+    def test_sweeps_in_one_process_do_not_share_graphs(self):
         cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(2.0, 0.7))]
         fresh_a = sweep(cfgs, master_seed=31, graphs=2, realisations=2)
         b = sweep(cfgs, master_seed=32, graphs=2, realisations=2)
@@ -962,6 +966,20 @@ class TestGraphOnce:
         assert a_after_b == fresh_a
         assert a_again == fresh_a
         assert [s.coop_mean for s in b] != [s.coop_mean for s in fresh_a]
+
+
+class TestSweepArguments:
+    @pytest.mark.parametrize("bad, name", [
+        (dict(cfgs=[]), "cfgs"),
+        (dict(graphs=0), "graphs"),
+        (dict(realisations=0), "realisations"),
+        # All points play on the same graphs, so they must share one network.
+        (dict(cfgs=[ba_config(n=60), ba_config(n=80)]), "network"),
+    ], ids=["cfgs", "graphs", "realisations", "network"])
+    def test_names_the_bad_argument(self, bad, name):
+        args = {"cfgs": [ba_config(n=60)], "graphs": 1, "realisations": 1, **bad}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            sweep(master_seed=1, **args)
 
 
 class TestEfficiencyFrontier:
