@@ -37,19 +37,26 @@ struct np_pcg64 { struct pcg64 *rng; int has_uint32; uint32_t uinteger; };
 
 static const u128 PCG_MULT = (u128)0x2360ed051fc65da4ULL << 64 | 0x4385df649fccf645ULL;
 
-static inline double uniform(struct pcg64 *rng)
+/* The double an LCG state outputs: XSL-RR, then the top 53 bits. */
+static inline double output(u128 state)
 {
-    rng->state = rng->state * PCG_MULT + rng->inc;
-    uint64_t x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
-    unsigned rot = (unsigned)(rng->state >> 122);
+    uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    unsigned rot = (unsigned)(state >> 122);
     x = x >> rot | x << (-rot & 63);
     return (double)(x >> 11) * (1.0 / 9007199254740992.0);
 }
 
+static inline double uniform(struct pcg64 *rng)
+{
+    rng->state = rng->state * PCG_MULT + rng->inc;
+    return output(rng->state);
+}
+
 /* A jump table maps the LCG state d steps ahead, state -> mult * state + add:
- * near[d] for every d below NEAR, and far[k] for d = NEAR * 2^k. Skipping d
- * draws applies near[d % NEAR], then the far map of each bit set in
- * d / NEAR; the maps commute. */
+ * near[d] for every d below NEAR, and far[k] for d = NEAR * 2^k. Stepping d
+ * times applies near[d % NEAR], then the far map of each bit set in
+ * d / NEAR; the maps commute. LCG arithmetic is exact mod 2^128, so the
+ * state is the one d single steps reach. */
 #define NEAR_BITS 8
 #define NEAR (1 << NEAR_BITS)
 struct map { u128 mult, add; };
@@ -71,14 +78,22 @@ static void jump_table(struct jumps *t, u128 inc)
         t->far[k] = compose(t->far[k - 1], t->far[k - 1]);
 }
 
-static inline void skip(struct pcg64 *rng, const struct jumps *t, int64_t d)
+static inline void jump(struct pcg64 *rng, const struct jumps *t, uint64_t steps)
 {
-    const struct map *m = &t->near[d % NEAR];
+    const struct map *m = &t->near[steps % NEAR];
     rng->state = m->mult * rng->state + m->add;
-    d /= NEAR;
-    for (int k = 0; d; k++, d >>= 1)
-        if (d & 1)
+    steps /= NEAR;
+    for (int k = 0; steps; k++, steps >>= 1)
+        if (steps & 1)
             rng->state = t->far[k].mult * rng->state + t->far[k].add;
+}
+
+/* The draw after skipping `skipped` draws: one map of skipped + 1 steps,
+ * then the output, with no separate step for the draw itself. */
+static inline double draw_after(struct pcg64 *rng, const struct jumps *t, int64_t skipped)
+{
+    jump(rng, t, (uint64_t)skipped + 1);
+    return output(rng->state);
 }
 
 /* Who is paid the endowment theta: the cooperators meeting every active
@@ -153,14 +168,13 @@ static inline int64_t pay_and_score(const struct run *r, double *score)
 }
 
 /* One uniform after skipping `skip_draws`, as numpy's Generator.random()
- * makes it: coopsim._loops compares it with numpy's when it loads the
- * library. */
+ * makes it, read through the loops' own draw_after: coopsim._loops
+ * compares it with numpy's when it loads the library. */
 double coopsim_pcg64_random(struct np_pcg64 *bitgen, int64_t skip_draws)
 {
     struct jumps jumps;
     jump_table(&jumps, bitgen->rng->inc);
-    skip(bitgen->rng, &jumps, skip_draws);
-    return uniform(bitgen->rng);
+    return draw_after(bitgen->rng, &jumps, skip_draws);
 }
 
 /* The Fermi bookkeeping of node x, around a change to its strategy or count:
@@ -319,15 +333,30 @@ done:
  * agent in node order. Agent i picks neighbor
  * min(floor(u_pick * degree), degree - 1) in CSR order and copies it when
  * u_copy < 1 / (1 + exp(z)), z = (score_i - score_pick) / K clipped to
- * +-MAX_EXPONENT. Copying an agreeing neighbor changes nothing, so only
- * the front reads its picks, and only the agents whose pick disagrees read
- * their copy draws; the generator jumps over the other draws. flip keeps
- * the front and the count of paid cooperators up to date, so a generation
- * costs the front and the switchers' neighborhoods, not n.
+ * +-MAX_EXPONENT. The loop clips z from above only: below -MAX_EXPONENT,
+ * exp(z) is under 2^-53 clipped or not, so 1 + exp(z) rounds to 1 and p is
+ * 1 either way. Copying an agreeing neighbor changes nothing, so only the
+ * front reads its picks, and only the agents whose pick disagrees read
+ * their copy draws. Each draw read is one LCG map, over the draws skipped
+ * and the draw itself (draw_after); the generator jumps over the rest at
+ * the end. flip keeps the front and the count of paid cooperators up to
+ * date, so a generation costs the front and the switchers' neighborhoods,
+ * not n.
+ *
+ * Some 46% of the front picks a disagreeing neighbor and some 65% of the
+ * deciders switch, so a branch on either is mispredicted about as often
+ * as not. The picks and decisions take no branch on a node's strategy or
+ * its draw: every front agent is written to agent and pick, and n_deciders
+ * grows by whether its pick disagrees; every decider is written to
+ * agent[n_switched], and n_switched grows by whether u_copy < p. The
+ * branches left are the loop bounds (the front's words and bits, the far
+ * jumps over long gaps), the band test below and the scheme tests in
+ * paid, which are the same for every node.
  *
  * libm's exp may differ from numpy's by an ulp, and so p by a few. So a
  * copy draw within band of libm's p is decided by the p of
- * fermi_probability(score_i, score_pick), numpy's own. */
+ * fermi_probability(score_i, score_pick), numpy's own. That branch is
+ * almost never taken, so it is predicted. */
 int64_t coopsim_fermi(
     int64_t n, const int64_t *indptr, const int64_t *indices, double b,
     const struct pay *pay, double K, double band,
@@ -363,37 +392,32 @@ int64_t coopsim_fermi(
         for (int64_t w = 0; w < words; w++) {
             for (uint64_t bits = r.front[w]; bits; bits &= bits - 1) {
                 int64_t i = w * 64 + __builtin_ctzll(bits), deg = degree(&r, i);
-                skip(&rng, jumps, i - drawn);
-                int64_t offset = (int64_t)(uniform(&rng) * (double)deg);
+                int64_t offset = (int64_t)(draw_after(&rng, jumps, i - drawn) * (double)deg);
                 drawn = i + 1;
-                if (offset > deg - 1)
-                    offset = deg - 1;
+                offset = offset < deg - 1 ? offset : deg - 1;
                 int64_t j = indices[indptr[i] + offset];
-                if (is_coop[j] != is_coop[i]) {
-                    agent[n_deciders] = i;
-                    pick[n_deciders++] = j;
-                }
+                agent[n_deciders] = i;
+                pick[n_deciders] = j;
+                n_deciders += is_coop[j] != is_coop[i];
             }
         }
 
         int64_t n_switched = 0;
         for (int64_t d = 0; d < n_deciders; d++) {
-            int64_t i = agent[d];
-            skip(&rng, jumps, n + i - drawn);
-            double u = uniform(&rng);
+            int64_t i = agent[d], j = pick[d];
+            double u = draw_after(&rng, jumps, n + i - drawn);
             drawn = n + i + 1;
-            int64_t j = pick[d];
             double f_a = score_of(&r, paid(&r, pop_ok, i), i);
             double f_b = score_of(&r, paid(&r, pop_ok, j), j);
             double z = (f_a - f_b) / K;
-            z = z < -MAX_EXPONENT ? -MAX_EXPONENT : z > MAX_EXPONENT ? MAX_EXPONENT : z;
+            z = z < MAX_EXPONENT ? z : MAX_EXPONENT;
             double p = 1.0 / (1.0 + exp(z));
             if (fabs(u - p) <= band)
                 p = fermi_probability(f_a, f_b);
-            if (u < p)
-                agent[n_switched++] = i;
+            agent[n_switched] = i;  /* n_switched <= d: agent[d] is read */
+            n_switched += u < p;
         }
-        skip(&rng, jumps, 2 * n - drawn);
+        jump(&rng, jumps, 2 * n - drawn);
         flip(&r, agent, n_switched);
     }
     bitgen->rng->state = rng.state;

@@ -35,8 +35,10 @@ FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 SOURCE = Path(__file__).with_name("_loops.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 
-# Seeds and skips of the load check: the draw after skipping k draws.
-_CHECK_DRAWS = ((0, 0), (1, 1), (20230116, 1000), (2**64 - 1, 2**40 + 7))
+# Seeds and skips of the load check: the draw after skipping k draws. A skip
+# of 255 draws is one jump of 256 steps, the first past the near maps.
+_CHECK_DRAWS = ((0, 0), (1, 1), (2, 255), (3, 256), (20230116, 1000),
+                (2**64 - 1, 2**40 + 7))
 
 
 class Pay(ctypes.Structure):

@@ -106,7 +106,11 @@ def step_stochastic(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
     where drawing all 2n would leave it. It decides a copy with libm's
     exp, except when the copy draw lies within _FERMI_BAND of that
     probability: then it calls fermi_probability, so every decision is
-    the one numpy's exp gives. The arguments and their effects are
+    the one numpy's exp gives. No branch in the picks or decisions depends
+    on a node's strategy or its draw: every agent is written to the list
+    of deciders or switchers, which grows by one only when it disagrees or
+    copies. The branches left are the loop bounds, the front's words, the
+    band test and the scheme tests. The arguments and their effects are
     step_deterministic's; the loop is in _loops.c.
 
     perfbench's tracer reports this function as dynamics.step_stochastic:

@@ -1010,11 +1010,15 @@ class TestImitateBuild:
         assert sorted(p.name for p in tmp_path.iterdir()) == [_loops.cache_name(source),
                                                                "engine.cpython-311.pyc"]
 
-    def test_the_source_compiles_without_warnings(self):
-        proc = subprocess.run([_loops.CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                               "-x", "c", str(_loops.SOURCE)],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+    def test_the_source_compiles_without_warnings(self, tmp_path):
+        # With the build's own flags, so the optimizer runs and its
+        # flow-based warnings (-Wmaybe-uninitialized, -Warray-bounds) are
+        # checked too.
+        proc = subprocess.run([*_loops._command(), "-Wall", "-Wextra", "-Werror",
+                               "-o", str(tmp_path / "loops.so")],
+                              input=_loops.SOURCE.read_bytes(), capture_output=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 
     def test_missing_compiler_exits_1_naming_it(self, tmp_path):
         # Either update rule needs the library.

@@ -492,6 +492,13 @@ SLOW_IMITATE_BEST = (
     ("POP", pop_cfg(5.0, 0.8)),
     ("NEB+NI", InterferenceConfig(schemes=(NEB, NI), theta=5.0, n_c=0.5, c_I=0.05)))
 
+# perfbench's stoch-long points, run at its scale in TestCarriedCounts: DMS,
+# n=5000, b=1.8, K=0.1, 500 generations, none absorbing.
+STOCH_LONG = (
+    ("baseline", InterferenceConfig()),
+    ("NEB", InterferenceConfig(schemes=(NEB,), theta=1.0, n_c=0.5)),
+    ("POP+NI", InterferenceConfig(schemes=(POP, NI), theta=2.0, p_c=0.5, c_I=0.9)))
+
 
 class TestCarriedCounts:
     """run_simulation carries neighbor counts across generations, in both
@@ -570,19 +577,25 @@ class TestCarriedCounts:
         assert result.absorbed_at == absorbed_at
         assert played == (absorbed_at if absorbed_at is not None else cfg.horizon)
 
-    @pytest.mark.parametrize("model, rule, icfg, generations", [
-        *(pytest.param(model, STOCHASTIC, pop_cfg(1.0, 0.5), 10, id=f"{model}-stochastic")
+    @pytest.mark.parametrize("model, n, rule, icfg, generations", [
+        *(pytest.param(model, 2000, STOCHASTIC, pop_cfg(1.0, 0.5), 10,
+                       id=f"{model}-stochastic")
           for model in (BA, network.DMS)),
-        *(pytest.param(model, DETERMINISTIC, icfg, 75, id=f"{model}-deterministic-{name}")
-          for model in (BA, network.DMS) for name, icfg in SLOW_IMITATE_BEST)])
-    def test_update_follows_the_switchers_share(self, model, rule, icfg, generations,
+        *(pytest.param(model, 2000, DETERMINISTIC, icfg, 75,
+                       id=f"{model}-deterministic-{name}")
+          for model in (BA, network.DMS) for name, icfg in SLOW_IMITATE_BEST),
+        *(pytest.param(network.DMS, 5000, STOCHASTIC, icfg, 500, id=f"stoch-long-{name}")
+          for name, icfg in STOCH_LONG)])
+    def test_update_follows_the_switchers_share(self, model, n, rule, icfg, generations,
                                                 monkeypatch):
         # BA switches more agents at once than DMS: either compiled loop's
         # counts at n=2000 must still give the full recount's run, and leave
-        # its final population.
+        # its final population. So must the Fermi loop's over every
+        # generation of the benchmark's Fermi points, some 500 agents in the
+        # front and 150 switching each generation.
         update = UpdateRuleConfig(rule=rule, K=0.1 if rule == STOCHASTIC else None)
         cfg = RunConfig(
-            network=NetworkConfig(model=model, n=2000, seed=3), update=update,
+            network=NetworkConfig(model=model, n=n, seed=3), update=update,
             interference=icfg, generations=generations, stats_window=5, run_seed=4)
         g = generate(cfg.network)
         finals = []
@@ -741,6 +754,38 @@ class TestFermiLoop:
             dynamics.step_stochastic(g, np.ones(g.n, dtype=bool), PayoffParams(),
                                      InterferenceConfig(), None, 0.1, rng, np.empty(5),
                                      np.zeros(5, dtype=np.int64))
+
+
+# Jump lengths at the edges of the loops' jump table: each side of its
+# near/far boundary (a skip of 255 draws is one map of 256 steps) and of
+# every far map's bit.
+JUMP_EDGES = sorted({254, 255, 256, 257, 511, 512,
+                     *(2**k + e for k in range(41) for e in (-1, 1))})
+
+
+class TestDraws:
+    """coopsim_pcg64_random reads a draw as the loops do, one jump of the
+    skipped draws and the draw itself: it must give numpy's value and leave
+    numpy's state at every jump length. TestFermiLoop's graphs are too small
+    to skip 255 draws."""
+
+    @staticmethod
+    def check(seed, skipped):
+        bitgen = np.random.PCG64(seed)
+        got = _loops.library().coopsim_pcg64_random(bitgen.ctypes.state_address, skipped)
+        want = np.random.PCG64(seed).advance(skipped)
+        assert got == np.random.Generator(want).random(), (seed, skipped)
+        assert bitgen.state == want.state, (seed, skipped)
+
+    @pytest.mark.parametrize("skipped", JUMP_EDGES)
+    def test_at_the_edges_of_the_jump_table(self, skipped):
+        for seed in (0, 20230116, 2**64 - 1):
+            self.check(seed, skipped)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), skipped=st.integers(0, 2**40))
+    def test_at_any_jump_length(self, seed, skipped):
+        self.check(seed, skipped)
 
 
 # Each b of the theta tests and the spacing of its lattice of theta
