@@ -2,15 +2,15 @@
 
 The loops apply the payment and score rules of coopsim.interference and
 coopsim.game; their numpy oracles are in tests/conftest.py. The first run
-in a process loads the library. If no build of the current source exists
-yet, it first compiles one with gcc into this package's __pycache__
-directory, under a name keyed by the sha256 of the source and the
-compiler command. A build goes to a temporary name and is then renamed
-into place, so processes that build at once each load a whole file; the
-builds of other sources are then removed. Flags that may change
-floating-point results (-ffast-math, -march=native, contraction into
-FMAs) stay off: the loops must give the numpy oracles' numbers bit for
-bit.
+in a process loads the library, once, however many of its threads ask at
+the same time. If no build of the current source exists yet, it first
+compiles one with gcc into this package's __pycache__ directory, under a
+name keyed by the sha256 of the source and the compiler command. A build
+goes to a temporary name and is then renamed into place, so processes
+that build at once each load a whole file; the builds of other sources
+are then removed. Flags that may change floating-point results
+(-ffast-math, -march=native, contraction into FMAs) stay off: the loops
+must give the numpy oracles' numbers bit for bit.
 
 The loops step numpy's PCG64 state in place. Loading checks that their
 draws equal numpy's own for a few seeds, so a numpy whose PCG64 layout
@@ -24,6 +24,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -134,10 +135,19 @@ def _check_draws(random) -> None:
                                f"{got}, numpy draws {want}")
 
 
-@functools.cache
+_LOAD_LOCK = threading.Lock()
+
+
 def library() -> ctypes.CDLL:
     """The compiled loops, built first if need be and checked against
-    numpy's PCG64 draws."""
+    numpy's PCG64 draws. Threads that ask at the same time wait for one
+    load, and all get the same library."""
+    with _LOAD_LOCK:
+        return _load()
+
+
+@functools.cache
+def _load() -> ctypes.CDLL:
     source = SOURCE.read_bytes()
     path = CACHE_DIR / cache_name(source)
     if not path.exists():

@@ -31,11 +31,6 @@ HOMOGENEOUS_C = "homogeneous-C"
 HOMOGENEOUS_D = "homogeneous-D"
 MIXED = "mixed"
 
-# The process pool class, imported by sweep on first use: a run that never
-# needs a pool never loads multiprocessing. A class assigned here first is
-# the one sweep uses.
-ProcessPoolExecutor = None
-
 # Stream tags for the counter-based seed split.
 _GRAPH_STREAM = 0
 _RUN_STREAM = 1
@@ -205,14 +200,17 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
     """Evaluate every configuration over graphs x realisations replicates.
 
     Every point shares one network config. The sweep generates each graph
-    once, from that config and its graph seed, and ships it with each of its
-    tasks: (point, graph) cells in graph-major order. Workers only
-    parallelise independent replicates, and each point's replicates are
-    reduced in (graph, realisation) order, so output is identical for any
-    jobs. No points, or graphs or realisations below 1, or points whose
-    network configs differ, are a ValueError.
+    once, from that config and its graph seed, and hands it to each of its
+    tasks: (point, graph) cells in graph-major order. With jobs above 1 and
+    more than one task, a pool of min(jobs, tasks) threads runs the tasks:
+    each replicate is one compiled call, which releases the GIL, and every
+    thread reads the same read-only graphs. A task's exception is raised
+    here, after the pool's threads have ended. Workers only parallelise
+    independent replicates, and each point's replicates are reduced in
+    (graph, realisation) order, so output is identical for any jobs. No
+    points, or graphs or realisations below 1, or points whose network
+    configs differ, are a ValueError.
     """
-    global ProcessPoolExecutor
     if not cfgs:
         raise ValueError("cfgs must hold at least one grid point")
     if graphs < 1:
@@ -231,12 +229,10 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
             tasks.append((cfg, g, [derive_seed(master_seed, _RUN_STREAM, point_idx, graph_idx, r)
                                    for r in range(realisations)]))
     if jobs > 1 and len(tasks) > 1:
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
-        # A fork pool starts every worker at the first submit: start no more
-        # than there are tasks.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            per_task = list(pool.map(_point_graph_task, tasks, chunksize=1))
+        # Imported here: a serial run never loads the pool.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            per_task = list(pool.map(_point_graph_task, tasks))
     else:
         per_task = [_point_graph_task(t) for t in tasks]
 

@@ -56,11 +56,6 @@ class Graph:
         for arr in (self.indptr, self.indices, self.degrees):
             arr.setflags(write=False)
 
-    def __reduce__(self):
-        # Through the constructor, so that an unpickled graph, as a sweep's
-        # pool worker receives it, is read-only too.
-        return type(self), (self.n, self.indptr, self.indices, self.degrees)
-
     @classmethod
     def from_edges(cls, n, edges) -> "Graph":
         """Build the CSR of an undirected edge list of shape (E, 2).

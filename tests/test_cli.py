@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tomllib
 from pathlib import Path
 
@@ -869,9 +870,10 @@ class TestConsoleScript:
 
 class TestLazyPool:
     """Only a sweep that runs more than one task on more than one job
-    imports the process pool."""
+    imports the thread pool; no command imports a process pool."""
 
-    POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+    POOL_MODULES = ("concurrent.futures.thread", "concurrent.futures.process",
+                    "multiprocessing")
 
     def test_serial_commands_never_import_the_pool(self, tmp_path):
         payload = sweep_config(graphs=1, realisations=1)
@@ -891,68 +893,66 @@ class TestLazyPool:
             ["frontier", "--in", sweep_csv, "--targets", "0.5",
              "--out", str(tmp_path / "frontier.csv")],
         ]
+        parallel = ["sweep", "--config", sweep_cfg, "--out", str(tmp_path / "j2.csv"),
+                    "--jobs", "2"]
         # A fresh interpreter: this one may have imported the pool already.
+        # The parallel sweep at the end loads the thread pool alone.
         script = (
             "import json, sys\n"
-            "from coopsim import engine\n"
             "from coopsim.cli import main\n"
             f"for argv in json.loads({json.dumps(json.dumps(commands))}):\n"
             "    assert main(argv) == 0, argv\n"
             f"    loaded = [m for m in {self.POOL_MODULES!r} if m in sys.modules]\n"
             "    assert not loaded, (argv[0], loaded)\n"
-            "    assert engine.ProcessPoolExecutor is None, argv[0]\n"
+            f"assert main({parallel!r}) == 0\n"
+            f"loaded = [m for m in {self.POOL_MODULES!r} if m in sys.modules]\n"
+            "assert loaded == ['concurrent.futures.thread'], loaded\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    def test_parallel_sweep_uses_the_module_pool_class(self, tmp_path, monkeypatch):
-        made = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    def test_parallel_sweep_writes_the_serial_bytes(self, tmp_path):
         cfg = write_config(tmp_path, sweep_config())
         serial, parallel = tmp_path / "j1.csv", tmp_path / "j2.csv"
         assert main(["sweep", "--config", cfg, "--out", str(serial), "--jobs", "1"]) == EXIT_OK
-        assert made == []
         assert main(["sweep", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == EXIT_OK
-        assert made == [2]
         assert parallel.read_bytes() == serial.read_bytes()
 
     def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
         made = []
 
-        class SerialPool:
-            """Records its size and maps in this process: no worker starts."""
-
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 made.append(max_workers)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         # one grid point on three graphs: three tasks
         cfg = write_config(tmp_path, sweep_config(graphs=3, realisations=1,
                                                   grid=[{"schemes": []}]))
         serial = tmp_path / "j1.csv"
         assert main(["sweep", "--config", cfg, "--out", str(serial)]) == EXIT_OK
+        assert made == []
         for jobs, workers in (("64", 3), ("3", 3), ("2", 2)):
             out = tmp_path / f"j{jobs}.csv"
             assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
             assert made.pop() == workers
             assert out.read_bytes() == serial.read_bytes()
         assert made == []
+
+    def test_a_worker_error_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
+        def failing_run(cfg, g, *args, **kwargs):
+            raise MemoryError("coopsim_imitate_best: no memory for its work buffers")
+
+        monkeypatch.setattr(engine, "run_simulation", failing_run)
+        cfg = write_config(tmp_path, sweep_config())
+        out = tmp_path / "sweep.csv"
+        before = threading.active_count()
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == EXIT_RUNTIME
+        assert "no memory for its work buffers" in capsys.readouterr().err
+        assert not out.exists()
+        assert threading.active_count() == before
 
 
 class TestImitateBuild:
@@ -1006,9 +1006,39 @@ class TestImitateBuild:
                      "engine.cpython-311.pyc"):
             (tmp_path / name).write_bytes(b"stale")
         monkeypatch.setattr(_loops, "CACHE_DIR", tmp_path)
-        _loops.library.__wrapped__()
+        _loops._load.__wrapped__()
         assert sorted(p.name for p in tmp_path.iterdir()) == [_loops.cache_name(source),
                                                                "engine.cpython-311.pyc"]
+
+    def test_threads_that_load_at_once_build_once(self, tmp_path, monkeypatch):
+        # More threads than cores, switching often, all asking at once.
+        built, checked, got = [], [], []
+        build, check = _loops._build, _loops._check_draws
+        monkeypatch.setattr(_loops, "_build", lambda *args: (built.append(1), build(*args)))
+        monkeypatch.setattr(_loops, "_check_draws",
+                            lambda random: (checked.append(1), check(random)))
+        monkeypatch.setattr(_loops, "CACHE_DIR", tmp_path / "cache")
+        start = threading.Barrier(4)
+
+        def load():
+            start.wait(timeout=60)
+            got.append(_loops.library())
+
+        threads = [threading.Thread(target=load) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        _loops._load.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            _loops._load.cache_clear()
+        assert not any(thread.is_alive() for thread in threads)
+        assert (len(built), len(checked), len(got)) == (1, 1, 4)
+        assert all(lib is got[0] for lib in got)
 
     def test_the_source_compiles_without_warnings(self, tmp_path):
         # With the build's own flags, so the optimizer runs and its
@@ -1059,7 +1089,7 @@ class TestImitateBuild:
             "    assert 'coopsim._loops' not in sys.modules, argv[0]\n"
             f"assert main(['sweep', '--config', {fermi_cfg!r}, '--out', {sweep_csv!r}]) == 0\n"
             "from coopsim import _loops\n"
-            "assert _loops.library.cache_info().currsize == 1\n"
+            "assert _loops._load.cache_info().currsize == 1\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True, timeout=120)
@@ -1076,13 +1106,13 @@ class TestImitateBuild:
                                       "run_seed": 1})
         monkeypatch.setattr(_loops, "SOURCE", wrong)
         monkeypatch.setattr(_loops, "CACHE_DIR", tmp_path / "cache")
-        _loops.library.cache_clear()
+        _loops._load.cache_clear()
         try:
             with pytest.raises(RuntimeError, match=f"numpy {np.__version__}'s PCG64"):
                 _loops.library()
             rc = main(["run", "--config", cfg, "--out", str(tmp_path / "run.csv")])
         finally:
-            _loops.library.cache_clear()
+            _loops._load.cache_clear()
         assert rc == EXIT_RUNTIME
         assert f"numpy {np.__version__}" in capsys.readouterr().err
 

@@ -1,4 +1,5 @@
 import itertools
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -911,9 +912,30 @@ class TestReplication:
 
     def test_parallel_jobs_do_not_change_results(self):
         cfg = ba_config(n=60, interference=pop_cfg(theta=2.0, p_c=0.7))
+        threads = threading.active_count()
         serial = sweep([cfg], master_seed=13, graphs=2, realisations=2, jobs=1)
         parallel = sweep([cfg], master_seed=13, graphs=2, realisations=2, jobs=4)
         assert serial == parallel
+        # The pool's threads have ended.
+        assert threading.active_count() == threads
+
+    def test_a_task_error_in_a_worker_thread_reaches_the_caller(self, monkeypatch):
+        real_run = engine.run_simulation
+        ran_on = set()
+
+        def failing_run(cfg, g, *args, **kwargs):
+            ran_on.add(threading.get_ident())
+            if cfg.interference.active:
+                raise RuntimeError("a task failed")
+            return real_run(cfg, g, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_simulation", failing_run)
+        cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(theta=2.0, p_c=0.7))]
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="a task failed"):
+            sweep(cfgs, master_seed=13, graphs=2, realisations=2, jobs=2)
+        assert threading.active_count() == threads
+        assert ran_on and threading.get_ident() not in ran_on
 
     def test_first_point_ignores_later_points(self):
         cfg = ba_config(n=60)
@@ -985,22 +1007,19 @@ def brute_force_frontier(summaries, targets):
 
 class TestGraphOnce:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_each_graph_generated_once_per_sweep(self, monkeypatch, tmp_path, jobs):
-        # Builds are logged to a file: forked pool workers inherit the patch,
-        # so a build in any process is counted.
-        log = tmp_path / "builds"
+    def test_each_graph_generated_once_per_sweep(self, monkeypatch, jobs):
+        built = []
         real_generate = network.generate
 
         def counting_generate(cfg, *args, **kwargs):
-            with open(log, "a") as fh:
-                fh.write(f"{cfg.seed}\n")
+            built.append(cfg.seed)
             return real_generate(cfg, *args, **kwargs)
 
         monkeypatch.setattr(network, "generate", counting_generate)
         cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(1.0, 0.5)),
                 ba_config(n=60, interference=pop_cfg(5.0, 0.8))]
         sweep(cfgs, master_seed=21, graphs=2, realisations=2, jobs=jobs)
-        assert [int(seed) for seed in log.read_text().split()] == graph_seeds_for(21, 2)
+        assert built == graph_seeds_for(21, 2)
 
     def test_sweeps_in_one_process_do_not_share_graphs(self):
         cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(2.0, 0.7))]

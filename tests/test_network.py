@@ -1,6 +1,5 @@
 import itertools
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -190,14 +189,6 @@ class TestGraphValidation:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             g.indices[0] = 5
-
-    def test_arrays_stay_readonly_through_pickle(self):
-        # A sweep ships its graphs to pool workers by pickle.
-        g = generate(NetworkConfig(model=BA, n=50, seed=2))
-        back = pickle.loads(pickle.dumps(g))
-        assert not any(a.flags.writeable for a in (back.indptr, back.indices, back.degrees))
-        assert back.n == g.n
-        assert np.array_equal(back.indptr, g.indptr) and np.array_equal(back.indices, g.indices)
 
     def test_diameter_path_graph(self):
         g = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
