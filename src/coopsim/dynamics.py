@@ -106,12 +106,15 @@ def step_stochastic(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
     where drawing all 2n would leave it. It decides a copy with libm's
     exp, except when the copy draw lies within _FERMI_BAND of that
     probability: then it calls fermi_probability, so every decision is
-    the one numpy's exp gives. No branch in the picks or decisions depends
-    on a node's strategy or its draw: every agent is written to the list
-    of deciders or switchers, which grows by one only when it disagrees or
+    the one numpy's exp gives. K is fixed within the call, so the loop
+    memoises libm's probability by the exact score difference, and most
+    decisions reuse one instead of calling exp; the band test still runs
+    on every decision. No branch in the picks or decisions depends on a
+    node's strategy or its draw: every agent is written to the list of
+    deciders or switchers, which grows by one only when it disagrees or
     copies. The branches left are the loop bounds, the front's words, the
-    band test and the scheme tests. The arguments and their effects are
-    step_deterministic's; the loop is in _loops.c.
+    memo's hit or miss, the band test and the scheme tests. The arguments
+    and their effects are step_deterministic's; the loop is in _loops.c.
 
     perfbench's tracer reports this function as dynamics.step_stochastic:
     one call per Fermi replicate.

@@ -1,4 +1,5 @@
 import itertools
+import math
 import threading
 from dataclasses import replace
 
@@ -661,17 +662,39 @@ class TestFermiLoop:
     """The compiled Fermi loop, dynamics.step_stochastic, against its numpy
     oracle, conftest.fermi_replicate."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(case=run_cases(rules=(STOCHASTIC,)))
-    def test_matches_the_oracle(self, case):
-        g, cfg, initial = case
+    # The memo of copy probabilities in _loops.c's coopsim_fermi: 2^MEMO_BITS
+    # slots, keyed by the score difference f_a - f_b.
+    MEMO_SLOTS = 1024
+
+    @staticmethod
+    def matches_the_oracle(cfg, g, initial=None):
+        """Run cfg on g through the compiled loop and the oracle, each with
+        its own generator seeded alike; assert that they agree bit for bit.
+        Returns the compiled run and the (own, neighbor) score pairs the
+        oracle decided on, in its order."""
+        pairs = []
+        fermi_probability = dynamics.fermi_probability
+
+        def spy(f_a, f_b, K):
+            pairs.extend(zip(np.atleast_1d(f_a).tolist(), np.atleast_1d(f_b).tolist()))
+            return fermi_probability(f_a, f_b, K)
+
         got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
         got = fermi_run(dynamics.step_stochastic, cfg, g, initial, got_rng)
-        want = fermi_run(fermi_replicate, cfg, g, initial, want_rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "fermi_probability", spy)
+            want = fermi_run(fermi_replicate, cfg, g, initial, want_rng)
         assert got[0] == want[0]  # absorbed_at
         for name, a, b in zip(("mask", "coop", "invested"), got[1:], want[1:]):
             assert np.array_equal(a, b), name
         assert got_rng.random() == want_rng.random()
+        return got, pairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=run_cases(rules=(STOCHASTIC,)))
+    def test_matches_the_oracle(self, case):
+        g, cfg, initial = case
+        self.matches_the_oracle(cfg, g, initial)
 
     @settings(max_examples=150, deadline=None)
     @given(case=run_cases(rules=(STOCHASTIC,)))
@@ -740,6 +763,61 @@ class TestFermiLoop:
         assert got[1][0] == (not above)  # agent 0 turns D only when u < p
         assert np.array_equal(got[1], want[1])
         assert got_rng.random() == want_rng.random()
+
+    def test_more_score_differences_than_memo_slots(self):
+        # With b and theta irrational, a BA run under POP+NEB meets far more
+        # distinct score differences than the memo has slots, so differences
+        # share slots and overwrite each other: every decision must still
+        # read the probability of its own difference.
+        icfg = InterferenceConfig(schemes=(POP, NEB), theta=math.sqrt(2), p_c=0.6, n_c=0.6)
+        cfg = ba_config(n=2000, payoff=PayoffParams(b=(1 + math.sqrt(5)) / 2),
+                        update=UpdateRuleConfig(rule=STOCHASTIC, K=0.5), interference=icfg,
+                        generations=200, run_seed=5)
+        g = generate(NetworkConfig(model=BA, n=2000, seed=5))
+        _, pairs = self.matches_the_oracle(cfg, g)
+        assert len({f_a - f_b for f_a, f_b in pairs}) > 1.5 * self.MEMO_SLOTS
+
+    def test_replicates_at_other_k_one_after_the_other(self):
+        # The memo lives for one call. Replicates from one seed on one graph
+        # meet the same score differences at first; run one after the other
+        # on this thread, each must read its own K's probabilities.
+        g = generate(NetworkConfig(model=BA, n=300, seed=2))
+        for K in (0.1, 2.0, 0.1):
+            cfg = ba_config(n=300, update=UpdateRuleConfig(rule=STOCHASTIC, K=K),
+                            interference=pop_cfg(0.5, 0.7), run_seed=7)
+            self.matches_the_oracle(cfg, g)
+
+    def test_differences_equal_in_single_precision_are_told_apart(self):
+        # A C leaf (agent 0) facing a D with one C neighbor, and a D leaf
+        # (agent 6) facing a C with two: under POP with p_c = 1 every C is
+        # paid theta, so their differences are theta - b and b - (2 + theta),
+        # both about -1 and apart by 2e-9, one float. The seed and K put
+        # agent 6's copy draw (the last of the generation) between the two
+        # probabilities: it copies only if it reads its own difference's.
+        b, theta = 1.8, 0.8 + 1e-9
+        first, last = theta - b, b - (2 + theta)
+        assert first != last and np.float32(first) == np.float32(last)
+        for seed in itertools.count():
+            u = np.random.default_rng(seed).random(14)[13]
+            if 0.6 < u < 0.9:
+                break
+        lo, hi = 0.1, 10.0  # p falls toward 0.5 as K grows
+        for _ in range(100):
+            K = (lo + hi) / 2
+            mid = (dynamics.fermi_probability(first, 0.0, K)
+                   + dynamics.fermi_probability(last, 0.0, K)) / 2
+            lo, hi = (K, hi) if mid > u else (lo, K)
+        assert dynamics.fermi_probability(first, 0.0, K) < u - 1e-11
+        assert dynamics.fermi_probability(last, 0.0, K) > u + 1e-11
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)])
+        start = np.array([True, False, False, True, True, True, False])
+        cfg = ba_config(n=7, payoff=PayoffParams(b=b),
+                        update=UpdateRuleConfig(rule=STOCHASTIC, K=K),
+                        interference=pop_cfg(theta, 1.0), generations=1, stats_window=1,
+                        run_seed=seed)
+        got, pairs = self.matches_the_oracle(cfg, g, start)
+        assert pairs[0] == (theta, b) and pairs[-1] == (b, 2 + theta)
+        assert got[1][6]  # agent 6 turned C
 
     def test_other_bit_generators_are_rejected(self):
         cfg = replace(ba_config(n=30), update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1))
