@@ -13,12 +13,13 @@ configuration and seeds needed to reproduce it bit-exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict, fields, replace
-
-import numpy as np
+from operator import attrgetter
 
 from . import __version__, engine, network
 from .dynamics import UpdateRuleConfig
@@ -27,12 +28,42 @@ from .game import PayoffParams
 from .interference import PARAMS, InterferenceConfig
 from .network import NetworkConfig
 
-SWEEP_HEADER = ("model,n,b,update_rule,K,schemes,theta,p_c,n_c,c_I,"
-                "replicates,coop_mean,coop_std,cost_mean,cost_std,master_seed")
-FRONTIER_HEADER = ("target,status,model,n,b,update_rule,K,schemes,theta,p_c,n_c,c_I,"
-                   "coop_mean,cost_mean,cost_std,master_seed")
-TRACE_HEADER = "generation,coop_fraction,invested_count,generation_cost"
-_SWEEP_COLUMNS = SWEEP_HEADER.split(",")
+# The columns of each CSV, in order: (name, attribute path of the value,
+# kind). A kind is a (form, bound) pair: text; names, a tuple joined by
+# "+"; an integer of at least its bound; a finite number in [0, its
+# bound]; or a number, empty for None. Floats are written to 9
+# significant digits.
+_TEXT, _NAMES, _NUMBER = ("text", None), ("names", None), ("number", None)
+_COUNT, _FRACTION, _STATISTIC = ("integer", 0), ("bounded", 1.0), ("bounded", math.inf)
+
+
+def _columns(prefix: str, *specs) -> tuple:
+    """Columns from (name, path, kind) specs, each path put under the
+    attribute path prefix. A (name, kind) spec's path is its name."""
+    return tuple((name, prefix + (path[0] if path else name), kind)
+                 for name, *path, kind in specs)
+
+
+_CONFIG = _columns("config.", ("model", "network.model", _TEXT), ("n", "network.n", _COUNT),
+                   ("b", "payoff.b", _NUMBER), ("update_rule", "update.rule", _TEXT),
+                   ("K", "update.K", _NUMBER), ("schemes", "interference.schemes", _NAMES),
+                   *((key, f"interference.{key}", _NUMBER) for key in PARAMS))
+# A sweep row's statistics are finite and at least 0; coop_mean, a
+# fraction of cooperators, is at most 1.
+_STATS = _columns("", ("replicates", ("integer", 1)), ("coop_mean", _FRACTION),
+                  ("coop_std", _STATISTIC), ("cost_mean", _STATISTIC),
+                  ("cost_std", _STATISTIC), ("master_seed", _COUNT))
+_SWEEP = _CONFIG + _STATS
+# A frontier row's summary has its sweep row's columns but replicates and
+# coop_std (ROADMAP item 2 adds both).
+_FRONTIER = _columns("", ("target", _NUMBER), ("status", _TEXT)) + _columns(
+    "summary.", *_CONFIG, *_STATS[1:2], *_STATS[3:])
+# A trace row is one generation: its number, which write_trace_csv counts
+# rather than reads, then its entry of each of the run's arrays.
+_TRACE = _columns("", ("generation", _COUNT), ("coop_fraction", "coop", _NUMBER),
+                  ("invested_count", "invested", _COUNT), ("generation_cost", "cost", _NUMBER))
+SWEEP_HEADER, FRONTIER_HEADER, TRACE_HEADER = (
+    ",".join(name for name, _, _ in columns) for columns in (_SWEEP, _FRONTIER, _TRACE))
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -60,13 +91,6 @@ def read_json_object(path) -> dict:
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return payload
-
-
-def _fmt(x) -> str:
-    """9-significant-digit float field; empty for missing values."""
-    if x is None:
-        return ""
-    return format(float(x), ".9g")
 
 
 # The JSON values a scalar config field accepts, by its annotation; a
@@ -179,57 +203,58 @@ def _csv(header: str, rows) -> str:
     return "".join(f"{line}\n" for line in (header, *rows))
 
 
-def _config_fields(cfg: RunConfig) -> list[str]:
-    net, icfg = cfg.network, cfg.interference
-    return [net.model, str(net.n), _fmt(cfg.payoff.b), cfg.update.rule, _fmt(cfg.update.K),
-            "+".join(icfg.schemes), *(_fmt(getattr(icfg, key)) for key in PARAMS)]
+def _field(kind, value) -> str:
+    """The CSV field of value in a column of kind: a float to 9 significant
+    digits, and empty for None."""
+    form = kind[0]
+    if form == "names":
+        return "+".join(value)
+    if form in ("text", "integer"):
+        return str(value)
+    return "" if value is None else format(float(value), ".9g")
+
+
+def _line(columns, obj) -> str:
+    """The CSV row of obj: each column's field of the value at its path."""
+    return ",".join(_field(kind, attrgetter(path)(obj)) for _, path, kind in columns)
 
 
 def write_sweep_csv(summaries: list[SweepSummary], path) -> None:
     """One row per parameter point under the fixed sweep header."""
-    _write(path, "sweep CSV", _csv(SWEEP_HEADER, (
-        ",".join([*_config_fields(s.config), str(s.replicates),
-                  _fmt(s.coop_mean), _fmt(s.coop_std), _fmt(s.cost_mean), _fmt(s.cost_std),
-                  str(s.master_seed)])
-        for s in summaries)))
+    _write(path, "sweep CSV", _csv(SWEEP_HEADER, (_line(_SWEEP, s) for s in summaries)))
 
 
-# A sweep row's statistics are finite and at least 0; coop_mean, a
-# fraction of cooperators, is at most 1.
-_STAT_MAX = {"coop_mean": 1.0, "coop_std": np.inf, "cost_mean": np.inf, "cost_std": np.inf}
+def _parse(name: str, kind, text: str):
+    """The value of the field text in column name, of the given kind. A
+    number that does not parse stays text, and an empty one is None, for
+    its column's check to reject: a ValueError naming the column."""
+    form, bound = kind
+    if form == "text":
+        return text
+    if form == "names":
+        return tuple(text.split("+")) if text else ()
+    try:
+        value = int(text) if form == "integer" else float(text)
+    except ValueError:
+        value = text or None
+    if form == "integer":
+        return _integer(name, value, bound)
+    if form == "bounded" and not (isinstance(value, float) and math.isfinite(value)
+                                  and 0.0 <= value <= bound):
+        raise ValueError(f"{name} must be finite and in [0, {bound:g}], got {value!r}")
+    return value
 
 
 def _summary_from_row(fields: list[str]) -> SweepSummary:
-    row = dict(zip(_SWEEP_COLUMNS, fields))
-
-    def number(key: str, kind=float, optional=False):
-        """The field under key as kind, or None when optional and empty. A
-        field that is not a kind is a ValueError naming key."""
-        text = row[key]
-        if optional and not text:
-            return None
-        try:
-            return kind(text)
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise ValueError(f"{key} must be {noun}, got {text!r}") from None
-
-    cfg = RunConfig(
-        network=NetworkConfig(model=row["model"], n=number("n", int)),
-        payoff=PayoffParams(b=number("b")),
-        update=UpdateRuleConfig(rule=row["update_rule"], K=number("K", optional=True)),
-        interference=InterferenceConfig(
-            schemes=tuple(row["schemes"].split("+")) if row["schemes"] else (),
-            **{key: number(key, optional=True) for key in PARAMS}),
-    )
-    stats = {name: number(name) for name in _STAT_MAX}
-    for name, value in stats.items():
-        high = _STAT_MAX[name]
-        if not (np.isfinite(value) and 0.0 <= value <= high):
-            raise ValueError(f"{name} must be finite and in [0, {high:g}], got {value!r}")
-    return SweepSummary(config=cfg, **stats,
-                        replicates=_integer("replicates", number("replicates", int), 1),
-                        master_seed=_integer("master_seed", number("master_seed", int), 0))
+    """The summary of a sweep CSV row: each field parsed by its column's
+    kind and placed at its column's path, and the config checked as a
+    config file's is."""
+    tree = {}
+    for (name, path, kind), text in zip(_SWEEP, fields):
+        *owners, attr = path.split(".")
+        node = functools.reduce(lambda parent, key: parent.setdefault(key, {}), owners, tree)
+        node[attr] = _parse(name, kind, text)
+    return SweepSummary(config=parse_run_config(tree.pop("config")), **tree)
 
 
 def read_sweep_csv(path) -> list[SweepSummary]:
@@ -245,7 +270,7 @@ def read_sweep_csv(path) -> list[SweepSummary]:
     summaries = []
     for row_no, line in enumerate(lines[1:], start=1):
         fields = line.split(",")
-        if len(fields) != len(_SWEEP_COLUMNS):
+        if len(fields) != len(_SWEEP):
             raise ConfigError(f"{path} row {row_no}: malformed sweep CSV row {line!r}")
         try:
             summaries.append(_summary_from_row(fields))
@@ -255,24 +280,22 @@ def read_sweep_csv(path) -> list[SweepSummary]:
 
 
 def write_frontier_csv(rows: list[FrontierRow], path) -> None:
-    lines = []
-    for row in rows:
-        s = row.summary
-        if s is None:
-            fields = [_fmt(row.target), "unreachable"] + [""] * 13
-        else:
-            fields = [_fmt(row.target), "ok", *_config_fields(s.config),
-                      _fmt(s.coop_mean), _fmt(s.cost_mean), _fmt(s.cost_std),
-                      str(s.master_seed)]
-        lines.append(",".join(fields))
-    _write(path, "frontier CSV", _csv(FRONTIER_HEADER, lines))
+    """One row per target. An unreachable target's row holds the target and
+    its status, then empty fields, and stops one field short of the header:
+    the pinned frontier bytes hold that form until ROADMAP item 2's repin
+    pads it to the header's width."""
+    _write(path, "frontier CSV", _csv(FRONTIER_HEADER, (
+        _line(_FRONTIER, row) if row.summary is not None
+        else _line(_FRONTIER[:2], row) + "," * (len(_FRONTIER) - 3) for row in rows)))
 
 
 def write_trace_csv(result, path) -> None:
+    """One row per generation: its number, then its entry of each of
+    result's traced arrays."""
+    arrays = attrgetter(*(attr for _, attr, _ in _TRACE[1:]))(result)
     _write(path, "trace CSV", _csv(TRACE_HEADER, (
-        f"{gen},{_fmt(coop)},{invested},{_fmt(cost)}"
-        for gen, (coop, invested, cost) in enumerate(
-            zip(result.coop, result.invested, result.cost)))))
+        ",".join(_field(kind, value) for (_, _, kind), value in zip(_TRACE, values))
+        for values in zip(itertools.count(), *arrays))))
 
 
 def write_meta(path, command: str, **payload) -> None:
@@ -346,7 +369,7 @@ def _cmd_frontier(args) -> int:
         targets = [float(t) for t in args.targets.split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --targets list: {args.targets!r}") from exc
-    if not targets or not np.isfinite(targets).all():
+    if not targets or not all(map(math.isfinite, targets)):
         raise ConfigError("--targets must list one or more finite cooperation targets, "
                           f"got {args.targets!r}")
     rows = engine.efficiency_frontier(summaries, targets)

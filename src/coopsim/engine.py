@@ -255,6 +255,12 @@ class FrontierRow:
     target: float
     summary: SweepSummary | None
 
+    @property
+    def status(self) -> str:
+        """The frontier CSV's status: ok, or unreachable when no point
+        reaches the target."""
+        return "ok" if self.summary is not None else "unreachable"
+
 
 def _frontier_key(summary: SweepSummary):
     icfg = summary.config.interference

@@ -64,17 +64,13 @@ class Graph:
         each edge listed once, in either direction and in any order; this is
         not checked. BA and DMS growth meet it by construction: each new
         node attaches to distinct nodes that are already connected."""
-        edges = np.asarray(edges, dtype=np.int64)
-        # Both directions of every edge, sorted by (row, neighbor): the CSR
-        # entries in order.
-        both = np.concatenate([edges, edges[:, ::-1]])
-        both = both[np.lexsort((both[:, 1], both[:, 0]))]
-        degrees = np.bincount(both[:, 0], minlength=n)
+        u, v = np.asarray(edges, dtype=np.int64).T
+        # Both directions of every edge as one key, row * n + neighbor:
+        # sorted, the keys are the CSR entries in order.
+        rows, indices = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
+        degrees = np.bincount(rows, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        # A column of both is a strided view: copy it into its own array.
-        indices = np.ascontiguousarray(both[:, 1])
-
         return cls(n=n, indptr=indptr, indices=indices, degrees=degrees)
 
     @property

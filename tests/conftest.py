@@ -67,6 +67,19 @@ def reference_generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Gr
     return Graph.from_edges(config.n, np.array(ends, dtype=np.int64).reshape(-1, 2))
 
 
+def reference_from_edges(n: int, edges) -> Graph:
+    """Graph.from_edges's CSR by a lexsort: both directions of every edge
+    stacked as (row, neighbor) pairs and ordered by row, then neighbor."""
+    edges = np.asarray(edges, dtype=np.int64)
+    both = np.concatenate([edges, edges[:, ::-1]])
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    degrees = np.bincount(both[:, 0], minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return Graph(n=n, indptr=indptr, indices=np.ascontiguousarray(both[:, 1]),
+                 degrees=degrees)
+
+
 def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
     """Numpy oracle of one imitate-best step: every agent imitates its

@@ -15,13 +15,22 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def code_blocks(lang):
-    return re.findall(rf"^```{lang}\n(.*?)^```", README, re.M | re.S)
+    """The bodies of README's fenced code blocks tagged lang ("" for none)."""
+    return [body for tag, body in re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
+            if tag == lang]
 
 
 COMMANDS = [shlex.split(line, comments=True) for block in code_blocks("sh")
             for line in block.splitlines() if line.startswith("coopsim ")]
 EXAMPLES = {"sweep" if "grid" in example else "run": example
             for example in map(json.loads, code_blocks("json"))}
+
+
+def test_readme_shows_every_csv_header():
+    # A bare code block in README holds one line: a CSV header.
+    headers = [block.strip() for block in code_blocks("")]
+    assert sorted(headers) == sorted([cli.SWEEP_HEADER, cli.FRONTIER_HEADER,
+                                      cli.TRACE_HEADER])
 
 
 def test_readme_shows_every_subcommand_and_both_configs():

@@ -19,6 +19,7 @@ from coopsim.network import (
 )
 
 from conftest import (
+    connected_graphs,
     diameter,
     fit_degree_exponent,
     global_transitivity,
@@ -26,6 +27,7 @@ from conftest import (
     neighbors,
     random_connected_edges,
     random_connected_graph,
+    reference_from_edges,
     reference_generate_ba,
 )
 
@@ -174,6 +176,23 @@ class TestGraphValidation:
         assert g.indptr.tolist() == [0, *itertools.accumulate(map(len, lists))]
         assert g.indices.tolist() == [v for nbrs in lists for v in nbrs]
         assert g.edges.tolist() == [list(e) for e in canonical]
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=connected_graphs(max_n=40), seed=st.integers(0, 2**32 - 1), as_list=st.booleans())
+    def test_one_key_sort_matches_lexsort_oracle(self, g, seed, as_list):
+        # The graph's edges shuffled, each in a random direction, as an
+        # array or as a list of pairs.
+        rng = np.random.default_rng(seed)
+        edges = rng.permutation(g.edges)
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        if as_list:
+            edges = edges.tolist()
+        built, oracle = Graph.from_edges(g.n, edges), reference_from_edges(g.n, edges)
+        for name in ("indptr", "indices", "degrees"):
+            got, want = getattr(built, name), getattr(oracle, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert not got.flags.writeable and got.flags.c_contiguous, name
 
     def test_csr_arrays_are_contiguous(self):
         g = generate(NetworkConfig(model=DMS, n=200, seed=1))
