@@ -47,12 +47,6 @@ static inline double output(u128 state)
     return (double)(x >> 11) * (1.0 / 9007199254740992.0);
 }
 
-static inline double uniform(struct pcg64 *rng)
-{
-    rng->state = rng->state * PCG_MULT + rng->inc;
-    return output(rng->state);
-}
-
 /* A jump table maps the LCG state d steps ahead, state -> mult * state + add:
  * near[d] for every d below NEAR, and far[k] for d = NEAR * 2^k. Stepping d
  * times applies near[d % NEAR], then the far map of each bit set in
@@ -154,18 +148,43 @@ static inline double score_of(const struct run *r, int is_paid, int64_t i)
     return r->nc[i] * r->mult[r->is_coop[i]] + r->pay->theta * (double)is_paid;
 }
 
-/* One generation's payments and scores: score[i] for every node. Returns
- * how many are paid. */
-static inline int64_t pay_and_score(const struct run *r, double *score)
+/* One generation's payments and keys, key[i] = bits(score_i) << 1 |
+ * is_coop[i] for every node. Returns how many are paid. A score is finite
+ * and >= +0, never -0.0: counts, b and theta are >= +0, and sums of +0 are
+ * +0. So its bits read as an unsigned integer order as the score does,
+ * with the sign bit 0 shifted out, and are equal exactly when the scores
+ * are: keys order as (score, is_coop) pairs. */
+static inline int64_t pay_and_key(const struct run *r, uint64_t *key)
 {
     int pop_ok = pop_pays(r);
     int64_t count = 0;
     for (int64_t i = 0; i < r->n; i++) {
         int p = paid(r, pop_ok, i);
         count += p;
-        score[i] = score_of(r, p, i);
+        double s = score_of(r, p, i);
+        uint64_t bits;
+        memcpy(&bits, &s, sizeof bits);
+        key[i] = bits << 1 | r->is_coop[i];
     }
     return count;
+}
+
+/* The strategy (1 for C) of agent i's tied best neighbor that uniform u
+ * picks: the ties are the neighbors whose score bits are best, in CSR
+ * order, and the pick min(floor(u * ties), ties - 1). */
+static int tied_pick(const struct run *r, const uint64_t *key, int64_t i, uint64_t best,
+                     double u)
+{
+    int64_t ties = 0;
+    for (int64_t k = r->indptr[i]; k < r->indptr[i + 1]; k++)
+        ties += key[r->indices[k]] >> 1 == best;
+    int64_t pick = (int64_t)(u * (double)ties);
+    pick = pick < ties ? pick : ties - 1;
+    for (int64_t k = r->indptr[i];; k++) {
+        uint64_t kj = key[r->indices[k]];
+        if (kj >> 1 == best && pick-- == 0)
+            return (int)(kj & 1);
+    }
 }
 
 /* One uniform after skipping `skip_draws`, as numpy's Generator.random()
@@ -254,14 +273,26 @@ static inline __attribute__((always_inline)) void flip(
  * pick = min(floor(u * ties), ties - 1); it switches when that neighbor
  * strictly outscores it and plays the other strategy.
  *
+ * The pick matters only when the tied best neighbors play both strategies,
+ * some 0.25% of det-grid's rows. So each row's scan keeps two integer
+ * maxima of the keys (pay_and_key), max_c of key and max_d of key ^ 1,
+ * both from 0. Their high bits are the best score, the same in both; the
+ * low bit of max_c says a cooperator ties at it, that of max_d a defector.
+ * An agent strictly below the best switches when a neighbor of the other
+ * strategy ties, unless one of its own ties too: only then does it rescan
+ * its row for the ties, in CSR order, and read its uniform. That branch is
+ * almost never taken, so it is predicted. Each uniform read is one LCG map
+ * over the draws skipped and the draw itself (draw_after); the generator
+ * jumps over the rest at the end, so it ends where n draws a generation
+ * leave it.
+ *
  * In the oscillating regime some 40% of the agents switch each generation,
  * so a branch on a node's strategy, payment or score is mispredicted about
  * as often as not, and a generation's cost would follow the number of
- * switchers. The generation passes take no such branch: the scores select
- * their multiplier by index, the row scan resets its tie count with an
- * integer mask, and every agent is written to the switchers list, which
- * grows by one only when it switches. The generation's uniforms are drawn
- * first, in one loop. */
+ * switchers. The generation passes take no such branch but the mixed-tie
+ * one: the scores select their multiplier by index, the row scan keeps its
+ * maxima with selects, and every agent is written to the switchers list,
+ * which grows by one only when it switches. */
 int64_t coopsim_imitate_best(
     int64_t n, const int64_t *indptr, const int64_t *indices, double b,
     const struct pay *pay, int64_t horizon, uint8_t *is_coop, double *coop,
@@ -270,16 +301,16 @@ int64_t coopsim_imitate_best(
     struct run r = {.n = n, .indptr = indptr, .indices = indices, .pay = pay,
                     .mult = {b, 1.0}, .is_coop = is_coop,
                     .nc = malloc(n * sizeof *r.nc)};
-    double *score = malloc(n * sizeof *score);
-    double *u = malloc(n * sizeof *u);         /* the generation's uniforms */
-    int64_t *ties = malloc(n * sizeof *ties);  /* a row's tied best neighbors */
+    uint64_t *key = malloc(n * sizeof *key);
     int64_t *switched = malloc(n * sizeof *switched);
+    struct jumps jumps;
     struct pcg64 rng = *bitgen->rng;
     int64_t absorbed_at = -1;
-    if (!r.nc || !score || !u || !ties || !switched) {
+    if (!r.nc || !key || !switched) {
         absorbed_at = -2;
         goto done;
     }
+    jump_table(&jumps, rng.inc);
     start(&r);
 
     for (int64_t gen = 0; gen < horizon; gen++) {
@@ -287,40 +318,37 @@ int64_t coopsim_imitate_best(
             absorbed_at = gen;
             break;
         }
-        invested[gen] = pay_and_score(&r, score);
-        for (int64_t i = 0; i < n; i++)
-            u[i] = uniform(&rng);
+        invested[gen] = pay_and_key(&r, key);
 
-        /* One pass over each row finds its best score and its ties. Every
-         * neighbor is written to the slot after the ties so far and kept
-         * only if it ties; a new best first clears the count, with the mask
-         * above - 1 (0 when above, all ones otherwise). */
-        int64_t n_switched = 0;
+        int64_t drawn = 0, n_switched = 0;  /* drawn: this generation's draws used */
         for (int64_t i = 0; i < n; i++) {
-            double best = -INFINITY;
-            int64_t count = 0;
+            uint64_t max_c = 0, max_d = 0;
             for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
-                double s = score[indices[k]];
-                int64_t above = s > best;
-                count &= above - 1;
-                best = best > s ? best : s;
-                ties[count] = indices[k];
-                count += s == best;
+                uint64_t kj = key[indices[k]];
+                max_c = max_c > kj ? max_c : kj;
+                max_d = max_d > (kj ^ 1) ? max_d : kj ^ 1;
             }
-            int64_t pick = (int64_t)(u[i] * (double)count);
-            pick = pick < count ? pick : count - 1;
+            uint64_t best = max_c >> 1;
+            int own = (int)(key[i] & 1), better = best > key[i] >> 1;
+            /* A tied best neighbor of the other strategy: a defector for a
+             * cooperator, a cooperator for a defector. */
+            int other = (int)((own ? max_d : max_c) & 1);
+            if (max_c & max_d & (uint64_t)better & 1) {
+                double u = draw_after(&rng, &jumps, i - drawn);
+                drawn = i + 1;
+                other = tied_pick(&r, key, i, best, u) != own;
+            }
             switched[n_switched] = i;
-            n_switched += (best > score[i]) & (is_coop[ties[pick]] != is_coop[i]);
+            n_switched += better & other;
         }
+        jump(&rng, &jumps, (uint64_t)(n - drawn));
         flip(&r, switched, n_switched);
     }
     bitgen->rng->state = rng.state;
 
 done:
     free(r.nc);
-    free(score);
-    free(u);
-    free(ties);
+    free(key);
     free(switched);
     return absorbed_at;
 }

@@ -203,25 +203,31 @@ def _csv(header: str, rows) -> str:
     return "".join(f"{line}\n" for line in (header, *rows))
 
 
-def _field(kind, value) -> str:
-    """The CSV field of value in a column of kind: a float to 9 significant
-    digits, and empty for None."""
+def _formatter(kind):
+    """The function from a value to its CSV field in a column of kind: a
+    float to 9 significant digits, and empty for None."""
     form = kind[0]
     if form == "names":
-        return "+".join(value)
+        return "+".join
     if form in ("text", "integer"):
-        return str(value)
-    return "" if value is None else format(float(value), ".9g")
+        return str
+    return lambda value: "" if value is None else format(float(value), ".9g")
 
 
-def _line(columns, obj) -> str:
-    """The CSV row of obj: each column's field of the value at its path."""
-    return ",".join(_field(kind, attrgetter(path)(obj)) for _, path, kind in columns)
+def _row_writer(columns):
+    """The function from an object to its CSV row under columns: one getter
+    of every column's path and each column's formatter, built once."""
+    values = attrgetter(*(path for _, path, _ in columns))
+    formats = tuple(_formatter(kind) for _, _, kind in columns)
+    return lambda obj: ",".join([f(v) for f, v in zip(formats, values(obj))])
+
+
+_SWEEP_ROW, _FRONTIER_ROW, _TARGET_STATUS = map(_row_writer, (_SWEEP, _FRONTIER, _FRONTIER[:2]))
 
 
 def write_sweep_csv(summaries: list[SweepSummary], path) -> None:
     """One row per parameter point under the fixed sweep header."""
-    _write(path, "sweep CSV", _csv(SWEEP_HEADER, (_line(_SWEEP, s) for s in summaries)))
+    _write(path, "sweep CSV", _csv(SWEEP_HEADER, map(_SWEEP_ROW, summaries)))
 
 
 def _parse(name: str, kind, text: str):
@@ -285,16 +291,17 @@ def write_frontier_csv(rows: list[FrontierRow], path) -> None:
     the pinned frontier bytes hold that form until ROADMAP item 2's repin
     pads it to the header's width."""
     _write(path, "frontier CSV", _csv(FRONTIER_HEADER, (
-        _line(_FRONTIER, row) if row.summary is not None
-        else _line(_FRONTIER[:2], row) + "," * (len(_FRONTIER) - 3) for row in rows)))
+        _FRONTIER_ROW(row) if row.summary is not None
+        else _TARGET_STATUS(row) + "," * (len(_FRONTIER) - 3) for row in rows)))
 
 
 def write_trace_csv(result, path) -> None:
     """One row per generation: its number, then its entry of each of
     result's traced arrays."""
     arrays = attrgetter(*(attr for _, attr, _ in _TRACE[1:]))(result)
+    formats = tuple(_formatter(kind) for _, _, kind in _TRACE)
     _write(path, "trace CSV", _csv(TRACE_HEADER, (
-        ",".join(_field(kind, value) for (_, _, kind), value in zip(_TRACE, values))
+        ",".join([f(v) for f, v in zip(formats, values)])
         for values in zip(itertools.count(), *arrays))))
 
 

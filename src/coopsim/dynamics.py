@@ -76,7 +76,12 @@ def step_deterministic(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
     when that neighbor strictly outscores it, simultaneously. Ties among
     equally best neighbors, in CSR order, are broken with one uniform per
     agent from rng, in node order: the k-th tie with k = floor(u * ties).
-    Eligibility (percentile is the graph's degree_percentiles, needed only
+    The loop finds each row's best score, and whether a cooperator and
+    whether a defector tie at it, from two integer maxima of the scores'
+    bits tagged with the strategy. It rescans a row for its ties and reads
+    its uniform only when ties of both strategies beat the agent, and steps
+    the generator over the rest, so rng ends where drawing all n uniforms
+    a generation would leave it. Eligibility (percentile is the graph's degree_percentiles, needed only
     when NI is active), endowments, scores and the carried neighbor counts
     follow engine.run_simulation's rules; the loop is in _loops.c.
     is_coop (the bool mask) ends as the final population, and coop and

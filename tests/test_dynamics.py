@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopsim.dynamics import STOCHASTIC, UpdateRuleConfig, fermi_probability
+from coopsim.engine import RunConfig, run_simulation
 from coopsim.game import PayoffParams
-from coopsim.network import Graph
+from coopsim.network import BA, Graph, NetworkConfig
 
 from conftest import (
     COOPERATE,
@@ -114,7 +116,8 @@ class TestFermiProbability:
 class TestStepDeterministic:
     """The numpy oracle of one imitate-best step (conftest.step_deterministic)
     against a per-node loop. The compiled loop that runs imitate-best is
-    compared with the oracle in test_engine's TestCarriedCounts."""
+    compared with the oracle in test_engine's TestCarriedCounts; its tie
+    break is also checked here, through run_simulation."""
 
     def test_homogeneous_population_is_fixed_point(self):
         rng = np.random.default_rng(1)
@@ -206,6 +209,32 @@ class TestStepDeterministic:
             s[leaf] = C
             turned = sum(imitate_step(g, s, scores, rng)[0] == C for _ in range(trials))
             assert abs(turned / trials - 1 / 4) < 0.04
+
+    def test_compiled_tie_break_is_uniform(self):
+        # The compiled loop's twin of test_tie_break_is_uniform, at b = 2:
+        # one step through run_simulation, read from coop[1] of a
+        # two-generation run. The center (node 0, D) scores 2 from its one
+        # cooperating leaf. Every leaf scores 4: the cooperating one from
+        # four cooperating pendants, each defecting one from two. So the
+        # center's tied best neighbors play both strategies, and whichever
+        # leaf cooperates the center turns C in ~1/4 of the seeds. Every
+        # other agent's step is fixed: the defecting leaves' six pendants
+        # turn D.
+        trials = 2000
+        for leaf in range(1, 5):
+            pendants = itertools.count(5)
+            edges = [(0, k) for k in range(1, 5)] + [
+                (k, next(pendants)) for k in range(1, 5) for _ in range(4 if k == leaf else 2)]
+            g = Graph.from_edges(15, edges)
+            start = np.ones(g.n, dtype=bool)
+            start[[k for k in range(5) if k != leaf]] = False
+            cfg = RunConfig(network=NetworkConfig(model=BA, n=g.n),
+                            payoff=PayoffParams(b=2.0), generations=2, stats_window=1)
+            after = [run_simulation(cfg, g, rng=np.random.default_rng(seed),
+                                    initial_coop=start).coop[1] * g.n
+                     for seed in range(trials)]
+            assert set(after) <= {5.0, 6.0}
+            assert abs(after.count(6.0) / trials - 1 / 4) < 0.04
 
     def test_seed_reproducible(self):
         rng = np.random.default_rng(4)

@@ -189,14 +189,14 @@ class TestRunSimulation:
         assert result.total_cost == float(sum(result.cost[:at].tolist()))
         assert result.final_state == ("homogeneous-C" if frozen else "homogeneous-D")
 
-    @pytest.mark.parametrize("start", ["random", "all-C", "all-D"])
-    def test_fermi_generation_draws_2n_uniforms(self, start):
-        # Whatever the front holds, each generation played draws n uniforms
-        # for the picks, then n for the copies. All-C and all-D starts
-        # absorb at generation 0 and draw nothing.
+    @staticmethod
+    def assert_draws_per_generation(update, start, draws):
+        """A 40-generation run under update from start leaves its generator
+        where draws random(n) calls per generation played leave it. The
+        random start stays mixed to the horizon; all-C and all-D starts
+        absorb at generation 0 and draw nothing."""
         horizon = 40
-        cfg = ba_config(update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
-                        interference=pop_cfg(theta=1.0, p_c=0.5),
+        cfg = ba_config(update=update, interference=pop_cfg(theta=1.0, p_c=0.5),
                         generations=horizon, stats_window=10, run_seed=12)
         g = generate(NetworkConfig(model=BA, n=100, seed=5))
         initial = None if start == "random" else np.full(g.n, start == "all-C")
@@ -207,10 +207,21 @@ class TestRunSimulation:
         want = np.random.default_rng(cfg.run_seed)
         if initial is None:
             want.integers(0, 2, g.n, np.int8)
-        for _ in range(played):
-            want.random(g.n)
+        for _ in range(played * draws):
             want.random(g.n)
         assert rng.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("start", ["random", "all-C", "all-D"])
+    def test_fermi_generation_draws_2n_uniforms(self, start):
+        # Whatever the front holds, each generation played draws n uniforms
+        # for the picks, then n for the copies.
+        self.assert_draws_per_generation(UpdateRuleConfig(rule=STOCHASTIC, K=0.1), start, 2)
+
+    @pytest.mark.parametrize("start", ["random", "all-C", "all-D"])
+    def test_imitate_best_generation_draws_n_uniforms(self, start):
+        # One tie-break uniform per agent, read or jumped over: most rows
+        # need none.
+        self.assert_draws_per_generation(UpdateRuleConfig(), start, 1)
 
     def test_total_cost_is_theta_times_invested_sum(self):
         cfg = ba_config(interference=pop_cfg(theta=1.5, p_c=0.9), run_seed=8)
@@ -488,6 +499,18 @@ def run_cases(draw, rules=(DETERMINISTIC, STOCHASTIC)):
     return g, cfg, initial
 
 
+@st.composite
+def tie_heavy_cases(draw):
+    """run_cases under imitate-best at b = 2 and an integer theta: every
+    score is an integer, so best neighbors tie often, across both
+    strategies too."""
+    g, cfg, initial = draw(run_cases(rules=(DETERMINISTIC,)))
+    icfg = cfg.interference
+    if icfg.schemes:
+        icfg = replace(icfg, theta=float(draw(st.integers(1, 3))))
+    return g, replace(cfg, payoff=PayoffParams(b=2.0), interference=icfg), initial
+
+
 # det-grid's two slowest points. On a BA graph of 2000 agents, some 750 to
 # 800 of them switch each generation under imitate-best.
 SLOW_IMITATE_BEST = (
@@ -506,12 +529,10 @@ class TestCarriedCounts:
     """run_simulation carries neighbor counts across generations, in both
     compiled loops; every number it reports must equal the full recount's."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(case=run_cases())
-    def test_matches_full_recount_loop(self, case):
+    @staticmethod
+    def matches_full_recount(g, cfg, initial):
         # Each side draws from its own generator, seeded alike: both must
         # leave it at the same point.
-        g, cfg, initial = case
         got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
         got = run_simulation(cfg, g, rng=got_rng, initial_coop=initial)
         want = full_recount_run(cfg, g, initial_coop=initial, rng=want_rng)
@@ -521,7 +542,19 @@ class TestCarriedCounts:
         assert got.mean_coop == want.mean_coop
         assert got.absorbed_at == want.absorbed_at
         assert got.final_state == want.final_state
-        assert got_rng.random() == want_rng.random()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=run_cases())
+    def test_matches_full_recount_loop(self, case):
+        self.matches_full_recount(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tie_heavy_cases())
+    def test_imitate_best_matches_full_recount_when_ties_are_common(self, case):
+        # The compiled loop reads a tie-break uniform only for a row whose
+        # tied best neighbors play both strategies: common here.
+        self.matches_full_recount(*case)
 
     @settings(max_examples=150, deadline=None)
     @given(case=run_cases(rules=(STOCHASTIC,)))
