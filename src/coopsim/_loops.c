@@ -2,9 +2,11 @@
  * a CSR graph per call, from the initial cooperator mask to the horizon or
  * absorption. coopsim.dynamics calls them through ctypes. They hold the
  * only program form of the payment rule (coopsim.interference's POP, NEB
- * and NI) and of the score (coopsim.game's matrix); tests/conftest.py holds
- * the numpy oracles of both. coopsim._loops builds this file with
- * -ffp-contract=off, so b * nc + theta is never fused into one rounding.
+ * and NI), of the score (coopsim.game's matrix) and of the Fermi copy
+ * probability; tests/conftest.py holds the oracles of all three.
+ * coopsim._loops builds this file with -ffp-contract=off, so
+ * b * nc + theta is never fused into one rounding. No loop calls back
+ * into Python.
  *
  * Each generation of either loop, as the tests' numpy oracles do it:
  *   - absorb when every agent plays one strategy, filling coop to the end;
@@ -354,7 +356,8 @@ done:
 }
 
 /* exp() overflows just above this; the probability has saturated long
- * before. The same clip as coopsim.dynamics.fermi_probability. */
+ * before. The same clip as the copy probability's oracle in
+ * tests/conftest.py. */
 #define MAX_EXPONENT 700.0
 
 /* A Fermi call's memo of the copy probability: 2^MEMO_BITS slots (16 KB)
@@ -377,8 +380,10 @@ static inline struct memo *memo_slot(struct memo *memo, double diff)
  * draws 2n uniforms, n neighbor picks and then n copy draws, one each per
  * agent in node order. Agent i picks neighbor
  * min(floor(u_pick * degree), degree - 1) in CSR order and copies it when
- * u_copy < 1 / (1 + exp(z)), z = (score_i - score_pick) / K clipped to
- * +-MAX_EXPONENT. The loop clips z from above only: below -MAX_EXPONENT,
+ * u_copy < p = 1 / (1 + exp(z)), z = (score_i - score_pick) / K clipped to
+ * +-MAX_EXPONENT. exp is the C library's, the one Python's math.exp calls,
+ * so the oracle's p is this p, bit for bit; numpy's exp may differ from it
+ * by an ulp. The loop clips z from above only: below -MAX_EXPONENT,
  * exp(z) is under 2^-53 clipped or not, so 1 + exp(z) rounds to 1 and p is
  * 1 either way. Copying an agreeing neighbor changes nothing, so only the
  * front reads its picks, and only the agents whose pick disagrees read
@@ -395,24 +400,18 @@ static inline struct memo *memo_slot(struct memo *memo, double diff)
  * grows by whether its pick disagrees; every decider is written to
  * agent[n_switched], and n_switched grows by whether u_copy < p. The
  * branches left are the loop bounds (the front's words and bits, the far
- * jumps over long gaps), the memo's hit or miss, the band test below and
- * the scheme tests in paid, which are the same for every node.
+ * jumps over long gaps), the memo's hit or miss and the scheme tests in
+ * paid, which are the same for every node.
  *
  * A decider looks its score difference up in the call's memo and computes
  * z and p only on a miss, storing them in the difference's slot. Some 94%
  * of stoch-long's decisions hit, so that branch is mostly predicted, and
  * they pay no division or exp. +0.0 and -0.0 compare equal as keys, and
- * have the same p.
- *
- * libm's exp may differ from numpy's by an ulp, and so p by a few. So a
- * copy draw within band of libm's p is decided by the p of
- * fermi_probability(score_i, score_pick), numpy's own. That branch is
- * almost never taken, so it is predicted. */
+ * have the same p. */
 int64_t coopsim_fermi(
     int64_t n, const int64_t *indptr, const int64_t *indices, double b,
-    const struct pay *pay, double K, double band,
-    double (*fermi_probability)(double, double), int64_t horizon, uint8_t *is_coop,
-    double *coop, int64_t *invested, struct np_pcg64 *bitgen)
+    const struct pay *pay, double K, int64_t horizon, uint8_t *is_coop, double *coop,
+    int64_t *invested, struct np_pcg64 *bitgen)
 {
     int64_t words = (n + 63) / 64;
     struct run r = {.n = n, .indptr = indptr, .indices = indices, .pay = pay,
@@ -421,17 +420,17 @@ int64_t coopsim_fermi(
                     .front = calloc(words, sizeof *r.front)};
     int64_t *agent = malloc(n * sizeof *agent);  /* deciders, then switchers */
     int64_t *pick = malloc(n * sizeof *pick);
-    struct jumps *jumps = malloc(sizeof *jumps);
     struct memo *memo = malloc((1 << MEMO_BITS) * sizeof *memo);
+    struct jumps jumps;
     struct pcg64 rng = *bitgen->rng;
     int64_t absorbed_at = -1;
-    if (!r.nc || !r.front || !agent || !pick || !jumps || !memo) {
+    if (!r.nc || !r.front || !agent || !pick || !memo) {
         absorbed_at = -2;
         goto done;
     }
     for (int s = 0; s < 1 << MEMO_BITS; s++)
         memo[s].diff = NAN;  /* equal to no difference: every slot starts empty */
-    jump_table(jumps, rng.inc);
+    jump_table(&jumps, rng.inc);
     start(&r);
 
     for (int64_t gen = 0; gen < horizon; gen++) {
@@ -446,7 +445,7 @@ int64_t coopsim_fermi(
         for (int64_t w = 0; w < words; w++) {
             for (uint64_t bits = r.front[w]; bits; bits &= bits - 1) {
                 int64_t i = w * 64 + __builtin_ctzll(bits), deg = degree(&r, i);
-                int64_t offset = (int64_t)(draw_after(&rng, jumps, i - drawn) * (double)deg);
+                int64_t offset = (int64_t)(draw_after(&rng, &jumps, i - drawn) * (double)deg);
                 drawn = i + 1;
                 offset = offset < deg - 1 ? offset : deg - 1;
                 int64_t j = indices[indptr[i] + offset];
@@ -459,24 +458,20 @@ int64_t coopsim_fermi(
         int64_t n_switched = 0;
         for (int64_t d = 0; d < n_deciders; d++) {
             int64_t i = agent[d], j = pick[d];
-            double u = draw_after(&rng, jumps, n + i - drawn);
+            double u = draw_after(&rng, &jumps, n + i - drawn);
             drawn = n + i + 1;
-            double f_a = score_of(&r, paid(&r, pop_ok, i), i);
-            double f_b = score_of(&r, paid(&r, pop_ok, j), j);
-            double diff = f_a - f_b;
+            double diff = score_of(&r, paid(&r, pop_ok, i), i)
+                          - score_of(&r, paid(&r, pop_ok, j), j);
             struct memo *m = memo_slot(memo, diff);
             if (m->diff != diff) {
                 double z = diff / K;
                 z = z < MAX_EXPONENT ? z : MAX_EXPONENT;
                 *m = (struct memo){diff, 1.0 / (1.0 + exp(z))};
             }
-            double p = m->p;
-            if (fabs(u - p) <= band)
-                p = fermi_probability(f_a, f_b);
             agent[n_switched] = i;  /* n_switched <= d: agent[d] is read */
-            n_switched += u < p;
+            n_switched += u < m->p;
         }
-        jump(&rng, jumps, 2 * n - drawn);
+        jump(&rng, &jumps, 2 * n - drawn);
         flip(&r, agent, n_switched);
     }
     bitgen->rng->state = rng.state;
@@ -486,7 +481,6 @@ done:
     free(r.front);
     free(agent);
     free(pick);
-    free(jumps);
     free(memo);
     return absorbed_at;
 }

@@ -1,16 +1,17 @@
 """Build, cache, check and load the compiled loops in _loops.c.
 
 The loops apply the payment and score rules of coopsim.interference and
-coopsim.game; their numpy oracles are in tests/conftest.py. The first run
-in a process loads the library, once, however many of its threads ask at
-the same time. If no build of the current source exists yet, it first
-compiles one with gcc into this package's __pycache__ directory, under a
-name keyed by the sha256 of the source and the compiler command. A build
-goes to a temporary name and is then renamed into place, so processes
-that build at once each load a whole file; the builds of other sources
-are then removed. Flags that may change floating-point results
-(-ffast-math, -march=native, contraction into FMAs) stay off: the loops
-must give the numpy oracles' numbers bit for bit.
+coopsim.game, and the Fermi copy probability with the C library's exp;
+their oracles are in tests/conftest.py. The first run in a process loads
+the library, once, however many of its threads ask at the same time. If
+no build of the current source exists yet, it first compiles one with gcc
+into this package's __pycache__ directory, under a name keyed by the
+sha256 of the source and the compiler command. A build goes to a
+temporary name and is then renamed into place, so processes that build at
+once each load a whole file; the builds of other sources are then
+removed. Flags that may change floating-point results (-ffast-math,
+-march=native, contraction into FMAs) stay off: the loops must give the
+oracles' numbers bit for bit.
 
 The loops step numpy's PCG64 state in place. Loading checks that their
 draws equal numpy's own for a few seeds, so a numpy whose PCG64 layout
@@ -60,19 +61,15 @@ def pay(icfg: InterferenceConfig, percentile: np.ndarray | None) -> Pay:
                percentile.ctypes.data if ni else None)
 
 
-# The Fermi loop's callback for a copy draw in the guard band:
-# (own score, picked neighbor's score) -> numpy's copy probability.
-FERMI_PROBABILITY = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double)
-
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _PAY = ctypes.POINTER(Pay)
 _PROTOTYPES = {
-    # n, CSR, b, pay, [K, band, fermi_probability,] horizon, is_coop, coop,
-    # invested, the generator's state address
+    # n, CSR, b, pay, [K,] horizon, is_coop, coop, invested, the generator's
+    # state address
     "coopsim_imitate_best": ((_I64, _PTR, _PTR, _F64, _PAY, _I64, _PTR, _PTR, _PTR, _PTR),
                              _I64),
-    "coopsim_fermi": ((_I64, _PTR, _PTR, _F64, _PAY, _F64, _F64, FERMI_PROBABILITY,
-                       _I64, _PTR, _PTR, _PTR, _PTR), _I64),
+    "coopsim_fermi": ((_I64, _PTR, _PTR, _F64, _PAY, _F64, _I64, _PTR, _PTR, _PTR, _PTR),
+                      _I64),
     "coopsim_pcg64_random": ((_PTR, _I64), _F64),
 }
 

@@ -21,15 +21,6 @@ from .network import Graph
 DETERMINISTIC = "deterministic"
 STOCHASTIC = "stochastic"
 
-# exp() overflows just above this; the probability has saturated long before.
-_MAX_EXPONENT = 700.0
-
-# The compiled Fermi loop decides a copy with libm's exp, which may differ
-# from numpy's by an ulp, unless its copy draw lies within this distance of
-# the probability; then fermi_probability decides. Far wider than any such
-# difference, and far narrower than any draw is likely to fall.
-_FERMI_BAND = 1e-12
-
 
 @dataclass(frozen=True)
 class UpdateRuleConfig:
@@ -53,18 +44,6 @@ class UpdateRuleConfig:
                              f"under rule {self.rule!r}")
 
 
-def fermi_probability(f_a, f_b, K: float):
-    """Probability that an agent with score f_a copies one with score f_b.
-
-    Evaluates (1 + exp((f_a - f_b) / K))**-1, clipping the exponent so the
-    result saturates to 0/1 instead of overflowing. Works elementwise and
-    always returns an array, 0-d for scalar scores.
-    """
-    z = np.minimum(np.maximum((np.asarray(f_a, dtype=np.float64) - f_b) / K,
-                              -_MAX_EXPONENT), _MAX_EXPONENT)
-    return 1.0 / (1.0 + np.exp(z))
-
-
 def step_deterministic(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
                        icfg: InterferenceConfig, percentile: np.ndarray | None,
                        rng: np.random.Generator, coop: np.ndarray,
@@ -81,11 +60,12 @@ def step_deterministic(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
     bits tagged with the strategy. It rescans a row for its ties and reads
     its uniform only when ties of both strategies beat the agent, and steps
     the generator over the rest, so rng ends where drawing all n uniforms
-    a generation would leave it. Eligibility (percentile is the graph's degree_percentiles, needed only
-    when NI is active), endowments, scores and the carried neighbor counts
-    follow engine.run_simulation's rules; the loop is in _loops.c.
-    is_coop (the bool mask) ends as the final population, and coop and
-    invested, of horizon length, are filled as RunResult's arrays.
+    a generation would leave it. Eligibility (percentile is the graph's
+    degree_percentiles, needed only when NI is active), endowments, scores
+    and the carried neighbor counts follow engine.run_simulation's rules;
+    the loop is in _loops.c. is_coop (the bool mask) ends as the final
+    population, and coop and invested, of horizon length, are filled as
+    RunResult's arrays.
 
     perfbench's tracer reports this function as dynamics.step_deterministic:
     one call per imitate-best replicate.
@@ -103,33 +83,27 @@ def step_stochastic(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
 
     Each generation draws 2n uniforms from rng: n neighbor picks, then n
     copy draws, one each per agent in node order. Each agent picks a
-    random neighbor and copies it with probability fermi_probability(own
-    score, neighbor's score, K), simultaneously. The loop reads only the
-    draws that can change the population: the picks of agents with a
-    neighbor of the other strategy, and the copy draws of agents whose
-    pick disagrees. It steps the generator over the rest, so rng ends
-    where drawing all 2n would leave it. It decides a copy with libm's
-    exp, except when the copy draw lies within _FERMI_BAND of that
-    probability: then it calls fermi_probability, so every decision is
-    the one numpy's exp gives. K is fixed within the call, so the loop
-    memoises libm's probability by the exact score difference, and most
-    decisions reuse one instead of calling exp; the band test still runs
-    on every decision. No branch in the picks or decisions depends on a
-    node's strategy or its draw: every agent is written to the list of
-    deciders or switchers, which grows by one only when it disagrees or
-    copies. The branches left are the loop bounds, the front's words, the
-    memo's hit or miss, the band test and the scheme tests. The arguments
-    and their effects are step_deterministic's; the loop is in _loops.c.
+    random neighbor and copies it, simultaneously, when its copy draw is
+    below the Fermi probability 1 / (1 + exp(z)), z = (own score -
+    neighbor's score) / K clipped to +-700, with the C library's exp (the
+    one math.exp calls). The loop reads only the draws that can change the
+    population: the picks of agents with a neighbor of the other strategy,
+    and the copy draws of agents whose pick disagrees. It steps the
+    generator over the rest, so rng ends where drawing all 2n would leave
+    it. K is fixed within the call, so the loop memoises the probability
+    by the exact score difference, and most decisions reuse one instead of
+    calling exp. No branch in the picks or decisions depends on a node's
+    strategy or its draw: every agent is written to the list of deciders
+    or switchers, which grows by one only when it disagrees or copies. The
+    branches left are the loop bounds, the front's words, the memo's hit
+    or miss and the scheme tests. The arguments and their effects are
+    step_deterministic's; the loop is in _loops.c.
 
     perfbench's tracer reports this function as dynamics.step_stochastic:
     one call per Fermi replicate.
     """
-    def numpy_probability(f_a, f_b):
-        return float(fermi_probability(f_a, f_b, K))
-
-    from ._loops import FERMI_PROBABILITY
     return _run_loop("coopsim_fermi", g, is_coop, payoff, icfg, percentile, rng, coop,
-                     invested, K, _FERMI_BAND, FERMI_PROBABILITY(numpy_probability))
+                     invested, K)
 
 
 def _run_loop(name, g, is_coop, payoff, icfg, percentile, rng, coop, invested, *rule):

@@ -1,17 +1,17 @@
-"""Shared test helpers: graph builders, hypothesis strategies, the numpy
-oracles of the compiled loops' rules, and the per-node and per-pair forms
-of library concepts that only tests use.
+"""Shared test helpers: graph builders, hypothesis strategies, the oracles
+of the compiled loops' rules, and the per-node and per-pair forms of
+library concepts that only tests use.
 
-The payment and score rules have one program form, in coopsim's _loops.c;
-eligible_set and scores_from_counts here are their numpy oracles, and read
-no compiled code."""
+The payment and score rules and the Fermi copy probability have one
+program form, in coopsim's _loops.c; eligible_set, scores_from_counts and
+fermi_probability here are their oracles, and read no compiled code."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from coopsim import dynamics
 from coopsim.game import PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
 from coopsim.network import Graph, NetworkConfig
@@ -110,6 +110,26 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
     return ((best > scores) & (s[best_neighbor] != s)).nonzero()[0]
 
 
+# exp() overflows just above this; the probability has saturated long before.
+MAX_EXPONENT = 700.0
+
+
+def fermi_probability(f_a, f_b, K):
+    """Oracle of the compiled Fermi loop's copy probability: that an agent
+    with score f_a copies one with score f_b.
+
+    Evaluates (1 + exp((f_a - f_b) / K))**-1, clipping the exponent so the
+    result saturates to 0/1 instead of overflowing. exp is math.exp, which
+    calls the C library's exp, the one the loop calls; numpy's may differ
+    from it by an ulp. Works elementwise and always returns an array, 0-d
+    for scalar scores.
+    """
+    z = np.minimum(np.maximum((np.asarray(f_a, dtype=np.float64) - f_b) / K,
+                              -MAX_EXPONENT), MAX_EXPONENT)
+    exp_z = np.array([math.exp(x) for x in z.ravel().tolist()]).reshape(z.shape)
+    return 1.0 / (1.0 + exp_z)
+
+
 def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray, score, K: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Numpy oracle of one Fermi step: every agent draws one random neighbor
@@ -122,9 +142,10 @@ def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray, score, K: float,
     and only those whose pick disagrees are scored and decide. front must
     hold every agent with a neighbor of the other strategy (it may hold
     more), and score(nodes) returns the scores of the given agents. Picks,
-    scores and the Fermi probability (dynamics.fermi_probability, once per
-    call over the deciding agents) are elementwise, so every decision is
-    the one an evaluation over all agents would make.
+    scores and the Fermi probability (fermi_probability, once per call over
+    the deciding agents, looked up in this module when called) are
+    elementwise, so every decision is the one an evaluation over all agents
+    would make.
     """
     u = rng.random(2 * g.n)
     u_pick, u_copy = u[:g.n], u[g.n:]
@@ -134,7 +155,7 @@ def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray, score, K: float,
     differ = (s[neighbor] != s[front]).nonzero()[0]
     agents = front[differ]
     f = score(np.concatenate([agents, neighbor[differ]]))
-    p_copy = dynamics.fermi_probability(f[:agents.size], f[agents.size:], K)
+    p_copy = fermi_probability(f[:agents.size], f[agents.size:], K)
     return agents[(u_copy[agents] < p_copy).nonzero()[0]]
 
 

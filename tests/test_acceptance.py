@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from coopsim.cli import main
-from coopsim.dynamics import (
-    DETERMINISTIC,
-    STOCHASTIC,
-    UpdateRuleConfig,
-    fermi_probability,
-)
+from coopsim.dynamics import DETERMINISTIC, STOCHASTIC, UpdateRuleConfig
 from coopsim.engine import (
     RunConfig,
     SweepSummary,
@@ -49,6 +44,7 @@ from conftest import (
     DEFECT,
     accumulate_scores,
     diameter,
+    fermi_probability,
     fit_degree_exponent,
     global_transitivity,
     neb_eligible,

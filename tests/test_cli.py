@@ -1,11 +1,13 @@
 import concurrent.futures
 import contextlib
 import copy
+import ctypes
 import io
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1051,6 +1053,27 @@ class TestImitateBuild:
                               input=_loops.SOURCE.read_bytes(), capture_output=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+
+    def test_the_prototypes_match_the_exported_definitions(self):
+        # ctypes converts arguments by the prototypes alone, unchecked
+        # against the C: a stale argtype passes a value the loop does not
+        # take, or shifts the ones it does. So each exported definition in
+        # the source (coopsim_*, int64_t or double, by value or by pointer)
+        # must have a prototype of its own arity and types.
+        by_value = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
+        def ctype(decl):
+            decl = decl.replace("const ", "").strip()
+            if decl.startswith("struct pay "):
+                return ctypes.POINTER(_loops.Pay)
+            return ctypes.c_void_p if "*" in decl else by_value.get(decl.split()[0], decl)
+
+        defined = {}
+        for restype, name, params in re.findall(r"^(\w+) (coopsim_\w+)\(([^{;]*)\)\s*\{",
+                                                _loops.SOURCE.read_text(), re.MULTILINE):
+            assert "(" not in params, f"{name} takes a function pointer"
+            defined[name] = (tuple(map(ctype, params.split(","))), ctype(restype))
+        assert defined == _loops._PROTOTYPES
 
     def test_missing_compiler_exits_1_naming_it(self, tmp_path):
         # Either update rule needs the library.

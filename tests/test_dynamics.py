@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim.dynamics import STOCHASTIC, UpdateRuleConfig, fermi_probability
+from coopsim.dynamics import STOCHASTIC, UpdateRuleConfig
 from coopsim.engine import RunConfig, run_simulation
 from coopsim.game import PayoffParams
 from coopsim.network import BA, Graph, NetworkConfig
@@ -17,6 +17,7 @@ from conftest import (
     accumulate_scores,
     boundary,
     connected_graphs,
+    fermi_probability,
     is_homogeneous,
     neighbors,
     random_connected_graph,
