@@ -1,6 +1,7 @@
 /* The compiled generation loops: one imitate-best or one Fermi replicate on
  * a CSR graph per call, from the initial cooperator mask to the horizon or
- * absorption. coopsim.dynamics calls them through ctypes. They hold the
+ * absorption. coopsim._loops.run, their one caller, calls them through
+ * ctypes, and coopsim.dynamics' two rules forward to it. They hold the
  * only program form of the payment rule (coopsim.interference's POP, NEB
  * and NI), of the score (coopsim.game's matrix) and of the Fermi copy
  * probability; tests/conftest.py holds the oracles of all three.

@@ -1,8 +1,10 @@
-"""Build, cache, check and load the compiled loops in _loops.c.
+"""Build, cache, check, load and call the compiled loops in _loops.c.
 
 The loops apply the payment and score rules of coopsim.interference and
 coopsim.game, and the Fermi copy probability with the C library's exp;
-their oracles are in tests/conftest.py. The first run in a process loads
+their oracles are in tests/conftest.py. run is the one place that calls a
+loop through ctypes: dynamics.step_deterministic and
+dynamics.step_stochastic forward to it. The first run in a process loads
 the library, once, however many of its threads ask at the same time. If
 no build of the current source exists yet, it first compiles one with gcc
 into this package's __pycache__ directory, under a name keyed by the
@@ -30,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import network
+from .game import PayoffParams
 from .interference import NEB, NI, POP, InterferenceConfig
 
 CC = "gcc"
@@ -50,15 +54,6 @@ class Pay(ctypes.Structure):
                 ("theta", ctypes.c_double), ("p_c", ctypes.c_double),
                 ("n_c", ctypes.c_double), ("c_I", ctypes.c_double),
                 ("percentile", ctypes.c_void_p)]
-
-
-def pay(icfg: InterferenceConfig, percentile: np.ndarray | None) -> Pay:
-    """The Pay of icfg; percentile (the graph's degree_percentiles, float64
-    and contiguous) is read only when NI is active."""
-    ni = NI in icfg.schemes
-    return Pay(icfg.active, POP in icfg.schemes, NEB in icfg.schemes, icfg.theta or 0.0,
-               icfg.p_c or 0.0, icfg.n_c or 0.0, icfg.c_I or 0.0,
-               percentile.ctypes.data if ni else None)
 
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -155,3 +150,43 @@ def _load() -> ctypes.CDLL:
         fn.argtypes, fn.restype = argtypes, restype
     _check_draws(lib.coopsim_pcg64_random)
     return lib
+
+
+def run(name: str, g: network.Graph, is_coop: np.ndarray, payoff: PayoffParams,
+        icfg: InterferenceConfig, rng: np.random.Generator, coop: np.ndarray,
+        invested: np.ndarray, *rule) -> int | None:
+    """Run the compiled loop name over every generation of one replicate on
+    g, with the update rule's own arguments rule after the common ones, and
+    return the generation it absorbed at, or None.
+
+    is_coop, the bool cooperator mask, ends as the final population; coop
+    (float64) and invested (int64), of the horizon's length, are filled as
+    RunResult's arrays. The loop steps rng's PCG64 state in place, under
+    its lock; any other bit generator, and any array of another dtype or
+    shape or not contiguous, is a ValueError before a pointer is passed.
+    Under NI the loop reads the graph's degree_percentiles, derived here.
+    A loop that cannot allocate its work buffers is a MemoryError.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise ValueError(f"the compiled loops draw from numpy's PCG64 alone, got a "
+                         f"{type(bitgen).__name__} generator")
+    for arr, dtype, size in ((g.indptr, np.int64, g.n + 1),
+                             (g.indices, np.int64, int(g.indptr[-1])), (is_coop, bool, g.n),
+                             (coop, np.float64, coop.size), (invested, np.int64, coop.size)):
+        if arr.dtype != dtype or arr.shape != (size,) or not arr.flags.c_contiguous:
+            raise ValueError(f"{name} needs contiguous {np.dtype(dtype)} arrays of shape "
+                             f"({size},), got {arr.dtype} of shape {arr.shape}")
+    # Held until the call returns: the loop reads it through pay.percentile.
+    percentile = network.degree_percentiles(g) if NI in icfg.schemes else None
+    pay = Pay(icfg.active, POP in icfg.schemes, NEB in icfg.schemes, icfg.theta or 0.0,
+              icfg.p_c or 0.0, icfg.n_c or 0.0, icfg.c_I or 0.0,
+              None if percentile is None else percentile.ctypes.data)
+    loop = getattr(library(), name)
+    with bitgen.lock:
+        absorbed_at = loop(g.n, g.indptr.ctypes.data, g.indices.ctypes.data, payoff.b, pay,
+                           *rule, coop.size, is_coop.ctypes.data, coop.ctypes.data,
+                           invested.ctypes.data, bitgen.ctypes.state_address)
+    if absorbed_at == -2:
+        raise MemoryError(f"{name}: no memory for its work buffers")
+    return None if absorbed_at < 0 else absorbed_at

@@ -54,6 +54,8 @@ _STATS = _columns("", ("replicates", ("integer", 1)), ("coop_mean", _FRACTION),
                   ("coop_std", _STATISTIC), ("cost_mean", _STATISTIC),
                   ("cost_std", _STATISTIC), ("master_seed", _COUNT))
 _SWEEP = _CONFIG + _STATS
+# Each sweep column's path, split once for read_sweep_csv.
+_SWEEP_PATHS = tuple(path.split(".") for _, path, _ in _SWEEP)
 # A frontier row's summary has its sweep row's columns but replicates and
 # coop_std (ROADMAP item 2 adds both).
 _FRONTIER = _columns("", ("target", _NUMBER), ("status", _TEXT)) + _columns(
@@ -94,9 +96,20 @@ def read_json_object(path) -> dict:
 
 
 # The JSON values a scalar config field accepts, by its annotation; a
-# bool is never a number.
+# bool is never a number, and an optional field also takes null.
 _SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
                  "str": ((str,), "a string")}
+_SCALAR_TYPES.update({f"{kind} | None": (types + (type(None),), noun)
+                      for kind, (types, noun) in _SCALAR_TYPES.items()})
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """The field names of the config class cls, and the (name, JSON types,
+    noun) of each of its scalar fields: read once per class."""
+    scalars = tuple((f.name, *_SCALAR_TYPES[f.type]) for f in fields(cls)
+                    if f.type in _SCALAR_TYPES)
+    return tuple(f.name for f in fields(cls)), scalars
 
 
 def _build(cls, payload: dict, where: str):
@@ -105,24 +118,21 @@ def _build(cls, payload: dict, where: str):
     naming the keys."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{where} config must be an object, got {payload!r}")
-    _check_keys(payload, tuple(f.name for f in fields(cls)), where)
-    for f in fields(cls):
-        kind, _, optional = f.type.partition(" | ")
-        if f.name not in payload or kind not in _SCALAR_TYPES:
+    names, scalars = _fields(cls)
+    _check_keys(payload, names, where)
+    for name, types, noun in scalars:
+        if name not in payload:
             continue
-        value = payload[f.name]
-        types, noun = _SCALAR_TYPES[kind]
-        if value is None and optional == "None":
-            continue
+        value = payload[name]
         if isinstance(value, bool) or not isinstance(value, types):
-            raise ConfigError(f"bad {where} config: {f.name} must be {noun}, got {value!r}")
+            raise ConfigError(f"bad {where} config: {name} must be {noun}, got {value!r}")
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where} config: {exc}") from exc
 
 
-_RUN_KEYS = tuple(f.name for f in fields(RunConfig))
+_RUN_KEYS = _fields(RunConfig)[0]
 # The run keys every point of a sweep shares: its grid group sets each
 # point's interference, and the master seed its run seeds.
 _SHARED_KEYS = tuple(key for key in _RUN_KEYS if key not in ("interference", "run_seed"))
@@ -256,8 +266,7 @@ def _summary_from_row(fields: list[str]) -> SweepSummary:
     kind and placed at its column's path, and the config checked as a
     config file's is."""
     tree = {}
-    for (name, path, kind), text in zip(_SWEEP, fields):
-        *owners, attr = path.split(".")
+    for (name, _, kind), (*owners, attr), text in zip(_SWEEP, _SWEEP_PATHS, fields):
         node = functools.reduce(lambda parent, key: parent.setdefault(key, {}), owners, tree)
         node[attr] = _parse(name, kind, text)
     return SweepSummary(config=parse_run_config(tree.pop("config")), **tree)

@@ -112,10 +112,11 @@ def run_simulation(cfg: RunConfig, g: Graph,
     horizon. mean_coop averages the trailing stats_window generations.
 
     After the initial draw, a run is one compiled call:
-    dynamics.step_deterministic or dynamics.step_stochastic. Both draw from
-    rng and from nothing else, and rng must be a PCG64 generator (the
-    default), which the compiled loops read in place; any other is a
-    ValueError.
+    dynamics.step_deterministic or dynamics.step_stochastic, looked up in
+    dynamics when called, each forwarding to _loops.run, the one call site
+    of the loops. Both draw from rng and from nothing else, and rng must be
+    a PCG64 generator (the default), which the compiled loops read in
+    place; any other is a ValueError.
     """
     if g.n != cfg.network.n:
         raise ValueError(f"graph has {g.n} nodes, config expects {cfg.network.n}")
@@ -127,7 +128,6 @@ def run_simulation(cfg: RunConfig, g: Graph,
                          f"place, got a {type(rng.bit_generator).__name__} generator")
 
     icfg = cfg.interference
-    percentile = network.degree_percentiles(g) if interference.NI in icfg.schemes else None
     theta = icfg.theta if icfg.active else 0.0
     if initial_coop is None:
         # n int8 draws of 0 or 1, viewed as the mask: a dtype=bool draw
@@ -141,11 +141,11 @@ def run_simulation(cfg: RunConfig, g: Graph,
     coop = np.empty(cfg.horizon)
     invested = np.zeros(cfg.horizon, dtype=np.int64)
     if cfg.update.rule == DETERMINISTIC:
-        absorbed_at = dynamics.step_deterministic(g, is_coop, cfg.payoff, icfg, percentile,
-                                                  rng, coop, invested)
+        absorbed_at = dynamics.step_deterministic(g, is_coop, cfg.payoff, icfg, rng, coop,
+                                                  invested)
     else:
-        absorbed_at = dynamics.step_stochastic(g, is_coop, cfg.payoff, icfg, percentile,
-                                               cfg.update.K, rng, coop, invested)
+        absorbed_at = dynamics.step_stochastic(g, is_coop, cfg.payoff, icfg, cfg.update.K,
+                                               rng, coop, invested)
 
     cost = theta * invested
     return RunResult(

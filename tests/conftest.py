@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from coopsim.game import PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
-from coopsim.network import Graph, NetworkConfig
+from coopsim.network import Graph, NetworkConfig, degree_percentiles
 
 # int8 strategy labels, the form the per-node and per-pair oracles take;
 # the library holds a population as its cooperator mask (labels == C).
@@ -160,9 +160,8 @@ def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray, score, K: float,
 
 
 def fermi_replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
-                    icfg: InterferenceConfig, percentile: np.ndarray | None, K: float,
-                    rng: np.random.Generator, coop: np.ndarray,
-                    invested: np.ndarray) -> int | None:
+                    icfg: InterferenceConfig, K: float, rng: np.random.Generator,
+                    coop: np.ndarray, invested: np.ndarray) -> int | None:
     """Numpy oracle of dynamics.step_stochastic, with its arguments and its
     effects: every Fermi generation of one replicate.
 
@@ -170,8 +169,10 @@ def fermi_replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
     eligible_set, scores through scores_from_counts and steps with
     step_stochastic over the agents with a neighbor of the other strategy;
     all three are looked up in this module when called, so a test can
-    observe them.
+    observe them. Under NI it reads the graph's degree_percentiles, derived
+    here as _loops.run derives them.
     """
+    percentile = degree_percentiles(g) if NI in icfg.schemes else None
     bonus = np.array([0.0, icfg.theta if icfg.active else 0.0])
 
     def score(nodes):

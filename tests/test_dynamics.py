@@ -1,11 +1,15 @@
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coopsim
 from coopsim.dynamics import STOCHASTIC, UpdateRuleConfig
 from coopsim.engine import RunConfig, run_simulation
 from coopsim.game import PayoffParams
@@ -396,3 +400,16 @@ class TestUpdateRuleConfig:
             UpdateRuleConfig(rule=STOCHASTIC)
         with pytest.raises(ValueError, match="K is read only"):
             UpdateRuleConfig(K=0.1)
+
+    def test_config_modules_load_neither_numpy_nor_the_loops(self):
+        # game, interference and dynamics hold configs: a fresh interpreter
+        # imports all three without numpy, the graph module or the loops.
+        heavy = ("numpy", "coopsim.network", "coopsim._loops")
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(coopsim.__file__).parent.parent)!r})\n"
+                  "import coopsim.game, coopsim.interference, coopsim.dynamics\n"
+                  f"print([m for m in {heavy!r} if m in sys.modules])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -103,10 +103,10 @@ class TestRunSimulation:
                                           (mask, coop, np.zeros(30, np.int32))):
             with pytest.raises(ValueError, match="imitate_best needs contiguous"):
                 dynamics.step_deterministic(g, is_coop, PayoffParams(), InterferenceConfig(),
-                                            None, rng, coop_, invested_)
+                                            rng, coop_, invested_)
             with pytest.raises(ValueError, match="fermi needs contiguous"):
                 dynamics.step_stochastic(g, is_coop, PayoffParams(), InterferenceConfig(),
-                                         None, 0.1, rng, coop_, invested_)
+                                         0.1, rng, coop_, invested_)
 
     def test_initial_coop_is_left_unchanged(self):
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
@@ -458,11 +458,9 @@ def fermi_run(step, cfg, g, initial_coop=None, rng=None):
         is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
     else:
         is_coop = initial_coop.copy()
-    icfg = cfg.interference
-    percentile = network.degree_percentiles(g) if NI in icfg.schemes else None
     coop = np.empty(cfg.horizon)
     invested = np.zeros(cfg.horizon, dtype=np.int64)
-    absorbed_at = step(g, is_coop, cfg.payoff, icfg, percentile, cfg.update.K, rng, coop,
+    absorbed_at = step(g, is_coop, cfg.payoff, cfg.interference, cfg.update.K, rng, coop,
                        invested)
     return absorbed_at, is_coop, coop, invested
 
@@ -601,9 +599,8 @@ class TestCarriedCounts:
                 played = horizon
                 want = is_coop.copy()
                 want_rng = generator(state)
-                fermi_replicate(g, want, cfg.payoff, cfg.interference,
-                                network.degree_percentiles(g), cfg.update.K, want_rng,
-                                np.empty(1), np.zeros(1, dtype=np.int64))
+                fermi_replicate(g, want, cfg.payoff, cfg.interference, cfg.update.K,
+                                want_rng, np.empty(1), np.zeros(1, dtype=np.int64))
                 assert run[2][horizon - 1] == np.count_nonzero(is_coop) / g.n
                 assert np.array_equal(run[1], want)
                 assert np.array_equal(count_neighbors(g, run[1]), count_neighbors(g, want))
@@ -851,7 +848,7 @@ class TestFermiLoop:
         # The loops themselves refuse it too, before reading its state.
         with pytest.raises(ValueError, match="MT19937"):
             dynamics.step_stochastic(g, np.ones(g.n, dtype=bool), PayoffParams(),
-                                     InterferenceConfig(), None, 0.1, rng, np.empty(5),
+                                     InterferenceConfig(), 0.1, rng, np.empty(5),
                                      np.zeros(5, dtype=np.int64))
 
 
@@ -1128,6 +1125,29 @@ class TestGraphOnce:
         assert a_after_b == fresh_a
         assert a_again == fresh_a
         assert [s.coop_mean for s in b] != [s.coop_mean for s in fresh_a]
+
+
+class TestEntryPoints:
+    def test_every_threaded_replicate_calls_its_rule_through_dynamics(self, monkeypatch):
+        # perfbench's tracer replaces dynamics' two entry points with
+        # wrappers, as here: the sweep's threads reach them only if engine
+        # looks them up in dynamics at each call.
+        calls = {"step_deterministic": [], "step_stochastic": []}
+
+        def counting(name, step):
+            def counted(*args, **kwargs):
+                calls[name].append(args[0].n)
+                return step(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(dynamics, name, counting(name, getattr(dynamics, name)))
+        for update in (UpdateRuleConfig(), UpdateRuleConfig(rule=STOCHASTIC, K=0.1)):
+            cfgs = [ba_config(n=60, update=update, generations=20, stats_window=5),
+                    ba_config(n=60, update=update, generations=20, stats_window=5,
+                              interference=pop_cfg(1.0, 0.5))]
+            sweep(cfgs, master_seed=41, graphs=2, realisations=2, jobs=2)
+        assert calls == {"step_deterministic": [60] * 8, "step_stochastic": [60] * 8}
 
 
 class TestSweepArguments:
