@@ -22,8 +22,10 @@
  * Both loops draw from the run's numpy PCG64 generator, stepping its state
  * in place, so the generator ends where numpy's own draws would leave it.
  *
- * The loops return the absorption generation, -1 when the run reaches the
- * horizon mixed, or -2 when the work buffers cannot be allocated. */
+ * Each call allocates one work block for all its arrays and frees it
+ * before it returns; it borrows no array but the caller's. The loops
+ * return the absorption generation, -1 when the run reaches the horizon
+ * mixed, or -2 when the work block cannot be allocated. */
 
 #include <math.h>
 #include <stdint.h>
@@ -95,11 +97,13 @@ static inline double draw_after(struct pcg64 *rng, const struct jumps *t, int64_
 }
 
 /* Who is paid the endowment theta: the cooperators meeting every active
- * scheme. percentile (NI's degree percentiles) is NULL unless NI is active. */
+ * scheme. NI arrives as ni_degree, the least degree it pays (0 when NI is
+ * off): a degree percentile never falls as the degree grows, so the nodes
+ * whose percentile reaches c_I are those of degree >= ni_degree. */
 struct pay {
     int active, pop, neb;
-    double theta, p_c, n_c, c_I;
-    const double *percentile;
+    double theta, p_c, n_c;
+    int64_t ni_degree;
 };
 
 /* One replicate as a loop carries it. */
@@ -137,8 +141,8 @@ static inline int paid(const struct run *r, int pop_ok, int64_t i)
     int ok = pay->active & pop_ok & r->is_coop[i];
     if (pay->neb)
         ok &= r->nc[i] / (double)degree(r, i) <= pay->n_c;
-    if (pay->percentile)
-        ok &= pay->percentile[i] >= pay->c_I;
+    if (pay->ni_degree)
+        ok &= degree(r, i) >= pay->ni_degree;
     return ok;
 }
 
@@ -301,18 +305,16 @@ int64_t coopsim_imitate_best(
     const struct pay *pay, int64_t horizon, uint8_t *is_coop, double *coop,
     int64_t *invested, struct np_pcg64 *bitgen)
 {
+    /* The work block: the switchers, the keys, then nc. */
+    int64_t *switched = malloc(3 * n * sizeof *switched);
+    if (!switched)
+        return -2;
+    uint64_t *key = (uint64_t *)(switched + n);
     struct run r = {.n = n, .indptr = indptr, .indices = indices, .pay = pay,
-                    .mult = {b, 1.0}, .is_coop = is_coop,
-                    .nc = malloc(n * sizeof *r.nc)};
-    uint64_t *key = malloc(n * sizeof *key);
-    int64_t *switched = malloc(n * sizeof *switched);
+                    .mult = {b, 1.0}, .is_coop = is_coop, .nc = (double *)(key + n)};
     struct jumps jumps;
     struct pcg64 rng = *bitgen->rng;
     int64_t absorbed_at = -1;
-    if (!r.nc || !key || !switched) {
-        absorbed_at = -2;
-        goto done;
-    }
     jump_table(&jumps, rng.inc);
     start(&r);
 
@@ -348,10 +350,6 @@ int64_t coopsim_imitate_best(
         flip(&r, switched, n_switched);
     }
     bitgen->rng->state = rng.state;
-
-done:
-    free(r.nc);
-    free(key);
     free(switched);
     return absorbed_at;
 }
@@ -368,6 +366,7 @@ done:
  * pattern times a Fibonacci constant, and the slot holds the last one
  * stored there; its key is the exact double, NaN while the slot is empty. */
 #define MEMO_BITS 10
+#define MEMO_SLOTS (1 << MEMO_BITS)
 struct memo { double diff, p; };
 
 static inline struct memo *memo_slot(struct memo *memo, double diff)
@@ -415,22 +414,21 @@ int64_t coopsim_fermi(
     int64_t *invested, struct np_pcg64 *bitgen)
 {
     int64_t words = (n + 63) / 64;
+    /* The work block: the memo, then agent, pick, nc and the front. */
+    struct memo *memo = malloc(MEMO_SLOTS * sizeof *memo + (3 * n + words) * sizeof(int64_t));
+    if (!memo)
+        return -2;
+    for (int s = 0; s < MEMO_SLOTS; s++)
+        memo[s].diff = NAN;  /* equal to no difference: every slot starts empty */
+    int64_t *agent = (int64_t *)(memo + MEMO_SLOTS);  /* deciders, then switchers */
+    int64_t *pick = agent + n;
     struct run r = {.n = n, .indptr = indptr, .indices = indices, .pay = pay,
-                    .mult = {b, 1.0}, .is_coop = is_coop,
-                    .nc = malloc(n * sizeof *r.nc),
-                    .front = calloc(words, sizeof *r.front)};
-    int64_t *agent = malloc(n * sizeof *agent);  /* deciders, then switchers */
-    int64_t *pick = malloc(n * sizeof *pick);
-    struct memo *memo = malloc((1 << MEMO_BITS) * sizeof *memo);
+                    .mult = {b, 1.0}, .is_coop = is_coop, .nc = (double *)(pick + n),
+                    .front = (uint64_t *)(pick + 2 * n)};
+    memset(r.front, 0, words * sizeof *r.front);
     struct jumps jumps;
     struct pcg64 rng = *bitgen->rng;
     int64_t absorbed_at = -1;
-    if (!r.nc || !r.front || !agent || !pick || !memo) {
-        absorbed_at = -2;
-        goto done;
-    }
-    for (int s = 0; s < 1 << MEMO_BITS; s++)
-        memo[s].diff = NAN;  /* equal to no difference: every slot starts empty */
     jump_table(&jumps, rng.inc);
     start(&r);
 
@@ -476,12 +474,6 @@ int64_t coopsim_fermi(
         flip(&r, agent, n_switched);
     }
     bitgen->rng->state = rng.state;
-
-done:
-    free(r.nc);
-    free(r.front);
-    free(agent);
-    free(pick);
     free(memo);
     return absorbed_at;
 }

@@ -52,8 +52,7 @@ class Pay(ctypes.Structure):
 
     _fields_ = [("active", ctypes.c_int), ("pop", ctypes.c_int), ("neb", ctypes.c_int),
                 ("theta", ctypes.c_double), ("p_c", ctypes.c_double),
-                ("n_c", ctypes.c_double), ("c_I", ctypes.c_double),
-                ("percentile", ctypes.c_void_p)]
+                ("n_c", ctypes.c_double), ("ni_degree", ctypes.c_int64)]
 
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -104,10 +103,9 @@ def _build(source: bytes, path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    # Builds of other sources, and of _imitate.c, the imitate-best loop's
-    # earlier home, are never loaded again. A process that has one loaded
-    # keeps its mapping.
-    for stale in (*path.parent.glob("_loops-*.so"), *path.parent.glob("_imitate-*.so")):
+    # Builds of other sources are never loaded again. A process that has one
+    # loaded keeps its mapping.
+    for stale in path.parent.glob("_loops-*.so"):
         if stale != path:
             stale.unlink(missing_ok=True)
 
@@ -152,6 +150,14 @@ def _load() -> ctypes.CDLL:
     return lib
 
 
+def ni_degree(g: network.Graph, c_I: float) -> int:
+    """NI's threshold c_I as a degree: the least degree of g whose
+    degree_percentiles value reaches c_I, or g.n when none does. A
+    percentile never falls as the degree grows, so a node's percentile
+    reaches c_I exactly when its degree reaches this one."""
+    return int(g.degrees[network.degree_percentiles(g) >= c_I].min(initial=g.n))
+
+
 def run(name: str, g: network.Graph, is_coop: np.ndarray, payoff: PayoffParams,
         icfg: InterferenceConfig, rng: np.random.Generator, coop: np.ndarray,
         invested: np.ndarray, *rule) -> int | None:
@@ -164,8 +170,9 @@ def run(name: str, g: network.Graph, is_coop: np.ndarray, payoff: PayoffParams,
     RunResult's arrays. The loop steps rng's PCG64 state in place, under
     its lock; any other bit generator, and any array of another dtype or
     shape or not contiguous, is a ValueError before a pointer is passed.
-    Under NI the loop reads the graph's degree_percentiles, derived here.
-    A loop that cannot allocate its work buffers is a MemoryError.
+    NI reaches the loop as one degree, ni_degree(g, c_I), so the loop
+    borrows no array but g's CSR and these three. A loop that cannot
+    allocate its work block is a MemoryError.
     """
     bitgen = rng.bit_generator
     if not isinstance(bitgen, np.random.PCG64):
@@ -177,11 +184,9 @@ def run(name: str, g: network.Graph, is_coop: np.ndarray, payoff: PayoffParams,
         if arr.dtype != dtype or arr.shape != (size,) or not arr.flags.c_contiguous:
             raise ValueError(f"{name} needs contiguous {np.dtype(dtype)} arrays of shape "
                              f"({size},), got {arr.dtype} of shape {arr.shape}")
-    # Held until the call returns: the loop reads it through pay.percentile.
-    percentile = network.degree_percentiles(g) if NI in icfg.schemes else None
     pay = Pay(icfg.active, POP in icfg.schemes, NEB in icfg.schemes, icfg.theta or 0.0,
-              icfg.p_c or 0.0, icfg.n_c or 0.0, icfg.c_I or 0.0,
-              None if percentile is None else percentile.ctypes.data)
+              icfg.p_c or 0.0, icfg.n_c or 0.0,
+              ni_degree(g, icfg.c_I) if NI in icfg.schemes else 0)
     loop = getattr(library(), name)
     with bitgen.lock:
         absorbed_at = loop(g.n, g.indptr.ctypes.data, g.indices.ctypes.data, payoff.b, pay,

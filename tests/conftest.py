@@ -170,7 +170,7 @@ def fermi_replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
     step_stochastic over the agents with a neighbor of the other strategy;
     all three are looked up in this module when called, so a test can
     observe them. Under NI it reads the graph's degree_percentiles, derived
-    here as _loops.run derives them.
+    here; _loops.run hands the loop their threshold as one degree instead.
     """
     percentile = degree_percentiles(g) if NI in icfg.schemes else None
     bonus = np.array([0.0, icfg.theta if icfg.active else 0.0])

@@ -884,6 +884,35 @@ class TestDraws:
         self.check(seed, skipped)
 
 
+class TestLoopBoundary:
+    """The boundary between _loops.run and a loop: NI arrives as one degree,
+    and a loop that cannot allocate its work block returns -2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.sampled_from(network.MODELS), n=st.integers(3, 300),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_ni_degree_pays_the_nodes_whose_percentile_reaches_c_I(self, model, n, seed,
+                                                                    data):
+        g = generate(NetworkConfig(model=model, n=n, seed=seed))
+        percentile = network.degree_percentiles(g)
+        c_I = data.draw(st.one_of(st.sampled_from([0.0, 1.0, *percentile.tolist()]),
+                                  st.floats(0.0, 1.0)))
+        assert np.array_equal(g.degrees >= _loops.ni_degree(g, c_I), percentile >= c_I)
+
+    def test_a_work_block_that_cannot_be_allocated_returns_minus_2(self):
+        # 2**46 agents need a block past the 47-bit address space, which no
+        # overcommit setting grants; the loop must give up before it reads
+        # an array (all NULL here) or steps the generator.
+        lib, n = _loops.library(), 2**46
+        for name, rule in (("coopsim_imitate_best", ()), ("coopsim_fermi", (0.1,))):
+            bitgen = np.random.PCG64(7)
+            before = bitgen.state
+            got = getattr(lib, name)(n, None, None, 1.5, _loops.Pay(), *rule, 10, None,
+                                     None, None, bitgen.ctypes.state_address)
+            assert got == -2, name
+            assert bitgen.state == before, name
+
+
 # Each b of the theta tests and the spacing of its lattice of theta
 # breakpoints. Under imitate-best theta enters only where a paid cooperator
 # (nc + theta) meets an unpaid one (an integer nc) or a defector (b * m): a
