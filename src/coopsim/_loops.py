@@ -193,5 +193,5 @@ def run(name: str, g: network.Graph, is_coop: np.ndarray, payoff: PayoffParams,
                            *rule, coop.size, is_coop.ctypes.data, coop.ctypes.data,
                            invested.ctypes.data, bitgen.ctypes.state_address)
     if absorbed_at == -2:
-        raise MemoryError(f"{name}: no memory for its work buffers")
+        raise MemoryError(f"{name}: no memory for its work block")
     return None if absorbed_at < 0 else absorbed_at

@@ -10,6 +10,7 @@ parallelism produce identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,6 +90,14 @@ class RunResult:
     final_state: str
 
 
+def _check_cost(theta: float | None, **stats: float) -> None:
+    """Raise OverflowError naming theta when a cost statistic is not finite:
+    a total cost, a mean or a squared deviation passed the largest double."""
+    for name, value in stats.items():
+        if not math.isfinite(value):
+            raise OverflowError(f"theta={theta!r} is too large: {name} overflows a double")
+
+
 def _classify(n_coop: int, n: int) -> str:
     if n_coop == n:
         return HOMOGENEOUS_C
@@ -109,7 +118,8 @@ def run_simulation(cfg: RunConfig, g: Graph,
     neither rule can leave it (both copy a neighbor, without mutation), so
     the run stops, pays no further endowment and draws nothing more; the
     frozen state fills the rest of the trace so it always spans the full
-    horizon. mean_coop averages the trailing stats_window generations.
+    horizon. mean_coop averages the trailing stats_window generations. A
+    total cost that overflows a double is an OverflowError naming theta.
 
     After the initial draw, a run is one compiled call:
     dynamics.step_deterministic or dynamics.step_stochastic, looked up in
@@ -147,13 +157,16 @@ def run_simulation(cfg: RunConfig, g: Graph,
         absorbed_at = dynamics.step_stochastic(g, is_coop, cfg.payoff, icfg, cfg.update.K,
                                                rng, coop, invested)
 
-    cost = theta * invested
+    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+        cost = theta * invested
+    # Left-to-right, generation by generation: the CSV bytes depend on it.
+    total_cost = float(sum(cost.tolist()))
+    _check_cost(icfg.theta, total_cost=total_cost)
     return RunResult(
         coop=coop,
         invested=invested,
         cost=cost,
-        # Left-to-right, generation by generation: the CSV bytes depend on it.
-        total_cost=float(sum(cost.tolist())),
+        total_cost=total_cost,
         mean_coop=float(coop[-cfg.stats_window:].mean()),
         absorbed_at=absorbed_at,
         final_state=_classify(int(np.count_nonzero(is_coop)), g.n),
@@ -209,7 +222,8 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
     independent replicates, and each point's replicates are reduced in
     (graph, realisation) order, so output is identical for any jobs. No
     points, or graphs or realisations below 1, or points whose network
-    configs differ, are a ValueError.
+    configs differ, are a ValueError; a cost mean or std that overflows a
+    double is an OverflowError naming the point's theta.
     """
     if not cfgs:
         raise ValueError("cfgs must hold at least one grid point")
@@ -241,11 +255,16 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
     # order, and so the CSV bytes, depend on it.
     stats = np.array(per_task).reshape(graphs, len(cfgs), realisations, 2)
     stats = np.ascontiguousarray(stats.transpose(1, 3, 0, 2)).reshape(len(cfgs), 2, -1)
-    return [SweepSummary(config=cfg, replicates=coop.size,
-                         coop_mean=float(coop.mean()), coop_std=_sample_std(coop),
-                         cost_mean=float(cost.mean()), cost_std=_sample_std(cost),
-                         master_seed=master_seed)
-            for cfg, (coop, cost) in zip(cfgs, stats)]
+    summaries = []
+    for cfg, (coop, cost) in zip(cfgs, stats):
+        with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+            cost_mean, cost_std = float(cost.mean()), _sample_std(cost)
+        _check_cost(cfg.interference.theta, cost_mean=cost_mean, cost_std=cost_std)
+        summaries.append(SweepSummary(
+            config=cfg, replicates=coop.size, coop_mean=float(coop.mean()),
+            coop_std=_sample_std(coop), cost_mean=cost_mean, cost_std=cost_std,
+            master_seed=master_seed))
+    return summaries
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ library concepts that only tests use.
 
 The payment and score rules and the Fermi copy probability have one
 program form, in coopsim's _loops.c; eligible_set, scores_from_counts and
-fermi_probability here are their oracles, and read no compiled code."""
+fermi_probability here are their oracles, and read no compiled code.
+replicate is the one numpy oracle of a whole replicate under either
+update rule, and simulate of a whole run_simulation."""
 
 import json
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from coopsim.engine import HOMOGENEOUS_C, HOMOGENEOUS_D, MIXED, RunConfig, RunResult
 from coopsim.game import PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
 from coopsim.network import Graph, NetworkConfig, degree_percentiles
@@ -159,28 +162,29 @@ def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray, score, K: float,
     return agents[(u_copy[agents] < p_copy).nonzero()[0]]
 
 
-def fermi_replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
-                    icfg: InterferenceConfig, K: float, rng: np.random.Generator,
-                    coop: np.ndarray, invested: np.ndarray) -> int | None:
-    """Numpy oracle of dynamics.step_stochastic, with its arguments and its
-    effects: every Fermi generation of one replicate.
+def replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
+              icfg: InterferenceConfig, K: float | None, rng: np.random.Generator,
+              coop: np.ndarray, invested: np.ndarray) -> int | None:
+    """Numpy oracle of dynamics.step_stochastic, or with K None of
+    dynamics.step_deterministic, with their arguments and their effects:
+    every generation of one replicate.
 
-    Each generation recounts the neighbor counts, pays through
-    eligible_set, scores through scores_from_counts and steps with
-    step_stochastic over the agents with a neighbor of the other strategy;
-    all three are looked up in this module when called, so a test can
-    observe them. Under NI it reads the graph's degree_percentiles, derived
-    here; _loops.run hands the loop their threshold as one degree instead.
+    Each generation absorbs or records the cooperator fraction, recounts
+    the neighbor counts, pays through eligible_set, scores through
+    scores_from_counts plus the endowment, steps with step_deterministic,
+    or with step_stochastic over the agents with a neighbor of the other
+    strategy, and flips the switchers. Every helper is looked up in this
+    module when called, so a test can observe it. Under NI it reads the
+    graph's degree_percentiles, derived here; _loops.run hands the loop
+    their threshold as one degree instead.
     """
     percentile = degree_percentiles(g) if NI in icfg.schemes else None
     bonus = np.array([0.0, icfg.theta if icfg.active else 0.0])
 
     def score(nodes):
         """This generation's scores of nodes, endowment included."""
-        f = scores_from_counts(is_coop[nodes], nc[nodes], payoff)
-        if icfg.active:
-            f = f + bonus.take(eligible[nodes])
-        return f
+        return (scores_from_counts(is_coop[nodes], nc[nodes], payoff)
+                + bonus.take(eligible[nodes]))
 
     for gen in range(coop.size):
         n_coop = int(np.count_nonzero(is_coop))
@@ -189,13 +193,40 @@ def fermi_replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
             return gen
         coop[gen] = n_coop / g.n
         nc = count_neighbors(g, is_coop)
-        if icfg.active:
-            eligible = eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
-            invested[gen] = np.count_nonzero(eligible)
-        front = (nc != np.where(is_coop, g.degrees, 0)).nonzero()[0]
-        switched = step_stochastic(g, is_coop, front, score, K, rng)
+        eligible = eligible_set(g, percentile, is_coop, nc, n_coop, icfg)
+        invested[gen] = np.count_nonzero(eligible)
+        if K is None:
+            switched = step_deterministic(g, is_coop, score(np.arange(g.n)), rng)
+        else:
+            front = (nc != np.where(is_coop, g.degrees, 0)).nonzero()[0]
+            switched = step_stochastic(g, is_coop, front, score, K, rng)
         is_coop[switched] = ~is_coop[switched]
     return None
+
+
+def simulate(cfg: RunConfig, g: Graph, initial_coop: np.ndarray | None = None,
+             rng: np.random.Generator | None = None) -> RunResult:
+    """Oracle of engine.run_simulation: the start drawn as it draws it, or
+    copied from initial_coop, then every generation through replicate,
+    looked up in this module when called. rng defaults to one seeded with
+    cfg.run_seed."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.run_seed)
+    if initial_coop is None:
+        is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
+    else:
+        is_coop = initial_coop.copy()
+    coop = np.empty(cfg.horizon)
+    invested = np.zeros(cfg.horizon, dtype=np.int64)
+    absorbed_at = replicate(g, is_coop, cfg.payoff, cfg.interference, cfg.update.K, rng,
+                            coop, invested)
+    cost = (cfg.interference.theta or 0.0) * invested
+    n_coop = np.count_nonzero(is_coop)
+    return RunResult(
+        coop=coop, invested=invested, cost=cost, total_cost=float(sum(cost.tolist())),
+        mean_coop=float(coop[-cfg.stats_window:].mean()), absorbed_at=absorbed_at,
+        final_state=(HOMOGENEOUS_C if n_coop == g.n
+                     else HOMOGENEOUS_D if n_coop == 0 else MIXED))
 
 
 def csr_rows(g: Graph) -> np.ndarray:

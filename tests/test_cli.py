@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import copy
 import ctypes
+import importlib.util
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import tomllib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +397,27 @@ class TestBadInputFailsFast:
         self.assert_usage_error(capsys, [command, "--config", write_config(tmp_path, payload),
                                          "--out", str(out)], key)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, theta, stat", [
+        ("sweep", 1e306, "cost_mean"), ("sweep", 1e160, "cost_std"),
+        ("run", 1e307, "total_cost")])
+    def test_a_theta_whose_costs_overflow(self, tmp_path, capsys, command, theta, stat):
+        # BA n=100 under POP at p_c=1, 10 generations, one graph and two
+        # realisations: at 1e306 the sum of two total costs overflows, at
+        # 1e160 their squared deviation, and at 1e307 one run's total.
+        # Nothing is written and numpy warns of no overflow.
+        pop = {"schemes": ["POP"], "theta": theta, "p_c": 1.0}
+        if command == "run":
+            payload = run_config(network={"model": "BA", "n": 100, "seed": 1},
+                                 interference=pop)
+        else:
+            payload = sweep_config(network={"model": "BA", "n": 100}, generations=10, graphs=1,
+                                   realisations=2, grid=[{**pop, "theta": [theta]}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_rejected(tmp_path, capsys, command, payload,
+                                 f"theta={theta!r} is too large: {stat} overflows")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("section,keys", [("network", ["m", "m0"]),
                                               ("payoff", ["bogus", "c"]),
@@ -945,14 +968,14 @@ class TestLazyPool:
 
     def test_a_worker_error_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
         def failing_run(cfg, g, *args, **kwargs):
-            raise MemoryError("coopsim_imitate_best: no memory for its work buffers")
+            raise MemoryError("coopsim_imitate_best: no memory for its work block")
 
         monkeypatch.setattr(engine, "run_simulation", failing_run)
         cfg = write_config(tmp_path, sweep_config())
         out = tmp_path / "sweep.csv"
         before = threading.active_count()
         assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == EXIT_RUNTIME
-        assert "no memory for its work buffers" in capsys.readouterr().err
+        assert "no memory for its work block" in capsys.readouterr().err
         assert not out.exists()
         assert threading.active_count() == before
 
@@ -1140,6 +1163,18 @@ class TestImitateBuild:
             _loops._load.cache_clear()
         assert rc == EXIT_RUNTIME
         assert f"numpy {np.__version__}" in capsys.readouterr().err
+
+    def test_each_mutant_target_occurs_once_in_the_loops(self):
+        # tools/mutants.py plants each fault by replacing its target text, so
+        # the text must name one place in _loops.c. This test stays out of
+        # tests/test_engine.py, the file that script runs on each mutant.
+        path = Path(_loops.__file__).parents[2] / "tools" / "mutants.py"
+        spec = importlib.util.spec_from_file_location("mutants", path)
+        mutants = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mutants)
+        source = _loops.SOURCE.read_text()
+        for name, target, _ in mutants.MUTANTS:
+            assert source.count(target) == 1, name
 
     def test_every_c_source_is_package_data(self):
         # An install copies only the listed files: a C source left out of

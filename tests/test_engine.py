@@ -2,6 +2,7 @@ import itertools
 import math
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,24 +28,17 @@ from coopsim.network import BA, Graph, NetworkConfig, generate
 import conftest
 from conftest import (
     COOPERATE,
-    DEFECT,
-    accumulate_scores,
     boundary,
     connected_graphs,
-    coop_fraction,
     count_neighbors,
     diameter,
     fermi_probability,
-    fermi_replicate,
-    is_homogeneous,
-    neb_eligible,
-    ni_eligible,
-    pop_eligible,
     reachable,
-    step_deterministic,
+    replicate,
+    simulate,
 )
 
-C, D = COOPERATE, DEFECT
+C = COOPERATE
 
 
 def ba_config(n=100, **kwargs):
@@ -268,15 +262,15 @@ class TestRunSimulation:
 
 class TestInterferenceAccounting:
     """Per-generation investment bookkeeping. Each compiled loop is compared
-    with its oracle; the Fermi oracle is also observed through the module
-    functions it calls."""
+    with the oracle, which is also observed, under the Fermi rule, through
+    the module functions it calls."""
 
     def record_run(self, monkeypatch, cfg, g):
-        """cfg run under the Fermi rule, and the oracle's record of the same
-        run: each generation's eligible mask, the scores scores_from_counts
-        returned (and a copy of them as returned) and the nodes and scores
-        the step was given. The compiled run equals the oracle's, so the
-        record is the compiled run's too."""
+        """cfg run under the Fermi rule, checked against the oracle, and the
+        oracle's record of the same run: each generation's eligible mask,
+        the scores scores_from_counts returned (and a copy of them as
+        returned) and the nodes and scores the step was given. The compiled
+        run equals the oracle's, so the record is the compiled run's too."""
         cfg = replace(cfg, update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1))
         calls = {"eligible": [], "scores": [], "stepped": []}
         eligible_set, scores_from_counts, step = (conftest.eligible_set,
@@ -300,14 +294,10 @@ class TestInterferenceAccounting:
                 return scores
             return step(g, s, front, scored, *rest)
 
-        result = run_simulation(cfg, g)
         monkeypatch.setattr(conftest, "eligible_set", spy_eligible)
         monkeypatch.setattr(conftest, "scores_from_counts", spy_scores)
         monkeypatch.setattr(conftest, "step_stochastic", spy_step)
-        absorbed_at, _, coop, invested = fermi_run(fermi_replicate, cfg, g)
-        assert result.absorbed_at == absorbed_at
-        assert np.array_equal(result.coop, coop)
-        assert np.array_equal(result.invested, invested)
+        result, _ = matches_the_oracle(cfg, g)
         return result, calls
 
     def test_invested_is_eligible_count_per_generation(self, monkeypatch):
@@ -361,10 +351,8 @@ class TestInterferenceAccounting:
     def test_imitate_best_accounting_matches_the_oracle(self, n, icfg, run_seed, graph_seed):
         cfg = ba_config(n=n, interference=icfg, run_seed=run_seed)
         g = generate(NetworkConfig(model=BA, n=n, seed=graph_seed))
-        got, want = run_simulation(cfg, g), full_recount_run(cfg, g)
+        got, _ = matches_the_oracle(cfg, g)
         assert got.invested.any() == (icfg.p_c != 0.0)
-        for name in ("coop", "invested", "cost"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     @settings(max_examples=200, deadline=None)
     @given(g=connected_graphs(min_n=3), data=st.data())
@@ -381,88 +369,39 @@ class TestInterferenceAccounting:
             c_I=float(network.degree_percentiles(g)[node]))
         cfg = RunConfig(network=NetworkConfig(model=BA, n=g.n), interference=icfg,
                         generations=1, stats_window=1)
-        got = run_simulation(cfg, g, initial_coop=start)
+        got, _ = matches_the_oracle(cfg, g, start)
         assert got.invested[0] >= 1
-        assert got.invested[0] == full_recount_run(cfg, g, initial_coop=start).invested[0]
 
 
-def classify(s):
-    if not is_homogeneous(s):
-        return engine.MIXED
-    return engine.HOMOGENEOUS_C if s[0] == C else engine.HOMOGENEOUS_D
+def matches_the_oracle(cfg, g, initial=None):
+    """Run cfg on g through run_simulation and through the oracle,
+    conftest.simulate, each with its own generator seeded alike, and assert
+    that they agree bit for bit: every RunResult field, the final cooperator
+    mask and the generator's end state. Returns the compiled run's result
+    and final mask."""
+    finals = []
 
+    def keep_final(step):
+        def spy(g, is_coop, *rest):
+            absorbed_at = step(g, is_coop, *rest)
+            finals.append(is_coop)
+            return absorbed_at
+        return spy
 
-def full_recount_run(cfg, g, initial_coop=None, rng=None):
-    """Oracle: the numpy generation loop that recounts everything from the
-    strategy vector each generation, with the imitate-best step of
-    conftest.step_deterministic and the Fermi probability evaluated for
-    every agent. rng defaults to one seeded with cfg.run_seed."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.run_seed)
-    icfg = cfg.interference
-    percentile = network.degree_percentiles(g)
-    theta = icfg.theta if icfg.active else 0.0
-    deterministic = cfg.update.rule == DETERMINISTIC
-    horizon = cfg.horizon
-    if initial_coop is not None:
-        s = np.where(initial_coop, C, D).astype(np.int8)
-    else:
-        s = rng.integers(0, 2, g.n, dtype=np.int8)
-    coop = np.empty(horizon)
-    invested = np.zeros(horizon, dtype=np.int64)
-    absorbed_at = None
-    for gen in range(horizon):
-        if is_homogeneous(s):
-            absorbed_at = gen
-            coop[gen:] = coop_fraction(s)
-            break
-        scores = accumulate_scores(g, s, cfg.payoff)
-        coop[gen] = coop_fraction(s)
-        if icfg.active:
-            eligible = np.ones(g.n, dtype=bool)
-            for scheme in icfg.schemes:
-                if scheme == POP:
-                    eligible &= pop_eligible(s, icfg.p_c)
-                elif scheme == NEB:
-                    eligible &= neb_eligible(g, s, icfg.n_c)
-                else:
-                    eligible &= ni_eligible(percentile, s, icfg.c_I)
-            invested[gen] = np.count_nonzero(eligible)
-            scores = scores + np.where(eligible, theta, 0.0)
-        if deterministic:
-            switched = step_deterministic(g, s, scores, rng)
-            s[switched] = np.where(s[switched] == C, D, C)
-        else:
-            u_pick = rng.random(g.n)
-            u_copy = rng.random(g.n)
-            offset = np.minimum((u_pick * g.degrees).astype(np.int64), g.degrees - 1)
-            neighbor = g.indices[g.indptr[:-1] + offset]
-            p_copy = fermi_probability(scores, scores[neighbor], cfg.update.K)
-            s = np.where(u_copy < p_copy, s[neighbor], s).astype(np.int8)
-    cost = theta * invested
-    return engine.RunResult(
-        coop=coop, invested=invested, cost=cost,
-        total_cost=float(sum(cost.tolist())),
-        mean_coop=float(coop[-cfg.stats_window:].mean()),
-        absorbed_at=absorbed_at, final_state=classify(s))
-
-
-def fermi_run(step, cfg, g, initial_coop=None, rng=None):
-    """One Fermi replicate of cfg on g through step, dynamics.step_stochastic
-    or the oracle conftest.fermi_replicate, started as run_simulation starts
-    it: (absorbed_at, final cooperator mask, coop, invested). rng defaults
-    to one seeded with cfg.run_seed."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.run_seed)
-    if initial_coop is None:
-        is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
-    else:
-        is_coop = initial_coop.copy()
-    coop = np.empty(cfg.horizon)
-    invested = np.zeros(cfg.horizon, dtype=np.int64)
-    absorbed_at = step(g, is_coop, cfg.payoff, cfg.interference, cfg.update.K, rng, coop,
-                       invested)
-    return absorbed_at, is_coop, coop, invested
+    got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((dynamics, "step_deterministic"), (dynamics, "step_stochastic"),
+                             (conftest, "replicate")):
+            mp.setattr(module, name, keep_final(getattr(module, name)))
+        got = run_simulation(cfg, g, rng=got_rng, initial_coop=initial)
+        want = simulate(cfg, g, initial, want_rng)
+    for name in ("coop", "invested", "cost"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("total_cost", "mean_coop", "absorbed_at", "final_state"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert len(finals) == 2 and np.array_equal(*finals)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return got, finals[0]
 
 
 @st.composite
@@ -526,34 +465,22 @@ STOCH_LONG = (
 
 class TestCarriedCounts:
     """run_simulation carries neighbor counts across generations, in both
-    compiled loops; every number it reports must equal the full recount's."""
-
-    @staticmethod
-    def matches_full_recount(g, cfg, initial):
-        # Each side draws from its own generator, seeded alike: both must
-        # leave it at the same point.
-        got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
-        got = run_simulation(cfg, g, rng=got_rng, initial_coop=initial)
-        want = full_recount_run(cfg, g, initial_coop=initial, rng=want_rng)
-        for name in ("coop", "invested", "cost"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.total_cost == want.total_cost
-        assert got.mean_coop == want.mean_coop
-        assert got.absorbed_at == want.absorbed_at
-        assert got.final_state == want.final_state
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    compiled loops; every number it reports must equal the oracle's, which
+    recounts them each generation."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=run_cases())
     def test_matches_full_recount_loop(self, case):
-        self.matches_full_recount(*case)
+        g, cfg, initial = case
+        matches_the_oracle(cfg, g, initial)
 
     @settings(max_examples=300, deadline=None)
     @given(case=tie_heavy_cases())
     def test_imitate_best_matches_full_recount_when_ties_are_common(self, case):
         # The compiled loop reads a tie-break uniform only for a row whose
         # tied best neighbors play both strategies: common here.
-        self.matches_full_recount(*case)
+        g, cfg, initial = case
+        matches_the_oracle(cfg, g, initial)
 
     @settings(max_examples=150, deadline=None)
     @given(case=run_cases(rules=(STOCHASTIC,)))
@@ -574,12 +501,14 @@ class TestCarriedCounts:
             rng.bit_generator.state = state
             return rng
 
-        def compiled(horizon):
-            rng = generator(start)
-            run = fermi_run(dynamics.step_stochastic, replace(cfg, generations=horizon,
-                                                              stats_window=1),
-                            g, initial, rng)
-            return run, rng.bit_generator.state
+        def run(step, is_coop, state, horizon):
+            """step, dynamics.step_stochastic or the oracle, from is_coop and
+            the generator state to horizon: (absorbed_at, final mask, coop,
+            the generator's end state)."""
+            rng, is_coop, coop = generator(state), is_coop.copy(), np.empty(horizon)
+            absorbed_at = step(g, is_coop, cfg.payoff, cfg.interference, cfg.update.K, rng,
+                               coop, np.zeros(horizon, dtype=np.int64))
+            return absorbed_at, is_coop, coop, rng.bit_generator.state
 
         step = conftest.step_stochastic
 
@@ -587,25 +516,22 @@ class TestCarriedCounts:
             assert np.array_equal(front, boundary(g, s))
             return step(g, s, front, *rest)
 
-        (absorbed_at, is_coop, _, _), state = (None, initial, None, None), start
-        played = 0
+        absorbed_at, is_coop, state, played = None, initial, start, 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(conftest, "step_stochastic", spy_step)
             for horizon in range(1, cfg.horizon + 1):
-                run, run_state = compiled(horizon)
-                if run[0] is not None:
-                    absorbed_at = run[0]
+                at, got, coop, got_state = run(dynamics.step_stochastic, initial, start,
+                                               horizon)
+                if at is not None:
+                    absorbed_at = at
                     break
                 played = horizon
-                want = is_coop.copy()
-                want_rng = generator(state)
-                fermi_replicate(g, want, cfg.payoff, cfg.interference, cfg.update.K,
-                                want_rng, np.empty(1), np.zeros(1, dtype=np.int64))
-                assert run[2][horizon - 1] == np.count_nonzero(is_coop) / g.n
-                assert np.array_equal(run[1], want)
-                assert np.array_equal(count_neighbors(g, run[1]), count_neighbors(g, want))
-                assert want_rng.bit_generator.state == run_state
-                is_coop, state = run[1], run_state
+                _, want, _, want_state = run(replicate, is_coop, state, 1)
+                assert coop[horizon - 1] == np.count_nonzero(is_coop) / g.n
+                assert np.array_equal(got, want)
+                assert np.array_equal(count_neighbors(g, got), count_neighbors(g, want))
+                assert want_state == got_state
+                is_coop, state = got, got_state
         result = run_simulation(cfg, g, rng=generator(start), initial_coop=initial)
         assert result.absorbed_at == absorbed_at
         assert played == (absorbed_at if absorbed_at is not None else cfg.horizon)
@@ -619,52 +545,25 @@ class TestCarriedCounts:
           for model in (BA, network.DMS) for name, icfg in SLOW_IMITATE_BEST),
         *(pytest.param(network.DMS, 5000, STOCHASTIC, icfg, 500, id=f"stoch-long-{name}")
           for name, icfg in STOCH_LONG)])
-    def test_update_follows_the_switchers_share(self, model, n, rule, icfg, generations,
-                                                monkeypatch):
+    def test_update_follows_the_switchers_share(self, model, n, rule, icfg, generations):
         # BA switches more agents at once than DMS: either compiled loop's
-        # counts at n=2000 must still give the full recount's run, and leave
-        # its final population. So must the Fermi loop's over every
-        # generation of the benchmark's Fermi points, some 500 agents in the
-        # front and 150 switching each generation.
+        # counts at n=2000 must still give the oracle's run, and leave its
+        # final population. So must the Fermi loop's over every generation
+        # of the benchmark's Fermi points, some 500 agents in the front and
+        # 150 switching each generation.
         update = UpdateRuleConfig(rule=rule, K=0.1 if rule == STOCHASTIC else None)
         cfg = RunConfig(
             network=NetworkConfig(model=model, n=n, seed=3), update=update,
             interference=icfg, generations=generations, stats_window=5, run_seed=4)
-        g = generate(cfg.network)
-        finals = []
-
-        def keep_final(step):
-            def spy(g, is_coop, *rest):
-                absorbed_at = step(g, is_coop, *rest)
-                finals.append(is_coop)
-                return absorbed_at
-            return spy
-
-        real_classify = classify
-
-        def keep_classified(s):
-            finals.append(s == C)
-            return real_classify(s)
-
-        for name in ("step_deterministic", "step_stochastic"):
-            monkeypatch.setattr(dynamics, name, keep_final(getattr(dynamics, name)))
-        monkeypatch.setitem(globals(), "classify", keep_classified)
-        got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
-        result = run_simulation(cfg, g, rng=got_rng)
-        want = full_recount_run(cfg, g, rng=want_rng)
+        result, _ = matches_the_oracle(cfg, generate(cfg.network))
         if rule == STOCHASTIC:
             assert result.absorbed_at is None
-        assert result.absorbed_at == want.absorbed_at
-        for name in ("coop", "invested", "cost"):
-            assert np.array_equal(getattr(result, name), getattr(want, name)), name
-        assert len(finals) == 2 and np.array_equal(*finals)
-        assert got_rng.random() == want_rng.random()
 
 
 class TestOraclesStandAlone:
-    """The oracles check the compiled loops only if they do not run them:
-    with the library unloadable, each still pays and scores, every scheme
-    active."""
+    """The oracle checks the compiled loops only if it does not run them:
+    with the library unloadable, it still pays and scores under either rule,
+    every scheme active."""
 
     icfg = InterferenceConfig(schemes=(POP, NEB, NI), theta=1.5, p_c=0.9, n_c=0.75,
                               c_I=0.2)
@@ -675,56 +574,40 @@ class TestOraclesStandAlone:
             raise AssertionError("an oracle loaded the compiled loops")
         monkeypatch.setattr(_loops, "library", refuse)
 
-    def test_full_recount_run(self):
+    def test_replicate(self):
         g = generate(NetworkConfig(model=BA, n=100, seed=10))
         for update in (UpdateRuleConfig(), UpdateRuleConfig(rule=STOCHASTIC, K=0.1)):
-            result = full_recount_run(ba_config(update=update, interference=self.icfg), g)
+            result = simulate(ba_config(update=update, interference=self.icfg), g)
             assert result.invested.any()
-
-    def test_fermi_replicate(self):
-        cfg = ba_config(update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
-                        interference=self.icfg)
-        _, _, _, invested = fermi_run(fermi_replicate, cfg,
-                                      generate(NetworkConfig(model=BA, n=100, seed=10)))
-        assert invested.any()
 
 
 class TestFermiLoop:
     """The compiled Fermi loop, dynamics.step_stochastic, against its numpy
-    oracle, conftest.fermi_replicate."""
+    oracle, conftest.replicate."""
 
     # The memo of copy probabilities in _loops.c's coopsim_fermi: 2^MEMO_BITS
     # slots, keyed by the score difference f_a - f_b.
     MEMO_SLOTS = 1024
 
     @staticmethod
-    def matches_the_oracle(cfg, g, initial=None):
-        """Run cfg on g through the compiled loop and the oracle, each with
-        its own generator seeded alike; assert that they agree bit for bit.
-        Returns the compiled run and the (own, neighbor) score pairs the
-        oracle decided on, in its order."""
+    def decided_pairs(cfg, g, initial=None):
+        """matches_the_oracle's result and final mask, and the (own,
+        neighbor) score pairs the oracle decided on, in its order."""
         pairs = []
 
         def spy(f_a, f_b, K):
             pairs.extend(zip(np.atleast_1d(f_a).tolist(), np.atleast_1d(f_b).tolist()))
             return fermi_probability(f_a, f_b, K)
 
-        got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
-        got = fermi_run(dynamics.step_stochastic, cfg, g, initial, got_rng)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(conftest, "fermi_probability", spy)
-            want = fermi_run(fermi_replicate, cfg, g, initial, want_rng)
-        assert got[0] == want[0]  # absorbed_at
-        for name, a, b in zip(("mask", "coop", "invested"), got[1:], want[1:]):
-            assert np.array_equal(a, b), name
-        assert got_rng.random() == want_rng.random()
-        return got, pairs
+            return (*matches_the_oracle(cfg, g, initial), pairs)
 
     @settings(max_examples=300, deadline=None)
     @given(case=run_cases(rules=(STOCHASTIC,)))
     def test_matches_the_oracle(self, case):
         g, cfg, initial = case
-        self.matches_the_oracle(cfg, g, initial)
+        matches_the_oracle(cfg, g, initial)
 
     @staticmethod
     def k_giving(p, b):
@@ -746,19 +629,19 @@ class TestFermiLoop:
         through the compiled loop and the oracle: agent 0 copies agent 1
         when its copy draw (the third) is below p = fermi_probability(0, b,
         K). Asserts that both agree, the generator's end state included, and
-        returns whether agent 0 copied."""
-        # fermi_run reads the config's payoff, rule and horizon, not its
-        # network: no network config has 2 nodes.
-        cfg = RunConfig(network=NetworkConfig(model=BA, n=3), payoff=PayoffParams(b=b),
-                        update=UpdateRuleConfig(rule=STOCHASTIC, K=K),
-                        generations=1, stats_window=1, run_seed=seed)
-        g, start = Graph.from_edges(2, [(0, 1)]), np.array([True, False])
-        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
-        got = fermi_run(dynamics.step_stochastic, cfg, g, start, got_rng)
-        want = fermi_run(fermi_replicate, cfg, g, start, want_rng)
-        assert np.array_equal(got[1], want[1])
-        assert got_rng.random() == want_rng.random()
-        return not got[1][0]
+        returns whether agent 0 copied. No network config has 2 nodes, so
+        both are called directly, not through run_simulation."""
+        g = Graph.from_edges(2, [(0, 1)])
+        runs = []
+        for step in (dynamics.step_stochastic, replicate):
+            is_coop, rng = np.array([True, False]), np.random.default_rng(seed)
+            step(g, is_coop, PayoffParams(b=b), InterferenceConfig(), K, rng, np.empty(1),
+                 np.zeros(1, dtype=np.int64))
+            runs.append((is_coop, rng.bit_generator.state))
+        (got, got_state), (want, want_state) = runs
+        assert np.array_equal(got, want)
+        assert got_state == want_state
+        return not got[0]
 
     @pytest.mark.parametrize("above", [False, True], ids=["p-equals-u", "p-one-ulp-above-u"])
     def test_a_draw_on_the_probability_is_exact(self, above):
@@ -792,7 +675,7 @@ class TestFermiLoop:
                         update=UpdateRuleConfig(rule=STOCHASTIC, K=0.5), interference=icfg,
                         generations=200, run_seed=5)
         g = generate(NetworkConfig(model=BA, n=2000, seed=5))
-        _, pairs = self.matches_the_oracle(cfg, g)
+        _, _, pairs = self.decided_pairs(cfg, g)
         assert len({f_a - f_b for f_a, f_b in pairs}) > 1.5 * self.MEMO_SLOTS
 
     def test_replicates_at_other_k_one_after_the_other(self):
@@ -803,7 +686,7 @@ class TestFermiLoop:
         for K in (0.1, 2.0, 0.1):
             cfg = ba_config(n=300, update=UpdateRuleConfig(rule=STOCHASTIC, K=K),
                             interference=pop_cfg(0.5, 0.7), run_seed=7)
-            self.matches_the_oracle(cfg, g)
+            matches_the_oracle(cfg, g)
 
     def test_differences_equal_in_single_precision_are_told_apart(self):
         # A C leaf (agent 0) facing a D with one C neighbor, and a D leaf
@@ -832,9 +715,9 @@ class TestFermiLoop:
                         update=UpdateRuleConfig(rule=STOCHASTIC, K=K),
                         interference=pop_cfg(theta, 1.0), generations=1, stats_window=1,
                         run_seed=seed)
-        got, pairs = self.matches_the_oracle(cfg, g, start)
+        _, final, pairs = self.decided_pairs(cfg, g, start)
         assert pairs[0] == (theta, b) and pairs[-1] == (b, 2 + theta)
-        assert got[1][6]  # agent 6 turned C
+        assert final[6]  # agent 6 turned C
 
     def test_other_bit_generators_are_rejected(self):
         cfg = replace(ba_config(n=30), update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1))
@@ -886,7 +769,8 @@ class TestDraws:
 
 class TestLoopBoundary:
     """The boundary between _loops.run and a loop: NI arrives as one degree,
-    and a loop that cannot allocate its work block returns -2."""
+    a loop that cannot allocate its work block returns -2, and run maps
+    what a loop returns."""
 
     @settings(max_examples=200, deadline=None)
     @given(model=st.sampled_from(network.MODELS), n=st.integers(3, 300),
@@ -911,6 +795,29 @@ class TestLoopBoundary:
                                      None, None, bitgen.ctypes.state_address)
             assert got == -2, name
             assert bitgen.state == before, name
+
+    @pytest.mark.parametrize("returned", [-2, -1, 0, 7])
+    def test_run_maps_what_the_loop_returns(self, monkeypatch, returned):
+        # -2 is a MemoryError, -1 a run that reached the horizon mixed
+        # (None), and any other value the absorption generation, as is. The
+        # generator's lock is released in every case.
+        monkeypatch.setattr(_loops, "library",
+                            lambda: SimpleNamespace(coopsim_fermi=lambda *args: returned))
+        g, rng = generate(NetworkConfig(model=BA, n=30, seed=1)), np.random.default_rng(1)
+
+        def run():
+            return _loops.run("coopsim_fermi", g, np.ones(g.n, dtype=bool), PayoffParams(),
+                              InterferenceConfig(), rng, np.empty(5),
+                              np.zeros(5, dtype=np.int64), 0.1)
+
+        if returned == -2:
+            with pytest.raises(MemoryError, match="coopsim_fermi: no memory for its work"):
+                run()
+        else:
+            assert run() == (None if returned == -1 else returned)
+        assert rng.bit_generator.lock.acquire(blocking=False)
+        rng.bit_generator.lock.release()
+
 
 
 # Each b of the theta tests and the spacing of its lattice of theta

@@ -1,0 +1,96 @@
+"""Mutation check of the compiled loops: does tests/test_engine.py catch
+each of a fixed set of faults planted in src/coopsim/_loops.c?
+
+For the unchanged tree and then for each mutant, the script copies src/,
+tests/ and pyproject.toml into a temporary directory, replaces the
+mutant's target text (which must occur exactly once) in the copy's
+_loops.c, builds the copy's library, and runs tests/test_engine.py there,
+stopping at the first failure. A mutant is caught when a test fails, and
+missed when all pass. Prints one line per run, and exits 0 when every
+mutant is caught and 1 when one is missed. An unchanged tree whose tests
+fail, a copy that does not build, or tests that cannot run stop it with a
+message.
+
+    python3 tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = Path("src", "coopsim", "_loops.c")
+
+_SCALE_THETA = ("\n    struct pay scaled = *pay;"
+                "\n    scaled.theta *= 1.5;"
+                "\n    r.pay = &scaled;")
+
+# (name, target text in _loops.c, its replacement)
+MUTANTS = (
+    ("NEB threshold strict", "<= pay->n_c", "< pay->n_c"),
+    ("POP threshold strict", "<= r->pay->p_c", "< r->pay->p_c"),
+    ("NI threshold strict", ">= pay->ni_degree", "> pay->ni_degree"),
+    ("paid drops the cooperator conjunct", "pay->active & pop_ok & r->is_coop[i]",
+     "pay->active & pop_ok"),
+    ("theta x1.5 in the imitate-best loop", ".nc = (double *)(key + n)};",
+     ".nc = (double *)(key + n)};" + _SCALE_THETA),
+    ("theta x1.5 in the Fermi loop", "memset(r.front, 0, words * sizeof *r.front);",
+     "memset(r.front, 0, words * sizeof *r.front);" + _SCALE_THETA),
+    ("Fermi front misses agents one neighbor short of full agreement",
+     "uint64_t on = r->nc[x] != (r->is_coop[x] ? (double)degree(r, x) : 0.0);",
+     "uint64_t on = fabs(r->nc[x] - (r->is_coop[x] ? (double)degree(r, x) : 0.0)) > 1.0;"),
+)
+
+
+def mutate(source: str, target: str, replacement: str) -> str:
+    if source.count(target) != 1:
+        raise ValueError(f"{target!r} occurs {source.count(target)} times in {SOURCE}, "
+                         f"not once")
+    return source.replace(target, replacement)
+
+
+def check(name: str, source: str) -> bool:
+    """Whether tests/test_engine.py passes on a copy of the tree with source
+    as its _loops.c. A copy that does not build stops the script."""
+    with tempfile.TemporaryDirectory(prefix="coopsim-mutant-") as tmp:
+        tree = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        (tree / SOURCE).write_text(source)
+        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+        build = subprocess.run(
+            [sys.executable, "-c", "from coopsim import _loops; _loops.library()"],
+            cwd=tree, env=env, capture_output=True, text=True)
+        if build.returncode != 0:
+            sys.exit(f"{name}: the build failed:\n{build.stderr}")
+        tests = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "tests/test_engine.py"], cwd=tree, env=env, capture_output=True, text=True)
+        if tests.returncode not in (0, 1):  # 1: a test failed; else pytest could not run
+            sys.exit(f"{name}: pytest exited {tests.returncode}:\n{tests.stdout}")
+        return tests.returncode == 0
+
+
+def main() -> int:
+    source = (ROOT / SOURCE).read_text()
+    mutants = [(name, mutate(source, target, new)) for name, target, new in MUTANTS]
+    if not check("unchanged", source):
+        sys.exit("unchanged: FAILED, so no mutant can be judged")
+    print("unchanged: passed", flush=True)
+    ok = True
+    for name, mutant in mutants:
+        caught = not check(name, mutant)
+        ok &= caught
+        print(f"{name}: {'caught' if caught else 'MISSED'}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
