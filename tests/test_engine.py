@@ -574,11 +574,20 @@ class TestOraclesStandAlone:
             raise AssertionError("an oracle loaded the compiled loops")
         monkeypatch.setattr(_loops, "library", refuse)
 
-    def test_replicate(self):
+    def test_full_recount_run(self):
         g = generate(NetworkConfig(model=BA, n=100, seed=10))
         for update in (UpdateRuleConfig(), UpdateRuleConfig(rule=STOCHASTIC, K=0.1)):
             result = simulate(ba_config(update=update, interference=self.icfg), g)
             assert result.invested.any()
+
+    def test_fermi_replicate(self):
+        g = generate(NetworkConfig(model=BA, n=100, seed=10))
+        rng = np.random.default_rng(10)
+        is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
+        invested = np.zeros(50, dtype=np.int64)
+        conftest.replicate(g, is_coop, PayoffParams(), self.icfg, 0.1, rng, np.empty(50),
+                           invested)
+        assert invested.any()
 
 
 class TestFermiLoop:
