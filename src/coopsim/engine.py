@@ -104,50 +104,34 @@ def _classify(n_coop: int, n: int) -> str:
     return HOMOGENEOUS_D if n_coop == 0 else MIXED
 
 
-def run_simulation(cfg: RunConfig, g: Graph,
-                   rng: np.random.Generator | None = None,
-                   initial_coop: np.ndarray | None = None) -> RunResult:
+def run_simulation(cfg: RunConfig, g: Graph) -> RunResult:
     """Simulate one replicate on a prepared graph.
 
-    Each agent starts C or D with equal probability, or as the cooperator
-    mask initial_coop says when it is given: a bool array of shape (n,),
-    which the run copies and leaves unchanged. Any other dtype or shape is
-    a ValueError. Each generation: payoffs are accumulated, interference
-    conditions checked and endowments added, then all strategies update
-    synchronously. Under either rule a homogeneous population absorbs:
-    neither rule can leave it (both copy a neighbor, without mutation), so
-    the run stops, pays no further endowment and draws nothing more; the
-    frozen state fills the rest of the trace so it always spans the full
-    horizon. mean_coop averages the trailing stats_window generations. A
-    total cost that overflows a double is an OverflowError naming theta.
+    Each agent starts C or D with equal probability, drawn from a PCG64
+    generator seeded with cfg.run_seed. Each generation: payoffs are
+    accumulated, interference conditions checked and endowments added,
+    then all strategies update synchronously. Under either rule a
+    homogeneous population absorbs: neither rule can leave it (both copy a
+    neighbor, without mutation), so the run stops, pays no further
+    endowment and draws nothing more; the frozen state fills the rest of
+    the trace so it always spans the full horizon. mean_coop averages the
+    trailing stats_window generations. A graph whose size differs from
+    the config's n is a ValueError; a total cost that overflows a double
+    is an OverflowError naming theta.
 
     After the initial draw, a run is one compiled call:
     dynamics.step_deterministic or dynamics.step_stochastic, looked up in
     dynamics when called, each forwarding to _loops.run, the one call site
-    of the loops. Both draw from rng and from nothing else, and rng must be
-    a PCG64 generator (the default), which the compiled loops read in
-    place; any other is a ValueError.
+    of the loops. Both draw from the run's generator and from nothing else.
     """
     if g.n != cfg.network.n:
         raise ValueError(f"graph has {g.n} nodes, config expects {cfg.network.n}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.run_seed)
-    elif not isinstance(rng.bit_generator, np.random.PCG64):
-        # Before the initial draw, so a refused generator is left as it was.
-        raise ValueError(f"rng must be a PCG64 generator, which the compiled loops read in "
-                         f"place, got a {type(rng.bit_generator).__name__} generator")
-
+    rng = np.random.default_rng(cfg.run_seed)
     icfg = cfg.interference
     theta = icfg.theta if icfg.active else 0.0
-    if initial_coop is None:
-        # n int8 draws of 0 or 1, viewed as the mask: a dtype=bool draw
-        # gives other values, and so other bytes.
-        is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
-    else:
-        is_coop = np.array(initial_coop)
-        if is_coop.dtype != bool or is_coop.shape != (g.n,):
-            raise ValueError(f"initial_coop must be a bool mask of shape ({g.n},), "
-                             f"got {is_coop.dtype} of shape {is_coop.shape}")
+    # n int8 draws of 0 or 1, viewed as the mask: a dtype=bool draw gives
+    # other values, and so other bytes.
+    is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
     coop = np.empty(cfg.horizon)
     invested = np.zeros(cfg.horizon, dtype=np.int64)
     if cfg.update.rule == DETERMINISTIC:
@@ -221,9 +205,10 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
     here, after the pool's threads have ended. Workers only parallelise
     independent replicates, and each point's replicates are reduced in
     (graph, realisation) order, so output is identical for any jobs. No
-    points, or graphs or realisations below 1, or points whose network
-    configs differ, are a ValueError; a cost mean or std that overflows a
-    double is an OverflowError naming the point's theta.
+    points, graphs or realisations below 1, jobs other than an integer of
+    at least 1, or points whose network configs differ, are a ValueError;
+    a cost mean or std that overflows a double is an OverflowError naming
+    the point's theta.
     """
     if not cfgs:
         raise ValueError("cfgs must hold at least one grid point")
@@ -231,6 +216,8 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
         raise ValueError(f"graphs must be >= 1, got {graphs}")
     if realisations < 1:
         raise ValueError(f"realisations must be >= 1, got {realisations}")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     net = cfgs[0].network
     for cfg in cfgs:
         if cfg.network != net:

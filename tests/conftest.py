@@ -6,15 +6,21 @@ The payment and score rules and the Fermi copy probability have one
 program form, in coopsim's _loops.c; eligible_set, scores_from_counts and
 fermi_probability here are their oracles, and read no compiled code.
 replicate is the one numpy oracle of a whole replicate under either
-update rule, and simulate of a whole run_simulation."""
+update rule, and simulate of a whole run_simulation; matches_the_oracle
+holds the program to them."""
 
 import json
 import math
+import sys
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
-from coopsim.engine import HOMOGENEOUS_C, HOMOGENEOUS_D, MIXED, RunConfig, RunResult
+from coopsim import dynamics
+from coopsim.engine import (
+    HOMOGENEOUS_C, HOMOGENEOUS_D, MIXED, RunConfig, RunResult, run_simulation)
 from coopsim.game import PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
 from coopsim.network import Graph, NetworkConfig, degree_percentiles
@@ -47,6 +53,16 @@ def random_connected_graph(n: int, rng: np.random.Generator,
                            extra_edges: int | None = None) -> Graph:
     """Random connected simple graph: a random spanning tree plus extra edges."""
     return Graph.from_edges(n, random_connected_edges(n, rng, extra_edges))
+
+
+def path_graph(n: int) -> Graph:
+    """Nodes 0 to n - 1 in a line."""
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(leaves: int) -> Graph:
+    """Node 0 joined to each of the leaves 1 to leaves."""
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def load_graph(path) -> Graph:
@@ -204,18 +220,12 @@ def replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
     return None
 
 
-def simulate(cfg: RunConfig, g: Graph, initial_coop: np.ndarray | None = None,
-             rng: np.random.Generator | None = None) -> RunResult:
-    """Oracle of engine.run_simulation: the start drawn as it draws it, or
-    copied from initial_coop, then every generation through replicate,
-    looked up in this module when called. rng defaults to one seeded with
-    cfg.run_seed."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.run_seed)
-    if initial_coop is None:
-        is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
-    else:
-        is_coop = initial_coop.copy()
+def simulate(cfg: RunConfig, g: Graph) -> RunResult:
+    """Oracle of engine.run_simulation: the start drawn as it draws it, from
+    a generator seeded with cfg.run_seed, then every generation through
+    replicate, looked up in this module when called."""
+    rng = np.random.default_rng(cfg.run_seed)
+    is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
     coop = np.empty(cfg.horizon)
     invested = np.zeros(cfg.horizon, dtype=np.int64)
     absorbed_at = replicate(g, is_coop, cfg.payoff, cfg.interference, cfg.update.K, rng,
@@ -227,6 +237,71 @@ def simulate(cfg: RunConfig, g: Graph, initial_coop: np.ndarray | None = None,
         mean_coop=float(coop[-cfg.stats_window:].mean()), absorbed_at=absorbed_at,
         final_state=(HOMOGENEOUS_C if n_coop == g.n
                      else HOMOGENEOUS_D if n_coop == 0 else MIXED))
+
+
+class Planted(NamedTuple):
+    """What a loop entry point or replicate fills and returns, run from a
+    planted start."""
+
+    coop: np.ndarray
+    invested: np.ndarray
+    absorbed_at: int | None
+
+
+def planted(cfg: RunConfig, g: Graph, initial: np.ndarray, oracle: bool) -> Planted:
+    """cfg's rule run on g from a copy of the mask initial, with a generator
+    seeded with cfg.run_seed: through its compiled loop's entry point,
+    dynamics.step_deterministic or dynamics.step_stochastic, or with oracle
+    through replicate, each looked up when called."""
+    is_coop, rng = initial.copy(), np.random.default_rng(cfg.run_seed)
+    coop, invested = np.empty(cfg.horizon), np.zeros(cfg.horizon, dtype=np.int64)
+    K, common = cfg.update.K, (g, is_coop, cfg.payoff, cfg.interference)
+    if oracle:
+        absorbed_at = replicate(*common, K, rng, coop, invested)
+    elif K is None:
+        absorbed_at = dynamics.step_deterministic(*common, rng, coop, invested)
+    else:
+        absorbed_at = dynamics.step_stochastic(*common, K, rng, coop, invested)
+    return Planted(coop, invested, absorbed_at)
+
+
+def matches_the_oracle(cfg: RunConfig, g: Graph, initial: np.ndarray | None = None):
+    """Run cfg on g through the program and through the oracle, and assert
+    that they agree bit for bit. Without initial, run_simulation(cfg, g)
+    against simulate(cfg, g): every RunResult field. With initial, planted
+    against its oracle: coop, invested and absorbed_at. Either way the final
+    cooperator masks and the generators' end states must agree too; spies
+    on the loops' entry points and on replicate read them. Returns the
+    program's result (a RunResult, or with initial a Planted), final mask
+    and generator end state."""
+    this, ends = sys.modules[__name__], []
+
+    def keep_end(step):
+        def spy(g, is_coop, *rest):
+            absorbed_at = step(g, is_coop, *rest)
+            ends.append((is_coop, rest[-3].bit_generator.state))  # rng, coop, invested
+            return absorbed_at
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((dynamics, "step_deterministic"), (dynamics, "step_stochastic"),
+                             (this, "replicate")):
+            mp.setattr(module, name, keep_end(getattr(module, name)))
+        if initial is None:
+            got, want = run_simulation(cfg, g), simulate(cfg, g)
+        else:
+            got, want = (planted(cfg, g, initial, oracle) for oracle in (False, True))
+    for name in ("coop", "invested"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    if initial is None:
+        assert np.array_equal(got.cost, want.cost), "cost"
+        for name in ("total_cost", "mean_coop", "final_state"):
+            assert getattr(got, name) == getattr(want, name), name
+    assert got.absorbed_at == want.absorbed_at, "absorbed_at"
+    (got_final, got_state), (want_final, want_state) = ends
+    assert np.array_equal(got_final, want_final)
+    assert got_state == want_state
+    return got, got_final, got_state
 
 
 def csr_rows(g: Graph) -> np.ndarray:

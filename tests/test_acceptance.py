@@ -47,6 +47,7 @@ from conftest import (
     fermi_probability,
     fit_degree_exponent,
     global_transitivity,
+    matches_the_oracle,
     neb_eligible,
     neighbors,
     ni_eligible,
@@ -160,11 +161,10 @@ class TestCriterion4:
             cfg = RunConfig(network=net, update=UpdateRuleConfig(rule=DETERMINISTIC),
                             interference=icfg, generations=75, stats_window=25,
                             run_seed=run_idx)
-            result = run_simulation(cfg, generate(net),
-                                    initial_coop=np.full(100, strat == C))
+            result, final, _ = matches_the_oracle(cfg, generate(net), np.full(100, strat == C))
             runs += 1
-            unchanged = all(c == float(strat) for c in result.coop)
-            if not unchanged or result.total_cost != 0.0 or len(result.coop) != 75:
+            unchanged = all(c == float(strat) for c in result.coop) and np.all(final == strat)
+            if not unchanged or result.invested.any() or len(result.coop) != 75:
                 failures += 1
         elapsed = time.perf_counter() - start
         ok = failures == 0 and elapsed < 10.0

@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import coopsim
 from coopsim.dynamics import STOCHASTIC, UpdateRuleConfig
-from coopsim.engine import RunConfig, run_simulation
+from coopsim.engine import RunConfig
 from coopsim.game import PayoffParams
 from coopsim.network import BA, Graph, NetworkConfig
 
@@ -23,7 +24,9 @@ from conftest import (
     connected_graphs,
     fermi_probability,
     is_homogeneous,
+    matches_the_oracle,
     neighbors,
+    path_graph,
     random_connected_graph,
     step_deterministic,
     step_stochastic,
@@ -34,10 +37,6 @@ C, D = COOPERATE, DEFECT
 # frozen high-precision evaluations of (1 + e^((f_A - f_B)/K))^-1
 FERMI_1_2_K01 = 0.9999546021312976
 FERMI_2_1_K01 = 4.5397868702434395e-05
-
-
-def path_graph(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def reference_step_deterministic(g, s, scores, u, order):
@@ -122,7 +121,7 @@ class TestStepDeterministic:
     """The numpy oracle of one imitate-best step (conftest.step_deterministic)
     against a per-node loop. The compiled loop that runs imitate-best is
     compared with the oracle in test_engine's TestCarriedCounts; its tie
-    break is also checked here, through run_simulation."""
+    break is also checked here, through dynamics.step_deterministic."""
 
     def test_homogeneous_population_is_fixed_point(self):
         rng = np.random.default_rng(1)
@@ -217,8 +216,8 @@ class TestStepDeterministic:
 
     def test_compiled_tie_break_is_uniform(self):
         # The compiled loop's twin of test_tie_break_is_uniform, at b = 2:
-        # one step through run_simulation, read from coop[1] of a
-        # two-generation run. The center (node 0, D) scores 2 from its one
+        # one step through dynamics.step_deterministic, checked against the
+        # oracle and read from coop[1] of a two-generation run. The center (node 0, D) scores 2 from its one
         # cooperating leaf. Every leaf scores 4: the cooperating one from
         # four cooperating pendants, each defecting one from two. So the
         # center's tied best neighbors play both strategies, and whichever
@@ -235,9 +234,8 @@ class TestStepDeterministic:
             start[[k for k in range(5) if k != leaf]] = False
             cfg = RunConfig(network=NetworkConfig(model=BA, n=g.n),
                             payoff=PayoffParams(b=2.0), generations=2, stats_window=1)
-            after = [run_simulation(cfg, g, rng=np.random.default_rng(seed),
-                                    initial_coop=start).coop[1] * g.n
-                     for seed in range(trials)]
+            after = [matches_the_oracle(replace(cfg, run_seed=seed), g, start)[0].coop[1]
+                     * g.n for seed in range(trials)]
             assert set(after) <= {5.0, 6.0}
             assert abs(after.count(6.0) / trials - 1 / 4) < 0.04
 

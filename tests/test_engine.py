@@ -27,18 +27,16 @@ from coopsim.network import BA, Graph, NetworkConfig, generate
 
 import conftest
 from conftest import (
-    COOPERATE,
     boundary,
     connected_graphs,
     count_neighbors,
     diameter,
     fermi_probability,
+    matches_the_oracle,
     reachable,
     replicate,
     simulate,
 )
-
-C = COOPERATE
 
 
 def ba_config(n=100, **kwargs):
@@ -72,27 +70,18 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="graph has 50 nodes, config expects 60"):
             run_simulation(ba_config(n=60), g)
 
-    @pytest.mark.parametrize("initial", [
-        np.ones(100, dtype=np.int8),
-        np.full(100, -1, dtype=np.int8),
-        np.full(100, 2, dtype=np.int8),
-        np.ones(100, dtype=np.float64),
-        np.ones(99, dtype=bool),
-        np.ones((100, 1), dtype=bool),
-    ], ids=["int8-labels", "int8-minus-one", "int8-two", "float-mask", "short", "column"])
-    def test_initial_coop_not_a_bool_mask_rejected(self, initial):
-        g = generate(NetworkConfig(model=BA, n=100, seed=3))
-        with pytest.raises(ValueError,
-                           match=r"initial_coop must be a bool mask of shape \(100,\)"):
-            run_simulation(ba_config(), g, initial_coop=initial)
-
     def test_compiled_loop_takes_only_arrays_it_can_read(self):
-        # The loop reads raw buffers: a wrong dtype or a strided view is
-        # refused before any pointer is passed.
+        # The loop reads raw buffers: a mask that is not a bool array of
+        # shape (n,) (int8 labels, float, short or a column), or a wrong
+        # dtype or a strided view for the trace, is refused before any
+        # pointer is passed.
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
         mask, coop, invested = np.ones(g.n, bool), np.empty(30), np.zeros(30, np.int64)
         rng = np.random.default_rng(0)
-        for is_coop, coop_, invested_ in ((mask.astype(np.int8), coop, invested),
+        bad_masks = (np.ones(100, dtype=np.int8), np.full(100, -1, dtype=np.int8),
+                     np.full(100, 2, dtype=np.int8), np.ones(100, dtype=np.float64),
+                     np.ones(99, dtype=bool), np.ones((100, 1), dtype=bool))
+        for is_coop, coop_, invested_ in (*((bad, coop, invested) for bad in bad_masks),
                                           (mask, np.empty(60)[::2], invested),
                                           (mask, coop, np.zeros(30, np.int32))):
             with pytest.raises(ValueError, match="imitate_best needs contiguous"):
@@ -101,14 +90,6 @@ class TestRunSimulation:
             with pytest.raises(ValueError, match="fermi needs contiguous"):
                 dynamics.step_stochastic(g, is_coop, PayoffParams(), InterferenceConfig(),
                                          0.1, rng, coop_, invested_)
-
-    def test_initial_coop_is_left_unchanged(self):
-        g = generate(NetworkConfig(model=BA, n=100, seed=3))
-        initial = np.random.default_rng(8).integers(0, 2, g.n, dtype=np.int8) == C
-        given = initial.copy()
-        result = run_simulation(ba_config(), g, initial_coop=given)
-        assert result.coop[1] != result.coop[0]  # agents switched
-        assert np.array_equal(given, initial)
 
     def test_random_start_is_balanced(self):
         n = 100_000
@@ -119,20 +100,19 @@ class TestRunSimulation:
     def test_all_defector_start_stays_and_costs_nothing(self):
         cfg = ba_config(interference=pop_cfg(theta=5.0, p_c=1.0))
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
-        result = run_simulation(cfg, g, initial_coop=np.zeros(100, dtype=bool))
-        assert result.final_state == "homogeneous-D"
-        assert result.total_cost == 0.0
-        assert result.mean_coop == 0.0
+        result, final, _ = matches_the_oracle(cfg, g, np.zeros(100, dtype=bool))
+        assert not final.any()
+        assert not result.invested.any()
+        assert not result.coop.any()
         assert result.absorbed_at == 0
 
     def test_homogeneous_cooperators_freeze_with_zero_cost(self):
         # deterministic absorbing state: no further interference is paid
         cfg = ba_config(interference=pop_cfg(theta=2.0, p_c=1.0))
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
-        result = run_simulation(cfg, g, initial_coop=np.ones(100, dtype=bool))
-        assert result.final_state == "homogeneous-C"
-        assert result.total_cost == 0.0
-        assert result.mean_coop == 1.0
+        result, final, _ = matches_the_oracle(cfg, g, np.ones(100, dtype=bool))
+        assert final.all()
+        assert not result.invested.any()
         assert result.coop.tolist() == [1.0] * 30
 
     def test_trace_is_horizon_length_even_when_absorbed(self):
@@ -164,14 +144,14 @@ class TestRunSimulation:
         # Neither rule can leave a homogeneous state (both copy a neighbor,
         # and there is no mutation), so the run stops there: the state stays,
         # absorbed_at is its first generation and nothing more is paid.
-        # "takeover" starts mixed and reaches all-C through a large POP
-        # endowment paid to every cooperator.
+        # "takeover" starts mixed, as run_simulation draws it, and reaches
+        # all-C through a large POP endowment paid to every cooperator.
         cfg = ba_config(update=UpdateRuleConfig(rule=rule, K=0.1 if rule == STOCHASTIC else None),
                         interference=pop_cfg(theta=40.0, p_c=1.0),
                         generations=60, stats_window=10, run_seed=4)
         g = generate(NetworkConfig(model=BA, n=100, seed=5))
         initial = None if start == "takeover" else np.full(g.n, start == "all-C")
-        result = run_simulation(cfg, g, initial_coop=initial)
+        result, final, _ = matches_the_oracle(cfg, g, initial)
         at = result.absorbed_at
         assert at is not None
         assert (at == 0) if initial is not None else (at > 0)
@@ -180,9 +160,7 @@ class TestRunSimulation:
         assert not np.isin(result.coop[:at], (0.0, 1.0)).any()
         assert np.all(result.coop[at:] == frozen)
         assert not result.invested[at:].any()
-        assert not result.cost[at:].any()
-        assert result.total_cost == float(sum(result.cost[:at].tolist()))
-        assert result.final_state == ("homogeneous-C" if frozen else "homogeneous-D")
+        assert np.all(final == frozen)
 
     @staticmethod
     def assert_draws_per_generation(update, start, draws):
@@ -195,8 +173,7 @@ class TestRunSimulation:
                         generations=horizon, stats_window=10, run_seed=12)
         g = generate(NetworkConfig(model=BA, n=100, seed=5))
         initial = None if start == "random" else np.full(g.n, start == "all-C")
-        rng = np.random.default_rng(cfg.run_seed)
-        result = run_simulation(cfg, g, rng=rng, initial_coop=initial)
+        result, _, state = matches_the_oracle(cfg, g, initial)
         played = horizon if initial is None else 0
         assert result.absorbed_at == (None if initial is None else 0)
         want = np.random.default_rng(cfg.run_seed)
@@ -204,7 +181,7 @@ class TestRunSimulation:
             want.integers(0, 2, g.n, np.int8)
         for _ in range(played * draws):
             want.random(g.n)
-        assert rng.bit_generator.state == want.bit_generator.state
+        assert state == want.bit_generator.state
 
     @pytest.mark.parametrize("start", ["random", "all-C", "all-D"])
     def test_fermi_generation_draws_2n_uniforms(self, start):
@@ -297,8 +274,7 @@ class TestInterferenceAccounting:
         monkeypatch.setattr(conftest, "eligible_set", spy_eligible)
         monkeypatch.setattr(conftest, "scores_from_counts", spy_scores)
         monkeypatch.setattr(conftest, "step_stochastic", spy_step)
-        result, _ = matches_the_oracle(cfg, g)
-        return result, calls
+        return matches_the_oracle(cfg, g)[0], calls
 
     def test_invested_is_eligible_count_per_generation(self, monkeypatch):
         cfg = ba_config(interference=InterferenceConfig(
@@ -351,7 +327,7 @@ class TestInterferenceAccounting:
     def test_imitate_best_accounting_matches_the_oracle(self, n, icfg, run_seed, graph_seed):
         cfg = ba_config(n=n, interference=icfg, run_seed=run_seed)
         g = generate(NetworkConfig(model=BA, n=n, seed=graph_seed))
-        got, _ = matches_the_oracle(cfg, g)
+        got = matches_the_oracle(cfg, g)[0]
         assert got.invested.any() == (icfg.p_c != 0.0)
 
     @settings(max_examples=200, deadline=None)
@@ -369,39 +345,8 @@ class TestInterferenceAccounting:
             c_I=float(network.degree_percentiles(g)[node]))
         cfg = RunConfig(network=NetworkConfig(model=BA, n=g.n), interference=icfg,
                         generations=1, stats_window=1)
-        got, _ = matches_the_oracle(cfg, g, start)
+        got = matches_the_oracle(cfg, g, start)[0]
         assert got.invested[0] >= 1
-
-
-def matches_the_oracle(cfg, g, initial=None):
-    """Run cfg on g through run_simulation and through the oracle,
-    conftest.simulate, each with its own generator seeded alike, and assert
-    that they agree bit for bit: every RunResult field, the final cooperator
-    mask and the generator's end state. Returns the compiled run's result
-    and final mask."""
-    finals = []
-
-    def keep_final(step):
-        def spy(g, is_coop, *rest):
-            absorbed_at = step(g, is_coop, *rest)
-            finals.append(is_coop)
-            return absorbed_at
-        return spy
-
-    got_rng, want_rng = (np.random.default_rng(cfg.run_seed) for _ in range(2))
-    with pytest.MonkeyPatch.context() as mp:
-        for module, name in ((dynamics, "step_deterministic"), (dynamics, "step_stochastic"),
-                             (conftest, "replicate")):
-            mp.setattr(module, name, keep_final(getattr(module, name)))
-        got = run_simulation(cfg, g, rng=got_rng, initial_coop=initial)
-        want = simulate(cfg, g, initial, want_rng)
-    for name in ("coop", "invested", "cost"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for name in ("total_cost", "mean_coop", "absorbed_at", "final_state"):
-        assert getattr(got, name) == getattr(want, name), name
-    assert len(finals) == 2 and np.array_equal(*finals)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    return got, finals[0]
 
 
 @st.composite
@@ -532,8 +477,7 @@ class TestCarriedCounts:
                 assert np.array_equal(count_neighbors(g, got), count_neighbors(g, want))
                 assert want_state == got_state
                 is_coop, state = got, got_state
-        result = run_simulation(cfg, g, rng=generator(start), initial_coop=initial)
-        assert result.absorbed_at == absorbed_at
+        assert run(dynamics.step_stochastic, initial, start, cfg.horizon)[0] == absorbed_at
         assert played == (absorbed_at if absorbed_at is not None else cfg.horizon)
 
     @pytest.mark.parametrize("model, n, rule, icfg, generations", [
@@ -555,7 +499,7 @@ class TestCarriedCounts:
         cfg = RunConfig(
             network=NetworkConfig(model=model, n=n, seed=3), update=update,
             interference=icfg, generations=generations, stats_window=5, run_seed=4)
-        result, _ = matches_the_oracle(cfg, generate(cfg.network))
+        result = matches_the_oracle(cfg, generate(cfg.network))[0]
         if rule == STOCHASTIC:
             assert result.absorbed_at is None
 
@@ -600,8 +544,8 @@ class TestFermiLoop:
 
     @staticmethod
     def decided_pairs(cfg, g, initial=None):
-        """matches_the_oracle's result and final mask, and the (own,
-        neighbor) score pairs the oracle decided on, in its order."""
+        """matches_the_oracle's final mask, and the (own, neighbor) score
+        pairs the oracle decided on, in its order."""
         pairs = []
 
         def spy(f_a, f_b, K):
@@ -610,7 +554,7 @@ class TestFermiLoop:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(conftest, "fermi_probability", spy)
-            return (*matches_the_oracle(cfg, g, initial), pairs)
+            return matches_the_oracle(cfg, g, initial)[1], pairs
 
     @settings(max_examples=300, deadline=None)
     @given(case=run_cases(rules=(STOCHASTIC,)))
@@ -684,7 +628,7 @@ class TestFermiLoop:
                         update=UpdateRuleConfig(rule=STOCHASTIC, K=0.5), interference=icfg,
                         generations=200, run_seed=5)
         g = generate(NetworkConfig(model=BA, n=2000, seed=5))
-        _, _, pairs = self.decided_pairs(cfg, g)
+        _, pairs = self.decided_pairs(cfg, g)
         assert len({f_a - f_b for f_a, f_b in pairs}) > 1.5 * self.MEMO_SLOTS
 
     def test_replicates_at_other_k_one_after_the_other(self):
@@ -724,24 +668,21 @@ class TestFermiLoop:
                         update=UpdateRuleConfig(rule=STOCHASTIC, K=K),
                         interference=pop_cfg(theta, 1.0), generations=1, stats_window=1,
                         run_seed=seed)
-        _, final, pairs = self.decided_pairs(cfg, g, start)
+        final, pairs = self.decided_pairs(cfg, g, start)
         assert pairs[0] == (theta, b) and pairs[-1] == (b, 2 + theta)
         assert final[6]  # agent 6 turned C
 
     def test_other_bit_generators_are_rejected(self):
-        cfg = replace(ba_config(n=30), update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1))
+        # The loops read a PCG64 state in place: any other generator is
+        # refused before its state is read, under either rule.
         g = generate(NetworkConfig(model=BA, n=30, seed=1))
-        for rule in (cfg.update, UpdateRuleConfig()):
+        for rule in ((), (0.1,)):
+            step = dynamics.step_stochastic if rule else dynamics.step_deterministic
             rng = np.random.Generator(np.random.MT19937(1))
             with pytest.raises(ValueError, match="MT19937"):
-                run_simulation(replace(cfg, update=rule), g, rng=rng)
-            # Refused before the initial draw: the generator has not moved.
+                step(g, np.ones(g.n, dtype=bool), PayoffParams(), InterferenceConfig(), *rule,
+                     rng, np.empty(5), np.zeros(5, dtype=np.int64))
             assert rng.random() == np.random.Generator(np.random.MT19937(1)).random()
-        # The loops themselves refuse it too, before reading its state.
-        with pytest.raises(ValueError, match="MT19937"):
-            dynamics.step_stochastic(g, np.ones(g.n, dtype=bool), PayoffParams(),
-                                     InterferenceConfig(), 0.1, rng, np.empty(5),
-                                     np.zeros(5, dtype=np.int64))
 
 
 # Jump lengths at the edges of the loops' jump table: each side of its
@@ -873,42 +814,40 @@ def with_theta(cfg, theta):
     return replace(cfg, interference=replace(cfg.interference, theta=theta))
 
 
-def run_and_next_draw(cfg, g, initial):
-    rng = np.random.default_rng(cfg.run_seed)
-    return run_simulation(cfg, g, rng=rng, initial_coop=initial), rng.random()
-
-
 class TestThetaLattice:
     """Under imitate-best the endowment theta is a step function of the run:
-    inside one open interval of its lattice, only the cost moves."""
+    inside one open interval of its lattice, the run is the same, so only
+    the cost, theta times invested, moves. Each run is matches_the_oracle's:
+    its result, final mask and generator end state."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=theta_cases())
     def test_theta_inside_an_interval_changes_only_the_cost(self, case):
         g, cfg, initial, (theta_a, theta_b), _ = case
-        (a, draw_a), (b, draw_b) = (run_and_next_draw(with_theta(cfg, theta), g, initial)
-                                    for theta in (theta_a, theta_b))
+        (a, final_a, end_a), (b, final_b, end_b) = (
+            matches_the_oracle(with_theta(cfg, theta), g, initial)
+            for theta in (theta_a, theta_b))
         assert np.array_equal(a.coop, b.coop)
         assert np.array_equal(a.invested, b.invested)
         assert a.absorbed_at == b.absorbed_at
-        assert draw_a == draw_b
-        assert np.allclose(a.cost * theta_b, b.cost * theta_a, rtol=1e-12, atol=0.0)
-        assert a.total_cost * theta_b == pytest.approx(b.total_cost * theta_a, rel=1e-12)
+        assert np.array_equal(final_a, final_b)
+        assert end_a == end_b
         # A run that pays nobody is the run without interference.
         if not a.invested.any():
-            base, draw_base = run_and_next_draw(
+            base, final_base, end_base = matches_the_oracle(
                 replace(cfg, interference=InterferenceConfig()), g, initial)
             assert np.array_equal(a.coop, base.coop)
-            assert draw_a == draw_base
+            assert np.array_equal(final_a, final_base)
+            assert end_a == end_base
 
     def test_theta_across_a_breakpoint_can_change_the_run(self):
         # The property above can fail: in some generated case, theta in the
         # next interval runs differently.
         def differs(case):
             g, cfg, initial, (theta, _), theta_next = case
-            (a, draw_a), (b, draw_b) = (run_and_next_draw(with_theta(cfg, t), g, initial)
-                                        for t in (theta, theta_next))
-            return not np.array_equal(a.coop, b.coop) or draw_a != draw_b
+            (a, _, end_a), (b, _, end_b) = (matches_the_oracle(with_theta(cfg, t), g, initial)
+                                            for t in (theta, theta_next))
+            return not np.array_equal(a.coop, b.coop) or end_a != end_b
         find(theta_cases(), differs,
              settings=settings(max_examples=300, database=None, derandomize=True))
 
@@ -941,9 +880,9 @@ class TestReplication:
         used = []
         real_run = engine.run_simulation
 
-        def recording_run(run_cfg, g, *args, **kwargs):
+        def recording_run(run_cfg, g):
             used.append(run_cfg.run_seed)
-            return real_run(run_cfg, g, *args, **kwargs)
+            return real_run(run_cfg, g)
 
         monkeypatch.setattr(engine, "run_simulation", recording_run)
         sweep([cfg], master_seed=9, graphs=1, realisations=8)
@@ -963,11 +902,11 @@ class TestReplication:
         real_run = engine.run_simulation
         ran_on = set()
 
-        def failing_run(cfg, g, *args, **kwargs):
+        def failing_run(cfg, g):
             ran_on.add(threading.get_ident())
             if cfg.interference.active:
                 raise RuntimeError("a task failed")
-            return real_run(cfg, g, *args, **kwargs)
+            return real_run(cfg, g)
 
         monkeypatch.setattr(engine, "run_simulation", failing_run)
         cfgs = [ba_config(n=60), ba_config(n=60, interference=pop_cfg(theta=2.0, p_c=0.7))]
@@ -1100,9 +1039,13 @@ class TestSweepArguments:
         (dict(cfgs=[]), "cfgs"),
         (dict(graphs=0), "graphs"),
         (dict(realisations=0), "realisations"),
+        (dict(jobs=0), "jobs"),
+        (dict(jobs=-3), "jobs"),
+        (dict(jobs=1.5), "jobs"),
         # All points play on the same graphs, so they must share one network.
         (dict(cfgs=[ba_config(n=60), ba_config(n=80)]), "network"),
-    ], ids=["cfgs", "graphs", "realisations", "network"])
+    ], ids=["cfgs", "graphs", "realisations", "jobs-0", "jobs-negative", "jobs-float",
+            "network"])
     def test_names_the_bad_argument(self, bad, name):
         args = {"cfgs": [ba_config(n=60)], "graphs": 1, "realisations": 1, **bad}
         with pytest.raises(ValueError, match=f"^{name} "):

@@ -16,6 +16,7 @@ from conftest import (
     coop_fraction,
     neighbors,
     pairwise_payoff,
+    path_graph,
     random_connected_graph,
 )
 
@@ -28,10 +29,6 @@ def brute_force_scores(g, s, p):
         math.fsum(pairwise_payoff(s[i], s[j], p) for j in neighbors(g, i))
         for i in range(g.n)
     ])
-
-
-def path_graph(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestPairwisePayoff:

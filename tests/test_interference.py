@@ -21,13 +21,10 @@ from conftest import (
     ni_eligible,
     pop_eligible,
     random_connected_graph,
+    star_graph,
 )
 
 C, D = COOPERATE, DEFECT
-
-
-def star_graph(leaves):
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def strategies(*vals):

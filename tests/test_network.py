@@ -29,6 +29,7 @@ from conftest import (
     random_connected_graph,
     reference_from_edges,
     reference_generate_ba,
+    star_graph,
 )
 
 
@@ -47,10 +48,6 @@ def brute_force_transitivity(g: Graph) -> float:
     if triples == 0:
         return 0.0
     return 3 * triangles / triples
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def check_structure(g: Graph, n: int) -> None:
