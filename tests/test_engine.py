@@ -70,18 +70,36 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="graph has 50 nodes, config expects 60"):
             run_simulation(ba_config(n=60), g)
 
+    @pytest.mark.parametrize("initial", [
+        np.ones(100, dtype=np.int8),
+        np.full(100, -1, dtype=np.int8),
+        np.full(100, 2, dtype=np.int8),
+        np.ones(100, dtype=np.float64),
+        np.ones(99, dtype=bool),
+        np.ones((100, 1), dtype=bool),
+    ], ids=["int8-labels", "int8-minus-one", "int8-two", "float-mask", "short", "column"])
+    def test_initial_coop_not_a_bool_mask_rejected(self, initial):
+        # A start that is not a bool array of shape (n,) is refused by both
+        # entry points before any pointer reaches the loop.
+        g = generate(NetworkConfig(model=BA, n=100, seed=3))
+        coop, invested = np.empty(30), np.zeros(30, np.int64)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="imitate_best needs contiguous"):
+            dynamics.step_deterministic(g, initial, PayoffParams(), InterferenceConfig(),
+                                        rng, coop, invested)
+        with pytest.raises(ValueError, match="fermi needs contiguous"):
+            dynamics.step_stochastic(g, initial, PayoffParams(), InterferenceConfig(),
+                                     0.1, rng, coop, invested)
+        assert rng.bit_generator.state == state
+
     def test_compiled_loop_takes_only_arrays_it_can_read(self):
-        # The loop reads raw buffers: a mask that is not a bool array of
-        # shape (n,) (int8 labels, float, short or a column), or a wrong
-        # dtype or a strided view for the trace, is refused before any
-        # pointer is passed.
+        # The loop reads raw buffers: a wrong dtype or a strided view is
+        # refused before any pointer is passed.
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
         mask, coop, invested = np.ones(g.n, bool), np.empty(30), np.zeros(30, np.int64)
         rng = np.random.default_rng(0)
-        bad_masks = (np.ones(100, dtype=np.int8), np.full(100, -1, dtype=np.int8),
-                     np.full(100, 2, dtype=np.int8), np.ones(100, dtype=np.float64),
-                     np.ones(99, dtype=bool), np.ones((100, 1), dtype=bool))
-        for is_coop, coop_, invested_ in (*((bad, coop, invested) for bad in bad_masks),
+        for is_coop, coop_, invested_ in ((mask.astype(np.int8), coop, invested),
                                           (mask, np.empty(60)[::2], invested),
                                           (mask, coop, np.zeros(30, np.int32))):
             with pytest.raises(ValueError, match="imitate_best needs contiguous"):
