@@ -1,7 +1,17 @@
-/* The compiled generation loops: one imitate-best or one Fermi replicate on
- * a CSR graph per call, from the initial cooperator mask to the horizon or
- * absorption. coopsim._loops.run, their one caller, calls them through
- * ctypes, and coopsim.dynamics' two rules forward to it. They hold the
+/* coopsim's compiled library: every random number coopsim draws, and the
+ * generation loops.
+ *
+ * The random numbers are numpy's SeedSequence, PCG64 and Generator draws,
+ * written out: the seeds a sweep derives, each run's generator and start,
+ * the growth of both network models, and the loops' uniforms.
+ * tests/test_engine.py holds each to numpy.random as its oracle. So the
+ * CSV bytes follow this file, not numpy's Generator, whose methods NEP 19
+ * lets change between numpy releases.
+ *
+ * A loop runs one imitate-best or one Fermi replicate on a CSR graph per
+ * call, from the initial cooperator mask to the horizon or absorption.
+ * coopsim._loops.run, their one caller, calls them through ctypes, and
+ * coopsim.dynamics' two rules forward to it. They hold the
  * only program form of the payment rule (coopsim.interference's POP, NEB
  * and NI), of the score (coopsim.game's matrix) and of the Fermi copy
  * probability; tests/conftest.py holds the oracles of all three.
@@ -19,8 +29,7 @@
  *   - move the switchers' neighbors' counts by one each.
  * The counts are small integers, exact in a double.
  *
- * Both loops draw from the run's numpy PCG64 generator, stepping its state
- * in place, so the generator ends where numpy's own draws would leave it.
+ * Both loops draw from the run's PCG64 generator, stepping it in place.
  *
  * Each call allocates one work block for all its arrays and frees it
  * before it returns; it borrows no array but the caller's. The loops
@@ -32,24 +41,182 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* numpy's SeedSequence (numpy/random/bit_generator.pyx): the entropy words
+ * are hashed into a pool of 4 words, and the output words out of it.
+ * coopsim._loops passes an int as its 32-bit words, least significant
+ * first (one word for 0), and several ints as theirs one after the other,
+ * as bytes in the machine's (little-endian) order. */
+#define POOL 4
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= 0x931e8875u;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ result >> 16;
+}
+
+/* SeedSequence(entropy).generate_state(n_out, uint32), from n_entropy
+ * words. */
+void coopsim_seed_sequence(const uint8_t *entropy, int64_t n_entropy, uint32_t *out,
+                           int64_t n_out)
+{
+    uint32_t pool[POOL], hash = 0x43b0d7e5u, word;
+    for (int i = 0; i < POOL; i++) {
+        word = 0;  /* past the entropy, the hash runs on over 0 */
+        if (i < n_entropy)
+            memcpy(&word, entropy + 4 * i, sizeof word);
+        pool[i] = hashmix(word, &hash);
+    }
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    for (int64_t src = POOL; src < n_entropy; src++) {
+        memcpy(&word, entropy + 4 * src, sizeof word);
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(word, &hash));
+    }
+    hash = 0x8b51f9ddu;
+    for (int64_t i = 0; i < n_out; i++) {
+        word = pool[i % POOL] ^ hash;
+        hash *= 0x58f38dedu;
+        word *= hash;
+        out[i] = word ^ word >> 16;
+    }
+}
+
 /* numpy's PCG64 (numpy/random/src/pcg64/pcg64.h; O'Neill, HMC-CS-2014-0905):
- * a 128-bit LCG stepped before each output, with the XSL-RR output.
- * bit_generator.ctypes.state_address points at np_pcg64. A double is the
- * top 53 bits of one output. coopsim._loops checks all of this against
- * numpy's own draws when it loads the library. */
+ * a 128-bit LCG stepped before each output, with the XSL-RR output. A
+ * generator reaches the library as a contiguous uint64[4] array, the state
+ * then the increment, each low word first. numpy aligns that array to 8
+ * bytes only, so each call copies it into a struct pcg64 and back with
+ * memcpy. A double is the top 53 bits of one output. coopsim._loops checks
+ * seeded draws against pinned numpy values when it loads the library. */
 typedef unsigned __int128 u128;
 struct pcg64 { u128 state, inc; };
-struct np_pcg64 { struct pcg64 *rng; int has_uint32; uint32_t uinteger; };
 
 static const u128 PCG_MULT = (u128)0x2360ed051fc65da4ULL << 64 | 0x4385df649fccf645ULL;
+
+static inline uint64_t xsl_rr(u128 state)
+{
+    uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    unsigned rot = (unsigned)(state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
 
 /* The double an LCG state outputs: XSL-RR, then the top 53 bits. */
 static inline double output(u128 state)
 {
-    uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
-    unsigned rot = (unsigned)(state >> 122);
-    x = x >> rot | x << (-rot & 63);
-    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+    return (double)(xsl_rr(state) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* PCG64(SeedSequence(entropy)) into generator: numpy's pcg64_set_seed of
+ * 8 words of the sequence, paired low word first into 4 uint64. */
+void coopsim_pcg64_seed(const uint8_t *entropy, int64_t n_entropy, uint64_t *generator)
+{
+    uint32_t w[8];
+    coopsim_seed_sequence(entropy, n_entropy, w, 8);
+    u128 v[4];
+    for (int k = 0; k < 4; k++)
+        v[k] = (u128)w[2 * k + 1] << 32 | w[2 * k];
+    struct pcg64 rng = {0, (v[2] << 64 | v[3]) << 1 | 1};
+    rng.state = rng.state * PCG_MULT + rng.inc;
+    rng.state += v[0] << 64 | v[1];
+    rng.state = rng.state * PCG_MULT + rng.inc;
+    memcpy(generator, &rng, sizeof rng);
+}
+
+/* numpy's next_uint32 for PCG64: the low half of one output, then its high
+ * half at the next draw. The waiting half lives for one call: a generator
+ * array holds none, and the loops draw whole outputs. */
+struct halves { struct pcg64 rng; uint32_t high; int has_high; };
+
+static inline uint32_t next_uint32(struct halves *h)
+{
+    if (h->has_high) {
+        h->has_high = 0;
+        return h->high;
+    }
+    h->rng.state = h->rng.state * PCG_MULT + h->rng.inc;
+    uint64_t x = xsl_rr(h->rng.state);
+    h->high = (uint32_t)(x >> 32);
+    h->has_high = 1;
+    return (uint32_t)x;
+}
+
+/* numpy's integers(0, bound) for 2 <= bound < 2^32: Lemire's multiply and
+ * reject (ACM TOMACS 29(1), 2019) on 32-bit draws. */
+static inline int64_t bounded(struct halves *h, uint32_t bound)
+{
+    uint64_t m = (uint64_t)next_uint32(h) * bound;
+    if ((uint32_t)m < bound) {
+        uint32_t threshold = -bound % bound;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)next_uint32(h) * bound;
+    }
+    return (int64_t)(m >> 32);
+}
+
+/* The start, numpy's integers(0, 2, n, dtype=int8) as the cooperator mask:
+ * Lemire's draw at bound 2 never rejects and keeps the top bit of a byte,
+ * and each uint32 draw gives four bytes, lowest first. */
+void coopsim_start(uint64_t *generator, int64_t n, uint8_t *is_coop)
+{
+    struct halves h = {.has_high = 0};
+    memcpy(&h.rng, generator, sizeof h.rng);
+    uint32_t bytes = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (i % 4 == 0)
+            bytes = next_uint32(&h);
+        is_coop[i] = bytes >> (8 * (i % 4) + 7) & 1;
+    }
+    memcpy(generator, &h.rng, sizeof h.rng);
+}
+
+/* Grows a BA graph, or with dms a DMS graph, of n >= 3 nodes below 2^30
+ * (coopsim.network), drawing each pick as numpy's integers(0, bound), and
+ * writes its 2n - 3 edges to edges as (u, v) pairs.
+ *
+ * BA: from the edge (0, 1), the edge list read flat is the list of ends,
+ * each node once per degree unit, so a uniform end is a degree-proportional
+ * target. Node k draws one of the 4k - 6 ends before it, then draws again
+ * with the same bound until it holds a second node, and joins both,
+ * smaller first.
+ * DMS: from the triangle, node k draws one of the 2k - 3 edges before it
+ * and joins both its ends. */
+void coopsim_grow(int64_t dms, int64_t n, uint64_t *generator, int64_t *edges)
+{
+    struct halves h = {.has_high = 0};
+    memcpy(&h.rng, generator, sizeof h.rng);
+    if (dms) {
+        static const int64_t triangle[6] = {0, 1, 0, 2, 1, 2};
+        memcpy(edges, triangle, sizeof triangle);
+        for (int64_t k = 3, e = 6; k < n; k++, e += 4) {
+            const int64_t *picked = edges + 2 * bounded(&h, (uint32_t)(2 * k - 3));
+            int64_t joined[4] = {picked[0], k, picked[1], k};
+            memcpy(edges + e, joined, sizeof joined);
+        }
+    } else {
+        edges[0] = 0;
+        edges[1] = 1;
+        for (int64_t k = 2, e = 2; k < n; k++, e += 4) {  /* e = 4k - 6 ends */
+            int64_t first = edges[bounded(&h, (uint32_t)e)], second;
+            do
+                second = edges[bounded(&h, (uint32_t)e)];
+            while (second == first);
+            int64_t joined[4] = {first < second ? first : second, k,
+                                 first < second ? second : first, k};
+            memcpy(edges + e, joined, sizeof joined);
+        }
+    }
+    memcpy(generator, &h.rng, sizeof h.rng);
 }
 
 /* A jump table maps the LCG state d steps ahead, state -> mult * state + add:
@@ -196,12 +363,16 @@ static int tied_pick(const struct run *r, const uint64_t *key, int64_t i, uint64
 
 /* One uniform after skipping `skip_draws`, as numpy's Generator.random()
  * makes it, read through the loops' own draw_after: coopsim._loops
- * compares it with numpy's when it loads the library. */
-double coopsim_pcg64_random(struct np_pcg64 *bitgen, int64_t skip_draws)
+ * compares it with pinned numpy draws when it loads the library. */
+double coopsim_pcg64_random(uint64_t *generator, int64_t skip_draws)
 {
+    struct pcg64 rng;
     struct jumps jumps;
-    jump_table(&jumps, bitgen->rng->inc);
-    return draw_after(bitgen->rng, &jumps, skip_draws);
+    memcpy(&rng, generator, sizeof rng);
+    jump_table(&jumps, rng.inc);
+    double u = draw_after(&rng, &jumps, skip_draws);
+    memcpy(generator, &rng, sizeof rng);
+    return u;
 }
 
 /* The Fermi bookkeeping of node x, around a change to its strategy or count:
@@ -303,7 +474,7 @@ static inline __attribute__((always_inline)) void flip(
 int64_t coopsim_imitate_best(
     int64_t n, const int64_t *indptr, const int64_t *indices, double b,
     const struct pay *pay, int64_t horizon, uint8_t *is_coop, double *coop,
-    int64_t *invested, struct np_pcg64 *bitgen)
+    int64_t *invested, uint64_t *generator)
 {
     /* The work block: the switchers, the keys, then nc. */
     int64_t *switched = malloc(3 * n * sizeof *switched);
@@ -313,8 +484,9 @@ int64_t coopsim_imitate_best(
     struct run r = {.n = n, .indptr = indptr, .indices = indices, .pay = pay,
                     .mult = {b, 1.0}, .is_coop = is_coop, .nc = (double *)(key + n)};
     struct jumps jumps;
-    struct pcg64 rng = *bitgen->rng;
+    struct pcg64 rng;
     int64_t absorbed_at = -1;
+    memcpy(&rng, generator, sizeof rng);
     jump_table(&jumps, rng.inc);
     start(&r);
 
@@ -349,7 +521,7 @@ int64_t coopsim_imitate_best(
         jump(&rng, &jumps, (uint64_t)(n - drawn));
         flip(&r, switched, n_switched);
     }
-    bitgen->rng->state = rng.state;
+    memcpy(generator, &rng, sizeof rng);
     free(switched);
     return absorbed_at;
 }
@@ -411,7 +583,7 @@ static inline struct memo *memo_slot(struct memo *memo, double diff)
 int64_t coopsim_fermi(
     int64_t n, const int64_t *indptr, const int64_t *indices, double b,
     const struct pay *pay, double K, int64_t horizon, uint8_t *is_coop, double *coop,
-    int64_t *invested, struct np_pcg64 *bitgen)
+    int64_t *invested, uint64_t *generator)
 {
     int64_t words = (n + 63) / 64;
     /* The work block: the memo, then agent, pick, nc and the front. */
@@ -427,8 +599,9 @@ int64_t coopsim_fermi(
                     .front = (uint64_t *)(pick + 2 * n)};
     memset(r.front, 0, words * sizeof *r.front);
     struct jumps jumps;
-    struct pcg64 rng = *bitgen->rng;
+    struct pcg64 rng;
     int64_t absorbed_at = -1;
+    memcpy(&rng, generator, sizeof rng);
     jump_table(&jumps, rng.inc);
     start(&r);
 
@@ -473,7 +646,7 @@ int64_t coopsim_fermi(
         jump(&rng, &jumps, 2 * n - drawn);
         flip(&r, agent, n_switched);
     }
-    bitgen->rng->state = rng.state;
+    memcpy(generator, &rng, sizeof rng);
     free(memo);
     return absorbed_at;
 }

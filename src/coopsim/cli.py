@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields, replace
 from operator import attrgetter
@@ -390,7 +391,10 @@ def _cmd_frontier(args) -> int:
                           f"got {args.targets!r}")
     rows = engine.efficiency_frontier(summaries, targets)
     write_frontier_csv(rows, args.out)
-    write_meta(args.out, "frontier", source=str(args.infile), targets=targets,
+    # The sweep CSV's path from the frontier's directory: the meta's bytes do
+    # not depend on the directory the command ran from.
+    source = os.path.relpath(args.infile, os.path.dirname(args.out) or os.curdir)
+    write_meta(args.out, "frontier", source=source, targets=targets,
                source_master_seeds=sorted({s.master_seed for s in summaries}))
     return EXIT_OK
 

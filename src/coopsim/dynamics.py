@@ -4,7 +4,7 @@ stochastic Fermi rule.
 Both rules update every agent simultaneously from the same scores, and
 each runs a whole replicate in one compiled call: its loop in _loops.c,
 whose comments give its draws, called through _loops.run. Draws are
-per-node, in node-index order, from the run's numpy PCG64 generator, so
+per-node, in node-index order, from the run's PCG64 generator array, so
 trajectories are fully determined by the RNG seed.
 
 A config module, like game and interference: it imports neither numpy

@@ -38,9 +38,12 @@ _RUN_STREAM = 1
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
-    """Deterministic 64-bit child seed for a (stream, counter...) path."""
-    state = np.random.SeedSequence([master_seed, *path]).generate_state(2, np.uint32)
-    return int(state[0]) << 32 | int(state[1])
+    """Deterministic 64-bit child seed for a (stream, counter...) path: the
+    first two words of numpy's SeedSequence([master_seed, *path]), drawn by
+    the compiled library."""
+    from . import _loops  # imported here: import coopsim.cli loads no library
+    high, low = _loops.seed_words([master_seed, *path], 2)
+    return high << 32 | low
 
 
 @dataclass(frozen=True)
@@ -119,19 +122,19 @@ def run_simulation(cfg: RunConfig, g: Graph) -> RunResult:
     the config's n is a ValueError; a total cost that overflows a double
     is an OverflowError naming theta.
 
-    After the initial draw, a run is one compiled call:
+    The compiled library seeds the generator and draws the start
+    (_loops.generator and _loops.start). Then a run is one compiled call:
     dynamics.step_deterministic or dynamics.step_stochastic, looked up in
     dynamics when called, each forwarding to _loops.run, the one call site
     of the loops. Both draw from the run's generator and from nothing else.
     """
     if g.n != cfg.network.n:
         raise ValueError(f"graph has {g.n} nodes, config expects {cfg.network.n}")
-    rng = np.random.default_rng(cfg.run_seed)
+    from . import _loops  # imported here: import coopsim.cli loads no library
+    rng = _loops.generator(cfg.run_seed)
+    is_coop = _loops.start(rng, g.n)
     icfg = cfg.interference
     theta = icfg.theta if icfg.active else 0.0
-    # n int8 draws of 0 or 1, viewed as the mask: a dtype=bool draw gives
-    # other values, and so other bytes.
-    is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
     coop = np.empty(cfg.horizon)
     invested = np.zeros(cfg.horizon, dtype=np.int64)
     if cfg.update.rule == DETERMINISTIC:

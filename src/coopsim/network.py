@@ -6,6 +6,10 @@ produces the same degree exponent and mean degree but much higher
 clustering. Both grow by two edges per new node and yield connected simple
 graphs with average degree close to 4. They are the only source of graphs,
 so Graph.from_edges builds the CSR of their edge lists without checking it.
+The compiled library grows both (coopsim_grow in _loops.c, whose comment
+gives each model's draws), drawing each pick as numpy's
+Generator.integers does; the numpy growth in tests/conftest.py is its
+oracle. So a graph file's bytes follow _loops.c, not numpy's Generator.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ class NetworkConfig:
             raise ValueError(f"unknown network model: {self.model!r}")
         if self.n < 3:
             raise ValueError(f"need at least 3 nodes, got n={self.n}")
+        if self.n >= 2**30:  # growth draws below 32-bit bounds, BA up to 4n - 10
+            raise ValueError(f"need fewer than 2**30 nodes, got n={self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -91,67 +97,14 @@ class Graph:
         return 2.0 * self.n_edges / self.n
 
 
-def _generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
-    """Grow a BA graph from the single edge (0, 1): each new node attaches to
-    2 distinct targets sampled proportionally to degree."""
-    n = config.n
-    # The edge list, flat: (u0, v0, u1, v1, ...). Each node appears once per
-    # degree unit, so sampling uniformly from it is degree-proportional.
-    ends = [0, 1]
-    # Node k draws from the 4k - 6 ends before it until it holds 2 distinct
-    # targets: a duplicate redraws with the same bound. One call with an
-    # array of bounds draws the same values as one call per bound and
-    # leaves the generator in the same state. So each batch draws as if no
-    # node to come draws a duplicate; at a duplicate, the generator rewinds
-    # to the batch start, replays the draws used, and a new batch starts
-    # with the redraw.
-    new, first = 2, None  # first: new's first target, once drawn
-    while new < n:
-        # Batches grow with the graph: duplicates are likeliest while it is
-        # small, and a rewind wastes at most one batch of draws.
-        stop = min(n, new + new // 2 + 8)
-        bounds = np.arange(4 * new - 6, 4 * stop - 6, 4).repeat(2)
-        if first is not None:
-            bounds = bounds[1:]
-        state = rng.bit_generator.state
-        for k, pick in enumerate(rng.integers(0, bounds).tolist()):
-            t = ends[pick]
-            if first is None:
-                first = t
-            elif t == first:
-                rng.bit_generator.state = state
-                rng.integers(0, bounds[:k + 1])
-                break
-            else:
-                ends += (first, new, t, new) if first < t else (t, new, first, new)
-                first = None
-                new += 1
-    return Graph.from_edges(n, np.array(ends, dtype=np.int64).reshape(-1, 2))
-
-
-def _generate_dms(config: NetworkConfig, rng: np.random.Generator) -> Graph:
-    """Grow a DMS graph: triangle seed, then each new node attaches to both
-    endpoints of a uniformly chosen existing edge."""
-    n = config.n
-
-    # Node k (k >= 3) finds 2k - 3 edges and picks one of them. The bounds
-    # are known in advance, so one call draws every pick, from the same
-    # stream as one call per node.
-    picks = rng.integers(0, np.arange(3, 2 * n - 3, 2)).tolist()
-    src, dst = [0, 0, 1], [1, 2, 2]
-    for new, k in zip(range(3, n), picks):
-        src += (src[k], dst[k])
-        dst += (new, new)
-    return Graph.from_edges(n, np.array((src, dst), dtype=np.int64).T)
-
-
-def generate(config: NetworkConfig, rng: np.random.Generator | None = None) -> Graph:
-    """Generate a graph for config, seeding a fresh RNG from config.seed by default."""
+def generate(config: NetworkConfig, rng: np.ndarray | None = None) -> Graph:
+    """Grow a graph for config, from a PCG64 generator seeded with
+    config.seed, or from rng, a generator array (coopsim._loops.generator),
+    which the growth steps."""
+    from . import _loops  # imported here: import coopsim.cli loads no library
     if rng is None:
-        rng = np.random.default_rng(config.seed)
-    if config.model == BA:
-        return _generate_ba(config, rng)
-    return _generate_dms(config, rng)
+        rng = _loops.generator(config.seed)
+    return Graph.from_edges(config.n, _loops.grow(config.model, config.n, rng))
 
 
 def degree_percentiles(g: Graph) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Shared test helpers: graph builders, hypothesis strategies, the oracles
-of the compiled loops' rules, and the per-node and per-pair forms of
-library concepts that only tests use.
+of the compiled library's draws and rules, and the per-node and per-pair
+forms of library concepts that only tests use.
 
 The payment and score rules and the Fermi copy probability have one
 program form, in coopsim's _loops.c; eligible_set, scores_from_counts and
 fermi_probability here are their oracles, and read no compiled code.
 replicate is the one numpy oracle of a whole replicate under either
 update rule, and simulate of a whole run_simulation; matches_the_oracle
-holds the program to them."""
+holds the program to them. The library draws every random number itself;
+numpy.random is the oracle of each draw, and pcg64_words and
+pcg64_generator carry a generator between numpy's form and the library's
+uint64[4] array."""
 
 import json
 import math
@@ -23,7 +26,7 @@ from coopsim.engine import (
     HOMOGENEOUS_C, HOMOGENEOUS_D, MIXED, RunConfig, RunResult, run_simulation)
 from coopsim.game import PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
-from coopsim.network import Graph, NetworkConfig, degree_percentiles
+from coopsim.network import BA, DMS, Graph, NetworkConfig, degree_percentiles
 
 # int8 strategy labels, the form the per-node and per-pair oracles take;
 # the library holds a population as its cooperator mask (labels == C).
@@ -72,10 +75,36 @@ def load_graph(path) -> Graph:
     return Graph.from_edges(payload["n"], payload["edges"])
 
 
+# A 128-bit number's low and high 64-bit words.
+_LOW = (1 << 64) - 1
+
+
+def pcg64_words(rng) -> np.ndarray:
+    """The library's generator array (coopsim._loops.generator) of a numpy
+    PCG64, or of a Generator over one: the state, then the increment, each
+    low word first. A 32-bit half that numpy holds back for its next 32-bit
+    draw is not carried: the library's loops draw whole outputs."""
+    bitgen = getattr(rng, "bit_generator", rng)
+    state = bitgen.state["state"]
+    return np.array([state["state"] & _LOW, state["state"] >> 64,
+                     state["inc"] & _LOW, state["inc"] >> 64], dtype=np.uint64)
+
+
+def pcg64_generator(words: np.ndarray) -> np.random.Generator:
+    """A numpy Generator over a PCG64 in the state of the generator array
+    words."""
+    low, high, inc_low, inc_high = map(int, words)
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": high << 64 | low, "inc": inc_high << 64 | inc_low},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
 def reference_generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Graph:
-    """BA growth with one draw per call: from the single edge (0, 1), each
-    new node draws uniformly from the flat edge list until it holds 2
-    distinct targets."""
+    """Numpy oracle of BA growth, one draw per call: from the single edge
+    (0, 1), each new node draws uniformly from the flat edge list until it
+    holds 2 distinct targets."""
     ends = [0, 1]
     for new in range(2, config.n):
         targets = set()
@@ -84,6 +113,23 @@ def reference_generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Gr
         for t in sorted(targets):
             ends += (t, new)
     return Graph.from_edges(config.n, np.array(ends, dtype=np.int64).reshape(-1, 2))
+
+
+def reference_generate_dms(config: NetworkConfig, rng: np.random.Generator) -> Graph:
+    """Numpy oracle of DMS growth: from the triangle, node k (k >= 3) picks
+    one of the 2k - 3 edges before it and joins both its ends. The bounds
+    are known in advance, so one call draws every pick, from the same
+    stream as one call per node."""
+    n = config.n
+    picks = rng.integers(0, np.arange(3, 2 * n - 3, 2)).tolist()
+    src, dst = [0, 0, 1], [1, 2, 2]
+    for new, k in zip(range(3, n), picks):
+        src += (src[k], dst[k])
+        dst += (new, new)
+    return Graph.from_edges(n, np.array((src, dst), dtype=np.int64).T)
+
+
+REFERENCE_GENERATE = {BA: reference_generate_ba, DMS: reference_generate_dms}
 
 
 def reference_from_edges(n: int, edges) -> Graph:
@@ -251,14 +297,17 @@ class Planted(NamedTuple):
 def planted(cfg: RunConfig, g: Graph, initial: np.ndarray, oracle: bool) -> Planted:
     """cfg's rule run on g from a copy of the mask initial, with a generator
     seeded with cfg.run_seed: through its compiled loop's entry point,
-    dynamics.step_deterministic or dynamics.step_stochastic, or with oracle
-    through replicate, each looked up when called."""
+    dynamics.step_deterministic or dynamics.step_stochastic, with the
+    generator as its array, or with oracle through replicate, each looked
+    up when called."""
     is_coop, rng = initial.copy(), np.random.default_rng(cfg.run_seed)
     coop, invested = np.empty(cfg.horizon), np.zeros(cfg.horizon, dtype=np.int64)
     K, common = cfg.update.K, (g, is_coop, cfg.payoff, cfg.interference)
     if oracle:
         absorbed_at = replicate(*common, K, rng, coop, invested)
-    elif K is None:
+        return Planted(coop, invested, absorbed_at)
+    rng = pcg64_words(rng)
+    if K is None:
         absorbed_at = dynamics.step_deterministic(*common, rng, coop, invested)
     else:
         absorbed_at = dynamics.step_stochastic(*common, K, rng, coop, invested)
@@ -273,13 +322,15 @@ def matches_the_oracle(cfg: RunConfig, g: Graph, initial: np.ndarray | None = No
     cooperator masks and the generators' end states must agree too; spies
     on the loops' entry points and on replicate read them. Returns the
     program's result (a RunResult, or with initial a Planted), final mask
-    and generator end state."""
+    and generator end state, as a generator array."""
     this, ends = sys.modules[__name__], []
 
     def keep_end(step):
         def spy(g, is_coop, *rest):
             absorbed_at = step(g, is_coop, *rest)
-            ends.append((is_coop, rest[-3].bit_generator.state))  # rng, coop, invested
+            rng = rest[-3]  # rng, coop, invested
+            ends.append((is_coop, rng.copy() if isinstance(rng, np.ndarray)
+                         else pcg64_words(rng)))
             return absorbed_at
         return spy
 
@@ -300,7 +351,7 @@ def matches_the_oracle(cfg: RunConfig, g: Graph, initial: np.ndarray | None = No
     assert got.absorbed_at == want.absorbed_at, "absorbed_at"
     (got_final, got_state), (want_final, want_state) = ends
     assert np.array_equal(got_final, want_final)
-    assert got_state == want_state
+    assert np.array_equal(got_state, want_state)
     return got, got_final, got_state
 
 

@@ -16,7 +16,6 @@ import tomllib
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -981,10 +980,10 @@ class TestLazyPool:
 
 
 class TestImitateBuild:
-    """The compiled loops of both update rules, first built for imitate-best
-    alone: one build per source text and compiler command, written
-    atomically, checked against numpy's draws, and loaded only by commands
-    that simulate."""
+    """The compiled library, first built for the imitate-best loop alone:
+    one build per source text and compiler command, written atomically with
+    its key, checked against numpy's pinned draws, and loaded only by
+    commands that draw random numbers."""
 
     # Runs one command with the build cache in argv[1] and the compiler in
     # argv[2]; the command's own arguments follow.
@@ -1022,19 +1021,35 @@ class TestImitateBuild:
         reference = tmp_path / "reference.csv"
         assert main(["sweep", "--config", cfg, "--out", str(reference)]) == EXIT_OK
         assert outs[0].read_bytes() == reference.read_bytes()
-        # One library, and no temporary file left behind.
-        source = _loops.SOURCE.read_bytes()
-        assert [p.name for p in cache.iterdir()] == [_loops.cache_name(source)]
+        # One library and its key, and no temporary file left behind.
+        name = _loops.cache_name(_loops.SOURCE.read_bytes())
+        assert sorted(p.name for p in cache.iterdir()) == [name.replace(".so", ".key"), name]
 
     def test_a_build_removes_the_builds_of_other_sources(self, tmp_path, monkeypatch):
         # The cache is a __pycache__ directory: its bytecode stays.
-        source = _loops.SOURCE.read_bytes()
-        for name in ("_loops-0123456789abcdef.so", "engine.cpython-311.pyc"):
-            (tmp_path / name).write_bytes(b"stale")
+        name = _loops.cache_name(_loops.SOURCE.read_bytes())
+        for stale in ("_loops-0123abcd.so", "_loops-0123abcd.key", "engine.cpython-311.pyc"):
+            (tmp_path / stale).write_bytes(b"stale")
         monkeypatch.setattr(_loops, "CACHE_DIR", tmp_path)
         _loops._load.__wrapped__()
-        assert sorted(p.name for p in tmp_path.iterdir()) == [_loops.cache_name(source),
-                                                               "engine.cpython-311.pyc"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            name.replace(".so", ".key"), name, "engine.cpython-311.pyc"]
+
+    @pytest.mark.parametrize("stored", [b"", b"another source", None],
+                             ids=["empty", "other", "missing"])
+    def test_a_build_is_loaded_only_under_its_own_key(self, tmp_path, monkeypatch, stored):
+        # The cache name is a CRC-32, which two sources may share: a build
+        # whose key is not this source's command and text, byte for byte,
+        # is built again before anything is loaded.
+        source = _loops.SOURCE.read_bytes()
+        path = tmp_path / _loops.cache_name(source)
+        path.write_bytes(b"not a library")
+        if stored is not None:
+            path.with_suffix(".key").write_bytes(stored)
+        monkeypatch.setattr(_loops, "CACHE_DIR", tmp_path)
+        _loops._load.__wrapped__()
+        assert path.with_suffix(".key").read_bytes() == _loops._key(source)
+        assert path.read_bytes() != b"not a library"
 
     def test_threads_that_load_at_once_build_once(self, tmp_path, monkeypatch):
         # More threads than cores, switching often, all asking at once.
@@ -1042,7 +1057,7 @@ class TestImitateBuild:
         build, check = _loops._build, _loops._check_draws
         monkeypatch.setattr(_loops, "_build", lambda *args: (built.append(1), build(*args)))
         monkeypatch.setattr(_loops, "_check_draws",
-                            lambda random: (checked.append(1), check(random)))
+                            lambda lib: (checked.append(1), check(lib)))
         monkeypatch.setattr(_loops, "CACHE_DIR", tmp_path / "cache")
         start = threading.Barrier(4)
 
@@ -1081,9 +1096,9 @@ class TestImitateBuild:
         # ctypes converts arguments by the prototypes alone, unchecked
         # against the C: a stale argtype passes a value the loop does not
         # take, or shifts the ones it does. So each exported definition in
-        # the source (coopsim_*, int64_t or double, by value or by pointer)
-        # must have a prototype of its own arity and types.
-        by_value = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+        # the source (coopsim_*, int64_t or double, by value or by pointer,
+        # or void) must have a prototype of its own arity and types.
+        by_value = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "void": None}
 
         def ctype(decl):
             decl = decl.replace("const ", "").strip()
@@ -1099,42 +1114,40 @@ class TestImitateBuild:
         assert defined == _loops._PROTOTYPES
 
     def test_missing_compiler_exits_1_naming_it(self, tmp_path):
-        # Either update rule needs the library.
+        # Either update rule needs the library, and so does gen-net, whose
+        # growth it draws.
         cache, cc = tmp_path / "cache", str(tmp_path / "no-such-dir" / "gcc")
+        commands = [["gen-net", "--model", "ba", "--n", "30", "--seed", "1",
+                     "--out", str(tmp_path / "g.json")]]
         for update in ({"rule": "deterministic"}, {"rule": "stochastic", "K": 0.1}):
             cfg = write_config(tmp_path, sweep_config(update=update, graphs=1,
-                                                      realisations=1))
-            proc = subprocess.run(self.command(cache, cc, "sweep", "--config", cfg,
-                                               "--out", str(tmp_path / "s.csv")),
-                                  env=child_env(), capture_output=True, text=True,
-                                  timeout=120)
-            assert proc.returncode == EXIT_RUNTIME, update
+                                                      realisations=1), f"{update['rule']}.json")
+            commands.append(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")])
+        for argv in commands:
+            proc = subprocess.run(self.command(cache, cc, *argv), env=child_env(),
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == EXIT_RUNTIME, argv
             assert cc in proc.stderr
             assert list(cache.iterdir()) == []
 
-    def test_gen_net_and_frontier_never_load_the_library(self, tmp_path):
+    def test_frontier_never_loads_the_library(self, tmp_path):
         # numpy imports ctypes itself, so what is checked is coopsim._loops,
         # the one coopsim module that uses ctypes: it is imported only to
-        # load the library.
+        # load the library. frontier draws nothing.
         fermi = sweep_config(update={"rule": "stochastic", "K": 0.1}, graphs=1,
                              realisations=1)
         fermi_cfg = write_config(tmp_path, fermi, "fermi.json")
         sweep_csv = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--config", fermi_cfg, "--out", sweep_csv]) == EXIT_OK
-        commands = [
-            ["gen-net", "--model", "ba", "--n", "30", "--seed", "1",
-             "--out", str(tmp_path / "g.json")],
-            ["frontier", "--in", sweep_csv, "--targets", "0.5",
-             "--out", str(tmp_path / "frontier.csv")],
-        ]
+        frontier = ["frontier", "--in", sweep_csv, "--targets", "0.5",
+                    "--out", str(tmp_path / "frontier.csv")]
         # A fresh interpreter: this one has loaded the library already. The
         # Fermi sweep at the end must load it.
         script = (
-            "import json, sys\n"
+            "import sys\n"
             "from coopsim.cli import main\n"
-            f"for argv in json.loads({json.dumps(json.dumps(commands))}):\n"
-            "    assert main(argv) == 0, argv\n"
-            "    assert 'coopsim._loops' not in sys.modules, argv[0]\n"
+            f"assert main({frontier!r}) == 0\n"
+            "assert 'coopsim._loops' not in sys.modules\n"
             f"assert main(['sweep', '--config', {fermi_cfg!r}, '--out', {sweep_csv!r}]) == 0\n"
             "from coopsim import _loops\n"
             "assert _loops._load.cache_info().currsize == 1\n"
@@ -1143,9 +1156,44 @@ class TestImitateBuild:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_no_command_imports_numpy_random_or_hashlib(self, tmp_path):
+        # The library draws every random number and its cache is keyed
+        # without hashlib, so no command pays for importing numpy.random or
+        # OpenSSL; and importing the CLI loads no library, so a command's
+        # set-up ends before the library loads.
+        payload = sweep_config(update={"rule": "stochastic", "K": 0.1}, graphs=2,
+                               realisations=1)
+        sweep_cfg = write_config(tmp_path, payload, "sweep.json")
+        run_cfg = write_config(tmp_path, {key: payload[key] for key in
+                                          ("network", "payoff", "update", "generations",
+                                           "stats_window")}, "run.json")
+        sweep_csv = str(tmp_path / "sweep.csv")
+        commands = [
+            ["sweep", "--config", sweep_cfg, "--out", sweep_csv, "--jobs", "2"],
+            ["run", "--config", run_cfg, "--out", str(tmp_path / "run.csv")],
+            ["gen-net", "--model", "dms", "--n", "30", "--seed", "1",
+             "--out", str(tmp_path / "g.json")],
+            ["frontier", "--in", sweep_csv, "--targets", "0.5",
+             "--out", str(tmp_path / "frontier.csv")],
+        ]
+        unwanted = ("numpy.random", "hashlib", "_hashlib")
+        script = (
+            "import json, sys\n"
+            "from coopsim.cli import main\n"
+            "assert 'coopsim._loops' not in sys.modules\n"
+            f"for argv in json.loads({json.dumps(json.dumps(commands))}):\n"
+            "    assert main(argv) == 0, argv\n"
+            f"    loaded = [m for m in {unwanted!r} if m in sys.modules]\n"
+            "    assert not loaded, (argv[0], loaded)\n"
+            "assert 'coopsim._loops' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_a_misread_generator_fails_the_load_check(self, tmp_path, monkeypatch, capsys):
         # A library whose PCG64 multiplier is wrong draws other numbers than
-        # numpy: loading it raises, naming numpy's version, and run exits 1.
+        # numpy's pinned draws: loading it raises, and run exits 1.
         source = _loops.SOURCE.read_text()
         assert source.count("0x4385df649fccf645ULL") == 1
         wrong = tmp_path / "_loops.c"
@@ -1156,13 +1204,13 @@ class TestImitateBuild:
         monkeypatch.setattr(_loops, "CACHE_DIR", tmp_path / "cache")
         _loops._load.cache_clear()
         try:
-            with pytest.raises(RuntimeError, match=f"numpy {np.__version__}'s PCG64"):
+            with pytest.raises(RuntimeError, match="does not draw numpy's PCG64 numbers"):
                 _loops.library()
             rc = main(["run", "--config", cfg, "--out", str(tmp_path / "run.csv")])
         finally:
             _loops._load.cache_clear()
         assert rc == EXIT_RUNTIME
-        assert f"numpy {np.__version__}" in capsys.readouterr().err
+        assert "does not draw numpy's PCG64 numbers" in capsys.readouterr().err
 
     def test_each_mutant_target_occurs_once_in_the_loops(self):
         # tools/mutants.py plants each fault by replacing its target text, so

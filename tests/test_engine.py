@@ -1,12 +1,13 @@
 import itertools
 import math
+import pickle
 import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, find, given, settings
+from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from coopsim import _loops, dynamics, engine, network
@@ -33,6 +34,8 @@ from conftest import (
     diameter,
     fermi_probability,
     matches_the_oracle,
+    pcg64_generator,
+    pcg64_words,
     reachable,
     replicate,
     simulate,
@@ -64,6 +67,64 @@ class TestDeriveSeed:
         assert 0 <= a < 2 ** 64
 
 
+# Seeds at the edges of SeedSequence's split of an int into 32-bit words:
+# 0, the largest int of one word, the smallest of two, the largest of two.
+SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**100)
+
+
+class TestDrawsAreNumpys:
+    """The compiled library draws every random number coopsim uses, each as
+    numpy.random draws it: SeedSequence's words and derive_seed, PCG64's
+    seeding, the start, the load check's pinned draws, and the growth of
+    both network models, whose numpy oracles are in conftest. A generator's
+    end state is compared as the library's array (conftest.pcg64_words)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(entropy=st.lists(SEEDS, min_size=1, max_size=9), n=st.integers(0, 12))
+    def test_seed_words(self, entropy, n):
+        want = np.random.SeedSequence(entropy).generate_state(n, np.uint32).tolist()
+        assert _loops.seed_words(entropy, n) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(master=SEEDS, path=st.lists(st.integers(0, 2**32), max_size=4))
+    def test_derive_seed(self, master, path):
+        state = np.random.SeedSequence([master, *path]).generate_state(2, np.uint32)
+        assert derive_seed(master, *path) == int(state[0]) << 32 | int(state[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS)
+    def test_seeding(self, seed):
+        assert np.array_equal(_loops.generator(seed), pcg64_words(np.random.PCG64(seed)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, n=st.integers(1, 2000))
+    @example(seed=0, n=1)  # one byte of one 32-bit draw
+    @example(seed=0, n=9)  # the first byte of a second 64-bit draw
+    def test_start(self, seed, n):
+        rng, want = _loops.generator(seed), np.random.default_rng(seed)
+        start = _loops.start(rng, n)
+        assert np.array_equal(start, want.integers(0, 2, n, dtype=np.int8).view(bool))
+        assert np.array_equal(rng, pcg64_words(want))
+
+    @pytest.mark.parametrize("seed, skipped, first, second", _loops._CHECK_DRAWS)
+    def test_the_load_check_pins_numpys_draws(self, seed, skipped, first, second):
+        want = np.random.Generator(np.random.PCG64(seed).advance(skipped))
+        assert [first, second] == want.random(2).tolist()
+
+    @pytest.mark.parametrize("model", network.MODELS)
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 300), seed=SEEDS)
+    @example(n=2000, seed=20230116)  # the benchmark's graph sizes and seed
+    @example(n=5000, seed=20230116)
+    def test_growth(self, model, n, seed):
+        cfg = NetworkConfig(model=model, n=n, seed=seed)
+        rng, want_rng = _loops.generator(seed), np.random.default_rng(seed)
+        got, want = generate(cfg, rng), conftest.REFERENCE_GENERATE[model](cfg, want_rng)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(rng, pcg64_words(want_rng))
+
+
 class TestRunSimulation:
     def test_graph_size_mismatch_rejected(self):
         g = generate(NetworkConfig(model=BA, n=50, seed=0))
@@ -83,22 +144,22 @@ class TestRunSimulation:
         # entry points before any pointer reaches the loop.
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
         coop, invested = np.empty(30), np.zeros(30, np.int64)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
+        rng = _loops.generator(0)
+        state = rng.copy()
         with pytest.raises(ValueError, match="imitate_best needs contiguous"):
             dynamics.step_deterministic(g, initial, PayoffParams(), InterferenceConfig(),
                                         rng, coop, invested)
         with pytest.raises(ValueError, match="fermi needs contiguous"):
             dynamics.step_stochastic(g, initial, PayoffParams(), InterferenceConfig(),
                                      0.1, rng, coop, invested)
-        assert rng.bit_generator.state == state
+        assert np.array_equal(rng, state)
 
     def test_compiled_loop_takes_only_arrays_it_can_read(self):
         # The loop reads raw buffers: a wrong dtype or a strided view is
         # refused before any pointer is passed.
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
         mask, coop, invested = np.ones(g.n, bool), np.empty(30), np.zeros(30, np.int64)
-        rng = np.random.default_rng(0)
+        rng = _loops.generator(0)
         for is_coop, coop_, invested_ in ((mask.astype(np.int8), coop, invested),
                                           (mask, np.empty(60)[::2], invested),
                                           (mask, coop, np.zeros(30, np.int32))):
@@ -199,7 +260,7 @@ class TestRunSimulation:
             want.integers(0, 2, g.n, np.int8)
         for _ in range(played * draws):
             want.random(g.n)
-        assert state == want.bit_generator.state
+        assert np.array_equal(state, pcg64_words(want))
 
     @pytest.mark.parametrize("start", ["random", "all-C", "all-D"])
     def test_fermi_generation_draws_2n_uniforms(self, start):
@@ -457,21 +518,17 @@ class TestCarriedCounts:
         rng = np.random.default_rng(cfg.run_seed)
         if initial is None:
             initial = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
-        start = rng.bit_generator.state
-
-        def generator(state):
-            rng = np.random.Generator(np.random.PCG64())
-            rng.bit_generator.state = state
-            return rng
+        start = pcg64_words(rng)
 
         def run(step, is_coop, state, horizon):
             """step, dynamics.step_stochastic or the oracle, from is_coop and
-            the generator state to horizon: (absorbed_at, final mask, coop,
-            the generator's end state)."""
-            rng, is_coop, coop = generator(state), is_coop.copy(), np.empty(horizon)
+            the generator state (an array) to horizon: (absorbed_at, final
+            mask, coop, the generator's end state)."""
+            rng = state.copy() if step is dynamics.step_stochastic else pcg64_generator(state)
+            is_coop, coop = is_coop.copy(), np.empty(horizon)
             absorbed_at = step(g, is_coop, cfg.payoff, cfg.interference, cfg.update.K, rng,
                                coop, np.zeros(horizon, dtype=np.int64))
-            return absorbed_at, is_coop, coop, rng.bit_generator.state
+            return absorbed_at, is_coop, coop, pcg64_words(rng) if step is replicate else rng
 
         step = conftest.step_stochastic
 
@@ -493,7 +550,7 @@ class TestCarriedCounts:
                 assert coop[horizon - 1] == np.count_nonzero(is_coop) / g.n
                 assert np.array_equal(got, want)
                 assert np.array_equal(count_neighbors(g, got), count_neighbors(g, want))
-                assert want_state == got_state
+                assert np.array_equal(want_state, got_state)
                 is_coop, state = got, got_state
         assert run(dynamics.step_stochastic, initial, start, cfg.horizon)[0] == absorbed_at
         assert played == (absorbed_at if absorbed_at is not None else cfg.horizon)
@@ -537,13 +594,15 @@ class TestOraclesStandAlone:
         monkeypatch.setattr(_loops, "library", refuse)
 
     def test_full_recount_run(self):
-        g = generate(NetworkConfig(model=BA, n=100, seed=10))
+        net = NetworkConfig(model=BA, n=100, seed=10)
+        g = conftest.reference_generate_ba(net, np.random.default_rng(net.seed))
         for update in (UpdateRuleConfig(), UpdateRuleConfig(rule=STOCHASTIC, K=0.1)):
             result = simulate(ba_config(update=update, interference=self.icfg), g)
             assert result.invested.any()
 
     def test_fermi_replicate(self):
-        g = generate(NetworkConfig(model=BA, n=100, seed=10))
+        net = NetworkConfig(model=BA, n=100, seed=10)
+        g = conftest.reference_generate_ba(net, np.random.default_rng(net.seed))
         rng = np.random.default_rng(10)
         is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
         invested = np.zeros(50, dtype=np.int64)
@@ -604,14 +663,15 @@ class TestFermiLoop:
         both are called directly, not through run_simulation."""
         g = Graph.from_edges(2, [(0, 1)])
         runs = []
-        for step in (dynamics.step_stochastic, replicate):
-            is_coop, rng = np.array([True, False]), np.random.default_rng(seed)
+        for step, rng in ((dynamics.step_stochastic, _loops.generator(seed)),
+                          (replicate, np.random.default_rng(seed))):
+            is_coop = np.array([True, False])
             step(g, is_coop, PayoffParams(b=b), InterferenceConfig(), K, rng, np.empty(1),
                  np.zeros(1, dtype=np.int64))
-            runs.append((is_coop, rng.bit_generator.state))
+            runs.append((is_coop, rng))
         (got, got_state), (want, want_state) = runs
         assert np.array_equal(got, want)
-        assert got_state == want_state
+        assert np.array_equal(got_state, pcg64_words(want_state))
         return not got[0]
 
     @pytest.mark.parametrize("above", [False, True], ids=["p-equals-u", "p-one-ulp-above-u"])
@@ -691,16 +751,21 @@ class TestFermiLoop:
         assert final[6]  # agent 6 turned C
 
     def test_other_bit_generators_are_rejected(self):
-        # The loops read a PCG64 state in place: any other generator is
-        # refused before its state is read, under either rule.
+        # The loops step a PCG64 state in place, read from a contiguous
+        # uint64[4] array: a numpy generator, or an array of another form,
+        # is refused before it is read, under either rule, and left as it
+        # was.
         g = generate(NetworkConfig(model=BA, n=30, seed=1))
-        for rule in ((), (0.1,)):
-            step = dynamics.step_stochastic if rule else dynamics.step_deterministic
-            rng = np.random.Generator(np.random.MT19937(1))
-            with pytest.raises(ValueError, match="MT19937"):
-                step(g, np.ones(g.n, dtype=bool), PayoffParams(), InterferenceConfig(), *rule,
-                     rng, np.empty(5), np.zeros(5, dtype=np.int64))
-            assert rng.random() == np.random.Generator(np.random.MT19937(1)).random()
+        words = _loops.generator(1)
+        for rng in (np.random.default_rng(1), words[:3], words.astype(np.int64),
+                    np.repeat(words, 2)[::2], words.reshape(2, 2), words.view(np.uint32)):
+            before = pickle.dumps(rng)
+            for rule in ((), (0.1,)):
+                step = dynamics.step_stochastic if rule else dynamics.step_deterministic
+                with pytest.raises(ValueError, match="needs contiguous"):
+                    step(g, np.ones(g.n, dtype=bool), PayoffParams(), InterferenceConfig(),
+                         *rule, rng, np.empty(5), np.zeros(5, dtype=np.int64))
+            assert pickle.dumps(rng) == before
 
 
 # Jump lengths at the edges of the loops' jump table: each side of its
@@ -718,11 +783,11 @@ class TestDraws:
 
     @staticmethod
     def check(seed, skipped):
-        bitgen = np.random.PCG64(seed)
-        got = _loops.library().coopsim_pcg64_random(bitgen.ctypes.state_address, skipped)
-        want = np.random.PCG64(seed).advance(skipped)
-        assert got == np.random.Generator(want).random(), (seed, skipped)
-        assert bitgen.state == want.state, (seed, skipped)
+        rng = pcg64_words(np.random.PCG64(seed))
+        got = _loops.library().coopsim_pcg64_random(rng.ctypes.data, skipped)
+        want = np.random.Generator(np.random.PCG64(seed).advance(skipped))
+        assert got == want.random(), (seed, skipped)
+        assert np.array_equal(rng, pcg64_words(want)), (seed, skipped)
 
     @pytest.mark.parametrize("skipped", JUMP_EDGES)
     def test_at_the_edges_of_the_jump_table(self, skipped):
@@ -757,21 +822,20 @@ class TestLoopBoundary:
         # an array (all NULL here) or steps the generator.
         lib, n = _loops.library(), 2**46
         for name, rule in (("coopsim_imitate_best", ()), ("coopsim_fermi", (0.1,))):
-            bitgen = np.random.PCG64(7)
-            before = bitgen.state
+            rng = _loops.generator(7)
+            before = rng.copy()
             got = getattr(lib, name)(n, None, None, 1.5, _loops.Pay(), *rule, 10, None,
-                                     None, None, bitgen.ctypes.state_address)
+                                     None, None, rng.ctypes.data)
             assert got == -2, name
-            assert bitgen.state == before, name
+            assert np.array_equal(rng, before), name
 
     @pytest.mark.parametrize("returned", [-2, -1, 0, 7])
     def test_run_maps_what_the_loop_returns(self, monkeypatch, returned):
         # -2 is a MemoryError, -1 a run that reached the horizon mixed
-        # (None), and any other value the absorption generation, as is. The
-        # generator's lock is released in every case.
+        # (None), and any other value the absorption generation, as is.
+        g, rng = generate(NetworkConfig(model=BA, n=30, seed=1)), _loops.generator(1)
         monkeypatch.setattr(_loops, "library",
                             lambda: SimpleNamespace(coopsim_fermi=lambda *args: returned))
-        g, rng = generate(NetworkConfig(model=BA, n=30, seed=1)), np.random.default_rng(1)
 
         def run():
             return _loops.run("coopsim_fermi", g, np.ones(g.n, dtype=bool), PayoffParams(),
@@ -783,8 +847,6 @@ class TestLoopBoundary:
                 run()
         else:
             assert run() == (None if returned == -1 else returned)
-        assert rng.bit_generator.lock.acquire(blocking=False)
-        rng.bit_generator.lock.release()
 
 
 
@@ -849,14 +911,14 @@ class TestThetaLattice:
         assert np.array_equal(a.invested, b.invested)
         assert a.absorbed_at == b.absorbed_at
         assert np.array_equal(final_a, final_b)
-        assert end_a == end_b
+        assert np.array_equal(end_a, end_b)
         # A run that pays nobody is the run without interference.
         if not a.invested.any():
             base, final_base, end_base = matches_the_oracle(
                 replace(cfg, interference=InterferenceConfig()), g, initial)
             assert np.array_equal(a.coop, base.coop)
             assert np.array_equal(final_a, final_base)
-            assert end_a == end_base
+            assert np.array_equal(end_a, end_base)
 
     def test_theta_across_a_breakpoint_can_change_the_run(self):
         # The property above can fail: in some generated case, theta in the
@@ -865,7 +927,7 @@ class TestThetaLattice:
             g, cfg, initial, (theta, _), theta_next = case
             (a, _, end_a), (b, _, end_b) = (matches_the_oracle(with_theta(cfg, t), g, initial)
                                             for t in (theta, theta_next))
-            return not np.array_equal(a.coop, b.coop) or end_a != end_b
+            return not np.array_equal(a.coop, b.coop) or not np.array_equal(end_a, end_b)
         find(theta_cases(), differs,
              settings=settings(max_examples=300, database=None, derandomize=True))
 

@@ -4,6 +4,7 @@ agrees with its meta.json, and each frontier CSV is what `coopsim
 frontier` makes of its sweep CSV today, byte for byte."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,23 @@ def test_frontier_csv_is_recomputed_byte_for_byte(tmp_path, csv):
                  "--targets", ",".join(map(str, written["targets"])),
                  "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == csv.read_bytes()
+
+
+@pytest.mark.parametrize("csv", outputs("frontier"), ids=lambda csv: csv.name)
+def test_frontier_meta_does_not_depend_on_the_working_directory(tmp_path, monkeypatch, csv):
+    # The frontier of a copy of the sweep CSV, written beside it from that
+    # directory and from its parent, by relative and by absolute paths:
+    # every meta.json is the committed one, byte for byte.
+    written, here = meta(csv), tmp_path / "experiments"
+    here.mkdir()
+    shutil.copy(EXPERIMENTS / written["source"], here)
+    committed = csv.with_name(csv.name + ".meta.json").read_bytes()
+    for cwd, prefix in ((here, ""), (tmp_path, "experiments/"), (tmp_path, f"{here}/")):
+        monkeypatch.chdir(cwd)
+        assert main(["frontier", "--in", prefix + written["source"],
+                     "--targets", ",".join(map(str, written["targets"])),
+                     "--out", prefix + csv.name]) == EXIT_OK
+        assert (here / (csv.name + ".meta.json")).read_bytes() == committed, prefix
 
 
 def test_every_sweep_has_a_frontier():

@@ -1,10 +1,11 @@
-"""Mutation check of the compiled loops: does tests/test_engine.py catch
+"""Mutation check of the compiled library: does tests/test_engine.py catch
 each of a fixed set of faults planted in src/coopsim/_loops.c?
 
 For the unchanged tree and then for each mutant, the script copies src/,
 tests/ and pyproject.toml into a temporary directory, replaces the
 mutant's target text (which must occur exactly once) in the copy's
-_loops.c, builds the copy's library, and runs tests/test_engine.py there,
+_loops.c, builds the copy's library without loading it (a mutant may fail
+the load check), and runs tests/test_engine.py there,
 stopping at the first failure. A mutant is caught when a test fails, and
 missed when all pass. Prints one line per run, and exits 0 when every
 mutant is caught and 1 when one is missed. An unchanged tree whose tests
@@ -44,6 +45,13 @@ MUTANTS = (
     ("Fermi front misses agents one neighbor short of full agreement",
      "uint64_t on = r->nc[x] != (r->is_coop[x] ? (double)degree(r, x) : 0.0);",
      "uint64_t on = fabs(r->nc[x] - (r->is_coop[x] ? (double)degree(r, x) : 0.0)) > 1.0;"),
+    ("start reads bit 0 of each byte", "bytes >> (8 * (i % 4) + 7) & 1",
+     "bytes >> (8 * (i % 4)) & 1"),
+    # + 4, not - 4: at node 2 the bound 2 - 4 would read far outside edges.
+    ("BA redraw with the bound off by 4", "second = edges[bounded(&h, (uint32_t)e)];",
+     "second = edges[bounded(&h, (uint32_t)(e + 4))];"),
+    ("SeedSequence hash multiplier changed", "*hash *= 0x931e8875u;",
+     "*hash *= 0x931e8877u;"),
 )
 
 
@@ -66,7 +74,9 @@ def check(name: str, source: str) -> bool:
         (tree / SOURCE).write_text(source)
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
         build = subprocess.run(
-            [sys.executable, "-c", "from coopsim import _loops; _loops.library()"],
+            [sys.executable, "-c", "from coopsim import _loops; "
+             "source = _loops.SOURCE.read_bytes(); "
+             "_loops._build(source, _loops.CACHE_DIR / _loops.cache_name(source))"],
             cwd=tree, env=env, capture_output=True, text=True)
         if build.returncode != 0:
             sys.exit(f"{name}: the build failed:\n{build.stderr}")
