@@ -1,5 +1,5 @@
-/* coopsim's compiled library: every random number coopsim draws, and the
- * generation loops.
+/* coopsim's compiled library: every random number coopsim draws, the CSR
+ * build of a graph and the generation loops.
  *
  * The random numbers are numpy's SeedSequence, PCG64 and Generator draws,
  * written out: the seeds a sweep derives, each run's generator and start,
@@ -31,10 +31,10 @@
  *
  * Both loops draw from the run's PCG64 generator, stepping it in place.
  *
- * Each call allocates one work block for all its arrays and frees it
- * before it returns; it borrows no array but the caller's. The loops
- * return the absorption generation, -1 when the run reaches the horizon
- * mixed, or -2 when the work block cannot be allocated. */
+ * Each call of a loop allocates one work block for all its arrays and
+ * frees it before it returns; it borrows no array but the caller's. The
+ * loops return the absorption generation, -1 when the run reaches the
+ * horizon mixed, or -2 when the work block cannot be allocated. */
 
 #include <math.h>
 #include <stdint.h>
@@ -95,7 +95,7 @@ void coopsim_seed_sequence(const uint8_t *entropy, int64_t n_entropy, uint32_t *
 /* numpy's PCG64 (numpy/random/src/pcg64/pcg64.h; O'Neill, HMC-CS-2014-0905):
  * a 128-bit LCG stepped before each output, with the XSL-RR output. A
  * generator reaches the library as a contiguous uint64[4] array, the state
- * then the increment, each low word first. numpy aligns that array to 8
+ * then the increment, each low word first. Such an array is aligned to 8
  * bytes only, so each call copies it into a struct pcg64 and back with
  * memcpy. A double is the top 53 bits of one output. coopsim._loops checks
  * seeded draws against pinned numpy values when it loads the library. */
@@ -217,6 +217,31 @@ void coopsim_grow(int64_t dms, int64_t n, uint64_t *generator, int64_t *edges)
         }
     }
     memcpy(generator, &h.rng, sizeof h.rng);
+}
+
+/* The CSR of an undirected graph of n nodes from its m edges, the 2m ends
+ * (u, v) of edges pair by pair, in any order and either direction, each
+ * end a node: indptr (the n + 1 prefix sums of the degrees), indices (2m),
+ * each row ascending as a sort of the (row, neighbor) pairs lists it, and
+ * degrees. The caller zeroes degrees and indptr, and lends next (n) and
+ * unsorted (2m). The rows are first filled in edge order, into unsorted,
+ * which leaves next at each row's end; then the transpose of that CSR is
+ * written to indices, each row filled from its end while the rows are read
+ * from the last: so each row comes out ascending, and the graph being
+ * undirected, its transpose is itself. */
+void coopsim_csr(int64_t n, int64_t m, const int64_t *edges, int64_t *indptr,
+                 int64_t *indices, int64_t *degrees, int64_t *next, int64_t *unsorted)
+{
+    for (int64_t e = 0; e < 2 * m; e++)
+        degrees[edges[e]]++;
+    for (int64_t i = 0; i < n; i++)
+        indptr[i + 1] = indptr[i] + degrees[i];
+    memcpy(next, indptr, n * sizeof *next);
+    for (int64_t e = 0; e < 2 * m; e++)
+        unsorted[next[edges[e]]++] = edges[e ^ 1];
+    for (int64_t row = n - 1; row >= 0; row--)
+        for (int64_t k = indptr[row]; k < indptr[row + 1]; k++)
+            indices[--next[unsorted[k]]] = row;
 }
 
 /* A jump table maps the LCG state d steps ahead, state -> mult * state + add:

@@ -2,19 +2,28 @@
 
 The library draws every random number coopsim uses: the seed sequences
 engine.derive_seed reads, each generator (generator), a run's start
-(start) and graph growth (grow, for network.generate). It holds the
+(start) and graph growth (grow, for network.generate). It builds each
+graph's CSR (csr, for network.Graph.from_edges), and it holds the
 generation loops too, which apply the payment and score rules of
 coopsim.interference and coopsim.game and the Fermi copy probability with
 the C library's exp; their oracles are in tests/conftest.py. run is the
 one place that calls a loop through ctypes: dynamics.step_deterministic
 and dynamics.step_stochastic forward to it.
 
-A generator is a contiguous uint64[4] array, numpy's PCG64 state and
-increment, each 128-bit number low word first; the calls that draw from
-it step it in place. The draws are numpy's SeedSequence, PCG64 and
-Generator draws, held to numpy.random by tests/test_engine.py. So the CSV
-bytes follow _loops.c, not numpy's Generator, whose methods NEP 19 lets
-change between numpy releases; no coopsim module imports numpy.random.
+A generator is a uint64[4] buffer, numpy's PCG64 state and increment,
+each 128-bit number low word first; the calls that draw from it step it
+in place. The draws are numpy's SeedSequence, PCG64 and Generator draws,
+held to numpy.random by tests/test_engine.py. So the CSV bytes follow
+_loops.c, not numpy's Generator, whose methods NEP 19 lets change between
+numpy releases.
+
+The library reads and writes buffers through pointers. _check hands it
+any contiguous buffer of the right kind and length, so the tests can pass
+numpy arrays; this module makes array.array and ctypes buffers itself,
+and no coopsim process imports numpy. Each array.array is made by
+repetition, array.array(code, [0]) * length, which allocates exactly
+its length: one made from bytes keeps spare room past its end, where
+tools/sanitize.py would not see a write.
 
 The first call in a process loads the library, once, however many of its
 threads ask at the same time. If no build of the current source exists
@@ -34,14 +43,13 @@ with a RuntimeError.
 
 from __future__ import annotations
 
+import array
 import ctypes
 import functools
 import os
 import threading
 import zlib
 from pathlib import Path
-
-import numpy as np
 
 from . import network
 from .game import PayoffParams
@@ -81,6 +89,8 @@ _PROTOTYPES = {
     "coopsim_start": ((_PTR, _I64, _PTR), None),
     # dms, n, the generator, the edges
     "coopsim_grow": ((_I64, _I64, _PTR, _PTR), None),
+    # n, the edge count, the ends, indptr, indices, degrees and the scratch
+    "coopsim_csr": ((_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR), None),
     # n, CSR, b, pay, [K,] horizon, is_coop, coop, invested, the generator
     "coopsim_imitate_best": ((_I64, _PTR, _PTR, _F64, _PAY, _I64, _PTR, _PTR, _PTR, _PTR),
                              _I64),
@@ -148,9 +158,9 @@ def _entropy(ints) -> tuple[bytes, int]:
     return data, len(data) // 4
 
 
-def _generator(lib: ctypes.CDLL, seed: int) -> np.ndarray:
-    rng = np.empty(4, dtype=np.uint64)
-    lib.coopsim_pcg64_seed(*_entropy([seed]), rng.ctypes.data)
+def _generator(lib: ctypes.CDLL, seed: int) -> array.array:
+    rng = array.array("Q", [0]) * 4
+    lib.coopsim_pcg64_seed(*_entropy([seed]), rng.buffer_info()[0])
     return rng
 
 
@@ -161,7 +171,7 @@ def _check_draws(lib: ctypes.CDLL) -> None:
     generator left where the draws leave it."""
     for seed, skipped, *want in _CHECK_DRAWS:
         rng = _generator(lib, seed)
-        got = [lib.coopsim_pcg64_random(rng.ctypes.data, skip) for skip in (skipped, 0)]
+        got = [lib.coopsim_pcg64_random(rng.buffer_info()[0], skip) for skip in (skipped, 0)]
         if got != want:
             raise RuntimeError(f"the compiled library does not draw numpy's PCG64 numbers: "
                                f"seed {seed}, {skipped} draws skipped, drew {got}, numpy "
@@ -194,17 +204,32 @@ def _load() -> ctypes.CDLL:
     return lib
 
 
-def _check(name: str, *buffers) -> None:
-    """Raise ValueError unless each (array, dtype, size) of buffers is a
-    contiguous array of that dtype and shape (size,), which name may read
-    through a pointer."""
-    for arr, dtype, size in buffers:
-        if not isinstance(arr, np.ndarray):
-            raise ValueError(f"{name} needs contiguous {np.dtype(dtype)} arrays, got a "
-                             f"{type(arr).__name__}")
-        if arr.dtype != dtype or arr.shape != (size,) or not arr.flags.c_contiguous:
-            raise ValueError(f"{name} needs contiguous {np.dtype(dtype)} arrays of shape "
-                             f"({size},), got {arr.dtype} of shape {arr.shape}")
+# The kinds of buffer the library reads: a name, the struct format codes
+# that hold it, and the item size.
+_BOOL, _INT64, _UINT64, _FLOAT64 = (("bool", "?", 1), ("int64", "ql", 8),
+                                    ("uint64", "QL", 8), ("float64", "d", 8))
+
+
+def _check(name: str, *buffers) -> list:
+    """The pointers that name reads: each (buffer, kind, length) of buffers
+    as a ctypes array over the buffer's memory. Raise ValueError unless
+    each buffer is a 1-D contiguous buffer of length items of kind. A
+    read-only buffer, such as a Graph's CSR, which the library only reads,
+    is read through the whole object it views."""
+    pointers = []
+    for buf, (kind, codes, itemsize), length in buffers:
+        try:
+            view = memoryview(buf)
+        except TypeError:
+            raise ValueError(f"{name} needs contiguous {kind} arrays, got a "
+                             f"{type(buf).__name__}") from None
+        if (view.format.lstrip("@=<") not in codes or view.itemsize != itemsize
+                or view.ndim != 1 or not view.c_contiguous or len(view) != length):
+            raise ValueError(f"{name} needs contiguous {kind} arrays of shape ({length},), "
+                             f"got format {view.format!r} of shape {view.shape}")
+        pointers.append((ctypes.c_char * view.nbytes).from_buffer(
+            view.obj if view.readonly else view))
+    return pointers
 
 
 def seed_words(entropy: list[int], n: int) -> list[int]:
@@ -215,64 +240,80 @@ def seed_words(entropy: list[int], n: int) -> list[int]:
     return list(out)
 
 
-def generator(seed: int) -> np.ndarray:
-    """A new generator array: numpy's PCG64(seed), seed an int >= 0."""
+def generator(seed: int) -> array.array:
+    """A new generator, a uint64 array.array: numpy's PCG64(seed), seed an
+    int >= 0."""
     return _generator(library(), seed)
 
 
-def start(rng: np.ndarray, n: int) -> np.ndarray:
+def start(rng, n: int) -> ctypes.Array:
     """n agents' start, each C or D with equal probability: the mask
-    numpy's integers(0, 2, n, dtype=int8) draws, as bools, from generator
-    rng, which it steps."""
-    _check("coopsim_start", (rng, np.uint64, 4))
-    is_coop = np.empty(n, dtype=bool)
-    library().coopsim_start(rng.ctypes.data, n, is_coop.ctypes.data)
+    numpy's integers(0, 2, n, dtype=int8) draws, as a ctypes bool array,
+    from generator rng, which it steps."""
+    (generator,) = _check("coopsim_start", (rng, _UINT64, 4))
+    is_coop = (ctypes.c_bool * n)()
+    library().coopsim_start(generator, n, is_coop)
     return is_coop
 
 
-def grow(model: str, n: int, rng: np.ndarray) -> np.ndarray:
-    """The 2n - 3 edges, an int64 array of shape (2n - 3, 2), of a graph of
-    model (network.BA or network.DMS) grown to n nodes from generator rng,
-    which it steps. network.NetworkConfig bounds n to [3, 2**30)."""
-    _check("coopsim_grow", (rng, np.uint64, 4))
-    edges = np.empty((2 * n - 3, 2), dtype=np.int64)
-    library().coopsim_grow(model == network.DMS, n, rng.ctypes.data, edges.ctypes.data)
+def grow(model: str, n: int, rng) -> array.array:
+    """The 2n - 3 edges of a graph of model (network.BA or network.DMS)
+    grown to n nodes from generator rng, which it steps: their ends, pair
+    by pair, in an int64 array.array. network.NetworkConfig bounds n to
+    [3, 2**30)."""
+    (generator,) = _check("coopsim_grow", (rng, _UINT64, 4))
+    edges = array.array("q", [0]) * (2 * (2 * n - 3))
+    library().coopsim_grow(model == network.DMS, n, generator, edges.buffer_info()[0])
     return edges
+
+
+def csr(n: int, edges) -> list[memoryview]:
+    """The indptr, indices and degrees, read-only int64 memoryviews, of the
+    graph of n nodes whose edges have the ends edges, an int64 buffer,
+    pair by pair, each end a node: coopsim_csr in _loops.c, each row
+    ascending."""
+    (ends,) = _check("coopsim_csr", (edges, _INT64, len(edges)))
+    arrays = [array.array("q", [0]) * k for k in (n + 1, len(edges), n, n, len(edges))]
+    library().coopsim_csr(n, len(edges) // 2, ends, *(a.buffer_info()[0] for a in arrays))
+    return [memoryview(a).toreadonly() for a in arrays[:3]]
 
 
 def ni_degree(g: network.Graph, c_I: float) -> int:
     """NI's threshold c_I as a degree: the least degree of g whose
-    degree_percentiles value reaches c_I, or g.n when none does. A
-    percentile never falls as the degree grows, so a node's percentile
-    reaches c_I exactly when its degree reaches this one."""
-    return int(g.degrees[network.degree_percentiles(g) >= c_I].min(initial=g.n))
+    percentile, the fraction of the other nodes of lower degree, reaches
+    c_I, or g.n when none does. A percentile never falls as the degree
+    grows, so a node's percentile reaches c_I exactly when its degree
+    reaches this one. It reads g.percentile_by_degree, worked out once per
+    graph, not its nodes."""
+    return next((degree for degree, percentile in g.percentile_by_degree
+                 if percentile >= c_I), g.n)
 
 
-def run(name: str, g: network.Graph, is_coop: np.ndarray, payoff: PayoffParams,
-        icfg: InterferenceConfig, rng: np.ndarray, coop: np.ndarray,
-        invested: np.ndarray, *rule) -> int | None:
+def run(name: str, g: network.Graph, is_coop, payoff: PayoffParams,
+        icfg: InterferenceConfig, rng, coop, invested, *rule) -> int | None:
     """Run the compiled loop name over every generation of one replicate on
     g, with the update rule's own arguments rule after the common ones, and
     return the generation it absorbed at, or None.
 
     is_coop, the bool cooperator mask, ends as the final population; coop
     (float64) and invested (int64), of the horizon's length, are filled as
-    RunResult's arrays. The loop steps rng, a generator array (see
-    generator), in place. An array of another dtype or shape, or not
-    contiguous, is a ValueError before a pointer is passed. NI reaches the
-    loop as one degree, ni_degree(g, c_I), so the loop borrows no array but
-    g's CSR and these four. A loop that cannot allocate its work block is a
-    MemoryError.
+    RunResult's arrays. The loop steps rng, a generator (see generator),
+    in place. Each is a buffer: one of another kind or length, or not
+    contiguous, is a ValueError before a pointer is passed (see _check).
+    NI reaches the loop as one degree, ni_degree(g, c_I), so the loop
+    borrows no array but g's CSR and these four. A loop that cannot
+    allocate its work block is a MemoryError.
     """
-    _check(name, (g.indptr, np.int64, g.n + 1), (g.indices, np.int64, int(g.indptr[-1])),
-           (is_coop, bool, g.n), (coop, np.float64, coop.size),
-           (invested, np.int64, coop.size), (rng, np.uint64, 4))
+    horizon = len(coop)
+    indptr, indices, is_coop, coop, invested, rng = _check(
+        name, (g.indptr, _INT64, g.n + 1), (g.indices, _INT64, g.indptr[-1]),
+        (is_coop, _BOOL, g.n), (coop, _FLOAT64, horizon), (invested, _INT64, horizon),
+        (rng, _UINT64, 4))
     pay = Pay(icfg.active, POP in icfg.schemes, NEB in icfg.schemes, icfg.theta or 0.0,
               icfg.p_c or 0.0, icfg.n_c or 0.0,
               ni_degree(g, icfg.c_I) if NI in icfg.schemes else 0)
-    absorbed_at = getattr(library(), name)(
-        g.n, g.indptr.ctypes.data, g.indices.ctypes.data, payoff.b, pay, *rule, coop.size,
-        is_coop.ctypes.data, coop.ctypes.data, invested.ctypes.data, rng.ctypes.data)
+    absorbed_at = getattr(library(), name)(g.n, indptr, indices, payoff.b, pay, *rule,
+                                           horizon, is_coop, coop, invested, rng)
     if absorbed_at == -2:
         raise MemoryError(f"{name}: no memory for its work block")
     return None if absorbed_at < 0 else absorbed_at

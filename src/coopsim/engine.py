@@ -10,10 +10,10 @@ parallelism produce identical output.
 
 from __future__ import annotations
 
+import array
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from . import dynamics, interference, network
 from .dynamics import DETERMINISTIC, UpdateRuleConfig
@@ -81,12 +81,13 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One replicate. coop, invested and cost span the full horizon and are
-    measured each generation before the strategy update."""
+    """One replicate. coop, invested and cost, float64, int64 and float64
+    array.arrays, span the full horizon and are measured each generation
+    before the strategy update."""
 
-    coop: np.ndarray
-    invested: np.ndarray
-    cost: np.ndarray
+    coop: array.array
+    invested: array.array
+    cost: array.array
     total_cost: float
     mean_coop: float
     absorbed_at: int | None
@@ -99,6 +100,43 @@ def _check_cost(theta: float | None, **stats: float) -> None:
     for name, value in stats.items():
         if not math.isfinite(value):
             raise OverflowError(f"theta={theta!r} is too large: {name} overflows a double")
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's sum of float64 values >= +0, whose order fixes its last bits,
+    written out: below 8 values one running sum from 0; up to 128, eight
+    running sums over every eighth value, added in pairs, then the rest one
+    by one; above, the sums of two halves, the first rounded down to a
+    multiple of 8. ROADMAP item 18's first step, math.fsum for every
+    statistic, deletes it."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total = 0.0
+    if n >= 8:
+        blocks = n - n % 8
+        sums = values[:8]
+        for i in range(8, blocks, 8):
+            sums = [a + b for a, b in zip(sums, values[i:i + 8])]
+        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
+            (sums[4] + sums[5]) + (sums[6] + sums[7]))
+        values = values[blocks:]
+    for value in values:
+        total += value
+    return total
+
+
+def _mean_std(values: Sequence[float]) -> tuple[float, float]:
+    """numpy's mean and sample std (ddof=1, and 0.0 for one value) of
+    values, bit for bit: the mean is their pairwise sum over their number,
+    the std the square root of the pairwise sum of the squared deviations
+    from the mean over one less. An overflow leaves inf or nan."""
+    n = len(values)
+    mean = _pairwise_sum(values) / n
+    if n < 2:
+        return mean, 0.0
+    return mean, math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in values]) / (n - 1))
 
 
 def _classify(n_coop: int, n: int) -> str:
@@ -134,9 +172,8 @@ def run_simulation(cfg: RunConfig, g: Graph) -> RunResult:
     rng = _loops.generator(cfg.run_seed)
     is_coop = _loops.start(rng, g.n)
     icfg = cfg.interference
-    theta = icfg.theta if icfg.active else 0.0
-    coop = np.empty(cfg.horizon)
-    invested = np.zeros(cfg.horizon, dtype=np.int64)
+    coop = array.array("d", [0.0]) * cfg.horizon
+    invested = array.array("q", [0]) * cfg.horizon
     if cfg.update.rule == DETERMINISTIC:
         absorbed_at = dynamics.step_deterministic(g, is_coop, cfg.payoff, icfg, rng, coop,
                                                   invested)
@@ -144,19 +181,19 @@ def run_simulation(cfg: RunConfig, g: Graph) -> RunResult:
         absorbed_at = dynamics.step_stochastic(g, is_coop, cfg.payoff, icfg, cfg.update.K,
                                                rng, coop, invested)
 
-    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
-        cost = theta * invested
+    # theta is None, and invested 0, without interference. An overflow leaves inf.
+    cost = array.array("d", [(icfg.theta or 0.0) * k for k in invested])
     # Left-to-right, generation by generation: the CSV bytes depend on it.
-    total_cost = float(sum(cost.tolist()))
+    total_cost = sum(cost)
     _check_cost(icfg.theta, total_cost=total_cost)
     return RunResult(
         coop=coop,
         invested=invested,
         cost=cost,
         total_cost=total_cost,
-        mean_coop=float(coop[-cfg.stats_window:].mean()),
+        mean_coop=_mean_std(coop[-cfg.stats_window:])[0],
         absorbed_at=absorbed_at,
-        final_state=_classify(int(np.count_nonzero(is_coop)), g.n),
+        final_state=_classify(bytes(is_coop).count(1), g.n),
     )
 
 
@@ -176,22 +213,16 @@ class SweepSummary:
     master_seed: int
 
 
-def _sample_std(values: np.ndarray) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1))
-
-
 def graph_seeds_for(master_seed: int, graphs: int) -> list[int]:
     return [derive_seed(master_seed, _GRAPH_STREAM, i) for i in range(graphs)]
 
 
-def _point_graph_task(args) -> np.ndarray:
-    """One (grid point, graph) cell: all realisations on one graph, as a
-    (realisations, 2) array of (mean_coop, total_cost)."""
+def _point_graph_task(args) -> list[tuple[float, float]]:
+    """One (grid point, graph) cell: all realisations on one graph, each
+    as its (mean_coop, total_cost)."""
     cfg, g, run_seeds = args
     results = (run_simulation(replace(cfg, run_seed=seed), g) for seed in run_seeds)
-    return np.array([(r.mean_coop, r.total_cost) for r in results])
+    return [(r.mean_coop, r.total_cost) for r in results]
 
 
 def sweep(cfgs: list[RunConfig], master_seed: int,
@@ -240,20 +271,16 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
     else:
         per_task = [_point_graph_task(t) for t in tasks]
 
-    # graphs x points x realisations x (coop, cost) -> points x 2 x replicates,
-    # each statistic's replicates contiguous and graph-major: the summation
-    # order, and so the CSV bytes, depend on it.
-    stats = np.array(per_task).reshape(graphs, len(cfgs), realisations, 2)
-    stats = np.ascontiguousarray(stats.transpose(1, 3, 0, 2)).reshape(len(cfgs), 2, -1)
     summaries = []
-    for cfg, (coop, cost) in zip(cfgs, stats):
-        with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
-            cost_mean, cost_std = float(cost.mean()), _sample_std(cost)
+    for point, cfg in enumerate(cfgs):
+        # The point's replicates, graph-major: the summation order, and so
+        # the CSV bytes, depend on it.
+        replicates = [r for task in per_task[point::len(cfgs)] for r in task]
+        (coop_mean, coop_std), (cost_mean, cost_std) = map(_mean_std, zip(*replicates))
         _check_cost(cfg.interference.theta, cost_mean=cost_mean, cost_std=cost_std)
         summaries.append(SweepSummary(
-            config=cfg, replicates=coop.size, coop_mean=float(coop.mean()),
-            coop_std=_sample_std(coop), cost_mean=cost_mean, cost_std=cost_std,
-            master_seed=master_seed))
+            config=cfg, replicates=len(replicates), coop_mean=coop_mean, coop_std=coop_std,
+            cost_mean=cost_mean, cost_std=cost_std, master_seed=master_seed))
     return summaries
 
 

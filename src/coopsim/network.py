@@ -5,19 +5,22 @@ which produces low clustering, and edge-duplication growth (DMS), which
 produces the same degree exponent and mean degree but much higher
 clustering. Both grow by two edges per new node and yield connected simple
 graphs with average degree close to 4. They are the only source of graphs,
-so Graph.from_edges builds the CSR of their edge lists without checking it.
-The compiled library grows both (coopsim_grow in _loops.c, whose comment
-gives each model's draws), drawing each pick as numpy's
-Generator.integers does; the numpy growth in tests/conftest.py is its
-oracle. So a graph file's bytes follow _loops.c, not numpy's Generator.
+so Graph.from_edges builds the CSR of their edge lists without checking
+that they describe one. The compiled library grows both (coopsim_grow in
+_loops.c, whose comment gives each model's draws), drawing each pick as
+numpy's Generator.integers does, and builds each CSR (coopsim_csr); the
+numpy growth and CSR build in tests/conftest.py are their oracles. So a
+graph file's bytes follow _loops.c, not numpy's Generator.
 """
 
 from __future__ import annotations
 
+import array
+import bisect
+import functools
+import itertools
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 BA = "BA"
 DMS = "DMS"
@@ -49,76 +52,72 @@ class Graph:
     """Immutable undirected simple connected graph, as grown by generate.
 
     Neighbor ids are stored in CSR form (indptr/indices) with each node's
-    neighbor list sorted ascending. The CSR is the only copy of the edges:
-    edges derives the canonical (u < v) edge list from it.
+    neighbor list sorted ascending, beside each node's degree: read-only
+    int64 memoryviews in a graph from_edges builds, which numpy.asarray
+    reads without a copy. The CSR is the only copy of the edges: edges
+    derives the canonical (u < v) edge list from it.
     """
 
     n: int
-    indptr: np.ndarray   # shape (n + 1,)
-    indices: np.ndarray  # shape (2E,)
-    degrees: np.ndarray  # shape (n,)
-
-    def __post_init__(self):
-        for arr in (self.indptr, self.indices, self.degrees):
-            arr.setflags(write=False)
+    indptr: memoryview   # n + 1 entries
+    indices: memoryview  # 2E entries
+    degrees: memoryview  # n entries
 
     @classmethod
     def from_edges(cls, n, edges) -> "Graph":
-        """Build the CSR of an undirected edge list of shape (E, 2).
+        """Build the CSR of an undirected edge list: E pairs (u, v), or
+        their 2E ends, pair by pair, in one int64 array.array, as
+        coopsim._loops.grow writes them.
 
         The edges must describe a simple connected graph on nodes 0..n-1,
         each edge listed once, in either direction and in any order; this is
-        not checked. BA and DMS growth meet it by construction: each new
-        node attaches to distinct nodes that are already connected."""
-        u, v = np.asarray(edges, dtype=np.int64).T
-        # Both directions of every edge as one key, row * n + neighbor:
-        # sorted, the keys are the CSR entries in order.
-        rows, indices = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
-        degrees = np.bincount(rows, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        return cls(n=n, indptr=indptr, indices=indices, degrees=degrees)
+        not checked, and the library writes each end's row unchecked. BA
+        and DMS growth meet it by construction: each new node attaches to
+        distinct nodes that are already connected."""
+        from . import _loops  # imported here: import coopsim.cli loads no library
+        if not isinstance(edges, array.array):
+            edges = array.array("q", itertools.chain.from_iterable(edges))
+        return cls(n, *_loops.csr(n, edges))
 
     @property
-    def edges(self) -> np.ndarray:
-        """The canonical edge list, shape (E, 2): u < v, lexicographically
+    def edges(self) -> list[list[int]]:
+        """The canonical edge list, [u, v] pairs with u < v, lexicographically
         sorted. These are the CSR entries whose row is below its neighbor,
         in CSR order."""
-        rows = np.repeat(np.arange(self.n), self.degrees)
-        upper = rows < self.indices
-        return np.stack((rows[upper], self.indices[upper]), axis=1)
+        indptr, indices = self.indptr, self.indices
+        return [[u, v] for u in range(self.n) for v in indices[indptr[u]:indptr[u + 1]]
+                if u < v]
+
+    @functools.cached_property
+    def percentile_by_degree(self) -> list[tuple[int, float]]:
+        """Each degree of the graph, ascending, with its percentile: the
+        fraction of the other nodes of lower degree. Counted once per
+        graph."""
+        degrees = sorted(self.degrees)
+        return [(degree, bisect.bisect_left(degrees, degree) / (self.n - 1))
+                for degree in sorted(set(degrees))]
 
     @property
     def n_edges(self) -> int:
-        return self.indices.size // 2
+        return len(self.indices) // 2
 
     @property
     def average_degree(self) -> float:
         return 2.0 * self.n_edges / self.n
 
 
-def generate(config: NetworkConfig, rng: np.ndarray | None = None) -> Graph:
+def generate(config: NetworkConfig, rng=None) -> Graph:
     """Grow a graph for config, from a PCG64 generator seeded with
-    config.seed, or from rng, a generator array (coopsim._loops.generator),
-    which the growth steps."""
+    config.seed, or from rng, a generator (coopsim._loops.generator), which
+    the growth steps."""
     from . import _loops  # imported here: import coopsim.cli loads no library
     if rng is None:
         rng = _loops.generator(config.seed)
     return Graph.from_edges(config.n, _loops.grow(config.model, config.n, rng))
 
 
-def degree_percentiles(g: Graph) -> np.ndarray:
-    """Read-only percentile rank of each node's degree: the fraction of other
-    nodes with strictly lower degree."""
-    sorted_degs = np.sort(g.degrees)
-    lower = np.searchsorted(sorted_degs, g.degrees, side="left")
-    q = lower / (g.n - 1)
-    q.setflags(write=False)
-    return q
-
-
 def graph_json(config: NetworkConfig, g: Graph) -> str:
     """The text of the graph file for g, generated from config: one JSON line
     {model, n, seed, edges}."""
     return json.dumps({"model": config.model, "n": g.n, "seed": config.seed,
-                       "edges": g.edges.tolist()}) + "\n"
+                       "edges": g.edges}) + "\n"

@@ -10,7 +10,8 @@ update rule, and simulate of a whole run_simulation; matches_the_oracle
 holds the program to them. The library draws every random number itself;
 numpy.random is the oracle of each draw, and pcg64_words and
 pcg64_generator carry a generator between numpy's form and the library's
-uint64[4] array."""
+uint64[4] array. A Graph's arrays are read-only memoryviews: the oracles
+read them through np.asarray, which copies nothing."""
 
 import json
 import math
@@ -26,7 +27,7 @@ from coopsim.engine import (
     HOMOGENEOUS_C, HOMOGENEOUS_D, MIXED, RunConfig, RunResult, run_simulation)
 from coopsim.game import PayoffParams
 from coopsim.interference import NEB, NI, POP, InterferenceConfig
-from coopsim.network import BA, DMS, Graph, NetworkConfig, degree_percentiles
+from coopsim.network import BA, DMS, Graph, NetworkConfig
 
 # int8 strategy labels, the form the per-node and per-pair oracles take;
 # the library holds a population as its cooperator mask (labels == C).
@@ -112,7 +113,7 @@ def reference_generate_ba(config: NetworkConfig, rng: np.random.Generator) -> Gr
             targets.add(ends[rng.integers(len(ends))])
         for t in sorted(targets):
             ends += (t, new)
-    return Graph.from_edges(config.n, np.array(ends, dtype=np.int64).reshape(-1, 2))
+    return reference_from_edges(config.n, np.array(ends, dtype=np.int64).reshape(-1, 2))
 
 
 def reference_generate_dms(config: NetworkConfig, rng: np.random.Generator) -> Graph:
@@ -126,23 +127,26 @@ def reference_generate_dms(config: NetworkConfig, rng: np.random.Generator) -> G
     for new, k in zip(range(3, n), picks):
         src += (src[k], dst[k])
         dst += (new, new)
-    return Graph.from_edges(n, np.array((src, dst), dtype=np.int64).T)
+    return reference_from_edges(n, np.array((src, dst), dtype=np.int64).T)
 
 
 REFERENCE_GENERATE = {BA: reference_generate_ba, DMS: reference_generate_dms}
 
 
 def reference_from_edges(n: int, edges) -> Graph:
-    """Graph.from_edges's CSR by a lexsort: both directions of every edge
-    stacked as (row, neighbor) pairs and ordered by row, then neighbor."""
+    """Numpy oracle of Graph.from_edges, the CSR by a lexsort: both
+    directions of every edge stacked as (row, neighbor) pairs and ordered
+    by row, then neighbor, each array read-only as Graph.from_edges gives
+    it. The growth oracles build their graphs with it, so they hold the
+    library's CSR build to it too."""
     edges = np.asarray(edges, dtype=np.int64)
     both = np.concatenate([edges, edges[:, ::-1]])
     both = both[np.lexsort((both[:, 1], both[:, 0]))]
     degrees = np.bincount(both[:, 0], minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    return Graph(n=n, indptr=indptr, indices=np.ascontiguousarray(both[:, 1]),
-                 degrees=degrees)
+    return Graph(n, *(memoryview(a).toreadonly()
+                      for a in (indptr, np.ascontiguousarray(both[:, 1]), degrees)))
 
 
 def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
@@ -154,8 +158,8 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
     strictly outscores them and holds the other strategy. Ties among equally
     best neighbors are broken uniformly with one draw per node.
     """
-    rows = csr_rows(g)
-    nbr_scores = scores[g.indices]
+    rows, indices = csr_rows(g), np.asarray(g.indices)
+    nbr_scores = scores[indices]
     best = np.full(g.n, -np.inf)
     np.maximum.at(best, rows, nbr_scores)
 
@@ -170,7 +174,7 @@ def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
     np.minimum(pick, tie_counts - 1, out=pick)
     pick += np.cumsum(tie_counts)
     pick -= tie_counts
-    best_neighbor = g.indices[tiepos[pick]]
+    best_neighbor = indices[tiepos[pick]]
 
     return ((best > scores) & (s[best_neighbor] != s)).nonzero()[0]
 
@@ -214,9 +218,9 @@ def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray, score, K: float,
     """
     u = rng.random(2 * g.n)
     u_pick, u_copy = u[:g.n], u[g.n:]
-    degrees = g.degrees[front]
+    degrees = np.asarray(g.degrees)[front]
     offset = np.minimum((u_pick[front] * degrees).astype(np.int64), degrees - 1)
-    neighbor = g.indices[g.indptr[front] + offset]
+    neighbor = np.asarray(g.indices)[np.asarray(g.indptr)[front] + offset]
     differ = (s[neighbor] != s[front]).nonzero()[0]
     agents = front[differ]
     f = score(np.concatenate([agents, neighbor[differ]]))
@@ -329,8 +333,8 @@ def matches_the_oracle(cfg: RunConfig, g: Graph, initial: np.ndarray | None = No
         def spy(g, is_coop, *rest):
             absorbed_at = step(g, is_coop, *rest)
             rng = rest[-3]  # rng, coop, invested
-            ends.append((is_coop, rng.copy() if isinstance(rng, np.ndarray)
-                         else pcg64_words(rng)))
+            ends.append((np.asarray(is_coop), pcg64_words(rng)
+                         if isinstance(rng, np.random.Generator) else np.array(rng)))
             return absorbed_at
         return spy
 
@@ -355,6 +359,14 @@ def matches_the_oracle(cfg: RunConfig, g: Graph, initial: np.ndarray | None = No
     return got, got_final, got_state
 
 
+def degree_percentiles(g: Graph) -> np.ndarray:
+    """Percentile rank of each node's degree: the fraction of other nodes
+    with strictly lower degree. _loops.ni_degree turns NI's threshold on
+    it into a degree."""
+    degrees = np.asarray(g.degrees)
+    return np.searchsorted(np.sort(degrees), degrees, side="left") / (g.n - 1)
+
+
 def csr_rows(g: Graph) -> np.ndarray:
     """The node each CSR entry belongs to: row k owns g.indices[k]."""
     return np.repeat(np.arange(g.n), g.degrees)
@@ -363,7 +375,7 @@ def csr_rows(g: Graph) -> np.ndarray:
 def count_neighbors(g: Graph, mask: np.ndarray) -> np.ndarray:
     """Per node, how many of its neighbors have mask set (float64; the
     counts are small integers, so they are exact)."""
-    return np.bincount(csr_rows(g), weights=mask[g.indices], minlength=g.n)
+    return np.bincount(csr_rows(g), weights=mask[np.asarray(g.indices)], minlength=g.n)
 
 
 def scores_from_counts(coop: np.ndarray, nc: np.ndarray, p: PayoffParams) -> np.ndarray:
@@ -404,7 +416,7 @@ def eligible_set(g: Graph | None, percentile: np.ndarray | None, coop: np.ndarra
 
 def neighbors(g: Graph, i: int) -> np.ndarray:
     """Sorted neighbor ids of node i."""
-    return g.indices[g.indptr[i]:g.indptr[i + 1]]
+    return np.asarray(g.indices[g.indptr[i]:g.indptr[i + 1]])
 
 
 def coop_fraction(s: np.ndarray) -> float:
@@ -454,7 +466,7 @@ def ni_eligible(percentile: np.ndarray, s: np.ndarray, c_I: float) -> np.ndarray
 
 def global_transitivity(g: Graph) -> float:
     """3 * triangles / connected triples; 0 for graphs with no connected triple."""
-    degs = g.degrees.astype(np.int64)
+    degs = np.asarray(g.degrees)
     triples = int(np.sum(degs * (degs - 1) // 2))
     if triples == 0:
         return 0.0

@@ -35,7 +35,6 @@ from coopsim.network import (
     BA,
     DMS,
     NetworkConfig,
-    degree_percentiles,
     generate,
 )
 
@@ -43,6 +42,7 @@ from conftest import (
     COOPERATE,
     DEFECT,
     accumulate_scores,
+    degree_percentiles,
     diameter,
     fermi_probability,
     fit_degree_exponent,
@@ -181,7 +181,7 @@ class TestCriterion5:
         for g_idx, gseed in enumerate(graph_seeds_for(master, 10)):
             net = NetworkConfig(model=BA, n=500, seed=gseed)
             g = generate(net)
-            theta = 2 * 1.8 * float(g.degrees.max())
+            theta = 2 * 1.8 * float(max(g.degrees))
             bound = diameter(g) + 2
             cfg = RunConfig(network=net, payoff=PayoffParams(b=1.8),
                             update=UpdateRuleConfig(rule=DETERMINISTIC),
@@ -343,7 +343,7 @@ class TestCriterion6:
                 result = run_simulation(replace(pop_cfg, run_seed=rseed), g)
                 coop_values.append(result.mean_coop)
                 tail = result.coop[-25:]
-                if result.final_state == "mixed" and tail.max() - tail.min() > 0.02:
+                if result.final_state == "mixed" and max(tail) - min(tail) > 0.02:
                     oscillating += 1
 
         baseline = sweep(

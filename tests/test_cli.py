@@ -404,7 +404,7 @@ class TestBadInputFailsFast:
         # BA n=100 under POP at p_c=1, 10 generations, one graph and two
         # realisations: at 1e306 the sum of two total costs overflows, at
         # 1e160 their squared deviation, and at 1e307 one run's total.
-        # Nothing is written and numpy warns of no overflow.
+        # Nothing is written and nothing warns of the overflow.
         pop = {"schemes": ["POP"], "theta": theta, "p_c": 1.0}
         if command == "run":
             payload = run_config(network={"model": "BA", "n": 100, "seed": 1},
@@ -1157,26 +1157,30 @@ class TestImitateBuild:
         assert proc.returncode == 0, proc.stderr
 
     def test_no_command_imports_numpy_random_or_hashlib(self, tmp_path):
-        # The library draws every random number and its cache is keyed
-        # without hashlib, so no command pays for importing numpy.random or
-        # OpenSSL; and importing the CLI loads no library, so a command's
-        # set-up ends before the library loads.
+        # The library draws every random number, builds every CSR and
+        # reads and writes plain buffers, and its cache is keyed without
+        # hashlib, so no command pays for importing numpy or OpenSSL; and
+        # importing the CLI loads no library, so a command's set-up ends
+        # before the library loads.
         payload = sweep_config(update={"rule": "stochastic", "K": 0.1}, graphs=2,
                                realisations=1)
         sweep_cfg = write_config(tmp_path, payload, "sweep.json")
+        baseline_cfg = write_config(tmp_path, {key: value for key, value in payload.items()
+                                               if key != "grid"}, "baseline.json")
         run_cfg = write_config(tmp_path, {key: payload[key] for key in
                                           ("network", "payoff", "update", "generations",
                                            "stats_window")}, "run.json")
         sweep_csv = str(tmp_path / "sweep.csv")
         commands = [
             ["sweep", "--config", sweep_cfg, "--out", sweep_csv, "--jobs", "2"],
+            ["baseline", "--config", baseline_cfg, "--out", str(tmp_path / "baseline.csv")],
             ["run", "--config", run_cfg, "--out", str(tmp_path / "run.csv")],
             ["gen-net", "--model", "dms", "--n", "30", "--seed", "1",
              "--out", str(tmp_path / "g.json")],
             ["frontier", "--in", sweep_csv, "--targets", "0.5",
              "--out", str(tmp_path / "frontier.csv")],
         ]
-        unwanted = ("numpy.random", "hashlib", "_hashlib")
+        unwanted = ("numpy", "numpy.random", "hashlib", "_hashlib")
         script = (
             "import json, sys\n"
             "from coopsim.cli import main\n"

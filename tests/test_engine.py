@@ -145,7 +145,7 @@ class TestRunSimulation:
         g = generate(NetworkConfig(model=BA, n=100, seed=3))
         coop, invested = np.empty(30), np.zeros(30, np.int64)
         rng = _loops.generator(0)
-        state = rng.copy()
+        state = np.array(rng)
         with pytest.raises(ValueError, match="imitate_best needs contiguous"):
             dynamics.step_deterministic(g, initial, PayoffParams(), InterferenceConfig(),
                                         rng, coop, invested)
@@ -207,7 +207,7 @@ class TestRunSimulation:
         for seed in range(5):
             net = NetworkConfig(model=BA, n=150, seed=seed)
             g = generate(net)
-            theta = 2 * 1.8 * int(g.degrees.max())
+            theta = 2 * 1.8 * int(max(g.degrees))
             cfg = RunConfig(network=net, payoff=PayoffParams(b=1.8),
                             update=UpdateRuleConfig(rule=DETERMINISTIC),
                             interference=pop_cfg(theta=theta, p_c=1.0),
@@ -237,8 +237,8 @@ class TestRunSimulation:
         frozen = result.coop[at]
         assert frozen in (0.0, 1.0)
         assert not np.isin(result.coop[:at], (0.0, 1.0)).any()
-        assert np.all(result.coop[at:] == frozen)
-        assert not result.invested[at:].any()
+        assert np.all(np.asarray(result.coop[at:]) == frozen)
+        assert not any(result.invested[at:])
         assert np.all(final == frozen)
 
     @staticmethod
@@ -278,15 +278,15 @@ class TestRunSimulation:
         cfg = ba_config(interference=pop_cfg(theta=1.5, p_c=0.9), run_seed=8)
         g = generate(NetworkConfig(model=BA, n=100, seed=6))
         result = run_simulation(cfg, g)
-        assert result.total_cost == pytest.approx(1.5 * result.invested.sum(), abs=1e-9)
-        assert np.array_equal(result.cost, 1.5 * result.invested)
+        assert result.total_cost == pytest.approx(1.5 * sum(result.invested), abs=1e-9)
+        assert np.array_equal(result.cost, 1.5 * np.asarray(result.invested))
 
     def test_baseline_costs_nothing(self):
         cfg = ba_config()
         g = generate(NetworkConfig(model=BA, n=100, seed=7))
         result = run_simulation(cfg, g)
         assert result.total_cost == 0.0
-        assert not result.invested.any()
+        assert not any(result.invested)
 
     def test_same_seed_bit_identical(self):
         cfg = ba_config(update=UpdateRuleConfig(rule=STOCHASTIC, K=0.1),
@@ -364,7 +364,7 @@ class TestInterferenceAccounting:
         assert played > 0
         assert result.invested[:played].tolist() == \
             [int(np.count_nonzero(m)) for m in calls["eligible"]]
-        assert not result.invested[played:].any()
+        assert not any(result.invested[played:])
 
     def test_empty_eligible_set_costs_nothing(self, monkeypatch):
         # POP at p_c = 0 pays only when there is no cooperator to pay
@@ -372,7 +372,7 @@ class TestInterferenceAccounting:
         g = generate(NetworkConfig(model=BA, n=100, seed=12))
         result, calls = self.record_run(monkeypatch, cfg, g)
         assert calls["eligible"] and not any(m.any() for m in calls["eligible"])
-        assert not result.cost.any()
+        assert not any(result.cost)
         assert result.total_cost == 0.0
         for (_, before), (_, stepped) in zip(calls["scores"], calls["stepped"]):
             assert np.array_equal(stepped, before)
@@ -383,7 +383,7 @@ class TestInterferenceAccounting:
             theta = float(rng.random() * 10 + 0.1)
             cfg = ba_config(interference=pop_cfg(theta=theta, p_c=0.9), run_seed=trial)
             result = run_simulation(cfg, generate(NetworkConfig(model=BA, n=100, seed=trial)))
-            assert np.array_equal(result.cost, theta * result.invested)
+            assert np.array_equal(result.cost, theta * np.asarray(result.invested))
 
     def test_endowment_added_without_touching_the_scores(self, monkeypatch):
         theta = 2.0
@@ -407,7 +407,7 @@ class TestInterferenceAccounting:
         cfg = ba_config(n=n, interference=icfg, run_seed=run_seed)
         g = generate(NetworkConfig(model=BA, n=n, seed=graph_seed))
         got = matches_the_oracle(cfg, g)[0]
-        assert got.invested.any() == (icfg.p_c != 0.0)
+        assert any(got.invested) == (icfg.p_c != 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(g=connected_graphs(min_n=3), data=st.data())
@@ -421,7 +421,7 @@ class TestInterferenceAccounting:
         icfg = InterferenceConfig(
             schemes=(POP, NEB, NI), theta=1.0, p_c=np.count_nonzero(start) / g.n,
             n_c=float(count_neighbors(g, start)[node] / g.degrees[node]),
-            c_I=float(network.degree_percentiles(g)[node]))
+            c_I=float(conftest.degree_percentiles(g)[node]))
         cfg = RunConfig(network=NetworkConfig(model=BA, n=g.n), interference=icfg,
                         generations=1, stats_window=1)
         got = matches_the_oracle(cfg, g, start)[0]
@@ -756,7 +756,7 @@ class TestFermiLoop:
         # is refused before it is read, under either rule, and left as it
         # was.
         g = generate(NetworkConfig(model=BA, n=30, seed=1))
-        words = _loops.generator(1)
+        words = np.array(_loops.generator(1))
         for rng in (np.random.default_rng(1), words[:3], words.astype(np.int64),
                     np.repeat(words, 2)[::2], words.reshape(2, 2), words.view(np.uint32)):
             before = pickle.dumps(rng)
@@ -811,10 +811,11 @@ class TestLoopBoundary:
     def test_ni_degree_pays_the_nodes_whose_percentile_reaches_c_I(self, model, n, seed,
                                                                     data):
         g = generate(NetworkConfig(model=model, n=n, seed=seed))
-        percentile = network.degree_percentiles(g)
+        percentile = conftest.degree_percentiles(g)
         c_I = data.draw(st.one_of(st.sampled_from([0.0, 1.0, *percentile.tolist()]),
                                   st.floats(0.0, 1.0)))
-        assert np.array_equal(g.degrees >= _loops.ni_degree(g, c_I), percentile >= c_I)
+        assert np.array_equal(np.asarray(g.degrees) >= _loops.ni_degree(g, c_I),
+                              percentile >= c_I)
 
     def test_a_work_block_that_cannot_be_allocated_returns_minus_2(self):
         # 2**46 agents need a block past the 47-bit address space, which no
@@ -823,9 +824,9 @@ class TestLoopBoundary:
         lib, n = _loops.library(), 2**46
         for name, rule in (("coopsim_imitate_best", ()), ("coopsim_fermi", (0.1,))):
             rng = _loops.generator(7)
-            before = rng.copy()
+            before = np.array(rng)
             got = getattr(lib, name)(n, None, None, 1.5, _loops.Pay(), *rule, 10, None,
-                                     None, None, rng.ctypes.data)
+                                     None, None, rng.buffer_info()[0])
             assert got == -2, name
             assert np.array_equal(rng, before), name
 
@@ -913,7 +914,7 @@ class TestThetaLattice:
         assert np.array_equal(final_a, final_b)
         assert np.array_equal(end_a, end_b)
         # A run that pays nobody is the run without interference.
-        if not a.invested.any():
+        if not any(a.invested):
             base, final_base, end_base = matches_the_oracle(
                 replace(cfg, interference=InterferenceConfig()), g, initial)
             assert np.array_equal(a.coop, base.coop)
@@ -1033,6 +1034,53 @@ class TestReplication:
                 coops.append(run_simulation(
                     RunConfig(**{**cfg.__dict__, "run_seed": rseed}), g).mean_coop)
         assert summary.coop_std == pytest.approx(np.std(coops, ddof=1), abs=1e-15)
+
+
+class TestReductions:
+    """engine reduces with numpy's pairwise summation, written out, so a
+    mean and a sample std are np.mean's and np.std(ddof=1)'s bit for bit:
+    at every length across its 8-value blocks, its 128-value leaves and
+    numpy's 8,192-value buffer, and for costs whose sums or squared
+    deviations pass the largest double, which end in an OverflowError
+    naming theta."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 20_000), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 1e3, 1e160, 1e307]))
+    @example(n=1, seed=0, scale=1.0)
+    @example(n=7, seed=0, scale=1.0)
+    @example(n=8, seed=0, scale=1.0)
+    @example(n=128, seed=0, scale=1.0)
+    @example(n=129, seed=0, scale=1.0)
+    @example(n=8192, seed=0, scale=1.0)
+    @example(n=8193, seed=0, scale=1.0)
+    @example(n=20_000, seed=0, scale=1.0)
+    @example(n=2, seed=0, scale=1e160)  # the squared deviation overflows
+    @example(n=300, seed=0, scale=1e307)  # the sum overflows
+    def test_mean_and_sample_std_are_numpys(self, n, seed, scale):
+        values = np.random.default_rng(seed).random(n) * scale
+        values[::5] = np.floor(values[::5])  # some equal values, 0 among them
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.array([np.mean(values), np.std(values, ddof=1) if n > 1 else 0.0])
+        got = np.array(engine._mean_std(values.tolist()))
+        assert got.tobytes() == want.tobytes()
+        if np.isfinite(got).all():
+            engine._check_cost(1.0, cost_mean=got[0], cost_std=got[1])
+        else:
+            with pytest.raises(OverflowError, match=r"theta=1e\+300 is too large"):
+                engine._check_cost(1e300, cost_mean=got[0], cost_std=got[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(generations=st.integers(1, 300), data=st.data(), run_seed=st.integers(0, 2**32),
+           rule=st.sampled_from([DETERMINISTIC, STOCHASTIC]))
+    def test_mean_coop_is_numpys_over_the_window(self, generations, data, run_seed, rule):
+        window = data.draw(st.integers(1, generations))
+        cfg = ba_config(n=60, update=UpdateRuleConfig(rule=rule, K=0.1 if rule == STOCHASTIC
+                                                      else None),
+                        interference=pop_cfg(theta=1.0, p_c=0.6), generations=generations,
+                        stats_window=window, run_seed=run_seed)
+        result = run_simulation(cfg, generate(NetworkConfig(model=BA, n=60, seed=1)))
+        assert result.mean_coop == np.mean(np.asarray(result.coop)[-window:])
 
 
 def make_summary(schemes, theta, coop_mean, cost_mean, p_c=None, n_c=None, c_I=None):

@@ -1,13 +1,14 @@
-"""Mutation check of the compiled library: does tests/test_engine.py catch
-each of a fixed set of faults planted in src/coopsim/_loops.c?
+"""Mutation check of the compiled library: do tests/test_engine.py and
+tests/test_network.py catch each of a fixed set of faults planted in
+src/coopsim/_loops.c?
 
 For the unchanged tree and then for each mutant, the script copies src/,
 tests/ and pyproject.toml into a temporary directory, replaces the
 mutant's target text (which must occur exactly once) in the copy's
 _loops.c, builds the copy's library without loading it (a mutant may fail
-the load check), and runs tests/test_engine.py there,
-stopping at the first failure. A mutant is caught when a test fails, and
-missed when all pass. Prints one line per run, and exits 0 when every
+the load check), and runs the two test files there, stopping at the
+first failure. A mutant is caught when a test fails, and missed when all
+pass. Prints one line per run and the count caught, and exits 0 when every
 mutant is caught and 1 when one is missed. An unchanged tree whose tests
 fail, a copy that does not build, or tests that cannot run stop it with a
 message.
@@ -26,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = Path("src", "coopsim", "_loops.c")
+TESTS = ("tests/test_engine.py", "tests/test_network.py")
 
 _SCALE_THETA = ("\n    struct pay scaled = *pay;"
                 "\n    scaled.theta *= 1.5;"
@@ -52,6 +54,12 @@ MUTANTS = (
      "second = edges[bounded(&h, (uint32_t)(e + 4))];"),
     ("SeedSequence hash multiplier changed", "*hash *= 0x931e8875u;",
      "*hash *= 0x931e8877u;"),
+    # Growth lists each row's edges in ascending order already: only edge
+    # lists in other orders, as the tests build, show the skipped transpose.
+    ("CSR rows left in edge order", "indices[--next[unsorted[k]]] = row;",
+     "indices[k] = unsorted[k];"),
+    ("CSR prefix sums stop one node short", "for (int64_t i = 0; i < n; i++)\n"
+     "        indptr[i + 1]", "for (int64_t i = 0; i < n - 1; i++)\n        indptr[i + 1]"),
 )
 
 
@@ -63,8 +71,8 @@ def mutate(source: str, target: str, replacement: str) -> str:
 
 
 def check(name: str, source: str) -> bool:
-    """Whether tests/test_engine.py passes on a copy of the tree with source
-    as its _loops.c. A copy that does not build stops the script."""
+    """Whether the TESTS pass on a copy of the tree with source as its
+    _loops.c. A copy that does not build stops the script."""
     with tempfile.TemporaryDirectory(prefix="coopsim-mutant-") as tmp:
         tree = Path(tmp)
         for part in ("src", "tests"):
@@ -81,8 +89,8 @@ def check(name: str, source: str) -> bool:
         if build.returncode != 0:
             sys.exit(f"{name}: the build failed:\n{build.stderr}")
         tests = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "tests/test_engine.py"], cwd=tree, env=env, capture_output=True, text=True)
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
+            cwd=tree, env=env, capture_output=True, text=True)
         if tests.returncode not in (0, 1):  # 1: a test failed; else pytest could not run
             sys.exit(f"{name}: pytest exited {tests.returncode}:\n{tests.stdout}")
         return tests.returncode == 0
@@ -94,12 +102,13 @@ def main() -> int:
     if not check("unchanged", source):
         sys.exit("unchanged: FAILED, so no mutant can be judged")
     print("unchanged: passed", flush=True)
-    ok = True
+    caught = 0
     for name, mutant in mutants:
-        caught = not check(name, mutant)
-        ok &= caught
-        print(f"{name}: {'caught' if caught else 'MISSED'}", flush=True)
-    return 0 if ok else 1
+        missed = check(name, mutant)
+        caught += not missed
+        print(f"{name}: {'MISSED' if missed else 'caught'}", flush=True)
+    print(f"{caught} of {len(mutants)} mutants caught")
+    return 0 if caught == len(mutants) else 1
 
 
 if __name__ == "__main__":
