@@ -3,16 +3,17 @@ points, and cost-efficiency frontier extraction.
 
 A parameter point is evaluated on several independently seeded graphs with
 several realisations each (defaults follow the 10 x 30 protocol). All seeds
-descend from one master seed through a counter-based split, and results are
-reduced in a fixed order, so repeated invocations and any degree of worker
-parallelism produce identical output.
+descend from one master seed through a counter-based split, and every sum
+is correctly rounded (math.fsum), so a statistic depends on neither the
+order of its values nor the Python version, and repeated invocations and
+any degree of worker parallelism produce identical output.
 """
 
 from __future__ import annotations
 
 import array
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 from . import dynamics, interference, network
@@ -102,41 +103,25 @@ def _check_cost(theta: float | None, **stats: float) -> None:
             raise OverflowError(f"theta={theta!r} is too large: {name} overflows a double")
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """numpy's sum of float64 values >= +0, whose order fixes its last bits,
-    written out: below 8 values one running sum from 0; up to 128, eight
-    running sums over every eighth value, added in pairs, then the rest one
-    by one; above, the sums of two halves, the first rounded down to a
-    multiple of 8. ROADMAP item 18's first step, math.fsum for every
-    statistic, deletes it."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    total = 0.0
-    if n >= 8:
-        blocks = n - n % 8
-        sums = values[:8]
-        for i in range(8, blocks, 8):
-            sums = [a + b for a, b in zip(sums, values[i:i + 8])]
-        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
-            (sums[4] + sums[5]) + (sums[6] + sums[7]))
-        values = values[blocks:]
-    for value in values:
-        total += value
-    return total
+def _fsum(values: Iterable[float]) -> float:
+    """math.fsum of values, or inf where a partial sum passes the largest
+    double, where fsum raises OverflowError: _check_cost then names theta."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    """numpy's mean and sample std (ddof=1, and 0.0 for one value) of
-    values, bit for bit: the mean is their pairwise sum over their number,
-    the std the square root of the pairwise sum of the squared deviations
-    from the mean over one less. An overflow leaves inf or nan."""
+    """Mean and sample std of values, correctly rounded sums and so the same
+    for any order: the mean is the fsum of values over their number, the std
+    the square root of the fsum of squared deviations from that mean over
+    n - 1, and 0.0 for one value. An overflow leaves inf or nan."""
     n = len(values)
-    mean = _pairwise_sum(values) / n
+    mean = _fsum(values) / n
     if n < 2:
         return mean, 0.0
-    return mean, math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in values]) / (n - 1))
+    return mean, math.sqrt(_fsum((v - mean) * (v - mean) for v in values) / (n - 1))
 
 
 def _classify(n_coop: int, n: int) -> str:
@@ -155,10 +140,13 @@ def run_simulation(cfg: RunConfig, g: Graph) -> RunResult:
     homogeneous population absorbs: neither rule can leave it (both copy a
     neighbor, without mutation), so the run stops, pays no further
     endowment and draws nothing more; the frozen state fills the rest of
-    the trace so it always spans the full horizon. mean_coop averages the
-    trailing stats_window generations. A graph whose size differs from
-    the config's n is a ValueError; a total cost that overflows a double
-    is an OverflowError naming theta.
+    the trace so it always spans the full horizon. mean_coop is the fsum
+    of the trailing stats_window generations over stats_window, and
+    total_cost the fsum of cost, so both are the same on any Python (a
+    sweep's std is the square root of the fsum of squared deviations from
+    the fsum mean over n - 1). A graph whose size differs from the
+    config's n is a ValueError; a total cost that overflows a double is an
+    OverflowError naming theta.
 
     The compiled library seeds the generator and draws the start
     (_loops.generator and _loops.start). Then a run is one compiled call:
@@ -183,15 +171,14 @@ def run_simulation(cfg: RunConfig, g: Graph) -> RunResult:
 
     # theta is None, and invested 0, without interference. An overflow leaves inf.
     cost = array.array("d", [(icfg.theta or 0.0) * k for k in invested])
-    # Left-to-right, generation by generation: the CSV bytes depend on it.
-    total_cost = sum(cost)
+    total_cost = _fsum(cost)
     _check_cost(icfg.theta, total_cost=total_cost)
     return RunResult(
         coop=coop,
         invested=invested,
         cost=cost,
         total_cost=total_cost,
-        mean_coop=_mean_std(coop[-cfg.stats_window:])[0],
+        mean_coop=math.fsum(coop[-cfg.stats_window:]) / cfg.stats_window,
         absorbed_at=absorbed_at,
         final_state=_classify(bytes(is_coop).count(1), g.n),
     )
@@ -199,10 +186,12 @@ def run_simulation(cfg: RunConfig, g: Graph) -> RunResult:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """Mean/std of per-replicate cooperation and total cost at one grid
-    point: one sweep CSV row. Its graph seeds are graph_seeds_for(master_seed,
-    graphs); a replicate's run seed is derived from the point, graph and
-    realisation indices."""
+    """Mean and sample std of per-replicate cooperation and total cost at
+    one grid point: one sweep CSV row. A mean is the fsum of the replicates'
+    values over their number; a std the square root of the fsum of squared
+    deviations from that mean over n - 1 (0.0 for one replicate). Its graph
+    seeds are graph_seeds_for(master_seed, graphs); a replicate's run seed
+    is derived from the point, graph and realisation indices."""
 
     config: RunConfig
     replicates: int
@@ -237,8 +226,10 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
     each replicate is one compiled call, which releases the GIL, and every
     thread reads the same read-only graphs. A task's exception is raised
     here, after the pool's threads have ended. Workers only parallelise
-    independent replicates, and each point's replicates are reduced in
-    (graph, realisation) order, so output is identical for any jobs. No
+    independent replicates, and each point's mean is the fsum of its
+    replicates' values over their number and its sample std the square root
+    of the fsum of squared deviations from that mean over n - 1, both the
+    same for any order, so output is identical for any jobs. No
     points, graphs or realisations below 1, jobs other than an integer of
     at least 1, or points whose network configs differ, are a ValueError;
     a cost mean or std that overflows a double is an OverflowError naming
@@ -273,8 +264,6 @@ def sweep(cfgs: list[RunConfig], master_seed: int,
 
     summaries = []
     for point, cfg in enumerate(cfgs):
-        # The point's replicates, graph-major: the summation order, and so
-        # the CSV bytes, depend on it.
         replicates = [r for task in per_task[point::len(cfgs)] for r in task]
         (coop_mean, coop_std), (cost_mean, cost_std) = map(_mean_std, zip(*replicates))
         _check_cost(cfg.interference.theta, cost_mean=cost_mean, cost_std=cost_std)

@@ -273,7 +273,8 @@ def replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
 def simulate(cfg: RunConfig, g: Graph) -> RunResult:
     """Oracle of engine.run_simulation: the start drawn as it draws it, from
     a generator seeded with cfg.run_seed, then every generation through
-    replicate, looked up in this module when called."""
+    replicate, looked up in this module when called. total_cost and
+    mean_coop are correctly rounded sums, as engine's."""
     rng = np.random.default_rng(cfg.run_seed)
     is_coop = rng.integers(0, 2, g.n, dtype=np.int8).view(bool)
     coop = np.empty(cfg.horizon)
@@ -283,8 +284,9 @@ def simulate(cfg: RunConfig, g: Graph) -> RunResult:
     cost = (cfg.interference.theta or 0.0) * invested
     n_coop = np.count_nonzero(is_coop)
     return RunResult(
-        coop=coop, invested=invested, cost=cost, total_cost=float(sum(cost.tolist())),
-        mean_coop=float(coop[-cfg.stats_window:].mean()), absorbed_at=absorbed_at,
+        coop=coop, invested=invested, cost=cost, total_cost=math.fsum(cost),
+        mean_coop=math.fsum(coop[-cfg.stats_window:]) / cfg.stats_window,
+        absorbed_at=absorbed_at,
         final_state=(HOMOGENEOUS_C if n_coop == g.n
                      else HOMOGENEOUS_D if n_coop == 0 else MIXED))
 
