@@ -220,28 +220,25 @@ void coopsim_grow(int64_t dms, int64_t n, uint64_t *generator, int64_t *edges)
 }
 
 /* The CSR of an undirected graph of n nodes from its m edges, the 2m ends
- * (u, v) of edges pair by pair, in any order and either direction, each
- * end a node: indptr (the n + 1 prefix sums of the degrees), indices (2m),
- * each row ascending as a sort of the (row, neighbor) pairs lists it, and
- * degrees. The caller zeroes degrees and indptr, and lends next (n) and
- * unsorted (2m). The rows are first filled in edge order, into unsorted,
- * which leaves next at each row's end; then the transpose of that CSR is
- * written to indices, each row filled from its end while the rows are read
- * from the last: so each row comes out ascending, and the graph being
- * undirected, its transpose is itself. */
+ * (u, v) of edges pair by pair, each end a node: indptr (n + 1 entries,
+ * which the caller zeroes) and indices (2m). Each row lists its node's
+ * neighbors in the order its ends appear in edges: ascending for growth's
+ * edge lists, and for any list of (min, max) pairs sorted ascending.
+ * Each end is counted into the next row's indptr entry, whose prefix sums
+ * make indptr[u] row u's start; the fill then writes each end's neighbor
+ * at its row's cursor, indptr[u], which leaves it at the row's end, the
+ * next row's start; shifting indptr back one entry restores the starts. */
 void coopsim_csr(int64_t n, int64_t m, const int64_t *edges, int64_t *indptr,
-                 int64_t *indices, int64_t *degrees, int64_t *next, int64_t *unsorted)
+                 int64_t *indices)
 {
     for (int64_t e = 0; e < 2 * m; e++)
-        degrees[edges[e]]++;
+        indptr[edges[e] + 1]++;
     for (int64_t i = 0; i < n; i++)
-        indptr[i + 1] = indptr[i] + degrees[i];
-    memcpy(next, indptr, n * sizeof *next);
+        indptr[i + 1] += indptr[i];
     for (int64_t e = 0; e < 2 * m; e++)
-        unsorted[next[edges[e]]++] = edges[e ^ 1];
-    for (int64_t row = n - 1; row >= 0; row--)
-        for (int64_t k = indptr[row]; k < indptr[row + 1]; k++)
-            indices[--next[unsorted[k]]] = row;
+        indices[indptr[edges[e]]++] = edges[e ^ 1];
+    memmove(indptr + 1, indptr, n * sizeof *indptr);
+    indptr[0] = 0;
 }
 
 /* A jump table maps the LCG state d steps ahead, state -> mult * state + add:

@@ -89,8 +89,8 @@ _PROTOTYPES = {
     "coopsim_start": ((_PTR, _I64, _PTR), None),
     # dms, n, the generator, the edges
     "coopsim_grow": ((_I64, _I64, _PTR, _PTR), None),
-    # n, the edge count, the ends, indptr, indices, degrees and the scratch
-    "coopsim_csr": ((_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR), None),
+    # n, the edge count, the ends, indptr, indices
+    "coopsim_csr": ((_I64, _I64, _PTR, _PTR, _PTR), None),
     # n, CSR, b, pay, [K,] horizon, is_coop, coop, invested, the generator
     "coopsim_imitate_best": ((_I64, _PTR, _PTR, _F64, _PAY, _I64, _PTR, _PTR, _PTR, _PTR),
                              _I64),
@@ -268,14 +268,14 @@ def grow(model: str, n: int, rng) -> array.array:
 
 
 def csr(n: int, edges) -> list[memoryview]:
-    """The indptr, indices and degrees, read-only int64 memoryviews, of the
-    graph of n nodes whose edges have the ends edges, an int64 buffer,
-    pair by pair, each end a node: coopsim_csr in _loops.c, each row
-    ascending."""
+    """The indptr and indices, read-only int64 memoryviews, of the graph of
+    n nodes whose edges have the ends edges, an int64 buffer, pair by pair,
+    each end a node: coopsim_csr in _loops.c. Each row lists its node's
+    neighbors in the order their edges appear in edges."""
     (ends,) = _check("coopsim_csr", (edges, _INT64, len(edges)))
-    arrays = [array.array("q", [0]) * k for k in (n + 1, len(edges), n, n, len(edges))]
+    arrays = [array.array("q", [0]) * k for k in (n + 1, len(edges))]
     library().coopsim_csr(n, len(edges) // 2, ends, *(a.buffer_info()[0] for a in arrays))
-    return [memoryview(a).toreadonly() for a in arrays[:3]]
+    return [memoryview(a).toreadonly() for a in arrays]
 
 
 def ni_degree(g: network.Graph, c_I: float) -> int:

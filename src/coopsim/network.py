@@ -47,36 +47,38 @@ class NetworkConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected simple connected graph, as grown by generate.
-
-    Neighbor ids are stored in CSR form (indptr/indices) with each node's
-    neighbor list sorted ascending, beside each node's degree: read-only
-    int64 memoryviews in a graph from_edges builds, which numpy.asarray
-    reads without a copy. The CSR is the only copy of the edges: edges
-    derives the canonical (u < v) edge list from it.
+    """Immutable undirected simple connected graph, as grown by generate:
+    n and its CSR, indptr and indices, with each node's neighbor list
+    ascending. Both are read-only int64 memoryviews in a graph from_edges
+    builds, which numpy.asarray reads without a copy. The CSR is the only
+    copy of the edges: edges derives the canonical (u < v) edge list from
+    it. A graph hashes and compares by identity.
     """
 
     n: int
-    indptr: memoryview   # n + 1 entries
+    indptr: memoryview   # n + 1 entries: row u is indices[indptr[u]:indptr[u + 1]]
     indices: memoryview  # 2E entries
-    degrees: memoryview  # n entries
 
     @classmethod
     def from_edges(cls, n, edges) -> "Graph":
-        """Build the CSR of an undirected edge list: E pairs (u, v), or
-        their 2E ends, pair by pair, in one int64 array.array, as
-        coopsim._loops.grow writes them.
+        """Build the CSR of an undirected edge list. A flat int64
+        array.array of the 2E ends, pair by pair, as coopsim._loops.grow
+        writes them, is taken in its order: each row lists its node's
+        neighbors in the order their edges appear, so the edges must
+        already give ascending rows, as growth's do. Any other list of E
+        pairs (u, v), in either direction and in any order, is first
+        sorted as (min, max) pairs, which gives ascending rows.
 
         The edges must describe a simple connected graph on nodes 0..n-1,
-        each edge listed once, in either direction and in any order; this is
-        not checked, and the library writes each end's row unchecked. BA
-        and DMS growth meet it by construction: each new node attaches to
-        distinct nodes that are already connected."""
+        each edge listed once; this is not checked, and the library writes
+        each end's row unchecked. BA and DMS growth meet it by
+        construction: each new node attaches to distinct nodes that are
+        already connected."""
         from . import _loops  # imported here: import coopsim.cli loads no library
         if not isinstance(edges, array.array):
-            edges = array.array("q", itertools.chain.from_iterable(edges))
+            edges = array.array("q", itertools.chain.from_iterable(sorted(map(sorted, edges))))
         return cls(n, *_loops.csr(n, edges))
 
     @property
@@ -93,7 +95,7 @@ class Graph:
         """Each degree of the graph, ascending, with its percentile: the
         fraction of the other nodes of lower degree. Counted once per
         graph."""
-        degrees = sorted(self.degrees)
+        degrees = sorted(end - start for start, end in zip(self.indptr, self.indptr[1:]))
         return [(degree, bisect.bisect_left(degrees, degree) / (self.n - 1))
                 for degree in sorted(set(degrees))]
 

@@ -134,19 +134,20 @@ REFERENCE_GENERATE = {BA: reference_generate_ba, DMS: reference_generate_dms}
 
 
 def reference_from_edges(n: int, edges) -> Graph:
-    """Numpy oracle of Graph.from_edges, the CSR by a lexsort: both
-    directions of every edge stacked as (row, neighbor) pairs and ordered
-    by row, then neighbor, each array read-only as Graph.from_edges gives
-    it. The growth oracles build their graphs with it, so they hold the
-    library's CSR build to it too."""
+    """Numpy oracle of Graph.from_edges on E (u, v) pairs, the CSR by a
+    lexsort: both directions of every edge stacked as (row, neighbor)
+    pairs and ordered by row, then neighbor, so each row ascends whatever
+    the pairs' order, each array read-only as Graph.from_edges gives it.
+    The growth oracles build their graphs with it, so they hold the
+    library's CSR build of growth's edges, taken in their order, to it
+    too."""
     edges = np.asarray(edges, dtype=np.int64)
     both = np.concatenate([edges, edges[:, ::-1]])
     both = both[np.lexsort((both[:, 1], both[:, 0]))]
-    degrees = np.bincount(both[:, 0], minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
+    np.cumsum(np.bincount(both[:, 0], minlength=n), out=indptr[1:])
     return Graph(n, *(memoryview(a).toreadonly()
-                      for a in (indptr, np.ascontiguousarray(both[:, 1]), degrees)))
+                      for a in (indptr, np.ascontiguousarray(both[:, 1]))))
 
 
 def step_deterministic(g: Graph, s: np.ndarray, scores: np.ndarray,
@@ -218,7 +219,7 @@ def step_stochastic(g: Graph, s: np.ndarray, front: np.ndarray, score, K: float,
     """
     u = rng.random(2 * g.n)
     u_pick, u_copy = u[:g.n], u[g.n:]
-    degrees = np.asarray(g.degrees)[front]
+    degrees = node_degrees(g)[front]
     offset = np.minimum((u_pick[front] * degrees).astype(np.int64), degrees - 1)
     neighbor = np.asarray(g.indices)[np.asarray(g.indptr)[front] + offset]
     differ = (s[neighbor] != s[front]).nonzero()[0]
@@ -264,7 +265,7 @@ def replicate(g: Graph, is_coop: np.ndarray, payoff: PayoffParams,
         if K is None:
             switched = step_deterministic(g, is_coop, score(np.arange(g.n)), rng)
         else:
-            front = (nc != np.where(is_coop, g.degrees, 0)).nonzero()[0]
+            front = (nc != np.where(is_coop, node_degrees(g), 0)).nonzero()[0]
             switched = step_stochastic(g, is_coop, front, score, K, rng)
         is_coop[switched] = ~is_coop[switched]
     return None
@@ -365,13 +366,18 @@ def degree_percentiles(g: Graph) -> np.ndarray:
     """Percentile rank of each node's degree: the fraction of other nodes
     with strictly lower degree. _loops.ni_degree turns NI's threshold on
     it into a degree."""
-    degrees = np.asarray(g.degrees)
+    degrees = node_degrees(g)
     return np.searchsorted(np.sort(degrees), degrees, side="left") / (g.n - 1)
+
+
+def node_degrees(g: Graph) -> np.ndarray:
+    """Each node's degree, the length of its CSR row."""
+    return np.diff(g.indptr)
 
 
 def csr_rows(g: Graph) -> np.ndarray:
     """The node each CSR entry belongs to: row k owns g.indices[k]."""
-    return np.repeat(np.arange(g.n), g.degrees)
+    return np.repeat(np.arange(g.n), node_degrees(g))
 
 
 def count_neighbors(g: Graph, mask: np.ndarray) -> np.ndarray:
@@ -410,7 +416,7 @@ def eligible_set(g: Graph | None, percentile: np.ndarray | None, coop: np.ndarra
             # All or nothing: the global cooperator fraction decides for everyone.
             out &= n_coop / coop.size <= cfg.p_c
         elif scheme == NEB:
-            out &= nc / g.degrees <= cfg.n_c
+            out &= nc / node_degrees(g) <= cfg.n_c
         else:
             out &= percentile >= cfg.c_I
     return out
@@ -468,7 +474,7 @@ def ni_eligible(percentile: np.ndarray, s: np.ndarray, c_I: float) -> np.ndarray
 
 def global_transitivity(g: Graph) -> float:
     """3 * triangles / connected triples; 0 for graphs with no connected triple."""
-    degs = np.asarray(g.degrees)
+    degs = node_degrees(g)
     triples = int(np.sum(degs * (degs - 1) // 2))
     if triples == 0:
         return 0.0

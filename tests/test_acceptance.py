@@ -51,6 +51,7 @@ from conftest import (
     neb_eligible,
     neighbors,
     ni_eligible,
+    node_degrees,
     pairwise_payoff,
     pop_eligible,
     random_connected_graph,
@@ -128,7 +129,7 @@ class TestCriterion3:
         dms_trans = np.mean([global_transitivity(g) for g in dms])
         trans_ok = dms_trans >= 5 * ba_trans
         # fit above the attachment scale 2m to skip the non-power-law head
-        exponent = fit_degree_exponent(np.concatenate([g.degrees for g in ba]), k_min=4)
+        exponent = fit_degree_exponent(np.concatenate([node_degrees(g) for g in ba]), k_min=4)
         exp_ok = 2.5 <= exponent <= 3.5
 
         elapsed = time.perf_counter() - start
@@ -181,7 +182,7 @@ class TestCriterion5:
         for g_idx, gseed in enumerate(graph_seeds_for(master, 10)):
             net = NetworkConfig(model=BA, n=500, seed=gseed)
             g = generate(net)
-            theta = 2 * 1.8 * float(max(g.degrees))
+            theta = 2 * 1.8 * float(max(node_degrees(g)))
             bound = diameter(g) + 2
             cfg = RunConfig(network=net, payoff=PayoffParams(b=1.8),
                             update=UpdateRuleConfig(rule=DETERMINISTIC),

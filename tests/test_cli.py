@@ -12,7 +12,6 @@ import re
 import subprocess
 import sys
 import threading
-import tomllib
 import warnings
 from pathlib import Path
 
@@ -1231,6 +1230,7 @@ class TestImitateBuild:
     def test_every_c_source_is_package_data(self):
         # An install copies only the listed files: a C source left out of
         # package-data cannot be built where the package is installed.
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
         src = Path(_loops.__file__).parent
         pyproject = tomllib.loads((src.parent.parent / "pyproject.toml").read_text())
         listed = pyproject["tool"]["setuptools"]["package-data"]["coopsim"]

@@ -36,6 +36,7 @@ from conftest import (
     diameter,
     fermi_probability,
     matches_the_oracle,
+    node_degrees,
     pcg64_generator,
     pcg64_words,
     reachable,
@@ -209,7 +210,7 @@ class TestRunSimulation:
         for seed in range(5):
             net = NetworkConfig(model=BA, n=150, seed=seed)
             g = generate(net)
-            theta = 2 * 1.8 * int(max(g.degrees))
+            theta = 2 * 1.8 * int(max(node_degrees(g)))
             cfg = RunConfig(network=net, payoff=PayoffParams(b=1.8),
                             update=UpdateRuleConfig(rule=DETERMINISTIC),
                             interference=pop_cfg(theta=theta, p_c=1.0),
@@ -432,7 +433,7 @@ class TestInterferenceAccounting:
         node = data.draw(st.sampled_from(np.flatnonzero(start).tolist()))
         icfg = InterferenceConfig(
             schemes=(POP, NEB, NI), theta=1.0, p_c=np.count_nonzero(start) / g.n,
-            n_c=float(count_neighbors(g, start)[node] / g.degrees[node]),
+            n_c=float(count_neighbors(g, start)[node] / node_degrees(g)[node]),
             c_I=float(conftest.degree_percentiles(g)[node]))
         cfg = RunConfig(network=NetworkConfig(model=BA, n=g.n), interference=icfg,
                         generations=1, stats_window=1)
@@ -826,7 +827,7 @@ class TestLoopBoundary:
         percentile = conftest.degree_percentiles(g)
         c_I = data.draw(st.one_of(st.sampled_from([0.0, 1.0, *percentile.tolist()]),
                                   st.floats(0.0, 1.0)))
-        assert np.array_equal(np.asarray(g.degrees) >= _loops.ni_degree(g, c_I),
+        assert np.array_equal(node_degrees(g) >= _loops.ni_degree(g, c_I),
                               percentile >= c_I)
 
     def test_a_work_block_that_cannot_be_allocated_returns_minus_2(self):

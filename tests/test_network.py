@@ -25,6 +25,7 @@ from conftest import (
     global_transitivity,
     load_graph,
     neighbors,
+    node_degrees,
     random_connected_edges,
     random_connected_graph,
     reference_from_edges,
@@ -55,8 +56,7 @@ def check_structure(g: Graph, n: int) -> None:
     assumes of its edges and does not check."""
     assert g.n == n
     indptr, indices = np.asarray(g.indptr), np.asarray(g.indices)
-    degrees = np.diff(indptr)
-    assert np.array_equal(g.degrees, degrees)
+    degrees = node_degrees(g)
     assert degrees.min() >= 1
     rows = np.repeat(np.arange(n), degrees)
     # simple: no self-loop, and each sorted neighbor list strictly increases
@@ -174,7 +174,6 @@ class TestGraphValidation:
         lists = [sorted(adjacency[i]) for i in range(n)]
 
         g = Graph.from_edges(n, edges)
-        assert g.degrees.tolist() == [len(nbrs) for nbrs in lists]
         assert g.indptr.tolist() == [0, *itertools.accumulate(map(len, lists))]
         assert g.indices.tolist() == [v for nbrs in lists for v in nbrs]
         assert g.edges == [list(e) for e in canonical]
@@ -191,14 +190,14 @@ class TestGraphValidation:
         if as_list:
             edges = edges.tolist()
         built, oracle = Graph.from_edges(g.n, edges), reference_from_edges(g.n, edges)
-        for name in ("indptr", "indices", "degrees"):
+        for name in ("indptr", "indices"):
             got, want = (np.asarray(getattr(graph, name)) for graph in (built, oracle))
             assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name
             assert not got.flags.writeable and got.flags.c_contiguous, name
 
     def test_csr_arrays_are_contiguous(self):
         g = generate(NetworkConfig(model=DMS, n=200, seed=1))
-        assert all(a.c_contiguous for a in (g.indptr, g.indices, g.degrees))
+        assert all(a.c_contiguous for a in (g.indptr, g.indices))
 
     def test_accepts_long_path(self):
         order = np.random.default_rng(0).permutation(2000)
@@ -212,6 +211,12 @@ class TestGraphValidation:
             g.indices[0] = 5
         with pytest.raises(ValueError, match="read-only"):
             np.asarray(g.indices)[0] = 5
+
+    def test_a_graph_keys_a_dict_by_identity(self):
+        g, twin = (generate(NetworkConfig(model=BA, n=50, seed=1)) for _ in range(2))
+        index = {g: "g"}
+        assert index[g] == "g"
+        assert twin not in index and twin != g
 
     def test_diameter_path_graph(self):
         g = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
@@ -252,7 +257,7 @@ class TestDegreePercentiles:
     def test_matches_sort_and_count_oracle(self):
         g = generate(NetworkConfig(model=BA, n=20, seed=5))
         q = degree_percentiles(g)
-        degs = g.degrees
+        degs = node_degrees(g)
         expected = [sum(1 for j in range(g.n) if j != i and degs[j] < degs[i]) / (g.n - 1)
                     for i in range(g.n)]
         assert np.allclose(q, expected, atol=1e-15)
@@ -262,7 +267,7 @@ class TestDegreePercentiles:
         for _ in range(10):
             g = random_connected_graph(30, rng)
             q = degree_percentiles(g)
-            degs = g.degrees
+            degs = node_degrees(g)
             for i in range(g.n):
                 for j in range(g.n):
                     if degs[i] < degs[j]:

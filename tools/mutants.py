@@ -2,16 +2,15 @@
 tests/test_network.py catch each of a fixed set of faults planted in
 src/coopsim/_loops.c?
 
-For the unchanged tree and then for each mutant, the script copies src/,
-tests/ and pyproject.toml into a temporary directory, replaces the
-mutant's target text (which must occur exactly once) in the copy's
-_loops.c, builds the copy's library without loading it (a mutant may fail
-the load check), and runs the two test files there, stopping at the
-first failure. A mutant is caught when a test fails, and missed when all
-pass. Prints one line per run and the count caught, and exits 0 when every
-mutant is caught and 1 when one is missed. An unchanged tree whose tests
-fail, a copy that does not build, or tests that cannot run stop it with a
-message.
+For the unchanged tree and then for each mutant, the script copies the
+tree into a temporary directory, replaces the mutant's target text (which
+must occur exactly once) in the copy's _loops.c, builds the copy's
+library without loading it (a mutant may fail the load check), and runs
+the two test files there, stopping at the first failure. A mutant is
+caught when a test fails, and missed when all pass. Prints one line per
+run and the count caught, and exits 0 when every mutant is caught and 1
+when one is missed. An unchanged tree whose tests fail, a copy that does
+not build, or tests that cannot run stop it with a message.
 
     python3 tools/mutants.py
 """
@@ -54,12 +53,12 @@ MUTANTS = (
      "second = edges[bounded(&h, (uint32_t)(e + 4))];"),
     ("SeedSequence hash multiplier changed", "*hash *= 0x931e8875u;",
      "*hash *= 0x931e8877u;"),
-    # Growth lists each row's edges in ascending order already: only edge
-    # lists in other orders, as the tests build, show the skipped transpose.
-    ("CSR rows left in edge order", "indices[--next[unsorted[k]]] = row;",
-     "indices[k] = unsorted[k];"),
-    ("CSR prefix sums stop one node short", "for (int64_t i = 0; i < n; i++)\n"
-     "        indptr[i + 1]", "for (int64_t i = 0; i < n - 1; i++)\n        indptr[i + 1]"),
+    # Both CSR faults stay in bounds: one that writes past an array can
+    # crash pytest, which stops the script instead of counting it caught.
+    ("CSR fill writes each end's own node", "indices[indptr[edges[e]]++] = edges[e ^ 1];",
+     "indices[indptr[edges[e]]++] = edges[e];"),
+    ("CSR starts left unshifted", "memmove(indptr + 1, indptr, n * sizeof *indptr);\n"
+     "    indptr[0] = 0;", ""),
 )
 
 
@@ -70,24 +69,33 @@ def mutate(source: str, target: str, replacement: str) -> str:
     return source.replace(target, replacement)
 
 
+def built_copy(tree: Path, path: Path, text: str, failure: str) -> dict[str, str]:
+    """Copy src/, tests/, tools/ and pyproject.toml into the directory
+    tree, write text to the copy's file at path, and build the copy's
+    library without loading it. Returns the environment that imports the
+    copy; a build that fails stops the script with failure and the
+    compiler's error."""
+    for part in ("src", "tests", "tools"):
+        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", tree)
+    (tree / path).write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    build = subprocess.run(
+        [sys.executable, "-c", "from coopsim import _loops; "
+         "source = _loops.SOURCE.read_bytes(); "
+         "_loops._build(source, _loops.CACHE_DIR / _loops.cache_name(source))"],
+        cwd=tree, env=env, capture_output=True, text=True)
+    if build.returncode != 0:
+        sys.exit(f"{failure}:\n{build.stderr}")
+    return env
+
+
 def check(name: str, source: str) -> bool:
     """Whether the TESTS pass on a copy of the tree with source as its
     _loops.c. A copy that does not build stops the script."""
     with tempfile.TemporaryDirectory(prefix="coopsim-mutant-") as tmp:
         tree = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, tree / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", tree)
-        (tree / SOURCE).write_text(source)
-        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-        build = subprocess.run(
-            [sys.executable, "-c", "from coopsim import _loops; "
-             "source = _loops.SOURCE.read_bytes(); "
-             "_loops._build(source, _loops.CACHE_DIR / _loops.cache_name(source))"],
-            cwd=tree, env=env, capture_output=True, text=True)
-        if build.returncode != 0:
-            sys.exit(f"{name}: the build failed:\n{build.stderr}")
+        env = built_copy(tree, SOURCE, source, f"{name}: the build failed")
         tests = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
             cwd=tree, env=env, capture_output=True, text=True)

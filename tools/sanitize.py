@@ -1,8 +1,8 @@
 """Sanitizer check of the compiled library: do the tests that call
 src/coopsim/_loops.c run clean under AddressSanitizer and UBSan?
 
-The script copies src/, tests/, tools/ and pyproject.toml into a
-temporary directory and adds the sanitizer flags below to the copy's
+The script copies the tree into a temporary directory, as
+tools/mutants.py does, and adds the sanitizer flags below to the copy's
 compiler flags (_loops.FLAGS). The build key holds the compiler command,
 so this build never meets the normal one. It builds the copy's library,
 then runs the test files that reach the library there, with gcc's
@@ -24,13 +24,13 @@ message.
 from __future__ import annotations
 
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from mutants import ROOT, built_copy
+
 LOOPS = Path("src", "coopsim", "_loops.py")
 TESTS = ("tests/test_engine.py", "tests/test_network.py", "tests/test_golden.py",
          "tests/test_dynamics.py", "tests/test_cli.py")
@@ -49,20 +49,8 @@ def main() -> int:
         sys.exit(f"gcc names no libasan.so (got {libasan!r})")
     with tempfile.TemporaryDirectory(prefix="coopsim-sanitize-") as tmp:
         tree = Path(tmp)
-        for part in ("src", "tests", "tools"):
-            shutil.copytree(ROOT / part, tree / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", tree)
-        with open(tree / LOOPS, "a") as fh:
-            fh.write(f"\nFLAGS += {SANITIZE!r}\n")
-        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-        build = subprocess.run(
-            [sys.executable, "-c", "from coopsim import _loops; "
-             "source = _loops.SOURCE.read_bytes(); "
-             "_loops._build(source, _loops.CACHE_DIR / _loops.cache_name(source))"],
-            cwd=tree, env=env, capture_output=True, text=True)
-        if build.returncode != 0:
-            sys.exit(f"the sanitized build failed:\n{build.stderr}")
+        env = built_copy(tree, LOOPS, (ROOT / LOOPS).read_text() + f"\nFLAGS += {SANITIZE!r}\n",
+                         "the sanitized build failed")
         # --capture=sys: a report written to the file descriptor reaches
         # this script even when it stops the test process.
         tests = subprocess.run(
