@@ -23,7 +23,8 @@
  *   - absorb when every agent plays one strategy, filling coop to the end;
  *   - record the cooperator fraction;
  *   - pay theta to the cooperators meeting every active scheme (POP, NEB,
- *     NI) and count them in invested;
+ *     NI), and count them in invested (the Fermi loop counts them from
+ *     coop_ni and the front: see it);
  *   - score: nc for a cooperator, b * nc for a defector, plus the payment;
  *   - step, every agent deciding from the same scores (see each loop);
  *   - move the switchers' neighbors' counts by one each.
@@ -307,12 +308,20 @@ struct run {
     /* Fermi only, NULL under imitate-best: the front, the agents with a
      * neighbor of the other strategy, as a bitmap in node order. */
     uint64_t *front;
-    int64_t meet;    /* Fermi only: the cooperators meeting every scheme but POP */
+    /* Read by the Fermi loop: the cooperators NI pays, every cooperator
+     * when NI is off. */
+    int64_t coop_ni;
 };
 
 static inline int64_t degree(const struct run *r, int64_t i)
 {
     return r->indptr[i + 1] - r->indptr[i];
+}
+
+/* Whether NI pays node i: every node when NI is off, ni_degree being 0. */
+static inline int ni_pays(const struct run *r, int64_t i)
+{
+    return degree(r, i) >= r->pay->ni_degree;
 }
 
 static inline int pop_pays(const struct run *r)
@@ -331,7 +340,7 @@ static inline int paid(const struct run *r, int pop_ok, int64_t i)
     if (pay->neb)
         ok &= r->nc[i] / (double)degree(r, i) <= pay->n_c;
     if (pay->ni_degree)
-        ok &= degree(r, i) >= pay->ni_degree;
+        ok &= ni_pays(r, i);
     return ok;
 }
 
@@ -397,37 +406,28 @@ double coopsim_pcg64_random(uint64_t *generator, int64_t skip_draws)
     return u;
 }
 
-/* The Fermi bookkeeping of node x, around a change to its strategy or count:
- * leave takes its old status out of meet, enter puts its new status in and
- * sets its front bit. */
-static inline void leave(struct run *r, int64_t x)
-{
-    if (r->front)
-        r->meet -= paid(r, 1, x);
-}
-
+/* Sets node x's Fermi front bit, after a change to its strategy or count. */
 static inline void enter(struct run *r, int64_t x)
 {
     if (!r->front)
         return;
-    r->meet += paid(r, 1, x);
     uint64_t on = r->nc[x] != (r->is_coop[x] ? (double)degree(r, x) : 0.0);
     r->front[x / 64] = (r->front[x / 64] & ~((uint64_t)1 << x % 64)) | on << x % 64;
 }
 
-/* Counts each node's cooperating neighbors and the cooperators, and
- * enters every node into the Fermi bookkeeping. */
+/* Counts each node's cooperating neighbors, the cooperators and those NI
+ * pays, and sets every node's Fermi front bit. */
 static void start(struct run *r)
 {
-    r->n_coop = 0;
+    r->n_coop = r->coop_ni = 0;
     for (int64_t i = 0; i < r->n; i++) {
         r->n_coop += r->is_coop[i];
+        r->coop_ni += r->is_coop[i] & ni_pays(r, i);
         r->nc[i] = 0.0;
         for (int64_t k = r->indptr[i]; k < r->indptr[i + 1]; k++)
             r->nc[i] += r->is_coop[r->indices[k]];
-    }
-    for (int64_t i = 0; i < r->n; i++)
         enter(r, i);
+    }
 }
 
 /* Records generation gen's cooperator fraction; when the population is
@@ -445,23 +445,24 @@ static int absorbed(const struct run *r, int64_t gen, int64_t horizon, double *c
 }
 
 /* Flips the switchers and moves their neighbors' counts: d = +1 for a new
- * cooperator, -1 for a new defector. Inlined into each loop, so the
- * imitate-best one, whose front is NULL, keeps none of the Fermi
- * bookkeeping. */
+ * cooperator, -1 for a new defector. Under Fermi it also moves coop_ni by
+ * each switcher NI pays and sets the front bits of the switchers and their
+ * neighbors. Inlined into each loop, so the imitate-best one, whose front
+ * is NULL, keeps none of the Fermi bookkeeping. */
 static inline __attribute__((always_inline)) void flip(
     struct run *r, const int64_t *switched, int64_t n_switched)
 {
     for (int64_t s = 0; s < n_switched; s++) {
         int64_t i = switched[s];
-        leave(r, i);
         int c = !r->is_coop[i];
         r->is_coop[i] = (uint8_t)c;
         int64_t d = 2 * c - 1;
         r->n_coop += d;
+        if (r->front)
+            r->coop_ni += d * ni_pays(r, i);
         enter(r, i);
         for (int64_t k = r->indptr[i]; k < r->indptr[i + 1]; k++) {
             int64_t j = r->indices[k];
-            leave(r, j);
             r->nc[j] += (double)d;
             enter(r, j);
         }
@@ -583,9 +584,18 @@ static inline struct memo *memo_slot(struct memo *memo, double diff)
  * front reads its picks, and only the agents whose pick disagrees read
  * their copy draws. Each draw read is one LCG map, over the draws skipped
  * and the draw itself (draw_after); the generator jumps over the rest at
- * the end. flip keeps the front and the count of paid cooperators up to
- * date, so a generation costs the front and the switchers' neighborhoods,
- * not n.
+ * the end. flip keeps the front and the count coop_ni of the cooperators
+ * NI pays up to date, so a generation costs the front and the switchers'
+ * neighborhoods, not n.
+ *
+ * invested is counted from coop_ni, and under NEB from the front. Without
+ * NEB a cooperator's pay does not depend on its counts, so POP's verdict
+ * pays all of coop_ni or none. A cooperator off the front has only
+ * cooperating neighbors, so its fraction nc / degree is exactly 1.0
+ * (every node of a connected graph has degree >= 1), and no fraction
+ * exceeds 1.0. So NEB at n_c >= 1.0 pays all of coop_ni or none too.
+ * Below it NEB pays no agent off the front, and the picks pass counts the
+ * front's paid agents, behind a branch on NEB: that count is all.
  *
  * Some 46% of the front picks a disagreeing neighbor and some 65% of the
  * deciders switch, so a branch on either is mispredicted about as often
@@ -632,13 +642,15 @@ int64_t coopsim_fermi(
             absorbed_at = gen;
             break;
         }
-        int pop_ok = pop_pays(&r);
-        invested[gen] = pop_ok ? r.meet : 0;
+        int pop_ok = pay->active & pop_pays(&r);  /* also 0 when no scheme is active */
 
-        int64_t drawn = 0, n_deciders = 0;  /* drawn: this generation's draws used */
+        /* drawn: this generation's draws used; front_paid: counted under NEB */
+        int64_t drawn = 0, n_deciders = 0, front_paid = 0;
         for (int64_t w = 0; w < words; w++) {
             for (uint64_t bits = r.front[w]; bits; bits &= bits - 1) {
                 int64_t i = w * 64 + __builtin_ctzll(bits), deg = degree(&r, i);
+                if (pay->neb)
+                    front_paid += paid(&r, pop_ok, i);
                 int64_t offset = (int64_t)(draw_after(&rng, &jumps, i - drawn) * (double)deg);
                 drawn = i + 1;
                 offset = offset < deg - 1 ? offset : deg - 1;
@@ -648,6 +660,7 @@ int64_t coopsim_fermi(
                 n_deciders += is_coop[j] != is_coop[i];
             }
         }
+        invested[gen] = pay->neb && pay->n_c < 1.0 ? front_paid : pop_ok * r.coop_ni;
 
         int64_t n_switched = 0;
         for (int64_t d = 0; d < n_deciders; d++) {

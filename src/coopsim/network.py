@@ -108,13 +108,11 @@ class Graph:
         return 2.0 * self.n_edges / self.n
 
 
-def generate(config: NetworkConfig, rng=None) -> Graph:
+def generate(config: NetworkConfig) -> Graph:
     """Grow a graph for config, from a PCG64 generator seeded with
-    config.seed, or from rng, a generator (coopsim._loops.generator), which
-    the growth steps."""
+    config.seed."""
     from . import _loops  # imported here: import coopsim.cli loads no library
-    if rng is None:
-        rng = _loops.generator(config.seed)
+    rng = _loops.generator(config.seed)
     return Graph.from_edges(config.n, _loops.grow(config.model, config.n, rng))
 
 

@@ -122,7 +122,8 @@ class TestDrawsAreNumpys:
     def test_growth(self, model, n, seed):
         cfg = NetworkConfig(model=model, n=n, seed=seed)
         rng, want_rng = _loops.generator(seed), np.random.default_rng(seed)
-        got, want = generate(cfg, rng), conftest.REFERENCE_GENERATE[model](cfg, want_rng)
+        got = Graph.from_edges(n, _loops.grow(model, n, rng))
+        want = conftest.REFERENCE_GENERATE[model](cfg, want_rng)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(rng, pcg64_words(want_rng))
@@ -572,6 +573,10 @@ class TestCarriedCounts:
         *(pytest.param(model, 2000, STOCHASTIC, pop_cfg(1.0, 0.5), 10,
                        id=f"{model}-stochastic")
           for model in (BA, network.DMS)),
+        *(pytest.param(model, 2000, STOCHASTIC,
+                       InterferenceConfig(schemes=(NEB, NI), theta=1.0, n_c=1.0, c_I=0.5), 10,
+                       id=f"{model}-stochastic-NEB+NI-n_c-1")
+          for model in (BA, network.DMS)),
         *(pytest.param(model, 2000, DETERMINISTIC, icfg, 75,
                        id=f"{model}-deterministic-{name}")
           for model in (BA, network.DMS) for name, icfg in SLOW_IMITATE_BEST),
@@ -582,7 +587,9 @@ class TestCarriedCounts:
         # counts at n=2000 must still give the oracle's run, and leave its
         # final population. So must the Fermi loop's over every generation
         # of the benchmark's Fermi points, some 500 agents in the front and
-        # 150 switching each generation.
+        # 150 switching each generation. At n_c = 1 NEB also pays the
+        # cooperators off the Fermi front, which the loop counts without
+        # visiting them.
         update = UpdateRuleConfig(rule=rule, K=0.1 if rule == STOCHASTIC else None)
         cfg = RunConfig(
             network=NetworkConfig(model=model, n=n, seed=3), update=update,

@@ -10,9 +10,8 @@ import json
 
 import pytest
 
-from coopsim import _loops, network
+from coopsim import _loops
 from coopsim.cli import EXIT_OK, main
-from coopsim.network import NetworkConfig
 
 from conftest import pcg64_generator
 
@@ -104,8 +103,8 @@ GRAPHS = {
     ("dms", 4): "07adde553ff3c4c8e88a0c6839aaea8d5b43a0f1f59c4b680257e488dc3231f9",
 }
 
-# The draw that follows network.generate(cfg, rng) at seed 7 on a stream
-# seeded with 7: growth must leave a shared stream where it did.
+# The draw that follows growth (_loops.grow) to n nodes on a stream seeded
+# with 7: growth must leave the stream it steps where it did.
 NEXT_DRAW = {
     ("ba", 2000): 0.5639723423952818,
     ("dms", 5000): 0.8117797317002403,
@@ -189,5 +188,5 @@ def test_gen_net_graph_file(tmp_path, model, n):
 @pytest.mark.parametrize("model,n", list(NEXT_DRAW), ids=graph_ids(NEXT_DRAW))
 def test_generate_leaves_an_explicit_stream_where_it_was(model, n):
     rng = _loops.generator(7)
-    network.generate(NetworkConfig(model=model.upper(), n=n, seed=7), rng)
+    _loops.grow(model.upper(), n, rng)
     assert pcg64_generator(rng).random() == NEXT_DRAW[model, n]

@@ -36,13 +36,16 @@ _SCALE_THETA = ("\n    struct pay scaled = *pay;"
 MUTANTS = (
     ("NEB threshold strict", "<= pay->n_c", "< pay->n_c"),
     ("POP threshold strict", "<= r->pay->p_c", "< r->pay->p_c"),
-    ("NI threshold strict", ">= pay->ni_degree", "> pay->ni_degree"),
+    ("NI threshold strict", ">= r->pay->ni_degree", "> r->pay->ni_degree"),
     ("paid drops the cooperator conjunct", "pay->active & pop_ok & r->is_coop[i]",
      "pay->active & pop_ok"),
     ("theta x1.5 in the imitate-best loop", ".nc = (double *)(key + n)};",
      ".nc = (double *)(key + n)};" + _SCALE_THETA),
     ("theta x1.5 in the Fermi loop", "memset(r.front, 0, words * sizeof *r.front);",
      "memset(r.front, 0, words * sizeof *r.front);" + _SCALE_THETA),
+    ("NEB pays no cooperator off the Fermi front", "pay->neb && pay->n_c < 1.0 ?",
+     "pay->neb ?"),
+    ("a switch leaves coop_ni", "r->coop_ni += d * ni_pays(r, i);", "r->coop_ni += 0;"),
     ("Fermi front misses agents one neighbor short of full agreement",
      "uint64_t on = r->nc[x] != (r->is_coop[x] ? (double)degree(r, x) : 0.0);",
      "uint64_t on = fabs(r->nc[x] - (r->is_coop[x] ? (double)degree(r, x) : 0.0)) > 1.0;"),
