@@ -103,6 +103,15 @@ GRAPHS = {
     ("dms", 4): "07adde553ff3c4c8e88a0c6839aaea8d5b43a0f1f59c4b680257e488dc3231f9",
 }
 
+# Growth's edge arrays at seed 20230116, (model, n) -> sha256 of the int64
+# ends _loops.grow writes, in host byte order.
+GROWTH = {
+    ("ba", 2000): "578a6b9214e9f5bd5ac41525c7403735b5b2e448b4b974d4cac13287b24856a8",
+    ("dms", 5000): "6f66b88fc8422088f8880bbb3b9d1aea14da796310cfeaf7cbc4bf6ce31c539c",
+    ("dms", 3): "79804fd0053199256af1dee6baa3c44ee78fc1c597da9105d41e7d1fca910d6b",
+    ("dms", 4): "a5541010f563b83274b4f2a120daa088f50334c76cba72883cdf8cc2bbb6dc4b",
+}
+
 # The draw that follows growth (_loops.grow) to n nodes on a stream seeded
 # with 7: growth must leave the stream it steps where it did.
 NEXT_DRAW = {
@@ -183,6 +192,12 @@ def test_gen_net_graph_file(tmp_path, model, n):
     assert main(["gen-net", "--model", model, "--n", str(n), "--seed", "20230116",
                  "--out", str(out)]) == EXIT_OK
     assert sha256(out) == GRAPHS[model, n]
+
+
+@pytest.mark.parametrize("model,n", list(GROWTH), ids=graph_ids(GROWTH))
+def test_growth_edges(model, n):
+    edges = _loops.grow(model.upper(), n, _loops.generator(20230116))
+    assert hashlib.sha256(edges).hexdigest() == GROWTH[model, n]
 
 
 @pytest.mark.parametrize("model,n", list(NEXT_DRAW), ids=graph_ids(NEXT_DRAW))
