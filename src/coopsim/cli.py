@@ -1,8 +1,8 @@
 """Command-line surface: JSON configs in, CSV tables out.
 
-Subcommands: gen-net (write a graph file), run (one replicate, per-generation
-trace), sweep (grid of parameter points), baseline (a sweep whose grid is
-the single no-interference point), frontier (minimum-cost configurations per
+Subcommands: run (one replicate, per-generation trace), sweep (grid of
+parameter points), baseline (a sweep whose grid is the single
+no-interference point), frontier (minimum-cost configurations per
 cooperation target).
 The config file is the whole input of run, sweep and baseline: no flag and
 no shell variable changes a value in it, so its bytes fix the output's.
@@ -324,16 +324,6 @@ def write_meta(path, command: str, **payload) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_gen_net(args) -> int:
-    cfg = _build(NetworkConfig, {"model": args.model, "n": args.n,
-                                 "seed": args.seed}, "network")
-    g = network.generate(cfg)
-    _write(args.out, "graph file", network.graph_json(cfg, g))
-    write_meta(args.out, "gen-net", config=asdict(cfg),
-               edges=g.n_edges, average_degree=g.average_degree)
-    return EXIT_OK
-
-
 def _cmd_run(args) -> int:
     payload = read_json_object(args.config)
     cfg = parse_run_config(payload)
@@ -407,16 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def sub(name: str, help_text: str) -> argparse.ArgumentParser:
-        # No abbreviations: a removed flag, such as gen-net's --m, must not
-        # read as a longer one that shares its prefix, such as --model.
+        # No abbreviations: an unknown flag, such as --jo, must not read as
+        # a longer one that shares its prefix, such as sweep's --jobs.
         return subparsers.add_parser(name, help=help_text, allow_abbrev=False)
-
-    p = sub("gen-net", "generate a network and write graph JSON")
-    p.add_argument("--model", required=True, type=str.upper, choices=network.MODELS)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_net)
 
     p = sub("run", "single replicate, per-generation CSV trace")
     p.add_argument("--config", required=True)

@@ -1,4 +1,4 @@
-"""Scale-free network generation, degree percentiles and graph export.
+"""Scale-free network generation and degree percentiles.
 
 Two growth models are supported: classical preferential attachment (BA),
 which produces low clustering, and edge-duplication growth (DMS), which
@@ -10,7 +10,7 @@ that they describe one. The compiled library grows both (coopsim_grow in
 _loops.c, whose comment gives each model's draws), drawing each pick as
 numpy's Generator.integers does, and builds each CSR (coopsim_csr); the
 numpy growth and CSR build in tests/conftest.py are their oracles. So a
-graph file's bytes follow _loops.c, not numpy's Generator.
+graph's edges follow _loops.c, not numpy's Generator.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import array
 import bisect
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 BA = "BA"
@@ -53,8 +52,7 @@ class Graph:
     n and its CSR, indptr and indices, with each node's neighbor list
     ascending. Both are read-only int64 memoryviews in a graph from_edges
     builds, which numpy.asarray reads without a copy. The CSR is the only
-    copy of the edges: edges derives the canonical (u < v) edge list from
-    it. A graph hashes and compares by identity.
+    copy of the edges. A graph hashes and compares by identity.
     """
 
     n: int
@@ -81,15 +79,6 @@ class Graph:
             edges = array.array("q", itertools.chain.from_iterable(sorted(map(sorted, edges))))
         return cls(n, *_loops.csr(n, edges))
 
-    @property
-    def edges(self) -> list[list[int]]:
-        """The canonical edge list, [u, v] pairs with u < v, lexicographically
-        sorted. These are the CSR entries whose row is below its neighbor,
-        in CSR order."""
-        indptr, indices = self.indptr, self.indices
-        return [[u, v] for u in range(self.n) for v in indices[indptr[u]:indptr[u + 1]]
-                if u < v]
-
     @functools.cached_property
     def percentile_by_degree(self) -> list[tuple[int, float]]:
         """Each degree of the graph, ascending, with its percentile: the
@@ -101,11 +90,8 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
+        """The number of edges; perfbench's tracer reads it."""
         return len(self.indices) // 2
-
-    @property
-    def average_degree(self) -> float:
-        return 2.0 * self.n_edges / self.n
 
 
 def generate(config: NetworkConfig) -> Graph:
@@ -115,9 +101,3 @@ def generate(config: NetworkConfig) -> Graph:
     rng = _loops.generator(config.seed)
     return Graph.from_edges(config.n, _loops.grow(config.model, config.n, rng))
 
-
-def graph_json(config: NetworkConfig, g: Graph) -> str:
-    """The text of the graph file for g, generated from config: one JSON line
-    {model, n, seed, edges}."""
-    return json.dumps({"model": config.model, "n": g.n, "seed": config.seed,
-                       "edges": g.edges}) + "\n"

@@ -13,7 +13,6 @@ pcg64_generator carry a generator between numpy's form and the library's
 uint64[4] array. A Graph's arrays are read-only memoryviews: the oracles
 read them through np.asarray, which copies nothing."""
 
-import json
 import math
 import sys
 from typing import NamedTuple
@@ -67,13 +66,6 @@ def path_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """Node 0 joined to each of the leaves 1 to leaves."""
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def load_graph(path) -> Graph:
-    """The graph in a file gen-net wrote."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return Graph.from_edges(payload["n"], payload["edges"])
 
 
 # A 128-bit number's low and high 64-bit words.
@@ -375,6 +367,14 @@ def node_degrees(g: Graph) -> np.ndarray:
     return np.diff(g.indptr)
 
 
+def edges(g: Graph) -> list[list[int]]:
+    """The canonical edge list, [u, v] pairs with u < v, lexicographically
+    sorted: the CSR entries whose row is below their neighbor, in CSR
+    order."""
+    return [[u, v] for u in range(g.n) for v in g.indices[g.indptr[u]:g.indptr[u + 1]]
+            if u < v]
+
+
 def csr_rows(g: Graph) -> np.ndarray:
     """The node each CSR entry belongs to: row k owns g.indices[k]."""
     return np.repeat(np.arange(g.n), node_degrees(g))
@@ -480,7 +480,7 @@ def global_transitivity(g: Graph) -> float:
         return 0.0
     adj = [set(neighbors(g, i).tolist()) for i in range(g.n)]
     # Each triangle is counted once per edge.
-    closed = sum(len(adj[u] & adj[v]) for u, v in g.edges)
+    closed = sum(len(adj[u] & adj[v]) for u, v in edges(g))
     return closed / triples
 
 

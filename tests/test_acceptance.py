@@ -124,7 +124,7 @@ class TestCriterion3:
             ba.append(generate(NetworkConfig(model=BA, n=2000, seed=3000 + seed)))
             dms.append(generate(NetworkConfig(model=DMS, n=2000, seed=4000 + seed)))
 
-        degs_ok = all(3.9 <= g.average_degree <= 4.0 for g in ba + dms)
+        degs_ok = all(3.9 <= 2 * g.n_edges / g.n <= 4.0 for g in ba + dms)
         ba_trans = np.mean([global_transitivity(g) for g in ba])
         dms_trans = np.mean([global_transitivity(g) for g in dms])
         trans_ok = dms_trans >= 5 * ba_trans

@@ -27,6 +27,7 @@ from coopsim.cli import (
     EXIT_USAGE,
     FRONTIER_HEADER,
     SWEEP_HEADER,
+    TRACE_HEADER,
     expand_grid,
     main,
     parse_run_config,
@@ -36,7 +37,7 @@ from coopsim.cli import (
 from coopsim.engine import efficiency_frontier
 from coopsim.network import NetworkConfig
 
-from conftest import load_graph, reachable
+from conftest import reachable
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -70,39 +71,6 @@ def sweep_config(**overrides):
     }
     payload.update(overrides)
     return payload
-
-
-class TestGenNet:
-    def test_writes_loadable_graph_and_meta(self, tmp_path):
-        out = tmp_path / "g.json"
-        rc = main(["gen-net", "--model", "dms", "--n", "200", "--seed", "7",
-                   "--out", str(out)])
-        assert rc == EXIT_OK
-        assert load_graph(out).n == 200
-        # The file records the config it was generated from.
-        payload = json.loads(out.read_text())
-        assert (payload["model"], payload["n"], payload["seed"]) == ("DMS", 200, 7)
-        meta = json.loads((tmp_path / "g.json.meta.json").read_text())
-        assert meta["command"] == "gen-net"
-        assert meta["config"]["seed"] == 7
-
-    @pytest.mark.parametrize("key", ["m0", "m"])
-    def test_dms_other_than_two_edges_per_node_rejected(self, tmp_path, capsys, key):
-        # Both models grow by two edges per node: gen-net has no flag to ask
-        # for another count, and --m does not abbreviate --model.
-        out = tmp_path / "g.json"
-        with pytest.raises(SystemExit) as exc:
-            main(["gen-net", "--model", "dms", "--n", "50", "--seed", "1",
-                  f"--{key}", "3", "--out", str(out)])
-        assert exc.value.code == EXIT_USAGE
-        assert f"unrecognized arguments: --{key} 3" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_bad_model_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen-net", "--model", "lattice", "--n", "10", "--seed", "1",
-                  "--out", str(tmp_path / "g.json")])
-        assert exc.value.code == EXIT_USAGE
 
 
 class TestRun:
@@ -735,8 +703,6 @@ class TestUnwritableOutput:
     naming what was being written and where."""
 
     def argv(self, tmp_path, command, out):
-        if command == "gen-net":
-            return ["gen-net", "--model", "ba", "--n", "60", "--seed", "2", "--out", str(out)]
         if command == "frontier":
             sweep_out = tmp_path / "sweep.csv"
             assert main(["sweep", "--config", write_config(tmp_path, sweep_config()),
@@ -746,8 +712,7 @@ class TestUnwritableOutput:
         return [command, "--config", write_config(tmp_path, payload), "--out", str(out)]
 
     @pytest.mark.parametrize("command,what", [("run", "trace CSV"), ("sweep", "sweep CSV"),
-                                              ("frontier", "frontier CSV"),
-                                              ("gen-net", "graph file")])
+                                              ("frontier", "frontier CSV")])
     def test_csv_in_missing_directory(self, tmp_path, capsys, command, what):
         out = tmp_path / "missing" / "out.csv"
         assert main(self.argv(tmp_path, command, out)) == EXIT_RUNTIME
@@ -843,13 +808,13 @@ class TestGridExpansion:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
-        out = tmp_path / "g.json"
+        out = tmp_path / "trace.csv"
+        cfg = write_config(tmp_path, run_config(network={"model": "BA", "n": 20, "seed": 1}))
         proc = subprocess.run(
-            [sys.executable, "-m", "coopsim.cli", "gen-net", "--model", "ba",
-             "--n", "20", "--seed", "1", "--out", str(out)],
+            [sys.executable, "-m", "coopsim.cli", "run", "--config", cfg, "--out", str(out)],
             env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert load_graph(out).n == 20
+        assert out.read_text().splitlines()[0] == TRACE_HEADER
 
     @pytest.mark.parametrize("argv,abbreviated", [
         (["run", "--config", "c.json", "--out", "t.csv", "--conf", "d.json"], "--conf"),
@@ -857,8 +822,6 @@ class TestConsoleScript:
         (["baseline", "--config", "c.json", "--out", "s.csv", "--ou", "x.csv"], "--ou"),
         (["frontier", "--in", "s.csv", "--targets", "0.5", "--out", "f.csv", "--tar", "0.9"],
          "--tar"),
-        (["gen-net", "--model", "ba", "--n", "20", "--seed", "1", "--out", "g.json",
-          "--mod", "dms"], "--mod"),
     ])
     def test_abbreviated_flag_exits_2(self, tmp_path, capsys, monkeypatch, argv, abbreviated):
         # A flag is read only under its full name: an abbreviation is an
@@ -884,11 +847,16 @@ class TestConsoleScript:
         assert "unrecognized arguments: --set" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
-    def test_unknown_subcommand_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "coopsim.cli", "plot"],
-            env=child_env(), capture_output=True, text=True)
-        assert proc.returncode == EXIT_USAGE
+    def test_unknown_subcommand_exits_2(self, tmp_path):
+        # gen-net's graph file had no reader, so the command is gone.
+        for argv in (["plot"],
+                     ["gen-net", "--model", "ba", "--n", "20", "--seed", "1", "--out", "g.json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "coopsim.cli", *argv],
+                cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+            assert proc.returncode == EXIT_USAGE, argv
+            assert "invalid choice" in proc.stderr
+        assert not any(tmp_path.iterdir())
 
 
 class TestLazyPool:
@@ -908,8 +876,6 @@ class TestLazyPool:
         run_cfg = write_config(tmp_path, run_payload, "run.json")
         sweep_csv = str(tmp_path / "sweep.csv")
         commands = [
-            ["gen-net", "--model", "dms", "--n", "30", "--seed", "1",
-             "--out", str(tmp_path / "g.json")],
             ["run", "--config", run_cfg, "--out", str(tmp_path / "run.csv")],
             ["baseline", "--config", base_cfg, "--out", str(tmp_path / "base.csv")],
             ["sweep", "--config", sweep_cfg, "--out", sweep_csv, "--jobs", "1"],
@@ -1113,11 +1079,10 @@ class TestImitateBuild:
         assert defined == _loops._PROTOTYPES
 
     def test_missing_compiler_exits_1_naming_it(self, tmp_path):
-        # Either update rule needs the library, and so does gen-net, whose
-        # growth it draws.
+        # Either update rule needs the library, in a sweep and in run.
         cache, cc = tmp_path / "cache", str(tmp_path / "no-such-dir" / "gcc")
-        commands = [["gen-net", "--model", "ba", "--n", "30", "--seed", "1",
-                     "--out", str(tmp_path / "g.json")]]
+        commands = [["run", "--config", write_config(tmp_path, run_config()),
+                     "--out", str(tmp_path / "t.csv")]]
         for update in ({"rule": "deterministic"}, {"rule": "stochastic", "K": 0.1}):
             cfg = write_config(tmp_path, sweep_config(update=update, graphs=1,
                                                       realisations=1), f"{update['rule']}.json")
@@ -1174,8 +1139,6 @@ class TestImitateBuild:
             ["sweep", "--config", sweep_cfg, "--out", sweep_csv, "--jobs", "2"],
             ["baseline", "--config", baseline_cfg, "--out", str(tmp_path / "baseline.csv")],
             ["run", "--config", run_cfg, "--out", str(tmp_path / "run.csv")],
-            ["gen-net", "--model", "dms", "--n", "30", "--seed", "1",
-             "--out", str(tmp_path / "g.json")],
             ["frontier", "--in", sweep_csv, "--targets", "0.5",
              "--out", str(tmp_path / "frontier.csv")],
         ]

@@ -35,7 +35,7 @@ def test_readme_shows_every_csv_header():
 
 def test_readme_shows_every_subcommand_and_both_configs():
     assert sorted({argv[1] for argv in COMMANDS}) == [
-        "baseline", "frontier", "gen-net", "run", "sweep"]
+        "baseline", "frontier", "run", "sweep"]
     assert sorted(EXAMPLES) == ["run", "sweep"]
 
 

@@ -14,6 +14,7 @@ from conftest import (
     accumulate_scores,
     connected_graphs,
     coop_fraction,
+    edges,
     neighbors,
     pairwise_payoff,
     path_graph,
@@ -95,8 +96,8 @@ class TestAccumulateScores:
         for _ in range(10):
             g = random_connected_graph(35, rng)
             s = rng.integers(0, 2, g.n, dtype=np.int8)
-            cc = sum(1 for u, v in g.edges if s[u] == C and s[v] == C)
-            cd = sum(1 for u, v in g.edges if (s[u] == C) != (s[v] == C))
+            cc = sum(1 for u, v in edges(g) if s[u] == C and s[v] == C)
+            cd = sum(1 for u, v in edges(g) if (s[u] == C) != (s[v] == C))
             total = accumulate_scores(g, s, p).sum()
             assert total == pytest.approx(2.0 * cc + p.b * cd, abs=1e-9)
 

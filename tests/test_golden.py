@@ -1,7 +1,8 @@
-"""Golden bytes: sha256 of small CSVs written through the CLI.
+"""Golden bytes: sha256 of small CSVs written through the CLI, and of the
+edge arrays growth writes.
 
-Each case runs one subcommand on a fixed config and seed and pins the exact
-bytes of the CSV it writes. A refactor that keeps behaviour keeps these
+Each CSV case runs one subcommand on a fixed config and seed and pins the
+exact bytes of the CSV it writes. A refactor that keeps behaviour keeps these
 hashes; a deliberate behaviour change must update them and say why.
 """
 
@@ -94,17 +95,9 @@ PINNED = {
         "66db842341a052659fc59f1103bd84269c9f95e6748537fc637a11cdb9cedd49",
 }
 
-# gen-net graph files at seed 20230116, (model, n) -> sha256. DMS n=3 is the
-# bare triangle and n=4 makes a single pick.
-GRAPHS = {
-    ("ba", 2000): "c366dfd0d11b86541f753beae159f66fa803b772805678b77a9fae2630ff2178",
-    ("dms", 5000): "d80708ae89153d7f0c28fdc0fca1f6e4924b75268b371351f5903e4260f86f88",
-    ("dms", 3): "8c3fd61f6784a010193bdbc790f14aa8a3efe118ff223cc8b50cdf504670a40b",
-    ("dms", 4): "07adde553ff3c4c8e88a0c6839aaea8d5b43a0f1f59c4b680257e488dc3231f9",
-}
-
 # Growth's edge arrays at seed 20230116, (model, n) -> sha256 of the int64
-# ends _loops.grow writes, in host byte order.
+# ends _loops.grow writes, in host byte order. DMS n=3 is the bare triangle
+# and n=4 makes a single pick.
 GROWTH = {
     ("ba", 2000): "578a6b9214e9f5bd5ac41525c7403735b5b2e448b4b974d4cac13287b24856a8",
     ("dms", 5000): "6f66b88fc8422088f8880bbb3b9d1aea14da796310cfeaf7cbc4bf6ce31c539c",
@@ -184,14 +177,6 @@ def test_frontier_with_an_unreachable_target(tmp_path):
     rows = frontier(tmp_path, out, "frontier-ba-unreachable", TARGETS_UNREACHABLE)
     assert rows.read_text().splitlines()[-1].startswith("1.5,unreachable,")
     assert sha256(rows) == PINNED["frontier-ba-unreachable"]
-
-
-@pytest.mark.parametrize("model,n", list(GRAPHS), ids=graph_ids(GRAPHS))
-def test_gen_net_graph_file(tmp_path, model, n):
-    out = tmp_path / f"{model}-{n}.json"
-    assert main(["gen-net", "--model", model, "--n", str(n), "--seed", "20230116",
-                 "--out", str(out)]) == EXIT_OK
-    assert sha256(out) == GRAPHS[model, n]
 
 
 @pytest.mark.parametrize("model,n", list(GROWTH), ids=graph_ids(GROWTH))
